@@ -14,7 +14,6 @@ package backfill
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -65,8 +64,8 @@ type Config struct {
 	YieldPoll           time.Duration
 
 	// Verify round-trips every compressed result through a local decode
-	// and compares content hashes before committing — the production
-	// verify-before-commit step. Costs a decode per file.
+	// and compares it byte for byte with the source before committing —
+	// the production verify-before-commit step. Costs a decode per file.
 	Verify bool
 
 	// Codec used for Verify decodes; nil uses the stateless default.
@@ -476,15 +475,11 @@ func (e *Engine) process(ctx context.Context, addr string, p *Pacer, it item) {
 	}
 
 	if e.cfg.Verify {
-		raw, derr := e.cfg.Codec.DecodeCtx(ctx, comp, 0)
-		if derr != nil || sha256.Sum256(raw) != sha256.Sum256(data) {
+		if derr := e.cfg.Codec.VerifyCtx(ctx, comp, data, 0); derr != nil {
 			if ctx.Err() != nil {
 				p.Cancel()
 				e.requeue(it)
 				return
-			}
-			if derr == nil {
-				derr = errors.New("round-trip hash mismatch")
 			}
 			// The exchange itself succeeded; don't punish the window.
 			p.Done(elapsed, true)

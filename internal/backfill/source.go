@@ -12,7 +12,7 @@ import (
 // deployment would read blob storage; tests and benchmarks regenerate
 // deterministic JPEGs from the entry's recipe. Fetch must be safe for
 // concurrent use and must return the same bytes for the same entry every
-// time — verify-before-commit hashes what Fetch returned.
+// time — verify-before-commit compares against what Fetch returned.
 type Source interface {
 	Fetch(ctx context.Context, e Entry) ([]byte, error)
 }

@@ -44,8 +44,13 @@ type Options struct {
 	SegmentsPerChunk int
 	// Flags selects model predictors; nil means the deployed configuration.
 	Flags *model.Flags
-	// VerifyRoundtrip decompresses every chunk and compares against the
-	// original bytes before returning (production admission, §5.7).
+	// VerifyRoundtrip decodes every chunk and compares it byte for byte
+	// with its input slice before returning, failing with ReasonRoundtrip
+	// on the first chunk that differs (production admission, §5.7). Callers
+	// that verify at admission themselves leave it off, so each chunk is
+	// verified once: store.Store.PutFile verifies in its admission loop and
+	// does not set it; store.Remote.PutFile, which has no admission loop of
+	// its own, does.
 	VerifyRoundtrip bool
 	// Codec, when non-nil, supplies pooled encode/decode state shared with
 	// other conversions; nil allocates fresh state per chunk (one-shot).
@@ -253,13 +258,11 @@ func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk 
 			return err
 		}
 		if opt.VerifyRoundtrip {
-			back, err := codec.DecodeCtx(ctx, chunkBytes, 0)
-			if err != nil || !bytes.Equal(back, data[o0:o1]) {
-				if ctx.Err() != nil {
-					return ctx.Err()
+			if err := codec.VerifyCtx(ctx, chunkBytes, data[o0:o1], 0); err != nil {
+				if jerr, ok := err.(*jpeg.Error); ok {
+					jerr.Detail = fmt.Sprintf("chunk %d: %s", k, jerr.Detail)
 				}
-				return &jpeg.Error{Reason: jpeg.ReasonRoundtrip,
-					Detail: fmt.Sprintf("chunk %d does not round trip", k)}
+				return err
 			}
 		}
 		if err := emit(chunkBytes); err != nil {

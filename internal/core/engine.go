@@ -330,15 +330,8 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	}
 
 	if opt.VerifyRoundtrip {
-		back, err := c.DecodeCtx(ctx, comp, decBudget)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, &jpeg.Error{Reason: jpeg.ReasonRoundtrip, Detail: err.Error()}
-		}
-		if !bytes.Equal(back, data) {
-			return nil, &jpeg.Error{Reason: jpeg.ReasonRoundtrip, Detail: "decode differs from input"}
+		if err := c.VerifyCtx(ctx, comp, data, decBudget); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

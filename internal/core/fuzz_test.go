@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -42,7 +43,8 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 // decoder. The invariants: never panic, never hang, fail cleanly on
 // corrupt segments (the row-window decoder must not over-read a window),
 // and — when a container does decode — the buffered and streamed decode
-// paths must agree byte for byte.
+// paths must agree byte for byte, and VerifyCtx must accept exactly the
+// decoded bytes.
 func FuzzDecode(f *testing.F) {
 	seeds := fuzzSeedContainers(f)
 	for _, s := range seeds {
@@ -67,6 +69,19 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(got, buf.Bytes()) {
 			t.Fatal("Decode and DecodeTo disagree on reconstructed bytes")
+		}
+		// A failed decode verifies against nothing, not even the prefix it
+		// wrote; a successful one verifies against its output and against
+		// no one-byte change of it.
+		if verr := (*Codec)(nil).VerifyCtx(context.Background(), data, buf.Bytes(), 0); (verr == nil) != (err == nil) {
+			t.Fatalf("Decode err=%v but VerifyCtx err=%v", err, verr)
+		}
+		if err == nil && len(got) > 0 {
+			bad := append([]byte(nil), got...)
+			bad[len(bad)/2] ^= 1
+			if (*Codec)(nil).VerifyCtx(context.Background(), data, bad, 0) == nil {
+				t.Fatal("VerifyCtx accepted a changed byte")
+			}
 		}
 		if inUse, _ := CoeffMemStats(); inUse != 0 {
 			t.Fatalf("decode leaked %d coefficient bytes", inUse)

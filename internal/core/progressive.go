@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -99,15 +98,8 @@ func encodeProgressive(ctx context.Context, data []byte, opt EncodeOptions, encB
 	}
 	res.HeaderCompressed = len(comp) - len(stream)
 	if opt.VerifyRoundtrip {
-		back, err := (*Codec)(nil).DecodeCtx(ctx, comp, decBudget)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, &jpeg.Error{Reason: jpeg.ReasonRoundtrip, Detail: err.Error()}
-		}
-		if !bytes.Equal(back, data) {
-			return nil, &jpeg.Error{Reason: jpeg.ReasonRoundtrip, Detail: "progressive decode differs from input"}
+		if err := (*Codec)(nil).VerifyCtx(ctx, comp, data, decBudget); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

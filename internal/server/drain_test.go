@@ -35,6 +35,20 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// settledSnapshot polls the stats snapshot until cond holds. The in-flight
+// gauge and the per-shard done counters settle just after the reply is
+// written, so a client that has its response may read them one update
+// early.
+func settledSnapshot(t *testing.T, b *server.Blockserver, what string, cond func(map[string]int64) bool) map[string]int64 {
+	t.Helper()
+	var snap map[string]int64
+	waitFor(t, 10*time.Second, func() bool {
+		snap = b.StatsSnapshot()
+		return cond(snap)
+	}, what)
+	return snap
+}
+
 // TestShutdownDrainsInFlight is the drain acceptance test: a request in
 // flight when Shutdown begins completes with a valid response, the drain
 // reports clean, and new connections are refused afterwards.

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -58,8 +59,8 @@ func TestUnixSocketCompressDecompress(t *testing.T) {
 	if c, d := b.Stats.Compresses.Load(), b.Stats.Decompresses.Load(); c != 1 || d != 1 {
 		t.Fatalf("stats: compresses=%d decompresses=%d", c, d)
 	}
-	snap := b.StatsSnapshot()
-	if snap["compresses"] != 1 || snap["decompresses"] != 1 || snap["in_flight"] != 0 {
+	snap := settledSnapshot(t, b, "in_flight to settle", func(s map[string]int64) bool { return s["in_flight"] == 0 })
+	if snap["compresses"] != 1 || snap["decompresses"] != 1 {
 		t.Fatalf("snapshot: %v", snap)
 	}
 	if snap["coeff_window_bytes_peak"] <= 0 {
@@ -367,6 +368,34 @@ func TestPersistentConnectionManyRequests(t *testing.T) {
 	}
 }
 
+// TestPersistentConnectionShortLivedContexts: each request on one
+// persistent connection runs under its own context, cancelled the moment
+// the request returns. The cancellation watcher of one request must be
+// gone before the next begins — one that woke late would move the next
+// request's deadline into the past and fail it with an I/O timeout.
+func TestPersistentConnectionShortLivedContexts(t *testing.T) {
+	b := &server.Blockserver{}
+	addr := startServer(t, "tcp:127.0.0.1:0", b)
+	cl, err := server.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const rounds = 4000
+	for i := 0; i < rounds; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := cl.DoCtx(ctx, server.OpLoad, nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("request %d (cancel after return): %v", i, err)
+		}
+		if _, err := cl.Do(server.OpLoad, nil, time.Minute); err != nil {
+			t.Fatalf("request %d (timeout context): %v", i, err)
+		}
+	}
+}
+
 // TestPersistentConnectionMixedOps drives load probes and store ops through
 // the same persistent connection as conversions.
 func TestPersistentConnectionMixedOps(t *testing.T) {
@@ -436,7 +465,5 @@ func TestWorkerPoolBounded(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if b.InFlight() != 0 {
-		t.Fatalf("in-flight count leaked: %d", b.InFlight())
-	}
+	waitFor(t, 10*time.Second, func() bool { return b.InFlight() == 0 }, "in-flight count to drop to 0")
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +24,9 @@ func TestConnectionShardAffinity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := b.StatsSnapshot()
+	snap := settledSnapshot(t, b, "3 jobs done", func(s map[string]int64) bool {
+		return s["shard0_done"]+s["shard1_done"] == 3
+	})
 	// Each Do dials a fresh connection; round-robin affinity alternates
 	// shards 0,1,0, and idle-worker wakeups honor the pinning.
 	if snap["shard0_done"] != 2 || snap["shard1_done"] != 1 {
@@ -79,8 +82,5 @@ func TestShardedDrainWithQueue(t *testing.T) {
 			t.Fatalf("request %d returned a non-conversion", i)
 		}
 	}
-	snap := b.StatsSnapshot()
-	if snap["shard0_done"] != n {
-		t.Fatalf("shard0_done = %d, want %d", snap["shard0_done"], n)
-	}
+	settledSnapshot(t, b, fmt.Sprintf("shard0_done = %d", n), func(s map[string]int64) bool { return s["shard0_done"] == n })
 }

@@ -279,7 +279,10 @@ func (p *shardPool) close() {
 // connection's embedded job record — zero allocations in steady state. The
 // in-flight gauge covers the queued wait as well as the conversion, so
 // load probes and the outsourcing trigger keep seeing backlog exactly as
-// they did with the semaphore.
+// they did with the semaphore. The job writes its own reply (a streamed
+// decode writes it during the conversion), so the gauge and the shard's
+// done counter settle just after the reply is written: a reader on
+// another connection may see them one update late.
 func (b *Blockserver) runOnShard(ctx context.Context, sc *srvConn, kind jobKind, payload []byte) (bool, error) {
 	b.inFlight.Add(1)
 	defer b.inFlight.Add(-1)

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -19,7 +20,6 @@ import (
 
 	"lepton/internal/chunk"
 	"lepton/internal/core"
-	"lepton/internal/jpeg"
 )
 
 // Hash is a chunk address.
@@ -195,6 +195,10 @@ type Store struct {
 	// puts and gets — a store embedded in a long-lived server passes the
 	// server's codec here.
 	Codec *core.Codec
+
+	// verify is the admission round-trip check; nil means Codec.VerifyCtx.
+	// Tests replace it to count or fail verifications.
+	verify func(ctx context.Context, comp, want []byte) error
 }
 
 // New returns an empty store over the in-memory backend.
@@ -243,69 +247,68 @@ func (st *Store) shutoff() bool {
 	return err == nil
 }
 
-// PutFile chunks, compresses, verifies, and admits a file. Chunks that fail
-// the Lepton round trip are stored deflate-compressed instead — the upload
+// PutFile chunks, compresses, verifies, and admits a file. The admission
+// loop is the one round-trip check: each chunk is checksummed, then
+// decoded and compared byte for byte with its input — once, before
+// anything is stored; the compressor is not asked to verify as well. If a
+// chunk of the Lepton path fails, the whole file is stored as raw
+// (deflate) chunks instead and RoundtripFailures counts it — the upload
 // never fails for codec reasons (§5.7).
 func (st *Store) PutFile(data []byte) (FileRef, error) {
 	return st.PutFileCtx(context.Background(), data)
 }
 
 // PutFileCtx is PutFile under a context: cancellation aborts the upload
-// between chunks and inside each chunk's encode, and comes back as ctx.Err()
-// rather than falling through to the deflate path the way codec rejections
-// do. No FileRef is returned, but chunks admitted before the cancellation
-// remain stored — the store is content-addressed, so a retried upload
-// re-admits them under the same hashes.
+// between chunks and inside each chunk's encode or verify, and comes back
+// as ctx.Err() rather than falling through to the deflate path the way
+// codec rejections do. No FileRef is returned, but chunks admitted before
+// the cancellation remain stored — the store is content-addressed, so a
+// retried upload re-admits them under the same hashes.
 func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 	size := st.ChunkSize
 	if size <= 0 {
 		size = chunk.DefaultChunkSize
 	}
 	var comp [][]byte
-	useLepton := !st.shutoff()
-	if !useLepton {
+	if st.shutoff() {
 		atomic.AddInt64(&st.counters.ShutoffSkips, 1)
-	}
-	if useLepton {
+	} else {
 		var err error
-		comp, err = chunk.CompressCtx(ctx, data, chunk.Options{ChunkSize: size, VerifyRoundtrip: true, Codec: st.Codec})
-		if err != nil {
+		comp, err = chunk.CompressCtx(ctx, data, chunk.Options{ChunkSize: size, Codec: st.Codec})
+		if err != nil && ctx.Err() != nil {
+			return FileRef{}, ctx.Err()
+		}
+	}
+	atomic.AddInt64(&st.counters.Encodes, 1)
+	atomic.AddInt64(&st.counters.BytesIn, int64(len(data)))
+
+	var sums []Hash
+	if comp != nil {
+		var err error
+		if sums, err = st.verifyChunks(ctx, data, size, comp); err != nil {
 			if ctx.Err() != nil {
 				return FileRef{}, ctx.Err()
 			}
-			if jpeg.ReasonOf(err) == jpeg.ReasonRoundtrip {
-				atomic.AddInt64(&st.counters.RoundtripFailures, 1)
-			}
+			atomic.AddInt64(&st.counters.RoundtripFailures, 1)
 			comp = nil // fall through to deflate
 		}
 	}
 	if comp == nil {
 		comp = rawChunksOf(data, size)
+		var err error
+		if sums, err = st.verifyChunks(ctx, data, size, comp); err != nil {
+			if ctx.Err() != nil {
+				return FileRef{}, ctx.Err()
+			}
+			return FileRef{}, err
+		}
 	}
-	atomic.AddInt64(&st.counters.Encodes, 1)
-	atomic.AddInt64(&st.counters.BytesIn, int64(len(data)))
 
-	ref := FileRef{Size: int64(len(data))}
 	for k, cb := range comp {
 		if err := ctx.Err(); err != nil {
 			return FileRef{}, err
 		}
-		// Checksum of the compressed bytes before admission; compared with
-		// the stored copy to detect in-memory corruption (§5.7's md5sum).
-		sum := sha256.Sum256(cb)
-		// Admission: the chunk must decode to exactly its input slice.
-		o0 := k * size
-		o1 := o0 + size
-		if o1 > len(data) {
-			o1 = len(data)
-		}
-		back, err := st.Codec.DecodeCtx(ctx, cb, 0)
-		if err != nil || !bytes.Equal(back, data[o0:o1]) {
-			if ctx.Err() != nil {
-				return FileRef{}, ctx.Err()
-			}
-			return FileRef{}, fmt.Errorf("store: chunk %d failed admission round trip: %v", k, err)
-		}
+		sum := sums[k]
 		if err := st.backend.Put(sum, cb); err != nil {
 			return FileRef{}, fmt.Errorf("store: chunk %d: %w", k, err)
 		}
@@ -323,14 +326,46 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 		}
 		atomic.AddInt64(&st.counters.BytesStored, int64(len(cb)))
 		if st.Net != nil {
+			o0, o1 := chunkSpan(k, size, len(data))
 			if err := st.Net.Put(sum, data[o0:o1]); err != nil {
 				// §6.5: a failing safety net degrades uploads; surface it.
 				return FileRef{}, fmt.Errorf("store: safety net: %w", err)
 			}
 		}
-		ref.Chunks = append(ref.Chunks, sum)
 	}
-	return ref, nil
+	return FileRef{Chunks: sums, Size: int64(len(data))}, nil
+}
+
+// verifyChunks is admission control for one file's chunks: it takes each
+// chunk's checksum — compared with the stored copy after the write, to
+// catch in-memory corruption (§5.7's md5sum) — and then requires the chunk
+// to decode to exactly its input slice. It stores nothing, so a failure
+// leaves the file free to take the deflate path.
+func (st *Store) verifyChunks(ctx context.Context, data []byte, size int, comp [][]byte) ([]Hash, error) {
+	verify := st.verify
+	if verify == nil {
+		verify = func(ctx context.Context, comp, want []byte) error {
+			return st.Codec.VerifyCtx(ctx, comp, want, 0)
+		}
+	}
+	sums := make([]Hash, len(comp))
+	for k, cb := range comp {
+		sums[k] = sha256.Sum256(cb)
+		o0, o1 := chunkSpan(k, size, len(data))
+		if err := verify(ctx, cb, data[o0:o1]); err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return nil, fmt.Errorf("store: chunk %d failed admission round trip: %w", k, err)
+		}
+	}
+	return sums, nil
+}
+
+// chunkSpan returns chunk k's byte range in an n-byte file.
+func chunkSpan(k, size, n int) (o0, o1 int) {
+	o0 = k * size
+	return o0, min(o0+size, n)
 }
 
 func isRawMode(cb []byte) bool {
@@ -344,11 +379,7 @@ func rawChunksOf(data []byte, size int) [][]byte {
 	}
 	out := make([][]byte, 0, n)
 	for k := 0; k < n; k++ {
-		o0 := k * size
-		o1 := o0 + size
-		if o1 > len(data) {
-			o1 = len(data)
-		}
+		o0, o1 := chunkSpan(k, size, len(data))
 		c := &core.Container{Mode: core.ModeRaw, Raw: data[o0:o1], OutputSize: uint32(o1 - o0)}
 		b, err := c.Marshal()
 		if err != nil {
@@ -369,12 +400,13 @@ func (st *Store) PutCompressedChunk(cb []byte) (Hash, error) {
 }
 
 // PutCompressedChunkCtx is PutCompressedChunk under a context; the
-// proof-of-decodability decode aborts on cancellation.
+// proof-of-decodability decode aborts on cancellation. The replica holds no
+// plaintext to compare with, so the proof is a full decode into io.Discard.
 func (st *Store) PutCompressedChunkCtx(ctx context.Context, cb []byte) (Hash, error) {
 	if !core.IsLepton(cb) {
 		return Hash{}, errors.New("store: not a Lepton container")
 	}
-	if _, err := st.Codec.DecodeCtx(ctx, cb, 0); err != nil {
+	if err := st.Codec.DecodeToCtx(ctx, io.Discard, cb, 0); err != nil {
 		if ctx.Err() != nil {
 			return Hash{}, ctx.Err()
 		}

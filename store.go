@@ -109,12 +109,14 @@ func configureStore(s *store.Store, opts *StoreOptions) *Store {
 // The disk store must remain a drop-in backend for the blockserver store.
 var _ store.StatsBackend = (*diskstore.Store)(nil)
 
-// PutFile chunks, compresses, verifies, and admits a file. Chunks that fail
-// the Lepton round trip are stored deflate-compressed instead — the upload
-// never fails for codec reasons (§5.7). Cancelling ctx aborts the upload
-// with ctx.Err() and no FileRef; chunks admitted before the cancellation
-// remain stored, and a retried upload re-admits them under the same
-// content hashes.
+// PutFile chunks, compresses, verifies, and admits a file. The store's
+// admission loop verifies each chunk once — checksummed, then decoded and
+// compared byte for byte with its input before it is stored. If a Lepton
+// chunk fails that round trip, the whole file is stored deflate-compressed
+// instead — the upload never fails for codec reasons (§5.7). Cancelling
+// ctx aborts the upload with ctx.Err() and no FileRef; chunks admitted
+// before the cancellation remain stored, and a retried upload re-admits
+// them under the same content hashes.
 func (st *Store) PutFile(ctx context.Context, data []byte) (FileRef, error) {
 	return st.s.PutFileCtx(ctx, data)
 }
