@@ -465,10 +465,15 @@ func BenchmarkOutsourcingSocketOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer bs.Close()
+			cl, err := server.Dial(addr, 5*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := server.Do(addr, server.OpCompress, data, 30*time.Second); err != nil {
+				if _, err := cl.Do(server.OpCompress, data, 30*time.Second); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,8 @@
 // Command blockserverd runs a Lepton blockserver: it accepts compression
 // and decompression requests over a Unix-domain socket or TCP, and can
 // outsource work to peers or a dedicated cluster when oversubscribed
-// (paper §5.5).
+// (paper §5.5): -peers lists either, and compressions arriving beyond
+// -threshold are routed there through a server.Fleet.
 //
 // A fleet is N of these processes, each started with -store (so the
 // store-backed chunk operations are enabled) and -peers listing the other
@@ -18,7 +19,7 @@
 // Usage:
 //
 //	blockserverd -listen unix:/tmp/lepton.sock
-//	blockserverd -listen tcp:0.0.0.0:7731 -dedicated tcp:10.0.0.5:7731,tcp:10.0.0.6:7731
+//	blockserverd -listen tcp:0.0.0.0:7731 -peers tcp:lepton1:7731,tcp:lepton2:7731
 //	blockserverd -listen tcp::7731 -peers tcp:peer1:7731,tcp:peer2:7731 -threshold 3
 //	blockserverd -listen tcp::7731 -store -peers tcp:peer1:7731,tcp:peer2:7731
 //	blockserverd -listen tcp::7731 -data-dir /var/lib/lepton -sync-interval 50ms
@@ -56,14 +57,12 @@ func newDebugServer(b *server.Blockserver) *admin.Server {
 
 func main() {
 	listen := flag.String("listen", "unix:/tmp/lepton.sock", "listen address (unix:<path> or tcp:<host:port>)")
-	dedicated := flag.String("dedicated", "", "comma-separated dedicated outsourcing targets")
-	peers := flag.String("peers", "", "comma-separated peer blockservers for to-self outsourcing")
+	peers := flag.String("peers", "",
+		"comma-separated outsourcing targets: peer blockservers (to-self) or a dedicated cluster")
 	threshold := flag.Int("threshold", 3, "outsource when more conversions than this are in flight")
 	shards := flag.Int("shards", 0,
 		"worker shards, each with a private codec pinned to a connection set;"+
 			" 0 = one per core (GOMAXPROCS)")
-	maxConcurrent := flag.Int("max-concurrent", 0,
-		"deprecated alias for -shards; 0 defers to -shards")
 	requestTimeout := flag.Duration("request-timeout", 0,
 		"per-request deadline; conversions running longer are cancelled (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
@@ -96,7 +95,6 @@ func main() {
 	b := &server.Blockserver{
 		OutsourceThreshold: *threshold,
 		Shards:             *shards,
-		MaxConcurrent:      *maxConcurrent,
 		RequestTimeout:     *requestTimeout,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "blockserverd: "+format+"\n", args...)
@@ -128,11 +126,13 @@ func main() {
 		st.ShutoffPath = *shutoff
 		b.Store = st
 	}
-	switch {
-	case *dedicated != "":
-		b.Outsource = server.NewDedicatedPool(strings.Split(*dedicated, ","), time.Now().UnixNano())
-	case *peers != "":
-		b.Outsource = server.NewPeerPool(strings.Split(*peers, ","), time.Now().UnixNano())
+	if *peers != "" {
+		fleet, err := server.NewFleet(strings.Split(*peers, ","), nil)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "blockserverd:", err)
+			os.Exit(1)
+		}
+		b.Outsource = fleet
 	}
 
 	addr, err := server.ListenAndServe(*listen, b)
@@ -179,6 +179,10 @@ func main() {
 		}
 	}
 	err = b.Shutdown(ctx)
+	if b.Outsource != nil {
+		// After the drain: no compression can still be outsourcing.
+		_ = b.Outsource.Close()
+	}
 	if disk != nil {
 		// After the drain: no request can still be appending, so the close
 		// fsync seals the log cleanly.

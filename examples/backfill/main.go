@@ -27,7 +27,7 @@ func main() {
 	// A live fleet: three blockservers on loopback, one router over them.
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		b := &server.Blockserver{Store: store.New(), MaxConcurrent: 4}
+		b := &server.Blockserver{Store: store.New(), Shards: 4}
 		bound, err := server.ListenAndServe("tcp:127.0.0.1:0", b)
 		if err != nil {
 			log.Fatal(err)

@@ -37,10 +37,12 @@ func main() {
 
 	// The frontend blockserver on a Unix socket, outsourcing to the worker
 	// when more than one conversion is already in flight.
-	front := &server.Blockserver{
-		Outsource:          server.NewDedicatedPool([]string{workerAddr}, 1),
-		OutsourceThreshold: 1,
+	workers, err := server.NewFleet([]string{workerAddr}, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer workers.Close()
+	front := &server.Blockserver{Outsource: workers, OutsourceThreshold: 1}
 	sock := filepath.Join(dir, "lepton.sock")
 	frontAddr, err := server.ListenAndServe("unix:"+sock, front)
 	if err != nil {

@@ -26,6 +26,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer bs.Close()
+	cl, err := server.Dial(addr, 5*time.Second)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
 
 	photo, err := imagegen.Generate(11, 1024, 768)
 	if err != nil {
@@ -41,7 +46,7 @@ func main() {
 		end := min(off+chunkSize, len(photo))
 		raw := photo[off:end]
 		wireA += int64(len(raw))
-		h, err := server.Do(addr, server.OpPutChunkRaw, raw, 30*time.Second)
+		h, err := cl.Do(server.OpPutChunkRaw, raw, 30*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +54,7 @@ func main() {
 	}
 	var gotA []byte
 	for _, h := range hashesA {
-		raw, err := server.Do(addr, server.OpGetChunkRaw, h, 30*time.Second)
+		raw, err := cl.Do(server.OpGetChunkRaw, h, 30*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +75,7 @@ func main() {
 	var hashesB [][]byte
 	for _, cb := range chunks {
 		wireB += int64(len(cb))
-		h, err := server.Do(addr, server.OpPutChunkCompressed, cb, 30*time.Second)
+		h, err := cl.Do(server.OpPutChunkCompressed, cb, 30*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +83,7 @@ func main() {
 	}
 	var gotB []byte
 	for _, h := range hashesB {
-		cb, err := server.Do(addr, server.OpGetChunkCompressed, h, 30*time.Second)
+		cb, err := cl.Do(server.OpGetChunkCompressed, h, 30*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}

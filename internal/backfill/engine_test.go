@@ -60,7 +60,7 @@ type bfNode struct {
 
 func (n *bfNode) start(ln net.Listener) {
 	tr := &bfTracker{Listener: ln, conns: map[net.Conn]struct{}{}}
-	b := &server.Blockserver{Store: store.New(), MaxConcurrent: 4}
+	b := &server.Blockserver{Store: store.New(), Shards: 4}
 	n.mu.Lock()
 	n.b, n.tr, n.alive = b, tr, true
 	n.mu.Unlock()

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,193 +18,6 @@ import (
 	"lepton/internal/jpeg"
 	"lepton/internal/store"
 )
-
-// Outsourcer selects a target address for an outsourced conversion, or
-// reports that none is available.
-type Outsourcer interface {
-	Target() (addr string, ok bool)
-}
-
-// ctxOutsourcer is the context-aware selection an Outsourcer may optionally
-// implement (PeerPool does): the serve path passes the request context so a
-// cancelled request stops probing immediately.
-type ctxOutsourcer interface {
-	TargetCtx(ctx context.Context) (addr string, ok bool)
-}
-
-// probeFailureCounter is optionally implemented by an Outsourcer whose
-// selection involves load probes; StatsSnapshot surfaces the count.
-type probeFailureCounter interface {
-	ProbeFailures() int64
-}
-
-// probeRTTReporter is optionally implemented by an Outsourcer that tracks
-// per-peer probe round-trip estimates (PeerPool does); StatsSnapshot
-// exports them as peer<i>_srtt_us/_rttvar_us/_rtt_samples in the peer
-// list's address order, making the pacing inputs visible on -debug-addr.
-type probeRTTReporter interface {
-	ProbeRTTs() map[string]RTTStat
-}
-
-// outsourceTarget selects a target through the configured Outsourcer,
-// preferring its context-aware form.
-func (b *Blockserver) outsourceTarget(ctx context.Context) (string, bool) {
-	if co, ok := b.Outsource.(ctxOutsourcer); ok {
-		return co.TargetCtx(ctx)
-	}
-	return b.Outsource.Target()
-}
-
-// DedicatedPool outsources to a dedicated Lepton cluster — the paper's
-// best-performing strategy at peak (§5.5.1): a random member is picked.
-type DedicatedPool struct {
-	Addrs []string
-	rng   *rand.Rand
-	mu    sync.Mutex
-}
-
-// NewDedicatedPool builds a pool with a deterministic selector.
-func NewDedicatedPool(addrs []string, seed int64) *DedicatedPool {
-	return &DedicatedPool{Addrs: addrs, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Target returns a random pool member.
-func (p *DedicatedPool) Target() (string, bool) {
-	if len(p.Addrs) == 0 {
-		return "", false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.Addrs[p.rng.Intn(len(p.Addrs))], true
-}
-
-// PeerPool outsources to other blockservers ("To Self" in Figure 9) using
-// the power of two random choices: probe the load of two random peers and
-// pick the less loaded one (§5.5, [Mitzenmacher et al.]).
-type PeerPool struct {
-	Addrs        []string
-	ProbeTimeout time.Duration
-	rng          *rand.Rand
-	mu           sync.Mutex
-
-	probeFailures atomic.Int64
-
-	// rtts holds one probe RTT EWMA per peer, surfaced through ProbeRTTs
-	// and the owning blockserver's StatsSnapshot (peer<i>_srtt_us).
-	rttMu sync.Mutex
-	rtts  map[string]*RTTEstimator
-}
-
-// NewPeerPool builds a peer pool with a deterministic selector.
-func NewPeerPool(addrs []string, seed int64) *PeerPool {
-	return &PeerPool{Addrs: addrs, ProbeTimeout: time.Second, rng: rand.New(rand.NewSource(seed)),
-		rtts: make(map[string]*RTTEstimator)}
-}
-
-// observeRTT folds one successful probe round trip into addr's estimator.
-func (p *PeerPool) observeRTT(addr string, d time.Duration) {
-	p.rttMu.Lock()
-	e := p.rtts[addr]
-	if e == nil {
-		if p.rtts == nil {
-			p.rtts = make(map[string]*RTTEstimator)
-		}
-		e = &RTTEstimator{}
-		p.rtts[addr] = e
-	}
-	p.rttMu.Unlock()
-	e.Observe(d)
-}
-
-// ProbeRTTs returns the per-peer probe RTT estimates accumulated by
-// TargetCtx selections, keyed by peer address.
-func (p *PeerPool) ProbeRTTs() map[string]RTTStat {
-	p.rttMu.Lock()
-	defer p.rttMu.Unlock()
-	out := make(map[string]RTTStat, len(p.rtts))
-	for addr, e := range p.rtts {
-		out[addr] = e.Stat()
-	}
-	return out
-}
-
-// Target selects a peer without an external context; see TargetCtx.
-func (p *PeerPool) Target() (string, bool) {
-	return p.TargetCtx(context.Background())
-}
-
-// TargetCtx probes two random peers concurrently under one shared context
-// (bounded by ProbeTimeout) and returns the less loaded. The shared context
-// keeps the selection latency at a single probe round even when a peer is
-// dead — the whole selection, not each probe, pays at most one timeout —
-// and it sits on the critical path of every outsourced conversion, so the
-// caller's request context cancels the probes too.
-func (p *PeerPool) TargetCtx(ctx context.Context) (string, bool) {
-	if len(p.Addrs) == 0 {
-		return "", false
-	}
-	p.mu.Lock()
-	a := p.Addrs[p.rng.Intn(len(p.Addrs))]
-	b := p.Addrs[p.rng.Intn(len(p.Addrs))]
-	p.mu.Unlock()
-	timeout := p.ProbeTimeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
-	pctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	if a == b {
-		// Same peer drawn twice: one probe decides — a dead peer must not
-		// be selected just because the rng collapsed the pair.
-		start := time.Now()
-		if _, err := probeLoad(pctx, a); err != nil {
-			if ctx.Err() == nil {
-				// Not our own cancellation: a real verdict on the peer.
-				p.probeFailures.Add(1)
-			}
-			return "", false
-		}
-		p.observeRTT(a, time.Since(start))
-		return a, true
-	}
-	pair := [2]string{a, b}
-	win, errs := probePair(pctx, func(ctx context.Context, k int) (uint32, error) {
-		start := time.Now()
-		load, err := probeLoad(ctx, pair[k])
-		if err == nil {
-			p.observeRTT(pair[k], time.Since(start))
-		}
-		return load, err
-	})
-	if ctx.Err() != nil {
-		// The request was cancelled mid-probe; no verdict on the peers.
-		return "", false
-	}
-	for _, err := range errs {
-		if err != nil {
-			p.probeFailures.Add(1)
-		}
-	}
-	if win < 0 {
-		return "", false
-	}
-	return pair[win], true
-}
-
-// ProbeFailures reports how many load probes have failed; a Blockserver
-// exposes it as "probe_failures" in StatsSnapshot.
-func (p *PeerPool) ProbeFailures() int64 { return p.probeFailures.Load() }
-
-func probeLoad(ctx context.Context, addr string) (uint32, error) {
-	resp, err := DoCtx(ctx, addr, OpLoad, nil)
-	if err != nil {
-		return 0, err
-	}
-	if len(resp) < 4 {
-		return 0, fmt.Errorf("server: short load response (%d bytes)", len(resp))
-	}
-	return binary.LittleEndian.Uint32(resp), nil
-}
 
 // Stats counts blockserver activity.
 type Stats struct {
@@ -250,21 +61,11 @@ func (b *Blockserver) StatsSnapshot() map[string]int64 {
 	for k, v := range core.RangeStats() {
 		snap[k] = v
 	}
-	if pf, ok := b.Outsource.(probeFailureCounter); ok {
-		snap["probe_failures"] = pf.ProbeFailures()
-	}
-	if rr, ok := b.Outsource.(probeRTTReporter); ok {
-		rtts := rr.ProbeRTTs()
-		addrs := make([]string, 0, len(rtts))
-		for addr := range rtts {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		for i, addr := range addrs {
-			st := rtts[addr]
-			snap[fmt.Sprintf("peer%d_srtt_us", i)] = st.SRTT.Microseconds()
-			snap[fmt.Sprintf("peer%d_rttvar_us", i)] = st.RTTVar.Microseconds()
-			snap[fmt.Sprintf("peer%d_rtt_samples", i)] = st.Samples
+	if b.Outsource != nil {
+		// Target selection and per-peer probe RTTs of the outsourcing
+		// router: outsource_probe_failures, outsource_node<i>_srtt_us, ...
+		for k, v := range b.Outsource.StatsSnapshot() {
+			snap["outsource_"+k] = v
 		}
 	}
 	if b.Store != nil {
@@ -295,9 +96,9 @@ func (b *Blockserver) StatsSnapshot() map[string]int64 {
 // Blockserver serves Lepton conversions on a listener. It mirrors the
 // production setup: a 16-core box where a few concurrent Lepton jobs
 // saturate the machine, so conversions run on a fixed set of per-core
-// worker shards (Shards, default GOMAXPROCS) and jobs arriving beyond
-// OutsourceThreshold are forwarded elsewhere when an Outsourcer is
-// configured (§5.5).
+// worker shards (Shards, default GOMAXPROCS) and compressions arriving
+// beyond OutsourceThreshold are forwarded through the Outsource fleet when
+// one is configured (§5.5).
 //
 // Connections are persistent: each serves a request loop until the client
 // closes or a streaming failure forces a teardown. Every connection is
@@ -313,22 +114,20 @@ func (b *Blockserver) StatsSnapshot() map[string]int64 {
 // letting it burn a worker slot to completion (the paper's per-request
 // deadline discipline, §5.7). Shutdown drains the server gracefully.
 type Blockserver struct {
-	// Outsource, when non-nil, receives compression jobs arriving while
-	// more than OutsourceThreshold conversions are in flight.
-	Outsource Outsourcer
+	// Outsource, when non-nil, routes compression jobs arriving while
+	// OutsourceThreshold or more conversions are in flight to other
+	// blockservers — peers ("To Self") or a dedicated cluster (§5.5.1).
+	// The caller owns its Close.
+	Outsource *Fleet
 	// OutsourceThreshold is the concurrent-conversion limit; the paper used
 	// "more than three conversions at a time".
 	OutsourceThreshold int
 	// Shards is the number of worker shards — the bound on conversions
-	// running at once. 0 defers to MaxConcurrent, then to GOMAXPROCS.
-	// Requests beyond the bound queue on their connection's shard; InFlight
-	// counts queued and running conversions alike so load probes and the
-	// outsourcing trigger see the backlog.
+	// running at once; 0 means one per core (GOMAXPROCS). Requests beyond
+	// the bound queue on their connection's shard; InFlight counts queued
+	// and running conversions alike so load probes and the outsourcing
+	// trigger see the backlog.
 	Shards int
-	// MaxConcurrent is the pre-sharding name for the same bound, kept so
-	// existing configurations keep their worker count; Shards wins when
-	// both are set. 0 (with Shards 0) means one shard per core.
-	MaxConcurrent int
 	// WriteTimeout bounds how long one response may take to reach the
 	// client; 0 means DefaultWriteTimeout. Because conversions hold a
 	// worker-pool slot through their response write, a client that stops
@@ -367,14 +166,6 @@ type Blockserver struct {
 	ln     net.Listener
 	conns  map[*srvConn]struct{}
 }
-
-// DefaultMaxConcurrent matches the paper's observation that a handful of
-// conversions saturate a blockserver; beyond this they queue (or are
-// outsourced when a pool is configured). Since the worker-pool sharding it
-// is only a conventional value for explicit configuration (blockserverd's
-// -max-concurrent flag default); an unconfigured Blockserver runs one
-// shard per core.
-const DefaultMaxConcurrent = 4
 
 // DefaultWriteTimeout is generous against slow networks while still
 // bounding how long a stalled client can hold a worker-pool slot.
@@ -460,9 +251,6 @@ func (b *Blockserver) init() {
 			b.Store.Codec = b.Codec
 		}
 		n := b.Shards
-		if n <= 0 {
-			n = b.MaxConcurrent
-		}
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
@@ -749,9 +537,9 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 		var resp [4]byte
 		binary.LittleEndian.PutUint32(resp[:], uint32(b.inFlight.Load()))
 		return WriteResponse(conn, StatusOK, resp[:]) == nil
-	case OpCompress:
+	case OpCompress, OpCompressLocal:
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
-			return b.serveCompress(ctx, sc, payload)
+			return b.serveCompress(ctx, sc, op == OpCompress, payload)
 		})
 	case OpDecompress:
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
@@ -767,25 +555,30 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 	}
 }
 
-func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, payload []byte) bool {
+// serveCompress compresses one payload, outsourcing it first when allowed
+// and oversubscribed. An outsourced job arrives as OpCompressLocal and is
+// never forwarded again: it does not count toward the forwarder's
+// in-flight gauge, so two mutually outsourcing servers over threshold
+// would otherwise bounce it between them forever.
+func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, mayOutsource bool, payload []byte) bool {
 	conn := sc.conn
 	// Outsource when oversubscribed (§5.5): a blockserver handling
 	// many cheap requests can be randomly assigned too many Lepton
 	// conversions at once. The remote round trip runs here on the
 	// connection goroutine, never on a shard worker.
-	if b.Outsource != nil && int(b.inFlight.Load()) >= b.OutsourceThreshold {
-		if addr, ok := b.outsourceTarget(ctx); ok {
-			octx, ocancel := context.WithTimeout(ctx, 30*time.Second)
-			resp, err := DoCtx(octx, addr, OpCompress, payload)
-			ocancel()
-			if err == nil {
-				b.Stats.Outsourced.Add(1)
-				return WriteResponse(conn, StatusOK, resp) == nil
-			}
-			if ctx.Err() != nil {
-				return b.respondErr(conn, ctx.Err())
-			}
-			b.logf("outsource to %s failed: %v; handling locally", addr, err)
+	if mayOutsource && b.Outsource != nil && int(b.inFlight.Load()) >= b.OutsourceThreshold {
+		octx, ocancel := context.WithTimeout(ctx, 30*time.Second)
+		resp, err := b.Outsource.outsource(octx, payload)
+		ocancel()
+		if err == nil {
+			b.Stats.Outsourced.Add(1)
+			return WriteResponse(conn, StatusOK, resp) == nil
+		}
+		if ctx.Err() != nil {
+			return b.respondErr(conn, ctx.Err())
+		}
+		if !errors.Is(err, ErrNoNodes) {
+			b.logf("outsource failed: %v; handling locally", err)
 		}
 	}
 	ok, err := b.runOnShard(ctx, sc, jobCompress, payload)

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// Client is a persistent connection to a blockserver. Unlike the one-shot
-// Do, it issues any number of sequential requests over a single TCP or Unix
-// connection, which removes the per-request dial/teardown that dominated
-// small-request latency at peak (§5.5's outsourcing overhead). A Client is
+// Client is a persistent connection to a blockserver. It issues any number
+// of sequential requests over a single TCP or Unix connection, which
+// removes the per-request dial/teardown that dominated small-request
+// latency at peak (§5.5's outsourcing overhead). A Client is
 // safe for concurrent use; requests are serialized on the connection.
 //
 // The conversion methods take a context. Cancelling it mid-exchange tears

@@ -63,7 +63,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	res := make(chan result, 1)
 	go func() {
-		comp, err := server.Do(addr, server.OpCompress, data, 60*time.Second)
+		comp, err := oneShot(addr, server.OpCompress, data, 60*time.Second)
 		res <- result{comp, err}
 	}()
 	waitFor(t, 10*time.Second, func() bool { return b.InFlight() > 0 }, "request to start")
@@ -88,7 +88,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 	// New connections must be refused now, and a belt-and-braces Close
 	// after a clean Shutdown must not report a phantom listener error.
-	if _, err := server.Do(addr, server.OpLoad, nil, 2*time.Second); err == nil {
+	if _, err := oneShot(addr, server.OpLoad, nil, 2*time.Second); err == nil {
 		t.Fatal("request succeeded after Shutdown")
 	}
 	if err := b.Close(); err != nil {
@@ -132,7 +132,7 @@ func TestShutdownExpiredCtxForceCancels(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := server.Do(addr, server.OpCompress, data, 60*time.Second)
+		_, err := oneShot(addr, server.OpCompress, data, 60*time.Second)
 		errc <- err
 	}()
 	waitFor(t, 10*time.Second, func() bool { return b.InFlight() > 0 }, "request to start")
@@ -253,7 +253,7 @@ func TestServeAfterShutdownRefuses(t *testing.T) {
 	if err := b.Serve(ln); err != nil {
 		t.Fatalf("Serve after Shutdown: %v", err)
 	}
-	if _, err := server.Do("tcp:"+ln.Addr().String(), server.OpLoad, nil, time.Second); err == nil {
+	if _, err := oneShot("tcp:"+ln.Addr().String(), server.OpLoad, nil, time.Second); err == nil {
 		t.Fatal("request served after Shutdown")
 	}
 }

@@ -7,7 +7,8 @@
 // second request onto another node after a configurable latency threshold
 // (first response wins, the loser is cancelled through its context), and
 // runs a health loop that evicts unreachable nodes and re-admits them once
-// probes succeed again.
+// probes succeed again. Clients route with it, and an oversubscribed
+// Blockserver outsources compressions through one (Blockserver.Outsource).
 package server
 
 import (
@@ -363,7 +364,7 @@ func (f *Fleet) probe(ctx context.Context, n *fleetNode) (uint32, error) {
 // the whole pair, not each probe, pays at most the context's deadline —
 // and picks the less loaded: it returns the winning index (0 or 1), or -1
 // when both probes fail, plus each probe's error for the caller's
-// accounting. Shared by Fleet.pick and PeerPool.TargetCtx, the two
+// accounting. Shared by Fleet.pick and Fleet.outsource, the two
 // power-of-two-choices selectors.
 func probePair(ctx context.Context, probe func(ctx context.Context, i int) (uint32, error)) (int, [2]error) {
 	type res struct {
@@ -475,6 +476,58 @@ func (f *Fleet) pick(ctx context.Context, exclude map[*fleetNode]bool) (*fleetNo
 		}
 		return pair[win], nil
 	}
+}
+
+// outsource sends one compression to the less loaded of two random nodes
+// as OpCompressLocal, so the receiver never forwards it again. Unlike pick
+// there is no last resort: only a node that answered its load probe within
+// ProbeTimeout in this selection is used, because the calling blockserver
+// can always compress locally and a hung node must cost it one probe
+// timeout, not the whole request. One attempt, no retry or hedge;
+// ErrNoNodes means no candidate answered.
+func (f *Fleet) outsource(ctx context.Context, payload []byte) ([]byte, error) {
+	var cands []*fleetNode
+	for _, n := range f.nodes {
+		if !n.isDown() {
+			cands = append(cands, n)
+		}
+	}
+	if len(cands) == 0 {
+		cands = f.nodes // evicted nodes may have recovered; the probe decides
+	}
+	i, j := f.twoRandom(len(cands))
+	pair := [2]*fleetNode{cands[i], cands[j]}
+	pctx, cancel := context.WithTimeout(ctx, f.opts.ProbeTimeout)
+	var win int
+	var errs [2]error
+	if i == j {
+		// One candidate: a single probe decides.
+		if _, errs[0] = f.probe(pctx, pair[0]); errs[0] != nil {
+			win = -1
+		}
+	} else {
+		win, errs = probePair(pctx, func(ctx context.Context, k int) (uint32, error) {
+			return f.probe(ctx, pair[k])
+		})
+	}
+	cancel()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			f.Stats.ProbeFailures.Add(1)
+		}
+	}
+	if win < 0 {
+		return nil, ErrNoNodes
+	}
+	f.Stats.Requests.Add(1)
+	resp, err := f.try(ctx, pair[win], OpCompressLocal, payload)
+	if err != nil {
+		return nil, fmt.Errorf("outsource to %s: %w", pair[win].addr, err)
+	}
+	return resp, nil
 }
 
 // --- request execution ----------------------------------------------------

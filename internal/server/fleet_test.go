@@ -111,7 +111,7 @@ func (n *testNode) restart(t *testing.T) {
 
 func (n *testNode) start(ln net.Listener) {
 	tr := &connTracker{Listener: ln, conns: map[net.Conn]struct{}{}}
-	b := &server.Blockserver{Store: n.st, MaxConcurrent: 4}
+	b := &server.Blockserver{Store: n.st, Shards: 4}
 	n.mu.Lock()
 	n.b = b
 	n.tr = tr
@@ -736,95 +736,5 @@ func TestFleetStoreConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// --- PeerPool probe accounting (the serve-path selection fix) -------------
-
-// TestPeerPoolCountsProbeFailures: with one dead peer, Target must still
-// pick the live one, count the failed probe, and the owning blockserver's
-// StatsSnapshot must surface the count.
-func TestPeerPoolCountsProbeFailures(t *testing.T) {
-	live := fakeLoadPeer(t, 0)
-	// A dead address: listen, grab the port, close.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := "tcp:" + ln.Addr().String()
-	_ = ln.Close()
-
-	pool := server.NewPeerPool([]string{live, dead}, 3)
-	pool.ProbeTimeout = 500 * time.Millisecond
-	pickedLive := false
-	for i := 0; i < 20; i++ {
-		addr, ok := pool.Target()
-		if !ok {
-			// The rng drew the dead peer twice and its probe failed —
-			// correctly reported as "no target" rather than a dead pick.
-			continue
-		}
-		if addr == dead {
-			t.Fatal("selected the dead peer")
-		}
-		if addr == live {
-			pickedLive = true
-		}
-	}
-	if !pickedLive {
-		t.Fatal("never picked the live peer")
-	}
-	if pool.ProbeFailures() == 0 {
-		t.Fatal("dead-peer probes not counted")
-	}
-
-	b := &server.Blockserver{Outsource: pool}
-	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	if _, err := server.Do(addr, server.OpLoad, nil, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	snap := b.StatsSnapshot()
-	if snap["probe_failures"] == 0 {
-		t.Fatalf("snapshot missing probe failures: %v", snap)
-	}
-}
-
-// TestPeerPoolSelectionLatencyBoundedByOneTimeout: both candidate probes
-// share one context, so a selection against two dead peers costs one probe
-// timeout, not two — the serve-path stall this PR removes.
-func TestPeerPoolSelectionLatencyBoundedByOneTimeout(t *testing.T) {
-	// Two black-hole peers: listeners that accept and never respond, so the
-	// probes genuinely wait out the shared timeout.
-	blackhole := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ln.Close() })
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer c.Close()
-			}
-		}()
-		return "tcp:" + ln.Addr().String()
-	}
-	a, b := blackhole(), blackhole()
-	pool := server.NewPeerPool([]string{a, b}, 9)
-	pool.ProbeTimeout = 300 * time.Millisecond
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, ok := pool.TargetCtx(context.Background()); ok {
-			t.Fatal("black-hole peer selected")
-		}
-	}
-	elapsed := time.Since(start)
-	// Three selections, each bounded by ~one 300ms shared timeout; the old
-	// sequential-1s-per-peer path would take 6s here.
-	if elapsed > 2*time.Second {
-		t.Fatalf("3 selections against dead peers took %v; probes not sharing one timeout", elapsed)
 	}
 }

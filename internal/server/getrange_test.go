@@ -16,7 +16,7 @@ import (
 // and returns its content hash.
 func putTestChunk(t *testing.T, addr string, raw []byte) [32]byte {
 	t.Helper()
-	resp, err := server.Do(addr, server.OpPutChunkRaw, raw, 10*time.Second)
+	resp, err := oneShot(addr, server.OpPutChunkRaw, raw, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGetRangeOp(t *testing.T) {
 	}
 
 	// Malformed request body: deterministic rejection, connection stays up.
-	if _, err := server.Do(addr, server.OpGetRange, h[:], 5*time.Second); err == nil {
+	if _, err := oneShot(addr, server.OpGetRange, h[:], 5*time.Second); err == nil {
 		t.Fatal("expected error for short get-range request")
 	}
 	if _, err := cl.GetRange(ctx, h, -1, 16); err == nil {

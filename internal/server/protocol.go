@@ -28,6 +28,12 @@ const (
 	OpDecompress = byte('D')
 	OpLoad       = byte('L') // load probe for power-of-two choices
 
+	// OpCompressLocal is OpCompress for a job another blockserver has
+	// already outsourced: served the same way but never outsourced again.
+	// A server predating it answers StatusError ("unknown op"), which the
+	// forwarder handles by compressing locally.
+	OpCompressLocal = byte('c')
+
 	// Store-backed operations (require Blockserver.Store). The pair of
 	// chunk paths implements both deployment modes: server-side codec
 	// (client moves raw bytes) and client-side codec (client moves
@@ -216,53 +222,6 @@ func ReadResponse(conn net.Conn) (status byte, payload []byte, err error) {
 		return 0, nil, &StreamBodyError{Err: err}
 	}
 	return hdr[0], payload, nil
-}
-
-// Do performs one request against addr ("unix:/path" or "tcp:host:port")
-// with a deadline.
-func Do(addr string, op byte, payload []byte, timeout time.Duration) ([]byte, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return DoCtx(ctx, addr, op, payload)
-}
-
-// DoCtx performs one one-shot request under a context: the dial, request
-// write, and response read are all abandoned when ctx is cancelled or its
-// deadline passes, and the error is ctx.Err().
-func DoCtx(ctx context.Context, addr string, op byte, payload []byte) ([]byte, error) {
-	if err := checkPayloadSize(payload); err != nil {
-		return nil, err
-	}
-	network, address, err := splitAddr(addr)
-	if err != nil {
-		return nil, err
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, network, address)
-	if err != nil {
-		return nil, ctxOr(ctx, err)
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	stop := watchCtx(ctx, conn)
-	defer stop()
-	if err := WriteRequest(conn, op, payload); err != nil {
-		return nil, ctxOr(ctx, err)
-	}
-	status, resp, err := ReadResponse(conn)
-	if err != nil {
-		return nil, ctxOr(ctx, err)
-	}
-	if status != StatusOK {
-		return nil, &RemoteError{Msg: string(resp), Transient: status == StatusRetry, NotFound: status == StatusNotFound}
-	}
-	return resp, nil
 }
 
 // watchCtx interrupts conn's blocking I/O when ctx is cancelled by moving

@@ -3,8 +3,9 @@ package server_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -36,20 +37,30 @@ func startServer(t *testing.T, addr string, b *server.Blockserver) string {
 	return bound
 }
 
+// oneShot performs one exchange on a fresh connection.
+func oneShot(addr string, op byte, payload []byte, timeout time.Duration) ([]byte, error) {
+	cl, err := server.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	return cl.Do(op, payload, timeout)
+}
+
 func TestUnixSocketCompressDecompress(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "lepton.sock")
 	b := &server.Blockserver{}
 	addr := startServer(t, "unix:"+sock, b)
 
 	data := gen(t, 1, 256, 192)
-	comp, err := server.Do(addr, server.OpCompress, data, 10*time.Second)
+	comp, err := oneShot(addr, server.OpCompress, data, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(comp) >= len(data) {
 		t.Fatalf("no savings over socket: %d >= %d", len(comp), len(data))
 	}
-	back, err := server.Do(addr, server.OpDecompress, comp, 10*time.Second)
+	back, err := oneShot(addr, server.OpDecompress, comp, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +86,7 @@ func TestTCPCompress(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 	data := gen(t, 2, 128, 128)
-	comp, err := server.Do(addr, server.OpCompress, data, 10*time.Second)
+	comp, err := oneShot(addr, server.OpCompress, data, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +100,7 @@ func TestUnsupportedInputGetsRawContainer(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 	payload := []byte("not a jpeg at all")
-	comp, err := server.Do(addr, server.OpCompress, payload, 10*time.Second)
+	comp, err := oneShot(addr, server.OpCompress, payload, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +113,7 @@ func TestUnsupportedInputGetsRawContainer(t *testing.T) {
 func TestLoadProbe(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	resp, err := server.Do(addr, server.OpLoad, nil, 5*time.Second)
+	resp, err := oneShot(addr, server.OpLoad, nil, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,96 +122,30 @@ func TestLoadProbe(t *testing.T) {
 	}
 }
 
-func TestOutsourcingToDedicated(t *testing.T) {
-	// A dedicated worker and a frontend with threshold 0: every compress
-	// must be outsourced.
-	worker := &server.Blockserver{}
-	workerAddr := startServer(t, "tcp:127.0.0.1:0", worker)
-
-	front := &server.Blockserver{
-		Outsource:          server.NewDedicatedPool([]string{workerAddr}, 1),
-		OutsourceThreshold: -1, // always over threshold
-	}
-	frontAddr := startServer(t, "tcp:127.0.0.1:0", front)
-
-	data := gen(t, 3, 200, 150)
-	comp, err := server.Do(frontAddr, server.OpCompress, data, 20*time.Second)
+// TestHalfCloseOneShotRequest: the deployed system's one-shot exchange —
+// request written, write side shut down, response read to EOF — is still
+// served.
+func TestHalfCloseOneShotRequest(t *testing.T) {
+	addr := startServer(t, "tcp:127.0.0.1:0", &server.Blockserver{})
+	conn, err := net.Dial("tcp", addr[len("tcp:"):])
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _ := core.Decode(comp, 0)
-	if !bytes.Equal(back, data) {
-		t.Fatal("outsourced result mismatch")
-	}
-	if front.Stats.Outsourced.Load() == 0 {
-		t.Fatal("frontend did not outsource")
-	}
-	if worker.Stats.Compresses.Load() == 0 {
-		t.Fatal("worker saw no work")
-	}
-}
-
-// fakeLoadPeer serves the load-probe protocol with a fixed load value, so
-// power-of-two-choices tests are deterministic instead of racing real work.
-func fakeLoadPeer(t *testing.T, load uint32) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	data := gen(t, 8, 96, 64)
+	if err := server.WriteRequest(conn, server.OpCompress, data); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					op, _, err := server.ReadRequest(conn)
-					if err != nil {
-						return
-					}
-					if op != server.OpLoad {
-						_ = server.WriteResponse(conn, server.StatusError, []byte("fake peer"))
-						continue
-					}
-					var resp [4]byte
-					binary.LittleEndian.PutUint32(resp[:], load)
-					if server.WriteResponse(conn, server.StatusOK, resp[:]) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return "tcp:" + ln.Addr().String()
-}
-
-func TestOutsourcingPowerOfTwoPrefersIdlePeer(t *testing.T) {
-	// One peer reports a fixed high load, the other zero. With both
-	// candidates probed, the pool must pick the idle peer; only the draws
-	// where the rng picks the same peer twice go to the busy one, so over
-	// many trials the idle peer wins by a wide margin.
-	busyAddr := fakeLoadPeer(t, 8)
-	idleAddr := fakeLoadPeer(t, 0)
-
-	pool := server.NewPeerPool([]string{busyAddr, idleAddr}, 7)
-	const trials = 40
-	counts := map[string]int{}
-	for i := 0; i < trials; i++ {
-		addr, ok := pool.Target()
-		if !ok {
-			t.Fatal("no target")
-		}
-		counts[addr]++
+	status, comp, err := server.ReadResponse(conn)
+	if err != nil || status != server.StatusOK {
+		t.Fatalf("status %d, err %v", status, err)
 	}
-	// Expected idle share is 75% (50% both-distinct draws always go idle,
-	// plus half of the 50% same-peer draws); require well above parity to
-	// tolerate the seeded rng's draw sequence.
-	if counts[idleAddr] < trials*60/100 {
-		t.Fatalf("power-of-two did not prefer the idle peer: %v", counts)
+	if back, err := core.Decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+		t.Fatalf("round trip mismatch (%v)", err)
+	}
+	if _, _, err := server.ReadResponse(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("server did not close after the half-closed request: %v", err)
 	}
 }
 
@@ -215,12 +160,12 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			data := gen(t, int64(100+i), 96+8*i, 96)
-			comp, err := server.Do(addr, server.OpCompress, data, 20*time.Second)
+			comp, err := oneShot(addr, server.OpCompress, data, 20*time.Second)
 			if err != nil {
 				errs <- fmt.Errorf("compress %d: %w", i, err)
 				return
 			}
-			back, err := server.Do(addr, server.OpDecompress, comp, 20*time.Second)
+			back, err := oneShot(addr, server.OpDecompress, comp, 20*time.Second)
 			if err != nil {
 				errs <- fmt.Errorf("decompress %d: %w", i, err)
 				return
@@ -238,7 +183,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 }
 
 func TestBadAddress(t *testing.T) {
-	if _, err := server.Do("bogus", server.OpLoad, nil, time.Second); err == nil {
+	if _, err := oneShot("bogus", server.OpLoad, nil, time.Second); err == nil {
 		t.Fatal("expected address error")
 	}
 }
@@ -251,14 +196,14 @@ func TestStoreBackedOps(t *testing.T) {
 
 	raw := gen(t, 50, 200, 150)
 	// Server-side path.
-	h, err := server.Do(addr, server.OpPutChunkRaw, raw, 10*time.Second)
+	h, err := oneShot(addr, server.OpPutChunkRaw, raw, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(h) != 32 {
 		t.Fatalf("hash length %d", len(h))
 	}
-	back, err := server.Do(addr, server.OpGetChunkRaw, h, 10*time.Second)
+	back, err := oneShot(addr, server.OpGetChunkRaw, h, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +215,11 @@ func TestStoreBackedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := server.Do(addr, server.OpPutChunkCompressed, res.Compressed, 10*time.Second)
+	h2, err := oneShot(addr, server.OpPutChunkCompressed, res.Compressed, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := server.Do(addr, server.OpGetChunkCompressed, h2, 10*time.Second)
+	cb, err := oneShot(addr, server.OpGetChunkCompressed, h2, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +235,7 @@ func TestStoreBackedOps(t *testing.T) {
 func TestStoreOpsWithoutStore(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	if _, err := server.Do(addr, server.OpPutChunkRaw, []byte("x"), 5*time.Second); err == nil {
+	if _, err := oneShot(addr, server.OpPutChunkRaw, []byte("x"), 5*time.Second); err == nil {
 		t.Fatal("expected error without a store")
 	}
 }
@@ -299,7 +244,7 @@ func TestPutCompressedRejectsGarbage(t *testing.T) {
 	st := store.New()
 	b := &server.Blockserver{Store: st}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	if _, err := server.Do(addr, server.OpPutChunkCompressed, []byte("not lepton"), 5*time.Second); err == nil {
+	if _, err := oneShot(addr, server.OpPutChunkCompressed, []byte("not lepton"), 5*time.Second); err == nil {
 		t.Fatal("expected rejection of non-Lepton payload")
 	}
 }
@@ -308,11 +253,11 @@ func TestGetChunkBadHash(t *testing.T) {
 	st := store.New()
 	b := &server.Blockserver{Store: st}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	if _, err := server.Do(addr, server.OpGetChunkRaw, []byte{1, 2}, 5*time.Second); err == nil {
+	if _, err := oneShot(addr, server.OpGetChunkRaw, []byte{1, 2}, 5*time.Second); err == nil {
 		t.Fatal("expected error for short hash")
 	}
 	var missing [32]byte
-	if _, err := server.Do(addr, server.OpGetChunkRaw, missing[:], 5*time.Second); err == nil {
+	if _, err := oneShot(addr, server.OpGetChunkRaw, missing[:], 5*time.Second); err == nil {
 		t.Fatal("expected error for unknown hash")
 	}
 }
@@ -440,7 +385,7 @@ func TestPersistentConnectionMixedOps(t *testing.T) {
 // one-slot worker pool: everything must still complete (queued, not
 // rejected), and the load probe must see the backlog.
 func TestWorkerPoolBounded(t *testing.T) {
-	b := &server.Blockserver{MaxConcurrent: 1}
+	b := &server.Blockserver{Shards: 1}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -449,7 +394,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			data := gen(t, int64(300+i), 128, 96)
-			comp, err := server.Do(addr, server.OpCompress, data, 60*time.Second)
+			comp, err := oneShot(addr, server.OpCompress, data, 60*time.Second)
 			if err != nil {
 				errs <- fmt.Errorf("compress %d: %w", i, err)
 				return

@@ -20,7 +20,7 @@ func TestConnectionShardAffinity(t *testing.T) {
 
 	data := gen(t, 7, 128, 96)
 	for i := 0; i < 3; i++ {
-		if _, err := server.Do(addr, server.OpCompress, data, 10*time.Second); err != nil {
+		if _, err := oneShot(addr, server.OpCompress, data, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestShardedDrainWithQueue(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = server.Do(addr, server.OpCompress, data, 30*time.Second)
+			results[i], errs[i] = oneShot(addr, server.OpCompress, data, 30*time.Second)
 		}(i)
 	}
 	// Let every request land (three queued behind the single shard), then
