@@ -6,6 +6,7 @@
 package lepton_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -283,9 +284,10 @@ func BenchmarkAblation(b *testing.B) {
 // chunk size so the corpus spans several chunks).
 func BenchmarkChunkedCompress(b *testing.B) {
 	loadCorpus(b)
+	codec := lepton.NewCodec()
 	b.SetBytes(int64(len(benchBig)))
 	for i := 0; i < b.N; i++ {
-		if _, err := lepton.CompressChunks(benchBig, &lepton.ChunkOptions{ChunkSize: 64 << 10}); err != nil {
+		if _, err := codec.CompressChunksCtx(context.Background(), benchBig, &lepton.ChunkOptions{ChunkSize: 64 << 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +297,8 @@ func BenchmarkChunkedCompress(b *testing.B) {
 // the user-visible serving operation.
 func BenchmarkChunkedDecompressOne(b *testing.B) {
 	loadCorpus(b)
-	chunks, err := lepton.CompressChunks(benchBig, &lepton.ChunkOptions{ChunkSize: 64 << 10})
+	codec := lepton.NewCodec()
+	chunks, err := codec.CompressChunksCtx(context.Background(), benchBig, &lepton.ChunkOptions{ChunkSize: 64 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -303,7 +306,7 @@ func BenchmarkChunkedDecompressOne(b *testing.B) {
 	b.SetBytes(64 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lepton.DecompressChunk(mid); err != nil {
+		if _, err := codec.DecompressCtx(context.Background(), mid); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -153,7 +154,7 @@ func mustEncode(img []byte, err error) []byte {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := core.Encode(img, core.EncodeOptions{})
+	res, err := core.NewCodec().EncodeCtx(context.Background(), img, core.EncodeOptions{})
 	if err != nil {
 		fatal(err)
 	}

@@ -14,12 +14,14 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"lepton"
@@ -79,7 +81,7 @@ func cmdCompress(args []string) error {
 		return err
 	}
 	start := time.Now()
-	res, err := codec.Compress(data, &lepton.Options{
+	res, err := codec.CompressCtx(context.Background(), data, &lepton.Options{
 		Threads: *threads, Verify: *verify, SingleModel: *oneWay,
 		AllowProgressive: *progressive,
 	})
@@ -112,7 +114,7 @@ func cmdDecompress(args []string) error {
 	// Stream the reconstruction into the output file, segment by segment,
 	// instead of buffering it whole.
 	n, err := streamToFile(fs.Arg(1), func(w io.Writer) error {
-		return codec.DecompressTo(w, comp)
+		return codec.DecompressToCtx(context.Background(), w, comp)
 	})
 	if err != nil {
 		return err
@@ -184,7 +186,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := codec.Verify(data, nil); err != nil {
+	if err := codec.VerifyCtx(context.Background(), data, nil); err != nil {
 		return fmt.Errorf("FAILED: %v (reason: %v)", err, lepton.ReasonOf(err))
 	}
 	fmt.Println("round trip OK")
@@ -214,7 +216,7 @@ func cmdChunk(args []string) error {
 	// larger than the encoder's memory budget flow through in raw mode
 	// without ever being held whole.
 	total, nChunks := 0, 0
-	err = codec.CompressChunksFrom(in, &lepton.ChunkOptions{ChunkSize: *size, Verify: true},
+	err = codec.CompressChunksFromCtx(context.Background(), in, &lepton.ChunkOptions{ChunkSize: *size, Verify: true},
 		func(c []byte) error {
 			name := filepath.Join(fs.Arg(1), fmt.Sprintf("chunk-%04d.lep", nChunks))
 			nChunks++
@@ -235,28 +237,20 @@ func cmdUnchunk(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("unchunk: need input directory and output path")
 	}
-	names, err := filepath.Glob(filepath.Join(fs.Arg(0), "chunk-*.lep"))
+	paths, err := chunkPaths(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	if len(names) == 0 {
-		return fmt.Errorf("no chunks in %s", fs.Arg(0))
-	}
-	sort.Strings(names)
-	var chunks [][]byte
-	for _, n := range names {
-		c, err := os.ReadFile(n)
-		if err != nil {
-			return err
-		}
-		chunks = append(chunks, c)
-	}
-	// Decode chunk by chunk straight into the output file: peak memory is
-	// one chunk, not the whole file.
+	// Read and decode chunk by chunk straight into the output file: peak
+	// memory is one chunk, not the whole file.
 	n, err := streamToFile(fs.Arg(1), func(w io.Writer) error {
-		for _, c := range chunks {
-			if err := codec.DecompressTo(w, c); err != nil {
+		for _, p := range paths {
+			c, err := os.ReadFile(p)
+			if err != nil {
 				return err
+			}
+			if err := codec.DecompressToCtx(context.Background(), w, c); err != nil {
+				return fmt.Errorf("%s: %w", filepath.Base(p), err)
 			}
 		}
 		return nil
@@ -264,8 +258,41 @@ func cmdUnchunk(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reassembled %d bytes from %d chunks\n", n, len(chunks))
+	fmt.Printf("reassembled %d bytes from %d chunks\n", n, len(paths))
 	return nil
+}
+
+// chunkPaths returns dir's chunk files in chunk order. The chunk command
+// names chunk k "chunk-%04d.lep", which sorts as a string only below 10,000
+// chunks, so the order comes from each parsed index. The indices must be
+// exactly 0..n-1: a missing chunk or a stray chunk-*.lep name is an error,
+// not a silently shorter or reordered file.
+func chunkPaths(dir string) ([]string, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "chunk-*.lep"))
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no chunks in %s", dir)
+	}
+	byIndex := make(map[int]string, len(names))
+	for _, p := range names {
+		base := filepath.Base(p)
+		k, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, "chunk-"), ".lep"))
+		if err != nil || k < 0 || fmt.Sprintf("chunk-%04d.lep", k) != base {
+			return nil, fmt.Errorf("unchunk: %s is not a chunk name the chunk command writes", p)
+		}
+		byIndex[k] = p
+	}
+	paths := make([]string, len(names))
+	for k := range paths {
+		p, ok := byIndex[k]
+		if !ok {
+			return nil, fmt.Errorf("unchunk: chunk %d is missing from %s (%d chunk files present)", k, dir, len(names))
+		}
+		paths[k] = p
+	}
+	return paths, nil
 }
 
 func cmdInfo(args []string) error {

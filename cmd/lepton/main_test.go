@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"lepton"
 	"lepton/internal/imagegen"
 )
 
@@ -82,6 +83,63 @@ func TestChunkUnchunkCommands(t *testing.T) {
 	b, _ := os.ReadFile(out)
 	if !bytes.Equal(a, b) {
 		t.Fatal("chunk/unchunk round trip mismatch")
+	}
+}
+
+// TestUnchunkOrdersChunksByIndex runs a file through more than 10,000
+// chunks, where chunk-10000.lep sorts between chunk-1000.lep and
+// chunk-1001.lep as a string, then checks that a stray chunk name and a
+// missing chunk each fail the reassembly instead of changing its bytes.
+func TestUnchunkOrdersChunksByIndex(t *testing.T) {
+	comp, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden-color-multiseg.lep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := lepton.Decompress(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.jpg")
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chunkDir := filepath.Join(dir, "chunks")
+	if err := cmdChunk([]string{"-size", "4", in, chunkDir}); err != nil {
+		t.Fatalf("chunk: %v", err)
+	}
+	names, _ := filepath.Glob(filepath.Join(chunkDir, "chunk-*.lep"))
+	if len(names) <= 10000 {
+		t.Fatalf("%d chunks; the test needs more than 10,000", len(names))
+	}
+	out := filepath.Join(dir, "re.jpg")
+	if err := cmdUnchunk([]string{chunkDir, out}); err != nil {
+		t.Fatalf("unchunk: %v", err)
+	}
+	if back, _ := os.ReadFile(out); !bytes.Equal(back, data) {
+		t.Fatal("unchunk of >10,000 chunks does not reproduce the input")
+	}
+
+	one, err := os.ReadFile(filepath.Join(chunkDir, "chunk-0001.lep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(chunkDir, "chunk-1.lep")
+	if err := os.WriteFile(stray, one, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdUnchunk([]string{chunkDir, filepath.Join(dir, "stray.jpg")}); err == nil {
+		t.Fatal("unchunk accepted a stray chunk name")
+	}
+	if err := os.Remove(stray); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Remove(filepath.Join(chunkDir, "chunk-5000.lep")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdUnchunk([]string{chunkDir, filepath.Join(dir, "gap.jpg")}); err == nil {
+		t.Fatal("unchunk accepted a missing chunk")
 	}
 }
 

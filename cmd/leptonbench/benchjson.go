@@ -204,7 +204,7 @@ func rangeBenchmarks() []benchRecord {
 	// raise it for this artifact (the production ceiling is per-file size
 	// policy, not a correctness bound).
 	const memBudget = 96 << 20
-	res, err := core.Encode(jpg, core.EncodeOptions{
+	res, err := oneShotEncode(jpg, core.EncodeOptions{
 		ForceSegments: 32, MemDecodeBudget: memBudget, MemEncodeBudget: 512 << 20,
 	})
 	if err != nil {
@@ -218,7 +218,7 @@ func rangeBenchmarks() []benchRecord {
 	full := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Decode(comp, memBudget); err != nil {
+			if _, err := oneShotDecode(comp, memBudget); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -235,7 +235,7 @@ func rangeBenchmarks() []benchRecord {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				off := rng.Int63n(size - rd.n)
-				got, err := core.DecodeRange(comp, off, rd.n, memBudget)
+				got, err := oneShotDecodeRange(comp, off, rd.n, memBudget)
 				if err != nil || int64(len(got)) != rd.n {
 					b.Fatalf("range read: %d bytes, %v", len(got), err)
 				}

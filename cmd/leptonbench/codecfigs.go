@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -21,6 +22,21 @@ type codecResult struct {
 	encSecs, decSecs  []float64
 	rejected          int
 	bytesIn, bytesOut int64
+}
+
+// oneShotEncode, oneShotDecode and oneShotDecodeRange run one conversion on
+// a fresh codec, so each measured call pays every per-conversion
+// allocation.
+func oneShotEncode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
+	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
+}
+
+func oneShotDecode(comp []byte, memBudget int64) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+}
+
+func oneShotDecodeRange(comp []byte, off, n, memBudget int64) ([]byte, error) {
+	return core.NewCodec().DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
 }
 
 func measureCodec(c baseline.Codec, corpus [][]byte) codecResult {
@@ -198,7 +214,7 @@ func figure4(opt options) {
 	var compClass [model.NumClasses]float64
 	var headerOrig, headerComp, totalOrig, totalComp float64
 	for _, data := range files {
-		res, err := core.Encode(data, core.EncodeOptions{CollectStats: true})
+		res, err := oneShotEncode(data, core.EncodeOptions{CollectStats: true})
 		if err != nil {
 			continue
 		}
@@ -245,7 +261,7 @@ func figure6(opt options) {
 	header("Figure 6: compression savings across file sizes")
 	t := &stats.Table{Header: []string{"size KiB", "savings %", "threads"}}
 	for _, data := range sizeSweep(opt.seed) {
-		res, err := core.Encode(data, core.EncodeOptions{})
+		res, err := oneShotEncode(data, core.EncodeOptions{})
 		if err != nil {
 			continue
 		}
@@ -275,7 +291,7 @@ func figureSpeed(opt options, encode bool) {
 	for _, data := range sizeSweep(opt.seed) {
 		row := []string{stats.F(float64(len(data))/1024, 0)}
 		for _, threads := range []int{1, 2, 4, 8} {
-			res, err := core.Encode(data, core.EncodeOptions{ForceSegments: threads})
+			res, err := oneShotEncode(data, core.EncodeOptions{ForceSegments: threads})
 			if err != nil {
 				row = append(row, "-")
 				continue
@@ -289,13 +305,13 @@ func figureSpeed(opt options, encode bool) {
 			if encode {
 				t0 := time.Now()
 				for i := 0; i < reps; i++ {
-					_, _ = core.Encode(data, core.EncodeOptions{ForceSegments: threads})
+					_, _ = oneShotEncode(data, core.EncodeOptions{ForceSegments: threads})
 				}
 				secs = time.Since(t0).Seconds() / float64(reps)
 			} else {
 				t0 := time.Now()
 				for i := 0; i < reps; i++ {
-					_, _ = core.Decode(res.Compressed, 0)
+					_, _ = oneShotDecode(res.Compressed, 0)
 				}
 				secs = time.Since(t0).Seconds() / float64(reps)
 			}
@@ -329,7 +345,7 @@ func ablationTable(opt options) {
 		var origEdge, compEdge, origDC, compDC, orig, comp float64
 		flags := cfg.flags
 		for _, data := range files {
-			res, err := core.Encode(data, core.EncodeOptions{Flags: &flags, CollectStats: true})
+			res, err := oneShotEncode(data, core.EncodeOptions{Flags: &flags, CollectStats: true})
 			if err != nil {
 				continue
 			}
@@ -385,7 +401,7 @@ func costTable(opt options) {
 	t0 := time.Now()
 	count := 0
 	for _, data := range files {
-		res, err := core.Encode(data, core.EncodeOptions{VerifyRoundtrip: true})
+		res, err := oneShotEncode(data, core.EncodeOptions{VerifyRoundtrip: true})
 		if err != nil {
 			continue
 		}
@@ -413,7 +429,7 @@ func extensionsTable(opt options) {
 	t := &stats.Table{Header: []string{"input", "bytes", "lepton bytes", "savings %", "roundtrip"}}
 	addRow := func(name string, data []byte, o core.EncodeOptions) {
 		o.VerifyRoundtrip = true
-		res, err := core.Encode(data, o)
+		res, err := oneShotEncode(data, o)
 		if err != nil {
 			t.Add(name, stats.I(int64(len(data))), "-", "-", err.Error())
 			return

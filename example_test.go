@@ -2,6 +2,7 @@ package lepton_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"lepton"
@@ -25,38 +26,42 @@ func ExampleCompress() {
 	// smaller: true
 }
 
-// ExampleCompressChunks shows independent chunk decompression.
-func ExampleCompressChunks() {
+// ExampleCodec_CompressChunksCtx shows independent chunk decompression.
+func ExampleCodec_CompressChunksCtx() {
 	jpegBytes, _ := imagegen.Generate(2, 400, 300)
+	codec := lepton.NewCodec()
+	ctx := context.Background()
 
-	chunks, _ := lepton.CompressChunks(jpegBytes, &lepton.ChunkOptions{ChunkSize: 8 << 10})
+	chunks, _ := codec.CompressChunksCtx(ctx, jpegBytes, &lepton.ChunkOptions{ChunkSize: 8 << 10})
 	// Any chunk reconstructs its exact byte range with no other chunk's
 	// data — even when the boundary falls mid-Huffman-symbol.
-	part, _ := lepton.DecompressChunk(chunks[1])
+	part, _ := codec.DecompressCtx(ctx, chunks[1])
 	fmt.Println("chunk 1 matches:", bytes.Equal(part, jpegBytes[8<<10:16<<10]))
 	// Output:
 	// chunk 1 matches: true
 }
 
-// ExampleDecompressTo streams output with low time-to-first-byte.
-func ExampleDecompressTo() {
+// ExampleCodec_DecompressToCtx streams output with low time-to-first-byte.
+func ExampleCodec_DecompressToCtx() {
 	jpegBytes, _ := imagegen.Generate(3, 160, 120)
 	res, _ := lepton.Compress(jpegBytes, &lepton.Options{Threads: 2})
 
 	var buf bytes.Buffer
-	_ = lepton.DecompressTo(&buf, res.Compressed)
+	_ = lepton.NewCodec().DecompressToCtx(context.Background(), &buf, res.Compressed)
 	fmt.Println("streamed bit-exact:", bytes.Equal(buf.Bytes(), jpegBytes))
 	// Output:
 	// streamed bit-exact: true
 }
 
-// ExampleVerify is the production admission check.
-func ExampleVerify() {
+// ExampleCodec_VerifyCtx is the production admission check.
+func ExampleCodec_VerifyCtx() {
 	jpegBytes, _ := imagegen.Generate(4, 96, 96)
-	fmt.Println("admitted:", lepton.Verify(jpegBytes, nil) == nil)
+	codec := lepton.NewCodec()
+	ctx := context.Background()
+	fmt.Println("admitted:", codec.VerifyCtx(ctx, jpegBytes, nil) == nil)
 
 	progressive := imagegen.MakeProgressive(jpegBytes)
-	err := lepton.Verify(progressive, nil)
+	err := codec.VerifyCtx(ctx, progressive, nil)
 	fmt.Println("progressive rejected as:", lepton.ReasonOf(err))
 	// Output:
 	// admitted: true

@@ -68,7 +68,7 @@ func main() {
 	// Decompress chunks in random order, each fully independently: no
 	// shared state, no other chunk's bytes.
 	for _, k := range rand.New(rand.NewSource(1)).Perm(len(chunks)) {
-		part, err := codec.DecompressChunkCtx(ctx, chunks[k])
+		part, err := codec.DecompressCtx(ctx, chunks[k])
 		if err != nil {
 			log.Fatalf("chunk %d: %v", k, err)
 		}

@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -67,7 +68,9 @@ func main() {
 	fmt.Printf("server-side codec: %d bytes on the wire (upload+download)\n", wireA)
 
 	// --- Deployment B: client-side codec (§7). ---------------------------
-	chunks, err := lepton.CompressChunks(photo, &lepton.ChunkOptions{ChunkSize: chunkSize, Verify: true})
+	codec := lepton.NewCodec()
+	ctx := context.Background()
+	chunks, err := codec.CompressChunksCtx(ctx, photo, &lepton.ChunkOptions{ChunkSize: chunkSize, Verify: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func main() {
 			log.Fatal(err)
 		}
 		wireB += int64(len(cb))
-		part, err := lepton.DecompressChunk(cb) // client decodes locally
+		part, err := codec.DecompressCtx(ctx, cb) // client decodes locally
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -29,10 +30,11 @@ func main() {
 	// A reusable codec: anything converting more than one file should hold
 	// one so the model tables and planes are pooled across conversions.
 	codec := lepton.NewCodec()
+	ctx := context.Background()
 
 	// Compress. The zero options are the deployed production configuration:
 	// thread count by file size, full prediction model.
-	res, err := codec.Compress(data, nil)
+	res, err := codec.CompressCtx(ctx, data, nil)
 	if err != nil {
 		log.Fatalf("compress: %v (reason: %v)", err, lepton.ReasonOf(err))
 	}
@@ -42,7 +44,7 @@ func main() {
 
 	// Decompress and verify bit-exactness — the property the whole system
 	// is built around.
-	back, err := codec.Decompress(res.Compressed)
+	back, err := codec.DecompressCtx(ctx, res.Compressed)
 	if err != nil {
 		log.Fatalf("decompress: %v", err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	// Streaming decompression writes output as segments complete, for low
 	// time-to-first-byte on the serving path.
 	var buf bytes.Buffer
-	if err := codec.DecompressTo(&buf, res.Compressed); err != nil {
+	if err := codec.DecompressToCtx(ctx, &buf, res.Compressed); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("streaming decode produced %d bytes\n", buf.Len())

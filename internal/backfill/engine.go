@@ -68,9 +68,6 @@ type Config struct {
 	// the production verify-before-commit step. Costs a decode per file.
 	Verify bool
 
-	// Codec used for Verify decodes; nil uses the stateless default.
-	Codec *core.Codec
-
 	// MaxAttempts quarantines a file after this many failed tries of the
 	// kinds that plausibly indict the file (default 3). Pure transport
 	// failures retry forever — they indict the node, not the file.
@@ -152,6 +149,7 @@ type Engine struct {
 	cs    CheckpointStore
 	m     Manifest
 	nodes []string
+	codec *core.Codec // Verify decodes
 
 	shardLen uint64
 	pacers   []*Pacer
@@ -193,6 +191,7 @@ func New(cfg Config, t Transport, src Source, cs CheckpointStore, m Manifest) (*
 		cs:          cs,
 		m:           m,
 		nodes:       nodes,
+		codec:       core.NewCodec(),
 		done:        make(map[uint64]struct{}),
 		quarantined: make(map[uint64]struct{}),
 		ckptKick:    make(chan struct{}, 1),
@@ -475,7 +474,7 @@ func (e *Engine) process(ctx context.Context, addr string, p *Pacer, it item) {
 	}
 
 	if e.cfg.Verify {
-		if derr := e.cfg.Codec.VerifyCtx(ctx, comp, data, 0); derr != nil {
+		if derr := e.codec.VerifyCtx(ctx, comp, data, 0); derr != nil {
 			if ctx.Err() != nil {
 				p.Cancel()
 				e.requeue(it)

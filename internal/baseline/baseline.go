@@ -10,6 +10,7 @@ package baseline
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -125,22 +126,31 @@ func (RC1) Decompress(comp []byte) ([]byte, error) {
 
 // --- Lepton-engine configurations -----------------------------------------
 
-// Lepton is the deployed configuration: automatic thread segments, full
-// model.
-type Lepton struct{}
-
-func (Lepton) Name() string         { return "lepton" }
-func (Lepton) FilePreserving() bool { return true }
-
-func (Lepton) Compress(data []byte) ([]byte, error) {
-	res, err := core.Encode(data, core.EncodeOptions{})
+// leptonEncode compresses data on codec. The Compressor interface carries
+// no context, so conversions run to completion.
+func leptonEncode(codec *core.Codec, data []byte, opt core.EncodeOptions) ([]byte, error) {
+	res, err := codec.EncodeCtx(context.TODO(), data, opt)
 	if err != nil {
 		return nil, err
 	}
 	return res.Compressed, nil
 }
 
-func (Lepton) Decompress(comp []byte) ([]byte, error) { return core.Decode(comp, 0) }
+// Lepton is the deployed configuration: automatic thread segments, full
+// model. Each call runs on a fresh codec, so it pays every per-conversion
+// allocation LeptonPooled amortizes.
+type Lepton struct{}
+
+func (Lepton) Name() string         { return "lepton" }
+func (Lepton) FilePreserving() bool { return true }
+
+func (Lepton) Compress(data []byte) ([]byte, error) {
+	return leptonEncode(core.NewCodec(), data, core.EncodeOptions{})
+}
+
+func (Lepton) Decompress(comp []byte) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.TODO(), comp, 0)
+}
 
 // Lepton1Way is the single-threaded maximum-compression configuration of
 // §4.1: statistic bins tallied across the whole image.
@@ -150,14 +160,12 @@ func (Lepton1Way) Name() string         { return "lepton-1way" }
 func (Lepton1Way) FilePreserving() bool { return true }
 
 func (Lepton1Way) Compress(data []byte) ([]byte, error) {
-	res, err := core.Encode(data, core.EncodeOptions{SingleModel: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Compressed, nil
+	return leptonEncode(core.NewCodec(), data, core.EncodeOptions{SingleModel: true})
 }
 
-func (Lepton1Way) Decompress(comp []byte) ([]byte, error) { return core.Decode(comp, 0) }
+func (Lepton1Way) Decompress(comp []byte) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.TODO(), comp, 0)
+}
 
 // PackJPGStyle models the 2007 PackJPG algorithm inside this engine: single
 // global model (no parallel segments), uniform AC treatment, previous-DC
@@ -170,20 +178,16 @@ func (PackJPGStyle) Name() string         { return "packjpg-style" }
 func (PackJPGStyle) FilePreserving() bool { return true }
 
 func (PackJPGStyle) Compress(data []byte) ([]byte, error) {
-	res, err := core.Encode(data, core.EncodeOptions{
+	return leptonEncode(core.NewCodec(), data, core.EncodeOptions{
 		SingleModel: true,
 		Flags:       &model.Flags{EdgePrediction: false, DCGradient: false},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Compressed, nil
 }
 
 func (PackJPGStyle) Decompress(comp []byte) ([]byte, error) {
 	// Whole-buffer decode; no streaming.
 	var buf bytes.Buffer
-	if err := core.DecodeTo(&buf, comp, 0); err != nil {
+	if err := core.NewCodec().DecodeToCtx(context.TODO(), &buf, comp, 0); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -203,13 +207,9 @@ func (LeptonPooled) Name() string         { return "lepton-pooled" }
 func (LeptonPooled) FilePreserving() bool { return true }
 
 func (LeptonPooled) Compress(data []byte) ([]byte, error) {
-	res, err := pooledCodec.Encode(data, core.EncodeOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Compressed, nil
+	return leptonEncode(pooledCodec, data, core.EncodeOptions{})
 }
 
 func (LeptonPooled) Decompress(comp []byte) ([]byte, error) {
-	return pooledCodec.Decode(comp, 0)
+	return pooledCodec.DecodeCtx(context.TODO(), comp, 0)
 }

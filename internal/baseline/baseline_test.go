@@ -2,6 +2,7 @@ package baseline_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"lepton/internal/baseline"
@@ -143,7 +144,7 @@ func TestRescanLeptonCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Encode(comp, core.EncodeOptions{VerifyRoundtrip: true})
+	res, err := core.NewCodec().EncodeCtx(context.Background(), comp, core.EncodeOptions{VerifyRoundtrip: true})
 	if err != nil {
 		t.Fatalf("lepton on rescanned file: %v", err)
 	}

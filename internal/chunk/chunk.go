@@ -48,14 +48,14 @@ type Options struct {
 	// with its input slice before returning, failing with ReasonRoundtrip
 	// on the first chunk that differs (production admission, §5.7). Callers
 	// that verify at admission themselves leave it off, so each chunk is
-	// verified once: store.Store.PutFile verifies in its admission loop and
+	// verified once: store.Store.PutFileCtx verifies in its admission loop and
 	// does not set it; store.Remote.PutFile, which has no admission loop of
 	// its own, does.
 	VerifyRoundtrip bool
-	// Codec, when non-nil, supplies pooled encode/decode state shared with
-	// other conversions; nil allocates fresh state per chunk (one-shot).
+	// Codec supplies pooled encode/decode state shared with other
+	// conversions. It is required.
 	Codec *core.Codec
-	// BufferLimit bounds how much of a stream CompressFrom holds in memory
+	// BufferLimit bounds how much of a stream CompressFromCtx holds in memory
 	// while deciding whether the input is a compressible JPEG; 0 means the
 	// deployed encode budget (core.DefaultMemEncodeBudget). Streams larger
 	// than the limit are chunk-compressed incrementally in raw (deflate)
@@ -68,18 +68,13 @@ type Options struct {
 	DisableSeekIndex bool
 }
 
-// Compress splits data into chunks and compresses each one independently.
-// If the data is not a JPEG that Lepton supports, every chunk is stored in
-// raw (deflate) mode — the caller can inspect Mode to know which path was
-// taken. The error return reports only internal failures; unsupported
-// inputs are not errors at this layer.
-func Compress(data []byte, opt Options) ([][]byte, error) {
-	return CompressCtx(context.Background(), data, opt)
-}
-
-// CompressCtx is Compress under a context: cancellation is observed between
-// chunks and, through the core encoder's per-row checkpoints, inside each
-// chunk's segment encode.
+// CompressCtx splits data into chunks and compresses each one
+// independently. If the data is not a JPEG that Lepton supports, every chunk
+// is stored in raw (deflate) mode — the caller can inspect Mode to know which
+// path was taken. The error return reports only internal failures and
+// cancellation; unsupported inputs are not errors at this layer.
+// Cancellation is observed between chunks and, through the core encoder's
+// per-row checkpoints, inside each chunk's segment encode.
 func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error) {
 	size := opt.ChunkSize
 	if size <= 0 {
@@ -100,20 +95,15 @@ func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error
 	return out, nil
 }
 
-// CompressFrom chunk-compresses the stream r incrementally, calling emit
+// CompressFromCtx chunk-compresses the stream r incrementally, calling emit
 // with each finished chunk in order. It buffers at most
 // Options.BufferLimit bytes: a stream that fits is treated exactly like
-// Compress (JPEGs get the full Lepton treatment, with output identical to
-// CompressChunks on the same bytes); a larger stream — which could never
-// pass the encoder's memory admission check anyway — is deflated chunk by
-// chunk without ever holding the whole input, so files larger than memory
-// stream through in constant space.
-func CompressFrom(r io.Reader, opt Options, emit func(chunk []byte) error) error {
-	return CompressFromCtx(context.Background(), r, opt, emit)
-}
-
-// CompressFromCtx is CompressFrom under a context; cancellation is checked
-// before each chunk is read, compressed, and emitted.
+// CompressCtx (JPEGs get the full Lepton treatment, with output identical
+// on the same bytes); a larger stream — which could never pass the
+// encoder's memory admission check anyway — is deflated chunk by chunk
+// without ever holding the whole input, so files larger than memory stream
+// through in constant space. Cancellation is checked before each chunk is
+// read, compressed, and emitted.
 func CompressFromCtx(ctx context.Context, r io.Reader, opt Options, emit func(chunk []byte) error) error {
 	size := opt.ChunkSize
 	if size <= 0 {
@@ -147,7 +137,7 @@ func CompressFromCtx(ctx context.Context, r io.Reader, opt Options, emit func(ch
 		}
 		n, err := io.ReadFull(src, chunkBuf)
 		if n > 0 {
-			c, merr := rawContainerPooled(chunkBuf[:n], opt.Codec)
+			c, merr := rawContainer(chunkBuf[:n], opt.Codec)
 			if merr != nil {
 				return merr
 			}
@@ -177,8 +167,8 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 	return cr.r.Read(p)
 }
 
-// compressAll is the shared whole-input path behind Compress and
-// CompressFrom, emitting chunks in order as they are produced.
+// compressAll is the shared whole-input path behind CompressCtx and
+// CompressFromCtx, emitting chunks in order as they are produced.
 func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk []byte) error) error {
 	size := opt.ChunkSize
 	if size <= 0 {
@@ -211,7 +201,7 @@ func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk 
 	}
 	if err != nil {
 		// Not a (supported) JPEG: raw chunks.
-		return emitRawChunks(data, size, emit)
+		return emitRawChunks(data, size, codec, emit)
 	}
 
 	flags := model.DefaultFlags()
@@ -278,7 +268,7 @@ func compressOne(ctx context.Context, data []byte, f *jpeg.File, s *jpeg.Scan, f
 
 	// Chunks entirely outside the scan hold verbatim data.
 	if o1 <= scanStart || o0 >= scanEnd {
-		return rawContainerPooled(data[o0:o1], opt.Codec)
+		return rawContainer(data[o0:o1], opt.Codec)
 	}
 	mStart := rowStartAtOrAfter(o0)
 	mEnd := rowStartAtOrAfter(o1)
@@ -290,7 +280,7 @@ func compressOne(ctx context.Context, data []byte, f *jpeg.File, s *jpeg.Scan, f
 	}
 	if mStart >= mEnd {
 		// No MCU row starts inside this chunk; store it verbatim.
-		return rawContainerPooled(data[o0:o1], opt.Codec)
+		return rawContainer(data[o0:o1], opt.Codec)
 	}
 
 	prependFrom := o0
@@ -371,7 +361,7 @@ func flagsByteOf(flags model.Flags) uint8 {
 	return v
 }
 
-func emitRawChunks(data []byte, size int, emit func([]byte) error) error {
+func emitRawChunks(data []byte, size int, codec *core.Codec, emit func([]byte) error) error {
 	n := (len(data) + size - 1) / size
 	if n == 0 {
 		n = 1
@@ -382,7 +372,7 @@ func emitRawChunks(data []byte, size int, emit func([]byte) error) error {
 		if o1 > len(data) {
 			o1 = len(data)
 		}
-		b, err := rawContainer(data[o0:o1])
+		b, err := rawContainer(data[o0:o1], codec)
 		if err != nil {
 			// Marshal of a raw container cannot fail; defensive only.
 			panic(err)
@@ -394,34 +384,14 @@ func emitRawChunks(data []byte, size int, emit func([]byte) error) error {
 	return nil
 }
 
-func rawContainer(payload []byte) ([]byte, error) {
-	return rawContainerPooled(payload, nil)
-}
-
-func rawContainerPooled(payload []byte, codec *core.Codec) ([]byte, error) {
+func rawContainer(payload []byte, codec *core.Codec) ([]byte, error) {
 	c := &core.Container{Mode: core.ModeRaw, Raw: payload, OutputSize: uint32(len(payload))}
 	return codec.MarshalContainer(c)
 }
 
-// Decompress reconstructs one chunk's original bytes. Chunks are fully
-// independent: no other chunk's data is needed.
-func Decompress(chunkData []byte) ([]byte, error) {
-	return core.Decode(chunkData, 0)
-}
-
-// Reassemble decompresses all chunks and concatenates them.
-func Reassemble(chunks [][]byte) ([]byte, error) {
-	return ReassembleWith(nil, chunks)
-}
-
-// ReassembleWith is Reassemble drawing decode state from codec's pools
-// (nil codec = one-shot).
-func ReassembleWith(codec *core.Codec, chunks [][]byte) ([]byte, error) {
-	return ReassembleCtx(context.Background(), codec, chunks)
-}
-
-// ReassembleCtx is ReassembleWith under a context, checked per chunk and
-// inside each chunk's segment decode.
+// ReassembleCtx decompresses all chunks and concatenates them. Chunks are
+// fully independent: no other chunk's data is needed to decode one. The
+// context is checked per chunk and inside each chunk's segment decode.
 func ReassembleCtx(ctx context.Context, codec *core.Codec, chunks [][]byte) ([]byte, error) {
 	var out []byte
 	for i, ch := range chunks {

@@ -2,6 +2,8 @@ package chunk_test
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,24 @@ import (
 	"lepton/internal/core"
 	"lepton/internal/imagegen"
 )
+
+// compress and compressFrom run the chunk entry points under
+// context.Background(); reassemble and decompress decode on a fresh codec.
+func compress(data []byte, opt chunk.Options) ([][]byte, error) {
+	return chunk.CompressCtx(context.Background(), data, opt)
+}
+
+func compressFrom(r io.Reader, opt chunk.Options, emit func([]byte) error) error {
+	return chunk.CompressFromCtx(context.Background(), r, opt, emit)
+}
+
+func reassemble(chunks [][]byte) ([]byte, error) {
+	return chunk.ReassembleCtx(context.Background(), core.NewCodec(), chunks)
+}
+
+func decompress(cb []byte) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), cb, 0)
+}
 
 func gen(t testing.TB, seed int64, w, h int) []byte {
 	t.Helper()
@@ -22,7 +42,7 @@ func gen(t testing.TB, seed int64, w, h int) []byte {
 
 func testChunked(t *testing.T, data []byte, chunkSize int) [][]byte {
 	t.Helper()
-	chunks, err := chunk.Compress(data, chunk.Options{ChunkSize: chunkSize})
+	chunks, err := compress(data, chunk.Options{ChunkSize: chunkSize, Codec: core.NewCodec()})
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
@@ -30,7 +50,7 @@ func testChunked(t *testing.T, data []byte, chunkSize int) [][]byte {
 	if len(chunks) != wantChunks {
 		t.Fatalf("%d chunks, want %d", len(chunks), wantChunks)
 	}
-	back, err := chunk.Reassemble(chunks)
+	back, err := reassemble(chunks)
 	if err != nil {
 		t.Fatalf("Reassemble: %v", err)
 	}
@@ -59,7 +79,7 @@ func TestChunkIndependence(t *testing.T) {
 	chunks := testChunked(t, data, size)
 	order := rand.New(rand.NewSource(3)).Perm(len(chunks))
 	for _, k := range order {
-		b, err := chunk.Decompress(chunks[k])
+		b, err := decompress(chunks[k])
 		if err != nil {
 			t.Fatalf("chunk %d: %v", k, err)
 		}
@@ -78,11 +98,11 @@ func TestChunkedNonJPEG(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data := make([]byte, 50<<10)
 	rng.Read(data)
-	chunks, err := chunk.Compress(data, chunk.Options{ChunkSize: 16 << 10})
+	chunks, err := compress(data, chunk.Options{ChunkSize: 16 << 10, Codec: core.NewCodec()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := chunk.Reassemble(chunks)
+	back, err := reassemble(chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +150,7 @@ func TestChunkedTinyChunks(t *testing.T) {
 
 func TestChunkedVerifyOption(t *testing.T) {
 	data := gen(t, 9, 300, 200)
-	if _, err := chunk.Compress(data, chunk.Options{ChunkSize: 8 << 10, VerifyRoundtrip: true}); err != nil {
+	if _, err := compress(data, chunk.Options{ChunkSize: 8 << 10, VerifyRoundtrip: true, Codec: core.NewCodec()}); err != nil {
 		t.Fatalf("verified chunk compress failed: %v", err)
 	}
 }
@@ -167,12 +187,12 @@ func TestChunkQuickRandomSizes(t *testing.T) {
 	data := gen(t, 40, 360, 270)
 	f := func(rawSize uint16) bool {
 		size := int(rawSize)%20000 + 700
-		chunks, err := chunk.Compress(data, chunk.Options{ChunkSize: size})
+		chunks, err := compress(data, chunk.Options{ChunkSize: size, Codec: core.NewCodec()})
 		if err != nil {
 			return false
 		}
 		for k, cb := range chunks {
-			part, err := chunk.Decompress(cb)
+			part, err := decompress(cb)
 			if err != nil {
 				return false
 			}
@@ -194,19 +214,21 @@ func TestChunkQuickRandomSizes(t *testing.T) {
 
 // TestCompressFromMatchesCompress checks the streaming entry point produces
 // byte-identical chunks to the in-memory path for a stream that fits the
-// buffer limit, both with and without a shared pooled codec.
+// buffer limit, both on a fresh codec and on the warm codec that produced
+// the reference.
 func TestCompressFromMatchesCompress(t *testing.T) {
 	data := gen(t, 61, 512, 384)
-	opt := chunk.Options{ChunkSize: 32 << 10}
-	want, err := chunk.Compress(data, opt)
+	shared := core.NewCodec()
+	opt := chunk.Options{ChunkSize: 32 << 10, Codec: shared}
+	want, err := compress(data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range []*core.Codec{nil, core.NewCodec()} {
+	for _, codec := range []*core.Codec{core.NewCodec(), shared} {
 		o := opt
 		o.Codec = codec
 		var got [][]byte
-		err = chunk.CompressFrom(bytes.NewReader(data), o, func(c []byte) error {
+		err = compressFrom(bytes.NewReader(data), o, func(c []byte) error {
 			got = append(got, append([]byte(nil), c...))
 			return nil
 		})
@@ -218,7 +240,7 @@ func TestCompressFromMatchesCompress(t *testing.T) {
 		}
 		for i := range got {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("chunk %d differs between CompressFrom and Compress", i)
+				t.Fatalf("chunk %d differs between CompressFromCtx and CompressCtx", i)
 			}
 		}
 	}
@@ -233,7 +255,7 @@ func TestCompressFromOverBudgetStreamsRaw(t *testing.T) {
 	rng.Read(data)
 	opt := chunk.Options{ChunkSize: 32 << 10, BufferLimit: 64 << 10, Codec: core.NewCodec()}
 	var chunks [][]byte
-	err := chunk.CompressFrom(bytes.NewReader(data), opt, func(c []byte) error {
+	err := compressFrom(bytes.NewReader(data), opt, func(c []byte) error {
 		chunks = append(chunks, c)
 		return nil
 	})
@@ -243,7 +265,7 @@ func TestCompressFromOverBudgetStreamsRaw(t *testing.T) {
 	if want := (len(data) + (32 << 10) - 1) / (32 << 10); len(chunks) != want {
 		t.Fatalf("chunk count %d, want %d", len(chunks), want)
 	}
-	back, err := chunk.Reassemble(chunks)
+	back, err := reassemble(chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,16 +275,16 @@ func TestCompressFromOverBudgetStreamsRaw(t *testing.T) {
 }
 
 // TestCompressWithSharedCodec runs the chunk path repeatedly through one
-// codec and cross-checks outputs against the one-shot path.
+// codec and cross-checks outputs against a fresh codec's.
 func TestCompressWithSharedCodec(t *testing.T) {
 	codec := core.NewCodec()
 	for seed := int64(71); seed < 74; seed++ {
 		data := gen(t, seed, 320, 240)
-		want, err := chunk.Compress(data, chunk.Options{ChunkSize: 16 << 10})
+		want, err := compress(data, chunk.Options{ChunkSize: 16 << 10, Codec: core.NewCodec()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := chunk.Compress(data, chunk.Options{ChunkSize: 16 << 10, Codec: codec})
+		got, err := compress(data, chunk.Options{ChunkSize: 16 << 10, Codec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +293,7 @@ func TestCompressWithSharedCodec(t *testing.T) {
 				t.Fatalf("seed %d chunk %d: pooled chunk differs", seed, i)
 			}
 		}
-		back, err := chunk.Reassemble(got)
+		back, err := reassemble(got)
 		if err != nil || !bytes.Equal(back, data) {
 			t.Fatalf("seed %d: reassembly failed (%v)", seed, err)
 		}

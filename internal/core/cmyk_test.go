@@ -32,11 +32,11 @@ func TestCMYKRoundTrip(t *testing.T) {
 		{3, 64, 64, 3},
 	} {
 		data := cmykFile(t, tc.seed, tc.w, tc.h, tc.ri)
-		res, err := core.Encode(data, core.EncodeOptions{AllowCMYK: true, VerifyRoundtrip: true})
+		res, err := encode(data, core.EncodeOptions{AllowCMYK: true, VerifyRoundtrip: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
-		back, err := core.Decode(res.Compressed, 0)
+		back, err := decode(res.Compressed, 0)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", tc.seed, err)
 		}
@@ -53,7 +53,7 @@ func TestCMYKRoundTrip(t *testing.T) {
 
 func TestCMYKRejectedByDefault(t *testing.T) {
 	data := cmykFile(t, 4, 64, 64, 0)
-	_, err := core.Encode(data, core.EncodeOptions{})
+	_, err := encode(data, core.EncodeOptions{})
 	if jpeg.ReasonOf(err) != jpeg.ReasonCMYK {
 		t.Fatalf("reason = %v, want CMYK (production default)", jpeg.ReasonOf(err))
 	}
@@ -61,14 +61,14 @@ func TestCMYKRejectedByDefault(t *testing.T) {
 
 func TestCMYKMultiSegment(t *testing.T) {
 	data := cmykFile(t, 5, 320, 256, 0)
-	res, err := core.Encode(data, core.EncodeOptions{AllowCMYK: true, ForceSegments: 4})
+	res, err := encode(data, core.EncodeOptions{AllowCMYK: true, ForceSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Segments != 4 {
 		t.Fatalf("segments = %d", res.Segments)
 	}
-	back, err := core.Decode(res.Compressed, 0)
+	back, err := decode(res.Compressed, 0)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("multi-segment CMYK round trip failed: %v", err)
 	}

@@ -20,9 +20,7 @@ import (
 // on every call. That is the shape of the paper's deployment: blockservers
 // run for months and per-request memory is the binding constraint (§6.2).
 //
-// A Codec is safe for concurrent use. A nil *Codec is also valid: every
-// method falls back to fresh allocations, which is exactly the behavior of
-// the package-level Encode/Decode/DecodeTo one-shot functions.
+// A Codec is safe for concurrent use.
 type Codec struct {
 	segCodecs  sync.Pool // *model.Codec: bin tables + segment scratch
 	encoders   sync.Pool // *arith.Encoder: arithmetic-coder output buffers
@@ -40,21 +38,19 @@ func NewCodec() *Codec { return &Codec{} }
 // rowSlab is one pooled block-row buffer.
 type rowSlab struct{ buf []int16 }
 
-// --- pool accessors; every one tolerates a nil receiver ------------------
+// --- pool accessors -------------------------------------------------------
 
 func (c *Codec) getSegCodec(comps []model.ComponentPlane, rs, re []int, flags model.Flags) *model.Codec {
-	if c != nil {
-		if v := c.segCodecs.Get(); v != nil {
-			mc := v.(*model.Codec)
-			mc.Reset(comps, rs, re, flags)
-			return mc
-		}
+	if v := c.segCodecs.Get(); v != nil {
+		mc := v.(*model.Codec)
+		mc.Reset(comps, rs, re, flags)
+		return mc
 	}
 	return model.NewCodec(comps, rs, re, flags)
 }
 
 func (c *Codec) putSegCodec(mc *model.Codec) {
-	if c == nil || mc == nil {
+	if mc == nil {
 		return
 	}
 	mc.Release()
@@ -62,18 +58,16 @@ func (c *Codec) putSegCodec(mc *model.Codec) {
 }
 
 func (c *Codec) getEncoder() *arith.Encoder {
-	if c != nil {
-		if v := c.encoders.Get(); v != nil {
-			e := v.(*arith.Encoder)
-			e.Reset()
-			return e
-		}
+	if v := c.encoders.Get(); v != nil {
+		e := v.(*arith.Encoder)
+		e.Reset()
+		return e
 	}
 	return arith.NewEncoder()
 }
 
 func (c *Codec) putEncoder(e *arith.Encoder) {
-	if c != nil && e != nil {
+	if e != nil {
 		c.encoders.Put(e)
 	}
 }
@@ -81,19 +75,17 @@ func (c *Codec) putEncoder(e *arith.Encoder) {
 // getRowBuf returns an uncleared block-row buffer of n coefficients from
 // the pool (callers zero it as needed).
 func (c *Codec) getRowBuf(n int) []int16 {
-	if c != nil {
-		if v := c.rows.Get(); v != nil {
-			slab := v.(*rowSlab)
-			if cap(slab.buf) >= n {
-				return slab.buf[:n]
-			}
+	if v := c.rows.Get(); v != nil {
+		slab := v.(*rowSlab)
+		if cap(slab.buf) >= n {
+			return slab.buf[:n]
 		}
 	}
 	return make([]int16, n)
 }
 
 func (c *Codec) putRowBuf(buf []int16) {
-	if c != nil && buf != nil {
+	if buf != nil {
 		c.rows.Put(&rowSlab{buf: buf})
 	}
 }
@@ -101,16 +93,14 @@ func (c *Codec) putRowBuf(buf []int16) {
 // getStreamBufs returns pooled bit-queue storage for a segment's streaming
 // scan re-encoder.
 func (c *Codec) getStreamBufs() *jpeg.StreamEncBuffers {
-	if c != nil {
-		if v := c.streamBufs.Get(); v != nil {
-			return v.(*jpeg.StreamEncBuffers)
-		}
+	if v := c.streamBufs.Get(); v != nil {
+		return v.(*jpeg.StreamEncBuffers)
 	}
 	return &jpeg.StreamEncBuffers{}
 }
 
 func (c *Codec) putStreamBufs(sb *jpeg.StreamEncBuffers) {
-	if c != nil && sb != nil {
+	if sb != nil {
 		c.streamBufs.Put(sb)
 	}
 }
@@ -119,13 +109,9 @@ func (c *Codec) putStreamBufs(sb *jpeg.StreamEncBuffers) {
 // the returned ScanBuffers, which must be released only once the Scan is
 // dead.
 func (c *Codec) decodeScan(f *jpeg.File) (*jpeg.Scan, *jpeg.ScanBuffers, error) {
-	var sb *jpeg.ScanBuffers
-	if c != nil {
-		if v := c.scanBufs.Get(); v != nil {
-			sb = v.(*jpeg.ScanBuffers)
-		} else {
-			sb = &jpeg.ScanBuffers{}
-		}
+	sb, _ := c.scanBufs.Get().(*jpeg.ScanBuffers)
+	if sb == nil {
+		sb = &jpeg.ScanBuffers{}
 	}
 	s, err := jpeg.DecodeScanInto(f, sb)
 	if err != nil {
@@ -136,64 +122,58 @@ func (c *Codec) decodeScan(f *jpeg.File) (*jpeg.Scan, *jpeg.ScanBuffers, error) 
 }
 
 func (c *Codec) putScanBufs(sb *jpeg.ScanBuffers) {
-	if c != nil && sb != nil {
+	if sb != nil {
 		c.scanBufs.Put(sb)
 	}
 }
 
 func (c *Codec) getBuf() *bytes.Buffer {
-	if c != nil {
-		if v := c.bufs.Get(); v != nil {
-			b := v.(*bytes.Buffer)
-			b.Reset()
-			return b
-		}
+	if v := c.bufs.Get(); v != nil {
+		b := v.(*bytes.Buffer)
+		b.Reset()
+		return b
 	}
 	return &bytes.Buffer{}
 }
 
 func (c *Codec) putBuf(b *bytes.Buffer) {
-	if c != nil && b != nil {
+	if b != nil {
 		c.bufs.Put(b)
 	}
 }
 
 func (c *Codec) getZlibW(w io.Writer) *zlib.Writer {
-	if c != nil {
-		if v := c.zlibWs.Get(); v != nil {
-			zw := v.(*zlib.Writer)
-			zw.Reset(w)
-			return zw
-		}
+	if v := c.zlibWs.Get(); v != nil {
+		zw := v.(*zlib.Writer)
+		zw.Reset(w)
+		return zw
 	}
 	return zlib.NewWriter(w)
 }
 
 func (c *Codec) putZlibW(zw *zlib.Writer) {
-	if c != nil && zw != nil {
+	if zw != nil {
 		c.zlibWs.Put(zw)
 	}
 }
 
 func (c *Codec) getZlibR(r io.Reader) (io.ReadCloser, error) {
-	if c != nil {
-		if v := c.zlibRs.Get(); v != nil {
-			zr := v.(io.ReadCloser)
-			if err := zr.(zlib.Resetter).Reset(r, nil); err != nil {
-				// Reset consumed (part of) the stream header; the error IS
-				// the header error. Falling through to a fresh reader here
-				// would parse from a shifted offset and make the outcome
-				// depend on pool state.
-				return nil, err
-			}
-			return zr, nil
+	if v := c.zlibRs.Get(); v != nil {
+		zr := v.(io.ReadCloser)
+		if err := zr.(zlib.Resetter).Reset(r, nil); err != nil {
+			// Reset consumed (part of) the stream header; the error IS
+			// the header error. Falling through to a fresh reader here
+			// would parse from a shifted offset and make the outcome
+			// depend on pool state.
+			return nil, err
 		}
+		return zr, nil
 	}
 	return zlib.NewReader(r)
 }
 
 func (c *Codec) putZlibR(zr io.ReadCloser) {
-	if c == nil || zr == nil {
+	if zr == nil {
 		return
 	}
 	// Detach the reader from its source before pooling: otherwise each

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,8 +21,27 @@ func genJPEG(t testing.TB, seed int64, w, h int) []byte {
 	return data
 }
 
+// encode, decode, decodeTo and decodeRange run one conversion on a fresh
+// codec — empty pools, so every allocation is paid, as a one-shot caller
+// pays it — the reference the pooled paths are compared against.
+func encode(data []byte, opt EncodeOptions) (*Result, error) {
+	return NewCodec().EncodeCtx(context.Background(), data, opt)
+}
+
+func decode(comp []byte, memBudget int64) ([]byte, error) {
+	return NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+}
+
+func decodeTo(w io.Writer, comp []byte, memBudget int64) error {
+	return NewCodec().DecodeToCtx(context.Background(), w, comp, memBudget)
+}
+
+func decodeRange(comp []byte, off, n, memBudget int64) ([]byte, error) {
+	return NewCodec().DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
+}
+
 // TestCodecReuseByteIdentical drives one codec through many files and checks
-// that every output is byte-identical to the one-shot path: pooled bins,
+// that every output is byte-identical to a fresh codec's: pooled bins,
 // planes, and scratch must leave no trace from one conversion in the next.
 func TestCodecReuseByteIdentical(t *testing.T) {
 	codec := NewCodec()
@@ -29,18 +50,18 @@ func TestCodecReuseByteIdentical(t *testing.T) {
 			w := 96 + int(seed)*40
 			h := 80 + int(seed)*32
 			data := genJPEG(t, seed, w, h)
-			oneShot, err := Encode(data, EncodeOptions{})
+			oneShot, err := encode(data, EncodeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pooled, err := codec.Encode(data, EncodeOptions{})
+			pooled, err := codec.EncodeCtx(context.Background(), data, EncodeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(oneShot.Compressed, pooled.Compressed) {
 				t.Fatalf("round %d seed %d: pooled output differs from one-shot", round, seed)
 			}
-			back, err := codec.Decode(pooled.Compressed, 0)
+			back, err := codec.DecodeCtx(context.Background(), pooled.Compressed, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,46 +91,23 @@ func TestCodecPoolPoisoning(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, s := range shapes {
 			data := genJPEG(t, s.seed, s.w, s.h)
-			res, err := codec.Encode(data, EncodeOptions{VerifyRoundtrip: true})
+			res, err := codec.EncodeCtx(context.Background(), data, EncodeOptions{VerifyRoundtrip: true})
 			if err != nil {
 				t.Fatalf("shape %dx%d: %v", s.w, s.h, err)
 			}
-			back, err := codec.Decode(res.Compressed, 0)
+			back, err := codec.DecodeCtx(context.Background(), res.Compressed, 0)
 			if err != nil || !bytes.Equal(back, data) {
 				t.Fatalf("shape %dx%d: decode mismatch (%v)", s.w, s.h, err)
 			}
 		}
 		// Rejected inputs exercise the error paths between pool get/put.
 		prog := imagegen.MakeProgressive(genJPEG(t, 7, 120, 90))
-		if _, err := codec.Encode(prog, EncodeOptions{}); err == nil {
+		if _, err := codec.EncodeCtx(context.Background(), prog, EncodeOptions{}); err == nil {
 			t.Fatal("progressive input must be rejected by default")
 		}
-		if _, err := codec.Encode([]byte("not a jpeg"), EncodeOptions{}); err == nil {
+		if _, err := codec.EncodeCtx(context.Background(), []byte("not a jpeg"), EncodeOptions{}); err == nil {
 			t.Fatal("garbage input must be rejected")
 		}
-	}
-}
-
-// TestCodecStreamsSurviveRelease guards the EncodeSegments contract: stream
-// lengths recorded in the container must match the marshaled bytes even
-// after encoders are recycled by later conversions.
-func TestCodecEncodeTo(t *testing.T) {
-	codec := NewCodec()
-	data := genJPEG(t, 11, 256, 192)
-	res, err := codec.Encode(data, EncodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	res2, err := codec.EncodeTo(&buf, data, EncodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Compressed != nil {
-		t.Fatal("EncodeTo must not retain the compressed bytes")
-	}
-	if !bytes.Equal(buf.Bytes(), res.Compressed) {
-		t.Fatal("EncodeTo bytes differ from Encode")
 	}
 }
 
@@ -125,12 +123,12 @@ func TestCodecConcurrent(t *testing.T) {
 			defer wg.Done()
 			data := genJPEG(t, int64(20+g), 128+16*g, 120)
 			for i := 0; i < 3; i++ {
-				res, err := codec.Encode(data, EncodeOptions{})
+				res, err := codec.EncodeCtx(context.Background(), data, EncodeOptions{})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %w", g, err)
 					return
 				}
-				back, err := codec.Decode(res.Compressed, 0)
+				back, err := codec.DecodeCtx(context.Background(), res.Compressed, 0)
 				if err != nil || !bytes.Equal(back, data) {
 					errs <- fmt.Errorf("worker %d: round trip mismatch (%v)", g, err)
 					return
@@ -162,9 +160,9 @@ func allocBytesPerRun(runs int, fn func()) float64 {
 
 // TestCodecAllocReduction is the acceptance check for the pooled pipeline:
 // steady-state compression through a reused Codec must allocate far fewer
-// bytes per op than the one-shot path. (Since the row-window refactor the
-// *object counts* of the two paths are close — neither materializes
-// coefficient planes anymore — but the one-shot path still pays for the
+// bytes per op than a fresh codec. (Since the row-window refactor the
+// *object counts* of the two are close — neither materializes coefficient
+// planes anymore — but a fresh codec still pays for the
 // model bin tables, arithmetic coder buffers, and scan bit queues on every
 // call, which the codec pools.)
 func TestCodecAllocReduction(t *testing.T) {
@@ -178,17 +176,17 @@ func TestCodecAllocReduction(t *testing.T) {
 	codec := NewCodec()
 	// Warm the pools.
 	for i := 0; i < 3; i++ {
-		if _, err := codec.Encode(data, EncodeOptions{}); err != nil {
+		if _, err := codec.EncodeCtx(context.Background(), data, EncodeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	oneShot := allocBytesPerRun(10, func() {
-		if _, err := Encode(data, EncodeOptions{}); err != nil {
+		if _, err := encode(data, EncodeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	pooled := allocBytesPerRun(10, func() {
-		if _, err := codec.Encode(data, EncodeOptions{}); err != nil {
+		if _, err := codec.EncodeCtx(context.Background(), data, EncodeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -203,7 +201,7 @@ func TestCodecAllocReduction(t *testing.T) {
 // streamed responses.
 func TestContainerOutputSize(t *testing.T) {
 	data := genJPEG(t, 41, 160, 120)
-	res, err := Encode(data, EncodeOptions{})
+	res, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestPooledResultsNotAliased(t *testing.T) {
 	var results []held
 	for seed := int64(1); seed <= 8; seed++ {
 		data := genJPEG(t, seed, 120+int(seed)*56, 96+int(seed)*40)
-		res, err := codec.Encode(data, EncodeOptions{})
+		res, err := codec.EncodeCtx(context.Background(), data, EncodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +249,7 @@ func TestPooledResultsNotAliased(t *testing.T) {
 		if !bytes.Equal(h.comp, h.snapshot) {
 			t.Fatalf("result %d was mutated by a later pooled conversion (aliased pool memory escaped)", i)
 		}
-		back, err := codec.Decode(h.comp, 0)
+		back, err := codec.DecodeCtx(context.Background(), h.comp, 0)
 		if err != nil {
 			t.Fatalf("result %d: %v", i, err)
 		}

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"testing"
 
 	"lepton/internal/core"
@@ -19,13 +21,31 @@ func mustGen(t testing.TB, seed int64, w, h int) []byte {
 	return data
 }
 
+// encode, decode, decodeTo and decodeRange run one conversion on a fresh
+// codec.
+func encode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
+	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
+}
+
+func decode(comp []byte, memBudget int64) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+}
+
+func decodeTo(w io.Writer, comp []byte, memBudget int64) error {
+	return core.NewCodec().DecodeToCtx(context.Background(), w, comp, memBudget)
+}
+
+func decodeRange(comp []byte, off, n, memBudget int64) ([]byte, error) {
+	return core.NewCodec().DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
+}
+
 func roundTrip(t *testing.T, data []byte, opt core.EncodeOptions) *core.Result {
 	t.Helper()
-	res, err := core.Encode(data, opt)
+	res, err := encode(data, opt)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	back, err := core.Decode(res.Compressed, 0)
+	back, err := decode(res.Compressed, 0)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -61,7 +81,7 @@ func TestEncodeDecodeMatrix(t *testing.T) {
 
 func TestEncodeVerifyRoundtripOption(t *testing.T) {
 	data := mustGen(t, 2, 96, 96)
-	if _, err := core.Encode(data, core.EncodeOptions{VerifyRoundtrip: true}); err != nil {
+	if _, err := encode(data, core.EncodeOptions{VerifyRoundtrip: true}); err != nil {
 		t.Fatalf("verified encode failed: %v", err)
 	}
 }
@@ -81,11 +101,11 @@ func TestSegmentsReduceCompression(t *testing.T) {
 	// (§3.4). Allow noise but the 1-segment version must not be bigger than
 	// the 8-segment version by any meaningful margin.
 	data := mustGen(t, 4, 512, 512)
-	r1, err := core.Encode(data, core.EncodeOptions{ForceSegments: 1})
+	r1, err := encode(data, core.EncodeOptions{ForceSegments: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := core.Encode(data, core.EncodeOptions{ForceSegments: 8})
+	r8, err := encode(data, core.EncodeOptions{ForceSegments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +140,7 @@ func TestAblationFlags(t *testing.T) {
 
 func TestStatsBreakdown(t *testing.T) {
 	data := mustGen(t, 7, 320, 240)
-	res, err := core.Encode(data, core.EncodeOptions{CollectStats: true})
+	res, err := encode(data, core.EncodeOptions{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +167,7 @@ func TestStatsBreakdown(t *testing.T) {
 
 func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	data := mustGen(t, 8, 128, 128)
-	res, err := core.Encode(data, core.EncodeOptions{})
+	res, err := encode(data, core.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +177,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 		if i < len(comp) {
 			bad := append([]byte(nil), comp...)
 			bad[i] ^= 0xFF
-			_, _ = core.Decode(bad, 0)
+			_, _ = decode(bad, 0)
 		}
 	}
 	// Truncations. The container ends with an optional seek-index section
@@ -165,7 +185,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	// falls back to full decode), so the must-fail region is everything up
 	// to the end of the arithmetic streams — the index-less encoding's
 	// exact length.
-	noIdx, err := core.Encode(data, core.EncodeOptions{DisableSeekIndex: true})
+	noIdx, err := encode(data, core.EncodeOptions{DisableSeekIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +195,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 4, 27, 40, streamEnd / 2, streamEnd - 1} {
 		if n <= len(comp) {
-			_, err := core.Decode(comp[:n], 0)
+			_, err := decode(comp[:n], 0)
 			if err == nil && n < streamEnd {
 				t.Fatalf("truncation to %d bytes decoded successfully", n)
 			}
@@ -184,7 +204,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	// Truncating within the trailing index must still decode — to the
 	// right bytes — with the mangled index discarded.
 	for _, n := range []int{streamEnd, len(comp) - 1} {
-		out, err := core.Decode(comp[:n], 0)
+		out, err := decode(comp[:n], 0)
 		if err != nil {
 			t.Fatalf("truncation into seek index (%d bytes): %v", n, err)
 		}
@@ -196,7 +216,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	for i := 60; i < len(comp); i += 97 {
 		bad := append([]byte(nil), comp...)
 		bad[i] ^= 0x10
-		out, err := core.Decode(bad, 0)
+		out, err := decode(bad, 0)
 		if err == nil && bytes.Equal(out, data) && i > 80 {
 			// Flipping arithmetic-stream bits that still decode identically
 			// would indicate the bits are ignored.
@@ -207,15 +227,15 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 
 func TestDecodeMemBudget(t *testing.T) {
 	data := mustGen(t, 9, 512, 384)
-	res, err := core.Encode(data, core.EncodeOptions{})
+	res, err := encode(data, core.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Decode(res.Compressed, 1024); err == nil {
+	if _, err := decode(res.Compressed, 1024); err == nil {
 		t.Fatal("expected decode budget rejection")
 	}
 	r := jpeg.ReasonOf(func() error {
-		_, err := core.Decode(res.Compressed, 1024)
+		_, err := decode(res.Compressed, 1024)
 		return err
 	}())
 	if r != jpeg.ReasonMemDecode {
@@ -225,7 +245,7 @@ func TestDecodeMemBudget(t *testing.T) {
 
 func TestEncodeMemBudget(t *testing.T) {
 	data := mustGen(t, 10, 512, 384)
-	_, err := core.Encode(data, core.EncodeOptions{MemDecodeBudget: 1024})
+	_, err := encode(data, core.EncodeOptions{MemDecodeBudget: 1024})
 	if jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
 		t.Fatalf("reason = %v, want MemDecode", jpeg.ReasonOf(err))
 	}
@@ -241,7 +261,7 @@ func TestRawMode(t *testing.T) {
 	if !core.IsLepton(comp) {
 		t.Fatal("raw container missing magic")
 	}
-	back, err := core.Decode(comp, 0)
+	back, err := decode(comp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +329,7 @@ func TestRejectionClassification(t *testing.T) {
 		{"bigchroma", imagegen.BigChromaStub(), jpeg.ReasonChromaSub},
 	}
 	for _, tc := range cases {
-		_, err := core.Encode(tc.data, core.EncodeOptions{})
+		_, err := encode(tc.data, core.EncodeOptions{})
 		if got := jpeg.ReasonOf(err); got != tc.want {
 			t.Errorf("%s: reason = %v, want %v", tc.name, got, tc.want)
 		}
@@ -342,16 +362,16 @@ func TestSingleVsMultiThreadIdentical(t *testing.T) {
 	// The §6.7 "second alarm" regression: single- and multi-segment decode
 	// paths must produce identical bytes.
 	data := mustGen(t, 23, 384, 288)
-	res, err := core.Encode(data, core.EncodeOptions{ForceSegments: 6})
+	res, err := encode(data, core.EncodeOptions{ForceSegments: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Decode(res.Compressed, 0)
+	a, err := decode(res.Compressed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := core.DecodeTo(&buf, res.Compressed, 0); err != nil {
+	if err := decodeTo(&buf, res.Compressed, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, buf.Bytes()) || !bytes.Equal(a, data) {
@@ -380,12 +400,12 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 
 func TestDecodeToStreamsInOrder(t *testing.T) {
 	data := mustGen(t, 60, 512, 384)
-	res, err := core.Encode(data, core.EncodeOptions{ForceSegments: 4})
+	res, err := encode(data, core.EncodeOptions{ForceSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &writeRecorder{}
-	if err := core.DecodeTo(rec, res.Compressed, 0); err != nil {
+	if err := decodeTo(rec, res.Compressed, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Multiple writes (header + per-segment + trailer), concatenating to

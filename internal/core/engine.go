@@ -44,7 +44,7 @@ import (
 // word (scan byte/bit position, partial byte, restart count, DC
 // predictors) needed to resume emission mid-file; the encoder persists
 // that table as a CRC-guarded trailing section (seekindex.go) that legacy
-// readers skip and DisableSeekIndex omits entirely. DecodeRange
+// readers skip and DisableSeekIndex omits entirely. DecodeRangeToCtx
 // (rangedec.go) binary-searches it to map a byte range to an MCU-row
 // interval, arith-decodes only the thread segments containing those rows
 // (each seeded from its recorded handover state), and re-emits exactly
@@ -188,26 +188,14 @@ func rowRangesFor(f *jpeg.File, startMCU, endMCU int) (rs, re []int) {
 	return rs, re
 }
 
-// Encode compresses one whole baseline JPEG into a Lepton container,
-// allocating fresh state (one-shot). Long-lived callers should prefer a
-// reusable Codec, which draws the model tables and scratch from pools.
-func Encode(data []byte, opt EncodeOptions) (*Result, error) {
-	return (*Codec)(nil).Encode(data, opt)
-}
-
-// Encode compresses one whole baseline JPEG into a Lepton container, reusing
-// pooled state from earlier conversions. Output is byte-identical to the
-// one-shot path.
-func (c *Codec) Encode(data []byte, opt EncodeOptions) (*Result, error) {
-	return c.EncodeCtx(context.Background(), data, opt)
-}
-
-// EncodeCtx is Encode under a context: cancellation is observed between
-// pipeline phases and, through per-row checkpoints inside every segment
-// goroutine, mid-conversion — a cancelled request stops burning CPU within
-// one block row per segment, not at the next request boundary. The error is
-// ctx.Err() (errors.Is context.Canceled / DeadlineExceeded); pooled state is
-// recycled exactly as on success, so the codec stays reusable.
+// EncodeCtx compresses one whole baseline JPEG into a Lepton container,
+// drawing the model tables and scratch from the codec's pools.
+// Cancellation is observed between pipeline phases and, through per-row
+// checkpoints inside every segment goroutine, mid-conversion — a cancelled
+// request stops burning CPU within one block row per segment, not at the
+// next request boundary. The error is ctx.Err() (errors.Is
+// context.Canceled / DeadlineExceeded); pooled state is recycled exactly
+// as on success, so the codec stays reusable.
 func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (*Result, error) {
 	encBudget := opt.MemEncodeBudget
 	if encBudget == 0 {
@@ -223,7 +211,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	f, err := jpeg.ParseOpt(data, encBudget, opt.AllowCMYK)
 	if err != nil {
 		if opt.AllowProgressive && jpeg.ReasonOf(err) == jpeg.ReasonProgressive {
-			return encodeProgressive(ctx, data, opt, encBudget, decBudget)
+			return c.encodeProgressive(ctx, data, opt, encBudget, decBudget)
 		}
 		return nil, err
 	}
@@ -337,45 +325,16 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	return res, nil
 }
 
-// EncodeTo compresses data and writes the container to w, returning the
-// accounting Result with Compressed left nil. The container format needs
-// every stream length before the first byte, so the write happens once the
-// encode completes; the point of EncodeTo is composing with sockets and
-// files without an extra copy at the call site.
-func (c *Codec) EncodeTo(w io.Writer, data []byte, opt EncodeOptions) (*Result, error) {
-	return c.EncodeToCtx(context.Background(), w, data, opt)
-}
-
-// EncodeToCtx is EncodeTo under a context (see EncodeCtx).
-func (c *Codec) EncodeToCtx(ctx context.Context, w io.Writer, data []byte, opt EncodeOptions) (*Result, error) {
-	res, err := c.EncodeCtx(ctx, data, opt)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(res.Compressed); err != nil {
-		return nil, err
-	}
-	res.Compressed = nil
-	return res, nil
-}
-
 // EncodeSegments arithmetic-codes the MCU range [mStart, mEnd) — which must
 // be MCU-row aligned — as nSeg thread segments, in parallel. It returns the
 // segment descriptors (with handover words taken from the scan's recorded
 // positions), the per-segment streams, and per-class bit statistics when
 // collectStats is set. The chunk layer composes this into per-chunk
-// containers; Encode uses it for whole files.
-func EncodeSegments(f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64) {
-	segs, streams, stats, release := (*Codec)(nil).EncodeSegments(f, s, mStart, mEnd, nSeg, flags, collectStats)
-	release()
-	return segs, streams, stats
-}
-
-// EncodeSegments is the pooled variant: segment model codecs and arithmetic
-// encoders come from the codec's pools. The returned streams alias pooled
-// encoder buffers; the caller must call release once the stream bytes have
-// been copied out (normally by Container marshaling) and must not touch
-// their contents afterwards.
+// containers; EncodeCtx uses it for whole files. Segment model codecs and
+// arithmetic encoders come from the codec's pools. The returned streams
+// alias pooled encoder buffers; the caller must call release once the
+// stream bytes have been copied out (normally by Container marshaling) and
+// must not touch their contents afterwards.
 func (c *Codec) EncodeSegments(f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64, func()) {
 	segs, streams, stats, release, _ := c.EncodeSegmentsCtx(context.Background(), f, s, mStart, mEnd, nSeg, flags, collectStats)
 	return segs, streams, stats, release
@@ -479,7 +438,7 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 // failing). Handover words are recorded at every MCU-row start — the
 // segment handovers are the subset at segment-start rows, and the full
 // table (returned as rowPos when the image is small enough to index) is
-// the seek index that makes DecodeRange segment-sized instead of
+// the seek index that makes DecodeRangeToCtx segment-sized instead of
 // file-sized.
 //
 // On success the returned streams alias pooled encoder buffers: marshal
@@ -636,19 +595,9 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 	return segs, streams, info, rowPos, release, nil
 }
 
-// Decode reconstructs the original bytes from a Lepton container.
-// memBudget bounds coefficient memory (0 = default).
-func Decode(comp []byte, memBudget int64) ([]byte, error) {
-	return (*Codec)(nil).Decode(comp, memBudget)
-}
-
-// Decode reconstructs the original bytes, drawing decode state from the
-// codec's pools.
-func (c *Codec) Decode(comp []byte, memBudget int64) ([]byte, error) {
-	return c.DecodeCtx(context.Background(), comp, memBudget)
-}
-
-// DecodeCtx is Decode under a context (see DecodeToCtx).
+// DecodeCtx reconstructs the original bytes from a Lepton container into
+// one buffer; memBudget bounds coefficient memory (0 = default). See
+// DecodeToCtx.
 func (c *Codec) DecodeCtx(ctx context.Context, comp []byte, memBudget int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := c.DecodeToCtx(ctx, &buf, comp, memBudget); err != nil {
@@ -657,25 +606,15 @@ func (c *Codec) DecodeCtx(ctx context.Context, comp []byte, memBudget int64) ([]
 	return buf.Bytes(), nil
 }
 
-// DecodeTo streams the reconstruction into w segment by segment: output for
-// segment k is written as soon as segments 0..k have completed, which gives
-// the low time-to-first-byte the paper's file servers need (§3.4).
-func DecodeTo(w io.Writer, comp []byte, memBudget int64) error {
-	return (*Codec)(nil).DecodeTo(w, comp, memBudget)
-}
-
-// DecodeTo is the pooled streaming decode: coefficient planes, per-segment
-// model codecs, and the container-header decompressor are reused across
-// calls on the same codec.
-func (cd *Codec) DecodeTo(w io.Writer, comp []byte, memBudget int64) error {
-	return cd.DecodeToCtx(context.Background(), w, comp, memBudget)
-}
-
-// DecodeToCtx is the streaming decode under a context: cancellation is
-// observed at every block row of the arithmetic decode in each segment
-// goroutine and between emitted segments, so an abandoned decompression
-// frees its worker promptly. A cancelled decode may already have written
-// part of the output to w; the error is ctx.Err().
+// DecodeToCtx streams the reconstruction into w segment by segment: output
+// for segment k is written as soon as segments 0..k have completed, which
+// gives the low time-to-first-byte the paper's file servers need (§3.4).
+// Coefficient rows, per-segment model codecs, and the container-header
+// decompressor come from the codec's pools. Cancellation is observed at
+// every block row of the arithmetic decode in each segment goroutine and
+// between emitted segments, so an abandoned decompression frees its worker
+// promptly. A cancelled decode may already have written part of the output
+// to w; the error is ctx.Err().
 func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memBudget int64) error {
 	if memBudget == 0 {
 		memBudget = DefaultMemDecodeBudget

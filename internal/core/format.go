@@ -178,11 +178,12 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-// Marshal serializes the container.
-func (c *Container) Marshal() ([]byte, error) { return c.marshal(nil) }
+// Marshal serializes the container with a fresh codec's scratch; callers
+// holding a Codec use its MarshalContainer.
+func (c *Container) Marshal() ([]byte, error) { return c.marshal(NewCodec()) }
 
 // marshal serializes the container, drawing scratch buffers and the zlib
-// header compressor from p's pools when p is non-nil.
+// header compressor from p's pools.
 func (c *Container) marshal(p *Codec) ([]byte, error) {
 	head := p.getBuf()
 	defer p.putBuf(head)
@@ -285,14 +286,14 @@ func flagsByte(edge, dcGradient bool) uint8 {
 
 // Unmarshal parses a serialized container.
 func Unmarshal(data []byte) (*Container, error) {
-	c, _, err := unmarshal(data, nil)
+	c, _, err := unmarshal(data, NewCodec())
 	return c, err
 }
 
 // unmarshal parses a serialized container, drawing the zlib reader and the
-// decompressed-header buffer from p's pools when p is non-nil. The returned
-// Container aliases the returned buffer's storage; the caller must
-// p.putBuf it only once the container is dead.
+// decompressed-header buffer from p's pools. The returned Container aliases
+// the returned buffer's storage; the caller must p.putBuf it only once the
+// container is dead.
 func unmarshal(data []byte, p *Codec) (*Container, *bytes.Buffer, error) {
 	if len(data) < 28 {
 		return nil, nil, badContainer("too short: %d bytes", len(data))

@@ -20,7 +20,7 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 		if err != nil {
 			f.Fatal(err)
 		}
-		res, err := Encode(img, EncodeOptions{})
+		res, err := encode(img, EncodeOptions{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -59,9 +59,9 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decode(data, 0)
+		got, err := decode(data, 0)
 		var buf bytes.Buffer
-		err2 := DecodeTo(&buf, data, 0)
+		err2 := decodeTo(&buf, data, 0)
 		if (err == nil) != (err2 == nil) {
 			// DecodeTo may have written a partial prefix before failing;
 			// both paths must still agree on success vs failure.
@@ -73,13 +73,13 @@ func FuzzDecode(f *testing.F) {
 		// A failed decode verifies against nothing, not even the prefix it
 		// wrote; a successful one verifies against its output and against
 		// no one-byte change of it.
-		if verr := (*Codec)(nil).VerifyCtx(context.Background(), data, buf.Bytes(), 0); (verr == nil) != (err == nil) {
+		if verr := NewCodec().VerifyCtx(context.Background(), data, buf.Bytes(), 0); (verr == nil) != (err == nil) {
 			t.Fatalf("Decode err=%v but VerifyCtx err=%v", err, verr)
 		}
 		if err == nil && len(got) > 0 {
 			bad := append([]byte(nil), got...)
 			bad[len(bad)/2] ^= 1
-			if (*Codec)(nil).VerifyCtx(context.Background(), data, bad, 0) == nil {
+			if NewCodec().VerifyCtx(context.Background(), data, bad, 0) == nil {
 				t.Fatal("VerifyCtx accepted a changed byte")
 			}
 		}
@@ -110,11 +110,11 @@ func FuzzDecompressRange(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, off, n int64) {
-		full, ferr := Decode(data, 0)
-		got, rerr := DecodeRange(data, off, n, 0)
+		full, ferr := decode(data, 0)
+		got, rerr := decodeRange(data, off, n, 0)
 		if ferr == nil && off >= 0 && n >= 0 {
 			if rerr != nil {
-				t.Fatalf("full decode ok but DecodeRange(off=%d n=%d): %v", off, n, rerr)
+				t.Fatalf("full decode ok but decodeRange(off=%d n=%d): %v", off, n, rerr)
 			}
 			size := int64(len(full))
 			a, z := off, off+n
@@ -128,7 +128,7 @@ func FuzzDecompressRange(f *testing.F) {
 				z = a
 			}
 			if !bytes.Equal(got, full[a:z]) {
-				t.Fatalf("DecodeRange(off=%d n=%d) differs from full-decode slice", off, n)
+				t.Fatalf("decodeRange(off=%d n=%d) differs from full-decode slice", off, n)
 			}
 		}
 		if inUse, _ := CoeffMemStats(); inUse != 0 {
@@ -147,7 +147,7 @@ func FuzzDecodeToWriterErrors(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, failAt int) {
 		w := &failingWriter{failAt: failAt}
-		_ = DecodeTo(w, data, 0)
+		_ = decodeTo(w, data, 0)
 	})
 }
 

@@ -10,7 +10,7 @@ import (
 func interleavedContainer(t *testing.T, seed int64, sectionSize int) (data, comp []byte) {
 	t.Helper()
 	data = mustGen(t, seed, 400, 304)
-	res, err := core.Encode(data, core.EncodeOptions{ForceSegments: 4})
+	res, err := encode(data, core.EncodeOptions{ForceSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func interleavedContainer(t *testing.T, seed int64, sectionSize int) (data, comp
 func TestInterleavedRoundTrip(t *testing.T) {
 	for _, section := range []int{64, 256, 1000, 4096, 65536} {
 		data, comp := interleavedContainer(t, 30, section)
-		back, err := core.Decode(comp, 0)
+		back, err := decode(comp, 0)
 		if err != nil {
 			t.Fatalf("section %d: %v", section, err)
 		}
@@ -78,12 +78,12 @@ func TestInterleavedCorruption(t *testing.T) {
 	for i := 40; i < len(comp); i += 53 {
 		bad := append([]byte(nil), comp...)
 		bad[i] ^= 0xFF
-		_, _ = core.Decode(bad, 0)
+		_, _ = decode(bad, 0)
 	}
 	// Truncations.
 	for _, n := range []int{29, 60, len(comp) / 2, len(comp) - 3} {
 		if n < len(comp) {
-			if _, err := core.Decode(comp[:n], 0); err == nil {
+			if _, err := decode(comp[:n], 0); err == nil {
 				t.Fatalf("truncated interleaved container at %d decoded", n)
 			}
 		}

@@ -39,11 +39,11 @@ func TestOverBudgetImageStreams(t *testing.T) {
 		t.Fatalf("test image too small to exercise the old wall: planes %d <= budget %d",
 			planeBytes, DefaultMemDecodeBudget)
 	}
-	res, err := Encode(data, EncodeOptions{})
+	res, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatalf("over-plane-budget image no longer encodes: %v", err)
 	}
-	back, err := Decode(res.Compressed, 0)
+	back, err := decode(res.Compressed, 0)
 	if err != nil {
 		t.Fatalf("over-plane-budget image no longer decodes: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 		t.Skip("multi-megapixel conversion")
 	}
 	data := bigSynthetic(t)
-	res, err := Encode(data, EncodeOptions{})
+	res, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 	}
 	bound := DecodeWindowBytes(f, res.Segments)
 	ResetCoeffMemPeak()
-	if _, err := Decode(res.Compressed, 0); err != nil {
+	if _, err := decode(res.Compressed, 0); err != nil {
 		t.Fatal(err)
 	}
 	if inUse, _ := CoeffMemStats(); inUse != 0 {
@@ -105,7 +105,7 @@ func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
 		ceiling = DefaultMemEncodeBudget
 	}
 	ResetCoeffMemPeak()
-	if _, err := Encode(data, EncodeOptions{}); err != nil {
+	if _, err := encode(data, EncodeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if inUse, _ := CoeffMemStats(); inUse != 0 {
@@ -124,13 +124,13 @@ func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
 // and complete (byte-identically), not hang or reject.
 func TestTightEncodeGateStillStreams(t *testing.T) {
 	data := genJPEG(t, 77, 512, 384)
-	want, err := Encode(data, EncodeOptions{})
+	want, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Small enough that the gate must sit below the structural minimum,
 	// large enough to pass the parser's row-window floor.
-	got, err := Encode(data, EncodeOptions{MemEncodeBudget: 64 << 10, MemDecodeBudget: DefaultMemDecodeBudget})
+	got, err := encode(data, EncodeOptions{MemEncodeBudget: 64 << 10, MemDecodeBudget: DefaultMemDecodeBudget})
 	if err != nil {
 		t.Fatalf("tight encode gate rejected instead of streaming: %v", err)
 	}
@@ -148,7 +148,7 @@ func BenchmarkDecodeMemory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Encode(data, EncodeOptions{})
+	res, err := encode(data, EncodeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func BenchmarkDecodeMemory(b *testing.B) {
 	ResetCoeffMemPeak()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(res.Compressed, 0); err != nil {
+		if _, err := decode(res.Compressed, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

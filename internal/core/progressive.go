@@ -19,8 +19,8 @@ import (
 // kept memory-resident, as the paper describes the binary doing.
 
 // encodeProgressive compresses a progressive JPEG into a ModeProgressive
-// container.
-func encodeProgressive(ctx context.Context, data []byte, opt EncodeOptions, encBudget, decBudget int64) (*Result, error) {
+// container, drawing the container scratch from cd's pools.
+func (cd *Codec) encodeProgressive(ctx context.Context, data []byte, opt EncodeOptions, encBudget, decBudget int64) (*Result, error) {
 	p, err := jpeg.ParseProgressive(data, encBudget)
 	if err != nil {
 		return nil, err
@@ -84,7 +84,7 @@ func encodeProgressive(ctx context.Context, data []byte, opt EncodeOptions, encB
 		}
 		c.ProgScans = append(c.ProgScans, meta)
 	}
-	comp, err := c.Marshal()
+	comp, err := cd.MarshalContainer(c)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func encodeProgressive(ctx context.Context, data []byte, opt EncodeOptions, encB
 	}
 	res.HeaderCompressed = len(comp) - len(stream)
 	if opt.VerifyRoundtrip {
-		if err := (*Codec)(nil).VerifyCtx(ctx, comp, data, decBudget); err != nil {
+		if err := cd.VerifyCtx(ctx, comp, data, decBudget); err != nil {
 			return nil, err
 		}
 	}

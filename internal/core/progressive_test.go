@@ -57,11 +57,11 @@ func TestProgressiveContainerRoundTrip(t *testing.T) {
 		{3, 96, 64, 4},
 	} {
 		data := progFile(t, tc.seed, tc.w, tc.h, tc.ri)
-		res, err := core.Encode(data, core.EncodeOptions{AllowProgressive: true, VerifyRoundtrip: true})
+		res, err := encode(data, core.EncodeOptions{AllowProgressive: true, VerifyRoundtrip: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
-		back, err := core.Decode(res.Compressed, 0)
+		back, err := decode(res.Compressed, 0)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", tc.seed, err)
 		}
@@ -79,7 +79,7 @@ func TestProgressiveContainerRoundTrip(t *testing.T) {
 
 func TestProgressiveRejectedByDefault(t *testing.T) {
 	data := progFile(t, 4, 96, 96, 0)
-	_, err := core.Encode(data, core.EncodeOptions{})
+	_, err := encode(data, core.EncodeOptions{})
 	if jpeg.ReasonOf(err) != jpeg.ReasonProgressive {
 		t.Fatalf("reason = %v, want Progressive (production default)", jpeg.ReasonOf(err))
 	}
@@ -87,17 +87,17 @@ func TestProgressiveRejectedByDefault(t *testing.T) {
 
 func TestProgressiveContainerCorruption(t *testing.T) {
 	data := progFile(t, 5, 128, 96, 0)
-	res, err := core.Encode(data, core.EncodeOptions{AllowProgressive: true})
+	res, err := encode(data, core.EncodeOptions{AllowProgressive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 30; i < len(res.Compressed); i += 37 {
 		bad := append([]byte(nil), res.Compressed...)
 		bad[i] ^= 0x80
-		_, _ = core.Decode(bad, 0) // classified error or garbage; no panic
+		_, _ = decode(bad, 0) // classified error or garbage; no panic
 	}
 	for _, n := range []int{10, 50, len(res.Compressed) / 2} {
-		if _, err := core.Decode(res.Compressed[:n], 0); err == nil {
+		if _, err := decode(res.Compressed[:n], 0); err == nil {
 			t.Fatalf("truncated progressive container at %d decoded", n)
 		}
 	}
@@ -105,7 +105,7 @@ func TestProgressiveContainerCorruption(t *testing.T) {
 
 func TestProgressiveMemBudget(t *testing.T) {
 	data := progFile(t, 6, 256, 192, 0)
-	_, err := core.Encode(data, core.EncodeOptions{AllowProgressive: true, MemDecodeBudget: 1024})
+	_, err := encode(data, core.EncodeOptions{AllowProgressive: true, MemDecodeBudget: 1024})
 	if jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
 		t.Fatalf("reason = %v", jpeg.ReasonOf(err))
 	}

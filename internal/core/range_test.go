@@ -74,7 +74,7 @@ func rangeSweep(t *testing.T, comp, full []byte, seed int64) int {
 		probes = append(probes, probe{off, n})
 	}
 	for _, p := range probes {
-		got, err := core.DecodeRange(comp, p.off, p.n, 0)
+		got, err := decodeRange(comp, p.off, p.n, 0)
 		if err != nil {
 			t.Fatalf("DecodeRange(off=%d n=%d): %v", p.off, p.n, err)
 		}
@@ -142,11 +142,11 @@ func TestDecodeRangeDifferential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.data(t)
-			res, err := core.Encode(data, tc.opt)
+			res, err := encode(data, tc.opt)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			full, err := core.Decode(res.Compressed, 0)
+			full, err := decode(res.Compressed, 0)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -190,11 +190,11 @@ func TestDecodeRangeFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := core.Encode(tc.data, tc.opt)
+			res, err := encode(tc.data, tc.opt)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			full, err := core.Decode(res.Compressed, 0)
+			full, err := decode(res.Compressed, 0)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -213,11 +213,11 @@ func TestDecodeRangeFallbacks(t *testing.T) {
 // back to full decode — never fail, never return wrong bytes.
 func TestDecodeRangeCorruptIndexFallsBack(t *testing.T) {
 	data := mustGen(t, 15, 400, 300)
-	res, err := core.Encode(data, core.EncodeOptions{ForceSegments: 3})
+	res, err := encode(data, core.EncodeOptions{ForceSegments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := core.Encode(data, core.EncodeOptions{ForceSegments: 3, DisableSeekIndex: true})
+	bare, err := encode(data, core.EncodeOptions{ForceSegments: 3, DisableSeekIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDecodeRangeCorruptIndexFallsBack(t *testing.T) {
 	if streamEnd >= len(res.Compressed) {
 		t.Fatalf("no index section present (%d vs %d bytes)", streamEnd, len(res.Compressed))
 	}
-	full, err := core.Decode(res.Compressed, 0)
+	full, err := decode(res.Compressed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDecodeRangeCorruptIndexFallsBack(t *testing.T) {
 	corrupt[streamEnd+(len(corrupt)-streamEnd)/2] ^= 0x5A
 	truncated := append([]byte(nil), res.Compressed[:streamEnd+(len(res.Compressed)-streamEnd)/2]...)
 	for _, comp := range [][]byte{corrupt, truncated} {
-		got, err := core.DecodeRange(comp, int64(len(full))/2, 512, 0)
+		got, err := decodeRange(comp, int64(len(full))/2, 512, 0)
 		if err != nil {
 			t.Fatalf("DecodeRange on damaged index: %v", err)
 		}
@@ -254,7 +254,7 @@ func TestDecodeRangeRawContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.DecodeRange(comp, 17, 100, 0)
+	got, err := decodeRange(comp, 17, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,20 +265,20 @@ func TestDecodeRangeRawContainer(t *testing.T) {
 
 func TestDecodeRangeInvalidArgs(t *testing.T) {
 	data := mustGen(t, 5, 96, 64)
-	res, err := core.Encode(data, core.EncodeOptions{})
+	res, err := encode(data, core.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.DecodeRange(res.Compressed, -1, 10, 0); !errors.Is(err, core.ErrInvalidRange) {
+	if _, err := decodeRange(res.Compressed, -1, 10, 0); !errors.Is(err, core.ErrInvalidRange) {
 		t.Fatalf("negative offset: got %v", err)
 	}
-	if _, err := core.DecodeRange(res.Compressed, 0, -10, 0); !errors.Is(err, core.ErrInvalidRange) {
+	if _, err := decodeRange(res.Compressed, 0, -10, 0); !errors.Is(err, core.ErrInvalidRange) {
 		t.Fatalf("negative length: got %v", err)
 	}
 	if _, err := core.RangeLength(res.Compressed, -1, 1); !errors.Is(err, core.ErrInvalidRange) {
 		t.Fatalf("RangeLength negative offset: got %v", err)
 	}
-	if _, err := core.DecodeRange([]byte("not a container"), 0, 10, 0); err == nil {
+	if _, err := decodeRange([]byte("not a container"), 0, 10, 0); err == nil {
 		t.Fatal("garbage container: expected error")
 	}
 }

@@ -79,18 +79,9 @@ func clampRange(off, n, size int64) int64 {
 	return n
 }
 
-// DecodeRange decodes exactly the byte range [off, off+n) of the original
-// file, clamped to its size, from the compressed container.
-func DecodeRange(comp []byte, off, n int64, memBudget int64) ([]byte, error) {
-	return (*Codec)(nil).DecodeRange(comp, off, n, memBudget)
-}
-
-// DecodeRange is the pooled buffered form of DecodeRangeToCtx.
-func (cd *Codec) DecodeRange(comp []byte, off, n int64, memBudget int64) ([]byte, error) {
-	return cd.DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
-}
-
-// DecodeRangeCtx is DecodeRange under a context.
+// DecodeRangeCtx decodes exactly the byte range [off, off+n) of the
+// original file, clamped to its size, into one buffer; see
+// DecodeRangeToCtx.
 func (cd *Codec) DecodeRangeCtx(ctx context.Context, comp []byte, off, n int64, memBudget int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := cd.DecodeRangeToCtx(ctx, &buf, comp, off, n, memBudget); err != nil {

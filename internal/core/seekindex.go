@@ -14,7 +14,7 @@ import (
 // decoder already computes a Huffman handover word at every MCU row —
 // byte/bit position in the original scan, the partially emitted byte, the
 // restart-marker count, and the DC predictors. Persisting that table lets
-// DecodeRange later binary-search the rows overlapping a byte range,
+// DecodeRangeToCtx later binary-search the rows overlapping a byte range,
 // arith-decode only the thread segments containing them, and re-emit
 // exactly the requested scan bytes.
 //

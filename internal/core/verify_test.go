@@ -11,7 +11,7 @@ import (
 
 func TestVerifyCtx(t *testing.T) {
 	data := genJPEG(t, 51, 320, 240)
-	res, err := Encode(data, EncodeOptions{ForceSegments: 4})
+	res, err := encode(data, EncodeOptions{ForceSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestVerifyCtx(t *testing.T) {
 		}
 	}
 
-	// The nil codec is the stateless one-shot path.
-	if err := (*Codec)(nil).VerifyCtx(context.Background(), comp, data, 0); err != nil {
-		t.Fatalf("nil codec VerifyCtx = %v", err)
+	// A fresh codec, with empty pools, verifies the same.
+	if err := NewCodec().VerifyCtx(context.Background(), comp, data, 0); err != nil {
+		t.Fatalf("fresh codec VerifyCtx = %v", err)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestVerifyCtxDoesNotBufferOutput(t *testing.T) {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	data := genJPEG(t, 52, 640, 480)
-	comp, err := Encode(data, EncodeOptions{})
+	comp, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,9 +138,6 @@ type Blockserver struct {
 	// per-request context expires after this much time and the conversion
 	// aborts at its next checkpoint with a StatusError response.
 	RequestTimeout time.Duration
-	// Codec is the pooled conversion pipeline shared by every connection;
-	// nil gets a private codec on first Serve.
-	Codec *core.Codec
 	// EncodeOptions configures the codec.
 	EncodeOptions core.EncodeOptions
 	// Store, when non-nil, enables the store-backed chunk operations
@@ -242,13 +239,6 @@ func (b *Blockserver) init() {
 		b.conns = make(map[*srvConn]struct{})
 		if b.OutsourceThreshold == 0 {
 			b.OutsourceThreshold = 3
-		}
-		if b.Codec == nil {
-			b.Codec = core.NewCodec()
-		}
-		if b.Store != nil && b.Store.Codec == nil {
-			// Store-backed conversions share the server's pools.
-			b.Store.Codec = b.Codec
 		}
 		n := b.Shards
 		if n <= 0 {
@@ -599,7 +589,7 @@ func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, conn ne
 		// Unsupported inputs are service-level successes with a
 		// fallback marker: production stored them with Deflate.
 		if jpeg.ReasonOf(err) != jpeg.ReasonNone {
-			raw, merr := rawContainer(payload)
+			raw, merr := cd.MarshalContainer(&core.Container{Mode: core.ModeRaw, Raw: payload, OutputSize: uint32(len(payload))})
 			if merr == nil {
 				return WriteResponse(conn, StatusOK, raw) == nil
 			}
@@ -950,11 +940,6 @@ func hashOf(payload []byte) (store.Hash, error) {
 func withVerify(opt core.EncodeOptions) core.EncodeOptions {
 	opt.VerifyRoundtrip = true
 	return opt
-}
-
-func rawContainer(payload []byte) ([]byte, error) {
-	c := &core.Container{Mode: core.ModeRaw, Raw: payload, OutputSize: uint32(len(payload))}
-	return c.Marshal()
 }
 
 // ListenAndServe starts a blockserver on addr ("unix:<path>" or

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"lepton/internal/core"
 	"lepton/internal/server"
 )
 
@@ -78,7 +77,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight request failed during drain: %v", r.err)
 	}
-	back, err := core.Decode(r.comp, 0)
+	back, err := decode(r.comp, 0)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("drained response undecodable: %v", err)
 	}

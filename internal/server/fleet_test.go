@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lepton/internal/chunk"
+	"lepton/internal/core"
 	"lepton/internal/server"
 	"lepton/internal/store"
 )
@@ -575,7 +576,7 @@ func TestRemoteStoreOverFleet(t *testing.T) {
 	// the chunk back.
 	data2 := gen(t, 731, 384, 288)
 	pre, err := chunk.CompressCtx(context.Background(), data2,
-		chunk.Options{ChunkSize: r.ChunkSize, VerifyRoundtrip: true})
+		chunk.Options{ChunkSize: r.ChunkSize, VerifyRoundtrip: true, Codec: core.NewCodec()})
 	if err != nil {
 		t.Fatal(err)
 	}

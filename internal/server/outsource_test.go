@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"lepton/internal/core"
 	"lepton/internal/server"
 )
 
@@ -80,7 +79,7 @@ func compressN(t *testing.T, addr string, data []byte, n int) {
 		if err != nil {
 			t.Fatalf("compress %d: %v", i, err)
 		}
-		if back, err := core.Decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+		if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
 			t.Fatalf("compress %d: round trip mismatch (%v)", i, err)
 		}
 	}
@@ -135,7 +134,7 @@ func TestOutsourcedCompressNotReoutsourced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, err := core.Decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+	if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("outsourced round trip mismatch (%v)", err)
 	}
 	if got := a.Stats.Outsourced.Load(); got != 1 {

@@ -27,6 +27,16 @@ func gen(t testing.TB, seed int64, w, h int) []byte {
 	return data
 }
 
+// encode and decode convert locally on a fresh codec, the reference the
+// server's responses are checked against.
+func encode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
+	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
+}
+
+func decode(comp []byte, memBudget int64) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+}
+
 func startServer(t *testing.T, addr string, b *server.Blockserver) string {
 	t.Helper()
 	bound, err := server.ListenAndServe(addr, b)
@@ -90,7 +100,7 @@ func TestTCPCompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.Decode(comp, 0)
+	back, err := decode(comp, 0)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatal("TCP compress result undecodable")
 	}
@@ -104,7 +114,7 @@ func TestUnsupportedInputGetsRawContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.Decode(comp, 0)
+	back, err := decode(comp, 0)
 	if err != nil || !bytes.Equal(back, payload) {
 		t.Fatal("raw fallback mismatch")
 	}
@@ -141,7 +151,7 @@ func TestHalfCloseOneShotRequest(t *testing.T) {
 	if err != nil || status != server.StatusOK {
 		t.Fatalf("status %d, err %v", status, err)
 	}
-	if back, err := core.Decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+	if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("round trip mismatch (%v)", err)
 	}
 	if _, _, err := server.ReadResponse(conn); !errors.Is(err, io.EOF) {
@@ -211,7 +221,7 @@ func TestStoreBackedOps(t *testing.T) {
 		t.Fatal("server-side store round trip mismatch")
 	}
 	// Client-side path.
-	res, err := core.Encode(raw, core.EncodeOptions{VerifyRoundtrip: true})
+	res, err := encode(raw, core.EncodeOptions{VerifyRoundtrip: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,7 @@ func TestStoreBackedOps(t *testing.T) {
 	if !bytes.Equal(cb, res.Compressed) {
 		t.Fatal("compressed chunk changed in store")
 	}
-	out, err := core.Decode(cb, 0)
+	out, err := decode(cb, 0)
 	if err != nil || !bytes.Equal(out, raw) {
 		t.Fatal("client-side decode mismatch")
 	}
@@ -399,7 +409,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 				errs <- fmt.Errorf("compress %d: %w", i, err)
 				return
 			}
-			back, err := core.Decode(comp, 0)
+			back, err := decode(comp, 0)
 			if err != nil || !bytes.Equal(back, data) {
 				errs <- fmt.Errorf("round trip %d failed (%v)", i, err)
 			}

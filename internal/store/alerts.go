@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 
@@ -121,11 +122,12 @@ func (q *TimeoutQueue) Drain() (verified, failed int) {
 	}
 	q.mu.Unlock()
 
+	codec := core.NewCodec()
 	for h, comp := range items {
 		ok := true
 		var first []byte
 		for i := 0; i < q.Rechecks && ok; i++ {
-			out, err := core.Decode(comp, 0)
+			out, err := codec.DecodeCtx(context.TODO(), comp, 0)
 			if err != nil {
 				q.pager.Page(Alarm{Kind: AlarmTimeoutExhausted, Chunk: h,
 					Detail: fmt.Sprintf("recheck %d: %v", i, err), SavedData: comp})
@@ -133,7 +135,7 @@ func (q *TimeoutQueue) Drain() (verified, failed int) {
 				break
 			}
 			var buf bytes.Buffer
-			if err := core.DecodeTo(&buf, comp, 0); err != nil || !bytes.Equal(buf.Bytes(), out) {
+			if err := codec.DecodeToCtx(context.TODO(), &buf, comp, 0); err != nil || !bytes.Equal(buf.Bytes(), out) {
 				q.pager.Page(Alarm{Kind: AlarmCrossCheckMismatch, Chunk: h,
 					Detail: "streaming and buffered decodes disagree", SavedData: comp})
 				ok = false
@@ -182,7 +184,7 @@ func (st *Store) Requalify(ref FileRef, want []byte, pager *Pager) int {
 			off = end
 			continue
 		}
-		out, err := core.Decode(comp, 0)
+		out, err := st.Codec.DecodeCtx(context.TODO(), comp, 0)
 		if err != nil {
 			pager.Page(Alarm{Kind: AlarmDecodeFailure, Chunk: h, Detail: err.Error(), SavedData: comp})
 			failures++

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestRequalifyCleanStore(t *testing.T) {
 	st := store.New()
 	st.ChunkSize = 16 << 10
 	data := gen(t, 22, 400, 300)
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRequalifyDetectsWrongPlaintext(t *testing.T) {
 	st := store.New()
 	st.ChunkSize = 16 << 10
 	data := gen(t, 23, 300, 200)
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}

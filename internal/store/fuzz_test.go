@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"testing"
 
@@ -23,11 +24,12 @@ var fuzzCodec = core.NewCodec()
 func fuzzSeedChunks(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
+	codec := core.NewCodec()
 	add := func(img []byte, err error) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		res, err := core.Encode(img, core.EncodeOptions{})
+		res, err := codec.EncodeCtx(context.Background(), img, core.EncodeOptions{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -56,9 +58,9 @@ func fuzzSeedChunks(tb testing.TB) [][]byte {
 }
 
 // FuzzStorePut feeds arbitrary bytes to the client-side-codec admission
-// path (PutCompressedChunk) and, when a chunk is admitted, requires the
+// path (PutCompressedChunkCtx) and, when a chunk is admitted, requires the
 // §5.7 invariants to hold: the hash is the content address, the stored
-// compressed bytes round-trip unchanged, and GetChunk returns exactly what
+// compressed bytes round-trip unchanged, and GetChunkCtx returns exactly what
 // a direct decode of the input produces. Nothing may panic or hang on
 // corrupt containers.
 func FuzzStorePut(f *testing.F) {
@@ -68,7 +70,7 @@ func FuzzStorePut(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := store.New()
 		st.Codec = fuzzCodec
-		h, err := st.PutCompressedChunk(data)
+		h, err := st.PutCompressedChunkCtx(context.Background(), data)
 		if err != nil {
 			// Rejected: nothing may be stored under the payload's content
 			// address (h is the zero Hash on error, so check the address a
@@ -85,7 +87,7 @@ func FuzzStorePut(f *testing.F) {
 		if !bytes.Equal(cb, data) {
 			t.Fatal("stored compressed bytes differ from the upload")
 		}
-		back, err := st.GetChunk(h)
+		back, err := st.GetChunkCtx(context.Background(), h)
 		if err != nil {
 			t.Fatalf("admitted chunk failed to decode on read: %v", err)
 		}

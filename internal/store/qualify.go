@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"lepton/internal/core"
@@ -60,16 +61,18 @@ func (q *QualReport) String() string {
 // and verify all three agree with the input.
 func Qualify(corpus [][]byte) *QualReport {
 	q := &QualReport{ByReason: map[jpeg.Reason]int{}}
+	codec := core.NewCodec()
+	ctx := context.TODO()
 	for _, data := range corpus {
 		q.Total++
-		res, err := core.Encode(data, core.EncodeOptions{VerifyRoundtrip: true})
+		res, err := codec.EncodeCtx(ctx, data, core.EncodeOptions{VerifyRoundtrip: true})
 		if err != nil {
 			q.ByReason[jpeg.ReasonOf(err)]++
 			continue
 		}
-		multi, err1 := core.Decode(res.Compressed, 0)
+		multi, err1 := codec.DecodeCtx(ctx, res.Compressed, 0)
 		var buf bytes.Buffer
-		err2 := core.DecodeTo(&buf, res.Compressed, 0)
+		err2 := codec.DecodeToCtx(ctx, &buf, res.Compressed, 0)
 		if err1 != nil || err2 != nil ||
 			!bytes.Equal(multi, data) || !bytes.Equal(buf.Bytes(), data) {
 			q.CrossCheckFailures++

@@ -90,7 +90,7 @@ type Remote struct {
 	// T moves chunks; typically a *server.Fleet.
 	T RemoteTransport
 	// Codec supplies pooled conversion state for local compress/decode;
-	// nil allocates per call.
+	// NewRemote sets a fresh one.
 	Codec *core.Codec
 	// Replication is R, the number of distinct nodes each chunk is placed
 	// on; 0 means min(2, nodes).
@@ -121,7 +121,7 @@ func NewRemote(t RemoteTransport, replication int) (*Remote, error) {
 	if replication > len(nodes) {
 		replication = len(nodes)
 	}
-	return &Remote{T: t, Replication: replication, ring: newHashRing(nodes)}, nil
+	return &Remote{T: t, Codec: core.NewCodec(), Replication: replication, ring: newHashRing(nodes)}, nil
 }
 
 // Placement returns the R distinct node addresses that should hold h, in
@@ -415,7 +415,7 @@ func (r *Remote) PutFile(ctx context.Context, data []byte) (FileRef, error) {
 		if ctx.Err() != nil {
 			return FileRef{}, ctx.Err()
 		}
-		comp = rawChunksOf(data, size)
+		comp = rawChunksOf(data, size, r.Codec)
 	}
 	ref := FileRef{Size: int64(len(data)), Chunks: make([]Hash, len(comp))}
 	err = forEachChunk(ctx, len(comp), func(ctx context.Context, k int) error {

@@ -191,9 +191,8 @@ type Store struct {
 	// ChunkSize for splitting files; 0 means the 4-MiB default.
 	ChunkSize int
 
-	// Codec, when non-nil, supplies pooled conversion state shared across
-	// puts and gets — a store embedded in a long-lived server passes the
-	// server's codec here.
+	// Codec supplies pooled conversion state shared across puts and gets.
+	// New and NewWithBackend set a fresh one; a caller may share its own.
 	Codec *core.Codec
 
 	// verify is the admission round-trip check; nil means Codec.VerifyCtx.
@@ -202,11 +201,11 @@ type Store struct {
 }
 
 // New returns an empty store over the in-memory backend.
-func New() *Store { return &Store{backend: NewMemBackend()} }
+func New() *Store { return NewWithBackend(NewMemBackend()) }
 
 // NewWithBackend returns a store over b — pass a *diskstore.Store for a
 // store that survives restarts.
-func NewWithBackend(b Backend) *Store { return &Store{backend: b} }
+func NewWithBackend(b Backend) *Store { return &Store{backend: b, Codec: core.NewCodec()} }
 
 // Backend returns the store's blob backend.
 func (st *Store) Backend() Backend { return st.backend }
@@ -247,23 +246,20 @@ func (st *Store) shutoff() bool {
 	return err == nil
 }
 
-// PutFile chunks, compresses, verifies, and admits a file. The admission
+// PutFileCtx chunks, compresses, verifies, and admits a file. The admission
 // loop is the one round-trip check: each chunk is checksummed, then
 // decoded and compared byte for byte with its input — once, before
 // anything is stored; the compressor is not asked to verify as well. If a
 // chunk of the Lepton path fails, the whole file is stored as raw
 // (deflate) chunks instead and RoundtripFailures counts it — the upload
 // never fails for codec reasons (§5.7).
-func (st *Store) PutFile(data []byte) (FileRef, error) {
-	return st.PutFileCtx(context.Background(), data)
-}
-
-// PutFileCtx is PutFile under a context: cancellation aborts the upload
-// between chunks and inside each chunk's encode or verify, and comes back
-// as ctx.Err() rather than falling through to the deflate path the way
-// codec rejections do. No FileRef is returned, but chunks admitted before
-// the cancellation remain stored — the store is content-addressed, so a
-// retried upload re-admits them under the same hashes.
+//
+// Cancellation aborts the upload between chunks and inside each chunk's
+// encode or verify, and comes back as ctx.Err() rather than falling
+// through to the deflate path the way codec rejections do. No FileRef is
+// returned, but chunks admitted before the cancellation remain stored —
+// the store is content-addressed, so a retried upload re-admits them under
+// the same hashes.
 func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 	size := st.ChunkSize
 	if size <= 0 {
@@ -294,7 +290,7 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 		}
 	}
 	if comp == nil {
-		comp = rawChunksOf(data, size)
+		comp = rawChunksOf(data, size, st.Codec)
 		var err error
 		if sums, err = st.verifyChunks(ctx, data, size, comp); err != nil {
 			if ctx.Err() != nil {
@@ -372,7 +368,7 @@ func isRawMode(cb []byte) bool {
 	return len(cb) >= 4 && cb[3] == core.ModeRaw
 }
 
-func rawChunksOf(data []byte, size int) [][]byte {
+func rawChunksOf(data []byte, size int, codec *core.Codec) [][]byte {
 	n := (len(data) + size - 1) / size
 	if n == 0 {
 		n = 1
@@ -381,7 +377,7 @@ func rawChunksOf(data []byte, size int) [][]byte {
 	for k := 0; k < n; k++ {
 		o0, o1 := chunkSpan(k, size, len(data))
 		c := &core.Container{Mode: core.ModeRaw, Raw: data[o0:o1], OutputSize: uint32(o1 - o0)}
-		b, err := c.Marshal()
+		b, err := codec.MarshalContainer(c)
 		if err != nil {
 			panic("store: raw container marshal cannot fail: " + err.Error())
 		}
@@ -390,18 +386,13 @@ func rawChunksOf(data []byte, size int) [][]byte {
 	return out
 }
 
-// PutCompressedChunk admits an already-compressed chunk, as uploaded by a
+// PutCompressedChunkCtx admits an already-compressed chunk, as uploaded by a
 // client running the codec locally (the paper's §7 future work: moving
 // compression to clients saves the 23% in network bandwidth too). The chunk
 // must prove decodable before admission; the caller is expected to have
-// verified the plaintext round trip on its side.
-func (st *Store) PutCompressedChunk(cb []byte) (Hash, error) {
-	return st.PutCompressedChunkCtx(context.Background(), cb)
-}
-
-// PutCompressedChunkCtx is PutCompressedChunk under a context; the
-// proof-of-decodability decode aborts on cancellation. The replica holds no
-// plaintext to compare with, so the proof is a full decode into io.Discard.
+// verified the plaintext round trip on its side. The replica holds no
+// plaintext to compare with, so the proof is a full decode into
+// io.Discard, which aborts on cancellation.
 func (st *Store) PutCompressedChunkCtx(ctx context.Context, cb []byte) (Hash, error) {
 	if !core.IsLepton(cb) {
 		return Hash{}, errors.New("store: not a Lepton container")
@@ -421,13 +412,8 @@ func (st *Store) PutCompressedChunkCtx(ctx context.Context, cb []byte) (Hash, er
 	return sum, nil
 }
 
-// GetChunk decompresses one stored chunk.
-func (st *Store) GetChunk(h Hash) ([]byte, error) {
-	return st.GetChunkCtx(context.Background(), h)
-}
-
-// GetChunkCtx is GetChunk under a context; the decode aborts mid-segment on
-// cancellation.
+// GetChunkCtx decompresses one stored chunk; the decode aborts mid-segment
+// on cancellation.
 func (st *Store) GetChunkCtx(ctx context.Context, h Hash) ([]byte, error) {
 	cb, ok, err := st.backend.Get(h)
 	if err != nil {
@@ -451,12 +437,8 @@ func (st *Store) GetCompressedChunk(h Hash) ([]byte, bool) {
 	return cb, ok
 }
 
-// GetFile reassembles a file from its reference.
-func (st *Store) GetFile(ref FileRef) ([]byte, error) {
-	return st.GetFileCtx(context.Background(), ref)
-}
-
-// GetFileCtx is GetFile under a context, checked chunk by chunk.
+// GetFileCtx reassembles a file from its reference, checking the context
+// chunk by chunk.
 func (st *Store) GetFileCtx(ctx context.Context, ref FileRef) ([]byte, error) {
 	out := make([]byte, 0, ref.Size)
 	for _, h := range ref.Chunks {

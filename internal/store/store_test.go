@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,14 +25,14 @@ func TestPutGetFile(t *testing.T) {
 	st := store.New()
 	st.ChunkSize = 8 << 10
 	data := gen(t, 1, 512, 384)
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.Chunks) != (len(data)+8<<10-1)/(8<<10) {
 		t.Fatalf("%d chunks for %d bytes", len(ref.Chunks), len(data))
 	}
-	back, err := st.GetFile(ref)
+	back, err := st.GetFileCtx(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestNonJPEGFallsBackToDeflate(t *testing.T) {
 	st.ChunkSize = 16 << 10
 	data := make([]byte, 40<<10)
 	rand.New(rand.NewSource(2)).Read(data)
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := st.GetFile(ref)
+	back, err := st.GetFileCtx(context.Background(), ref)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("fallback roundtrip failed: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestShutoffSwitch(t *testing.T) {
 	data := gen(t, 3, 256, 256)
 
 	// No shutoff file: Lepton used.
-	if _, err := st.PutFile(data); err != nil {
+	if _, err := st.PutFileCtx(context.Background(), data); err != nil {
 		t.Fatal(err)
 	}
 	if st.Counters().LeptonChunks == 0 {
@@ -89,7 +90,7 @@ func TestShutoffSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.Counters().LeptonChunks
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestShutoffSwitch(t *testing.T) {
 		t.Fatal("shutoff skip not counted")
 	}
 	// Data must still be retrievable.
-	back, err := st.GetFile(ref)
+	back, err := st.GetFileCtx(context.Background(), ref)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatal("post-shutoff file corrupted")
 	}
@@ -113,7 +114,7 @@ func TestSafetyNetReceivesUploads(t *testing.T) {
 	net := store.NewMemSafetyNet()
 	st.Net = net
 	data := gen(t, 4, 300, 200)
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,12 @@ func TestSafetyNetOutageDegradesUploads(t *testing.T) {
 	net := store.NewMemSafetyNet()
 	net.FailPuts.Store(true)
 	st.Net = net
-	if _, err := st.PutFile(gen(t, 5, 64, 64)); err == nil {
+	if _, err := st.PutFileCtx(context.Background(), gen(t, 5, 64, 64)); err == nil {
 		t.Fatal("expected upload failure during safety net outage")
 	}
 	// Removing the safety net restores availability.
 	st.Net = nil
-	if _, err := st.PutFile(gen(t, 5, 64, 64)); err != nil {
+	if _, err := st.PutFileCtx(context.Background(), gen(t, 5, 64, 64)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +179,7 @@ func TestQualify(t *testing.T) {
 
 func TestGetUnknownChunk(t *testing.T) {
 	st := store.New()
-	if _, err := st.GetChunk(store.Hash{1, 2, 3}); err == nil {
+	if _, err := st.GetChunkCtx(context.Background(), store.Hash{1, 2, 3}); err == nil {
 		t.Fatal("expected error for unknown chunk")
 	}
 }

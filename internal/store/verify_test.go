@@ -35,7 +35,7 @@ func verifyTestJPEG(t *testing.T) []byte {
 
 func mustGetFile(t *testing.T, st *Store, ref FileRef, want []byte) {
 	t.Helper()
-	back, err := st.GetFile(ref)
+	back, err := st.GetFileCtx(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPutFileVerifiesEachChunkOnce(t *testing.T) {
 	countingVerify(st, calls, nil)
 	data := verifyTestJPEG(t)
 
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPutFileLeptonVerifyFailureStoresRaw(t *testing.T) {
 	})
 	data := verifyTestJPEG(t)
 
-	ref, err := st.PutFile(data)
+	ref, err := st.PutFileCtx(context.Background(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPutFileRawVerifyFailureIsError(t *testing.T) {
 	}
 	countingVerify(st, map[Hash]int{}, func([]byte) bool { return true })
 
-	if _, err := st.PutFile(verifyTestJPEG(t)); err == nil {
+	if _, err := st.PutFileCtx(context.Background(), verifyTestJPEG(t)); err == nil {
 		t.Fatal("PutFile succeeded though every raw chunk failed admission")
 	}
 	if c := st.Counters(); st.Len() != 0 || c.RoundtripFailures != 0 {

@@ -31,17 +31,16 @@
 //
 //	codec := lepton.NewCodec()
 //	for _, f := range files {
-//		res, err := codec.Compress(f, nil) // identical output, far fewer allocations
+//		res, err := codec.CompressCtx(ctx, f, nil) // identical output, far fewer allocations
 //		...
 //	}
 //
-// The package-level functions are thin wrappers over one shared default
-// codec.
+// Compress and Decompress are one-shot conveniences over one shared
+// default codec.
 //
-// # Contexts (API v2)
+// # Contexts
 //
-// Every conversion has a context-taking form — CompressCtx, DecompressCtx,
-// CompressChunksFromCtx, and so on — and the codec observes cancellation
+// Every Codec method takes a context, and the codec observes cancellation
 // mid-conversion, at every block row of every thread segment, not just
 // between requests. A server whose client disconnects, or whose deadline
 // expires, stops burning CPU within one row checkpoint and gets ctx.Err()
@@ -52,9 +51,6 @@
 //	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 //	defer cancel()
 //	res, err := codec.CompressCtx(ctx, jpegBytes, nil)
-//
-// The non-ctx methods are kept as thin context.Background() wrappers, so
-// existing callers compile unchanged.
 //
 // # Storage
 //
@@ -143,8 +139,8 @@ type Options struct {
 	// model for the 4th color channel" — likewise off in production.
 	AllowCMYK bool
 	// DisableSeekIndex omits the per-MCU-row seek index normally appended
-	// to baseline containers. Without it DecompressRange falls back to a
-	// full decode; the container reproduces the pre-index format byte for
+	// to baseline containers. Without it DecompressRangeCtx falls back to
+	// a full decode; the container reproduces the pre-index format byte for
 	// byte.
 	DisableSeekIndex bool
 }
@@ -194,8 +190,8 @@ type Result struct {
 // that dominate a conversion's allocations, so a long-lived codec serving
 // many files reuses that memory instead of re-allocating it per call — the
 // shape of the paper's blockserver deployment, where per-request memory
-// was the binding constraint (§6.2). Output is byte-identical to the
-// one-shot package functions. A Codec is safe for concurrent use.
+// was the binding constraint (§6.2). Output is byte-identical whatever the
+// codec served before. A Codec is safe for concurrent use.
 type Codec struct {
 	core *core.Codec
 }
@@ -214,14 +210,9 @@ func CoeffMemStats() (inUse, peak int64) { return core.CoeffMemStats() }
 // a monitoring interval boundary.
 func ResetCoeffMemPeak() { core.ResetCoeffMemPeak() }
 
-// defaultCodec backs the package-level convenience functions, so even
-// casual callers get steady-state pooling.
+// defaultCodec backs Compress, Decompress, and stores opened without a
+// codec, so even casual callers get steady-state pooling.
 var defaultCodec = NewCodec()
-
-// Compress compresses one whole baseline JPEG file. opts may be nil.
-func (c *Codec) Compress(data []byte, opts *Options) (*Result, error) {
-	return c.CompressCtx(context.Background(), data, opts)
-}
 
 // CompressCtx compresses one whole baseline JPEG file under a context.
 // Cancellation is observed mid-conversion — every thread segment checks the
@@ -244,36 +235,10 @@ func (c *Codec) CompressCtx(ctx context.Context, data []byte, opts *Options) (*R
 	}, nil
 }
 
-// CompressTo compresses data and writes the container to w, returning the
-// accounting Result with Compressed left nil.
-func (c *Codec) CompressTo(w io.Writer, data []byte, opts *Options) (*Result, error) {
-	return c.CompressToCtx(context.Background(), w, data, opts)
-}
-
-// CompressToCtx is CompressTo under a context (see CompressCtx).
-func (c *Codec) CompressToCtx(ctx context.Context, w io.Writer, data []byte, opts *Options) (*Result, error) {
-	res, err := c.core.EncodeToCtx(ctx, w, data, opts.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Threads:           res.Segments,
-		ClassBits:         res.ClassBits,
-		OriginalClassBits: res.OriginalClassBits,
-		HeaderOriginal:    res.HeaderOriginal,
-		ContainerOverhead: res.HeaderCompressed,
-	}, nil
-}
-
-// Decompress reconstructs the exact original bytes of a compressed file or
-// chunk. A payload without the Lepton magic is rejected with an error
-// wrapping ErrNotLepton.
-func (c *Codec) Decompress(comp []byte) ([]byte, error) {
-	return c.DecompressCtx(context.Background(), comp)
-}
-
-// DecompressCtx is Decompress under a context: cancellation aborts the
-// arithmetic decode at the next block-row checkpoint in every segment.
+// DecompressCtx reconstructs the exact original bytes of a compressed file
+// or chunk. A payload without the Lepton magic is rejected with an error
+// wrapping ErrNotLepton. Cancellation aborts the arithmetic decode at the
+// next block-row checkpoint in every segment.
 func (c *Codec) DecompressCtx(ctx context.Context, comp []byte) ([]byte, error) {
 	if err := checkMagic(comp); err != nil {
 		return nil, err
@@ -281,14 +246,10 @@ func (c *Codec) DecompressCtx(ctx context.Context, comp []byte) ([]byte, error) 
 	return c.core.DecodeCtx(ctx, comp, 0)
 }
 
-// DecompressTo streams the reconstruction to w with low time-to-first-byte:
-// output is written segment by segment as decoding completes (§3.4).
-func (c *Codec) DecompressTo(w io.Writer, comp []byte) error {
-	return c.DecompressToCtx(context.Background(), w, comp)
-}
-
-// DecompressToCtx is DecompressTo under a context. A cancelled decode may
-// already have streamed part of the reconstruction into w.
+// DecompressToCtx streams the reconstruction to w with low
+// time-to-first-byte: output is written segment by segment as decoding
+// completes (§3.4). A cancelled decode may already have streamed part of
+// the reconstruction into w.
 func (c *Codec) DecompressToCtx(ctx context.Context, w io.Writer, comp []byte) error {
 	if err := checkMagic(comp); err != nil {
 		return err
@@ -296,8 +257,8 @@ func (c *Codec) DecompressToCtx(ctx context.Context, w io.Writer, comp []byte) e
 	return c.core.DecodeToCtx(ctx, w, comp, 0)
 }
 
-// DecompressRange reconstructs exactly the byte range [off, off+n) of the
-// original file — clamped to the file size — without decoding the rest.
+// DecompressRangeCtx reconstructs exactly the byte range [off, off+n) of
+// the original file — clamped to the file size — without decoding the rest.
 // Baseline containers carry a per-MCU-row seek index (see Options.
 // DisableSeekIndex), so a small read out of a large file costs roughly one
 // thread segment of arithmetic decoding: header and trailer bytes come
@@ -306,11 +267,6 @@ func (c *Codec) DecompressToCtx(ctx context.Context, w io.Writer, comp []byte) e
 // containers without an index, are served by a full decode that discards
 // the bytes outside the range — always correct, only slower (the causes
 // are counted in RangeStats).
-func (c *Codec) DecompressRange(comp []byte, off, n int64) ([]byte, error) {
-	return c.DecompressRangeCtx(context.Background(), comp, off, n)
-}
-
-// DecompressRangeCtx is DecompressRange under a context.
 func (c *Codec) DecompressRangeCtx(ctx context.Context, comp []byte, off, n int64) ([]byte, error) {
 	if err := checkMagic(comp); err != nil {
 		return nil, err
@@ -318,28 +274,9 @@ func (c *Codec) DecompressRangeCtx(ctx context.Context, comp []byte, off, n int6
 	return c.core.DecodeRangeCtx(ctx, comp, off, n, 0)
 }
 
-// DecompressRangeTo streams the byte range [off, off+n) of the original
-// file into w and returns how many bytes it wrote (RangeLength predicts
-// it).
-func (c *Codec) DecompressRangeTo(w io.Writer, comp []byte, off, n int64) (int64, error) {
-	return c.DecompressRangeToCtx(context.Background(), w, comp, off, n)
-}
-
-// DecompressRangeToCtx is DecompressRangeTo under a context.
-func (c *Codec) DecompressRangeToCtx(ctx context.Context, w io.Writer, comp []byte, off, n int64) (int64, error) {
-	if err := checkMagic(comp); err != nil {
-		return 0, err
-	}
-	return c.core.DecodeRangeToCtx(ctx, w, comp, off, n, 0)
-}
-
-// Verify round-trips data through compress and decompress and reports
-// whether the reconstruction is exact (§5.7 admission control).
-func (c *Codec) Verify(data []byte, opts *Options) error {
-	return c.VerifyCtx(context.Background(), data, opts)
-}
-
-// VerifyCtx is Verify under a context.
+// VerifyCtx round-trips data through compress and decompress and reports
+// whether the reconstruction is exact. It is the admission check production
+// ran before accepting any chunk into storage (§5.7).
 func (c *Codec) VerifyCtx(ctx context.Context, data []byte, opts *Options) error {
 	o := &Options{}
 	if opts != nil {
@@ -363,47 +300,19 @@ func checkMagic(comp []byte) error {
 // Compress compresses one whole baseline JPEG file via the default codec.
 // opts may be nil.
 func Compress(data []byte, opts *Options) (*Result, error) {
-	return defaultCodec.Compress(data, opts)
-}
-
-// CompressCtx compresses via the default codec under a context.
-func CompressCtx(ctx context.Context, data []byte, opts *Options) (*Result, error) {
-	return defaultCodec.CompressCtx(ctx, data, opts)
+	return defaultCodec.CompressCtx(context.Background(), data, opts)
 }
 
 // Decompress reconstructs the exact original bytes of a compressed file or
-// chunk. A payload without the Lepton magic is rejected with an error
-// wrapping ErrNotLepton.
+// chunk via the default codec. A payload without the Lepton magic is
+// rejected with an error wrapping ErrNotLepton.
 func Decompress(comp []byte) ([]byte, error) {
-	return defaultCodec.Decompress(comp)
+	return defaultCodec.DecompressCtx(context.Background(), comp)
 }
 
-// DecompressCtx decompresses via the default codec under a context.
-func DecompressCtx(ctx context.Context, comp []byte) ([]byte, error) {
-	return defaultCodec.DecompressCtx(ctx, comp)
-}
-
-// DecompressTo streams the reconstruction to w with low time-to-first-byte:
-// output is written segment by segment as decoding completes (§3.4).
-func DecompressTo(w io.Writer, comp []byte) error {
-	return defaultCodec.DecompressTo(w, comp)
-}
-
-// DecompressRange reconstructs exactly the byte range [off, off+n) of the
-// original file via the default codec; see Codec.DecompressRange.
-func DecompressRange(comp []byte, off, n int64) ([]byte, error) {
-	return defaultCodec.DecompressRange(comp, off, n)
-}
-
-// DecompressRangeCtx decompresses a byte range via the default codec under
-// a context.
-func DecompressRangeCtx(ctx context.Context, comp []byte, off, n int64) ([]byte, error) {
-	return defaultCodec.DecompressRangeCtx(ctx, comp, off, n)
-}
-
-// RangeLength returns how many bytes DecompressRange(comp, off, n) will
-// produce — the clamp of [off, off+n) to the decompressed size — without
-// decoding anything.
+// RangeLength returns how many bytes DecompressRangeCtx(ctx, comp, off, n)
+// will produce — the clamp of [off, off+n) to the decompressed size —
+// without decoding anything.
 func RangeLength(comp []byte, off, n int64) (int64, error) {
 	if err := checkMagic(comp); err != nil {
 		return 0, err
@@ -415,12 +324,6 @@ func RangeLength(comp []byte, off, n int64) (int64, error) {
 // requests served, indexed fast-path hits, fallbacks to full decode split
 // by cause, and thread segments decoded by the fast path.
 func RangeStats() map[string]int64 { return core.RangeStats() }
-
-// DecompressToCtx streams the reconstruction via the default codec under a
-// context.
-func DecompressToCtx(ctx context.Context, w io.Writer, comp []byte) error {
-	return defaultCodec.DecompressToCtx(ctx, w, comp)
-}
 
 // IsCompressed reports whether data begins with the Lepton magic number
 // (0xCF 0x84, A.1).
@@ -438,8 +341,8 @@ type ChunkOptions struct {
 	Verify bool
 	// Threads forces the per-chunk segment count; 0 selects by size.
 	Threads int
-	// BufferLimit bounds how much of a stream CompressChunksFrom holds in
-	// memory; 0 means the deployed encode budget. Larger streams are
+	// BufferLimit bounds how much of a stream CompressChunksFromCtx holds
+	// in memory; 0 means the deployed encode budget. Larger streams are
 	// chunk-compressed incrementally in raw mode with O(ChunkSize) memory.
 	BufferLimit int64
 	// DisableSeekIndex omits the per-chunk seek index (see
@@ -459,76 +362,29 @@ func (o *ChunkOptions) chunkOptions(c *core.Codec) chunk.Options {
 	return co
 }
 
-// CompressChunks splits data at fixed chunk boundaries and compresses each
-// chunk independently. Any chunk — including chunks beginning mid-scan or
-// mid-Huffman-symbol — can later be decompressed on its own with
-// Decompress/DecompressChunk. Inputs Lepton cannot handle come back as
-// deflate-compressed raw chunks rather than an error.
-func (c *Codec) CompressChunks(data []byte, opts *ChunkOptions) ([][]byte, error) {
-	return c.CompressChunksCtx(context.Background(), data, opts)
-}
-
-// CompressChunksCtx is CompressChunks under a context, checked between
-// chunks and inside every chunk's segment encode.
+// CompressChunksCtx splits data at fixed chunk boundaries and compresses
+// each chunk independently. Any chunk — including chunks beginning
+// mid-scan or mid-Huffman-symbol — can later be decompressed on its own
+// with DecompressCtx. Inputs Lepton cannot handle come back as
+// deflate-compressed raw chunks rather than an error. The context is
+// checked between chunks and inside every chunk's segment encode.
 func (c *Codec) CompressChunksCtx(ctx context.Context, data []byte, opts *ChunkOptions) ([][]byte, error) {
 	return chunk.CompressCtx(ctx, data, opts.chunkOptions(c.core))
 }
 
-// CompressChunksFrom chunk-compresses the stream r incrementally, calling
-// emit with each finished chunk in order, so a file need not be held in
-// memory whole: streams within the buffer limit produce output identical
-// to CompressChunks, and larger streams — beyond the encoder's memory
-// admission budget anyway — deflate through in constant space.
-func (c *Codec) CompressChunksFrom(r io.Reader, opts *ChunkOptions, emit func(chunk []byte) error) error {
-	return c.CompressChunksFromCtx(context.Background(), r, opts, emit)
-}
-
-// CompressChunksFromCtx is CompressChunksFrom under a context, checked
-// before each chunk is read, compressed, and emitted.
+// CompressChunksFromCtx chunk-compresses the stream r incrementally,
+// calling emit with each finished chunk in order, so a file need not be
+// held in memory whole: streams within the buffer limit produce output
+// identical to CompressChunksCtx, and larger streams — beyond the
+// encoder's memory admission budget anyway — deflate through in constant
+// space. The context is checked before each chunk is read, compressed, and
+// emitted.
 func (c *Codec) CompressChunksFromCtx(ctx context.Context, r io.Reader, opts *ChunkOptions, emit func(chunk []byte) error) error {
 	return chunk.CompressFromCtx(ctx, r, opts.chunkOptions(c.core), emit)
 }
 
-// DecompressChunk reconstructs one chunk's original bytes, independently of
-// every other chunk. A payload without the Lepton magic is rejected with an
-// error wrapping ErrNotLepton.
-func (c *Codec) DecompressChunk(chunkData []byte) ([]byte, error) {
-	return c.DecompressChunkCtx(context.Background(), chunkData)
-}
-
-// DecompressChunkCtx is DecompressChunk under a context.
-func (c *Codec) DecompressChunkCtx(ctx context.Context, chunkData []byte) ([]byte, error) {
-	if err := checkMagic(chunkData); err != nil {
-		return nil, err
-	}
-	return c.core.DecodeCtx(ctx, chunkData, 0)
-}
-
-// CompressChunks splits data into independently decompressible chunks via
-// the default codec.
-func CompressChunks(data []byte, opts *ChunkOptions) ([][]byte, error) {
-	return defaultCodec.CompressChunks(data, opts)
-}
-
-// CompressChunksFrom streams chunked compression via the default codec.
-func CompressChunksFrom(r io.Reader, opts *ChunkOptions, emit func(chunk []byte) error) error {
-	return defaultCodec.CompressChunksFrom(r, opts, emit)
-}
-
-// DecompressChunk reconstructs one chunk's original bytes, independently of
-// every other chunk.
-func DecompressChunk(chunkData []byte) ([]byte, error) {
-	return defaultCodec.DecompressChunk(chunkData)
-}
-
-// ReassembleChunks decompresses a chunk sequence and concatenates the
-// results into the original file.
-func (c *Codec) ReassembleChunks(chunks [][]byte) ([]byte, error) {
-	return c.ReassembleChunksCtx(context.Background(), chunks)
-}
-
-// ReassembleChunksCtx is ReassembleChunks under a context, checked per
-// chunk.
+// ReassembleChunksCtx decompresses a chunk sequence and concatenates the
+// results into the original file, checking the context per chunk.
 func (c *Codec) ReassembleChunksCtx(ctx context.Context, chunks [][]byte) ([]byte, error) {
 	for i, ch := range chunks {
 		if err := checkMagic(ch); err != nil {
@@ -538,19 +394,7 @@ func (c *Codec) ReassembleChunksCtx(ctx context.Context, chunks [][]byte) ([]byt
 	return chunk.ReassembleCtx(ctx, c.core, chunks)
 }
 
-// ReassembleChunks decompresses a chunk sequence via the default codec.
-func ReassembleChunks(chunks [][]byte) ([]byte, error) {
-	return defaultCodec.ReassembleChunks(chunks)
-}
-
-// Verify round-trips data through compress and decompress and reports
-// whether the reconstruction is exact. It is the admission check production
-// ran before accepting any chunk into storage (§5.7).
-func Verify(data []byte, opts *Options) error {
-	return defaultCodec.Verify(data, opts)
-}
-
 // ErrNotLepton is returned (wrapped, errors.Is-able) by Decompress,
-// DecompressTo, DecompressChunk, and ReassembleChunks — and their Ctx
-// variants — when a payload lacks the Lepton magic (0xCF 0x84).
+// DecompressCtx, DecompressToCtx, DecompressRangeCtx, ReassembleChunksCtx,
+// and RangeLength when a payload lacks the Lepton magic (0xCF 0x84).
 var ErrNotLepton = errors.New("lepton: not a Lepton container")

@@ -23,21 +23,24 @@ func TestDecompressRejectsNonLepton(t *testing.T) {
 		[]byte("definitely not a lepton container"),
 		{0xFF, 0xD8, 0xFF, 0xE0}, // a JPEG, not a Lepton container
 	}
+	codec := lepton.NewCodec()
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		call func(payload []byte) error
+	}{
+		{"Decompress", func(p []byte) error { _, err := lepton.Decompress(p); return err }},
+		{"Codec.DecompressCtx", func(p []byte) error { _, err := codec.DecompressCtx(ctx, p); return err }},
+		{"Codec.DecompressToCtx", func(p []byte) error { return codec.DecompressToCtx(ctx, io.Discard, p) }},
+		{"Codec.DecompressRangeCtx", func(p []byte) error { _, err := codec.DecompressRangeCtx(ctx, p, 0, 16); return err }},
+		{"Codec.ReassembleChunksCtx", func(p []byte) error { _, err := codec.ReassembleChunksCtx(ctx, [][]byte{p}); return err }},
+		{"RangeLength", func(p []byte) error { _, err := lepton.RangeLength(p, 0, 16); return err }},
+	}
 	for _, payload := range junk {
-		if _, err := lepton.Decompress(payload); !errors.Is(err, lepton.ErrNotLepton) {
-			t.Errorf("Decompress(%q): err = %v, want ErrNotLepton", payload, err)
-		}
-		if _, err := lepton.DecompressChunk(payload); !errors.Is(err, lepton.ErrNotLepton) {
-			t.Errorf("DecompressChunk(%q): err = %v, want ErrNotLepton", payload, err)
-		}
-		if err := lepton.DecompressTo(io.Discard, payload); !errors.Is(err, lepton.ErrNotLepton) {
-			t.Errorf("DecompressTo(%q): err = %v, want ErrNotLepton", payload, err)
-		}
-		if _, err := lepton.DecompressCtx(context.Background(), payload); !errors.Is(err, lepton.ErrNotLepton) {
-			t.Errorf("DecompressCtx(%q): err = %v, want ErrNotLepton", payload, err)
-		}
-		if _, err := lepton.ReassembleChunks([][]byte{payload}); !errors.Is(err, lepton.ErrNotLepton) {
-			t.Errorf("ReassembleChunks(%q): err = %v, want ErrNotLepton", payload, err)
+		for _, e := range entries {
+			if err := e.call(payload); !errors.Is(err, lepton.ErrNotLepton) {
+				t.Errorf("%s(%q): err = %v, want ErrNotLepton", e.name, payload, err)
+			}
 		}
 	}
 
@@ -66,12 +69,13 @@ func TestCompressCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lepton.CompressCtx(ctx, data, nil); !errors.Is(err, context.Canceled) {
+	codec := lepton.NewCodec()
+	if _, err := codec.CompressCtx(ctx, data, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CompressCtx on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := lepton.CompressCtx(ctx2, data, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := codec.CompressCtx(ctx2, data, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CompressCtx on expired ctx: err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -100,7 +104,7 @@ func TestCompressCtxCancelMidEncode(t *testing.T) {
 	// Baseline on this codec: warms the pools and calibrates the timing
 	// bound against this machine (and the race detector's slowdown).
 	start := time.Now()
-	res, err := codec.Compress(data, nil)
+	res, err := codec.CompressCtx(context.Background(), data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +147,7 @@ func TestCompressCtxCancelMidEncode(t *testing.T) {
 	// Pool non-poisoning: the interrupted codec must still produce
 	// byte-identical output.
 	for i := 0; i < 2; i++ {
-		res, err := codec.Compress(data, nil)
+		res, err := codec.CompressCtx(context.Background(), data, nil)
 		if err != nil {
 			t.Fatalf("compress after cancellation: %v", err)
 		}
@@ -167,7 +171,7 @@ func TestDecompressCtxCancelMidDecode(t *testing.T) {
 
 	codec := lepton.NewCodec()
 	start := time.Now()
-	back, err := codec.Decompress(res.Compressed)
+	back, err := codec.DecompressCtx(context.Background(), res.Compressed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +201,7 @@ func TestDecompressCtxCancelMidDecode(t *testing.T) {
 		t.Fatal("could not cancel mid-decode in 5 attempts")
 	}
 
-	back, err = codec.Decompress(res.Compressed)
+	back, err = codec.DecompressCtx(context.Background(), res.Compressed)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("decode after cancellation broken: %v", err)
 	}

@@ -2,6 +2,7 @@ package lepton_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"lepton"
@@ -62,7 +63,7 @@ func TestPublicStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := lepton.DecompressTo(&buf, res.Compressed); err != nil {
+	if err := lepton.NewCodec().DecompressToCtx(context.Background(), &buf, res.Compressed); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), data) {
@@ -72,11 +73,13 @@ func TestPublicStreaming(t *testing.T) {
 
 func TestPublicChunks(t *testing.T) {
 	data := gen(t, 4, 512, 384)
-	chunks, err := lepton.CompressChunks(data, &lepton.ChunkOptions{ChunkSize: 8 << 10, Verify: true})
+	codec := lepton.NewCodec()
+	ctx := context.Background()
+	chunks, err := codec.CompressChunksCtx(ctx, data, &lepton.ChunkOptions{ChunkSize: 8 << 10, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := lepton.ReassembleChunks(chunks)
+	back, err := codec.ReassembleChunksCtx(ctx, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestPublicChunks(t *testing.T) {
 		t.Fatal("chunk reassembly mismatch")
 	}
 	// One chunk alone.
-	one, err := lepton.DecompressChunk(chunks[1])
+	one, err := lepton.Decompress(chunks[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestPublicChunks(t *testing.T) {
 
 func TestPublicVerify(t *testing.T) {
 	data := gen(t, 5, 128, 128)
-	if err := lepton.Verify(data, nil); err != nil {
+	if err := lepton.NewCodec().VerifyCtx(context.Background(), data, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,6 +211,7 @@ func TestPublicCodecReuse(t *testing.T) {
 	// (default-codec) path byte for byte, and reuse must never leak state
 	// between conversions.
 	codec := lepton.NewCodec()
+	ctx := context.Background()
 	for round := 0; round < 2; round++ {
 		for seed := int64(11); seed <= 14; seed++ {
 			data := gen(t, seed, 200+int(seed)*8, 160)
@@ -215,14 +219,14 @@ func TestPublicCodecReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := codec.Compress(data, nil)
+			got, err := codec.CompressCtx(ctx, data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Compressed, want.Compressed) {
 				t.Fatalf("seed %d: codec output differs from package-level path", seed)
 			}
-			back, err := codec.Decompress(got.Compressed)
+			back, err := codec.DecompressCtx(ctx, got.Compressed)
 			if err != nil || !bytes.Equal(back, data) {
 				t.Fatalf("seed %d: codec round trip failed (%v)", seed, err)
 			}
@@ -230,35 +234,16 @@ func TestPublicCodecReuse(t *testing.T) {
 	}
 }
 
-func TestPublicCompressTo(t *testing.T) {
-	codec := lepton.NewCodec()
-	data := gen(t, 21, 256, 192)
-	want, err := codec.Compress(data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	res, err := codec.CompressTo(&buf, data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Compressed != nil {
-		t.Fatal("CompressTo must not retain the container")
-	}
-	if !bytes.Equal(buf.Bytes(), want.Compressed) {
-		t.Fatal("CompressTo bytes differ from Compress")
-	}
-}
-
 func TestPublicCompressChunksFrom(t *testing.T) {
 	codec := lepton.NewCodec()
+	ctx := context.Background()
 	data := gen(t, 22, 512, 384)
-	want, err := codec.CompressChunks(data, &lepton.ChunkOptions{ChunkSize: 32 << 10})
+	want, err := codec.CompressChunksCtx(ctx, data, &lepton.ChunkOptions{ChunkSize: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	err = codec.CompressChunksFrom(bytes.NewReader(data),
+	err = codec.CompressChunksFromCtx(ctx, bytes.NewReader(data),
 		&lepton.ChunkOptions{ChunkSize: 32 << 10},
 		func(c []byte) error {
 			got = append(got, c)
@@ -275,7 +260,7 @@ func TestPublicCompressChunksFrom(t *testing.T) {
 			t.Fatalf("chunk %d differs between streaming and in-memory paths", i)
 		}
 	}
-	back, err := lepton.ReassembleChunks(got)
+	back, err := codec.ReassembleChunksCtx(ctx, got)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("reassembly failed (%v)", err)
 	}

@@ -2,6 +2,7 @@ package lepton_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,13 +43,17 @@ func goldenInput(t testing.TB, name string, seed int64, w, h int) ([]byte, *lept
 	return data, opt
 }
 
-// checkRange asserts DecompressRange(comp, off, n) equals the matching
+// rangeCodec serves every checkRange read, so the differential also runs
+// across a codec whose pools carry state from earlier reads.
+var rangeCodec = lepton.NewCodec()
+
+// checkRange asserts DecompressRangeCtx(comp, off, n) equals the matching
 // slice of the full reconstruction.
 func checkRange(t *testing.T, comp, full []byte, off, n int64) {
 	t.Helper()
-	got, err := lepton.DecompressRange(comp, off, n)
+	got, err := rangeCodec.DecompressRangeCtx(context.Background(), comp, off, n)
 	if err != nil {
-		t.Fatalf("DecompressRange(off=%d n=%d): %v", off, n, err)
+		t.Fatalf("DecompressRangeCtx(off=%d n=%d): %v", off, n, err)
 	}
 	size := int64(len(full))
 	a, z := off, off+n
@@ -62,7 +67,7 @@ func checkRange(t *testing.T, comp, full []byte, off, n int64) {
 		z = a
 	}
 	if !bytes.Equal(got, full[a:z]) {
-		t.Fatalf("DecompressRange(off=%d n=%d): %d bytes differ from full-decode slice (first diff %d)",
+		t.Fatalf("DecompressRangeCtx(off=%d n=%d): %d bytes differ from full-decode slice (first diff %d)",
 			off, n, len(got), firstDiff(got, full[a:z]))
 	}
 	wantN, err := lepton.RangeLength(comp, off, n)
@@ -70,7 +75,7 @@ func checkRange(t *testing.T, comp, full []byte, off, n int64) {
 		t.Fatalf("RangeLength(off=%d n=%d): %v", off, n, err)
 	}
 	if int64(len(got)) != wantN {
-		t.Fatalf("RangeLength(off=%d n=%d)=%d but DecompressRange returned %d bytes",
+		t.Fatalf("RangeLength(off=%d n=%d)=%d but DecompressRangeCtx returned %d bytes",
 			off, n, wantN, len(got))
 	}
 }
@@ -121,7 +126,7 @@ func TestDecompressRangeGoldenDifferential(t *testing.T) {
 // seek index and must serve sub-ranges of its own reconstruction.
 func TestDecompressRangeChunks(t *testing.T) {
 	data, _ := goldenInput(t, "color-multiseg", 7, 640, 480)
-	chunks, err := lepton.CompressChunks(data, &lepton.ChunkOptions{ChunkSize: 16 << 10})
+	chunks, err := lepton.NewCodec().CompressChunksCtx(context.Background(), data, &lepton.ChunkOptions{ChunkSize: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestDecompressRangeChunks(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	for k, ch := range chunks {
-		full, err := lepton.DecompressChunk(ch)
+		full, err := lepton.Decompress(ch)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", k, err)
 		}
@@ -166,15 +171,16 @@ func TestLegacyContainerBackCompat(t *testing.T) {
 			if !bytes.Equal(back, data) {
 				t.Fatal("legacy container does not decompress to the original JPEG")
 			}
+			codec := lepton.NewCodec()
 			var buf bytes.Buffer
-			if err := lepton.DecompressTo(&buf, legacy); err != nil {
-				t.Fatalf("DecompressTo: %v", err)
+			if err := codec.DecompressToCtx(context.Background(), &buf, legacy); err != nil {
+				t.Fatalf("DecompressToCtx: %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), data) {
-				t.Fatal("DecompressTo mismatch on legacy container")
+				t.Fatal("DecompressToCtx mismatch on legacy container")
 			}
-			if back, err = lepton.DecompressChunk(legacy); err != nil || !bytes.Equal(back, data) {
-				t.Fatalf("DecompressChunk on legacy container: %v", err)
+			if back, err = codec.DecompressCtx(context.Background(), legacy); err != nil || !bytes.Equal(back, data) {
+				t.Fatalf("DecompressCtx on legacy container: %v", err)
 			}
 
 			// Compressing with the index disabled must reproduce the legacy

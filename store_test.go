@@ -62,7 +62,7 @@ func TestStoreClientSidePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := lepton.NewCodec()
-	res, err := codec.Compress(data, &lepton.Options{Verify: true})
+	res, err := codec.CompressCtx(ctx, data, &lepton.Options{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
