@@ -1,8 +1,7 @@
-// Benchmarks regenerating the paper's evaluation, one benchmark (or group)
-// per table and figure. `go test -bench=. -benchmem` prints the series;
-// cmd/leptonbench renders the same experiments as full tables with
-// percentile detail. EXPERIMENTS.md maps each benchmark to its paper
-// figure and records paper-vs-measured values.
+// Benchmarks regenerating the paper's codec evaluation, one benchmark (or
+// group) per table and figure that runs real code.
+// `go test -bench=. -benchmem` prints the series; cmd/leptonbench renders
+// the same experiments as full tables with percentile detail.
 package lepton_test
 
 import (
@@ -14,10 +13,8 @@ import (
 
 	"lepton"
 	"lepton/internal/baseline"
-	"lepton/internal/cluster"
 	"lepton/internal/imagegen"
 	"lepton/internal/server"
-	"lepton/internal/stats"
 	"lepton/internal/store"
 )
 
@@ -317,134 +314,13 @@ func BenchmarkChunkedDecompressOne(b *testing.B) {
 // BenchmarkTableErrorCodes qualifies the anomaly-mix corpus and reports the
 // success percentage (§6.2's top line: 94.069%).
 func BenchmarkTableErrorCodes(b *testing.B) {
-	corpus := cluster.BuildErrorCorpus(1, 100)
+	corpus := imagegen.BuildErrorCorpus(1, 100)
 	b.ResetTimer()
 	var q *store.QualReport
 	for i := 0; i < b.N; i++ {
 		q = store.Qualify(corpus)
 	}
 	b.ReportMetric(100*q.SuccessRatio(), "success%")
-}
-
-// --- Figures 5, 9-14: deployment simulations -------------------------------
-
-// BenchmarkFigure9Outsourcing runs the fleet simulation per strategy and
-// reports the mean hourly p99 concurrency.
-func BenchmarkFigure9Outsourcing(b *testing.B) {
-	for _, strat := range []cluster.Strategy{cluster.Control, cluster.ToDedicated, cluster.ToSelf} {
-		b.Run(strat.String(), func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				cfg := cluster.DefaultConfig()
-				cfg.Duration = 2 * 3600
-				cfg.Strategy = strat
-				cfg.Threshold = 4
-				m := cluster.NewSim(cfg).Run()
-				mean = stats.Summarize(m.ConcurrencySamples).Mean
-			}
-			b.ReportMetric(mean, "p99-concurrency")
-		})
-	}
-}
-
-// BenchmarkFigure10PeakLatency reports the peak-hours p99 compression
-// latency per strategy.
-func BenchmarkFigure10PeakLatency(b *testing.B) {
-	for _, strat := range []cluster.Strategy{cluster.Control, cluster.ToDedicated, cluster.ToSelf} {
-		b.Run(strat.String(), func(b *testing.B) {
-			var p99 float64
-			for i := 0; i < b.N; i++ {
-				cfg := cluster.DefaultConfig()
-				cfg.Duration = 2 * 3600
-				cfg.Strategy = strat
-				m := cluster.NewSim(cfg).Run()
-				p99 = stats.Summarize(m.EncodeLatency).P99
-			}
-			b.ReportMetric(p99, "p99-seconds")
-		})
-	}
-}
-
-// BenchmarkFigure11Backfill runs the power-trace model.
-func BenchmarkFigure11Backfill(b *testing.B) {
-	var drop float64
-	for i := 0; i < b.N; i++ {
-		cfg := cluster.DefaultBackfillConfig()
-		samples := cluster.Figure11(cfg)
-		var during, outside float64
-		var nd, no int
-		for _, s := range samples {
-			if s.Hour > cfg.OutageStartHour+1 && s.Hour < cfg.OutageEndHour {
-				during += s.PowerKW
-				nd++
-			} else if s.Hour < cfg.OutageStartHour {
-				outside += s.PowerKW
-				no++
-			}
-		}
-		drop = outside/float64(no) - during/float64(nd)
-	}
-	b.ReportMetric(drop, "outage-drop-kW")
-}
-
-// BenchmarkFigure12THP reports the p95 improvement from disabling THP.
-func BenchmarkFigure12THP(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		pts := cluster.Figure12(1)
-		var before, after float64
-		var nb, na int
-		for _, p := range pts {
-			if p.Hour < 6 {
-				before += p.P95
-				nb++
-			} else if p.Hour >= 8 {
-				after += p.P95
-				na++
-			}
-		}
-		ratio = (before / float64(nb)) / (after / float64(na))
-	}
-	b.ReportMetric(ratio, "p95-improvement-x")
-}
-
-// BenchmarkFigure13Ramp evaluates the decode:encode rollout model.
-func BenchmarkFigure13Ramp(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		_, ratio := cluster.Figure13(90)
-		final = ratio[len(ratio)-1]
-	}
-	b.ReportMetric(final, "day90-ratio")
-}
-
-// BenchmarkFigure14Degradation reports the month-3 decode p99 of the
-// no-outsourcing fleet.
-func BenchmarkFigure14Degradation(b *testing.B) {
-	var p99 float64
-	for i := 0; i < b.N; i++ {
-		pts := cluster.Figure14(1, 90, 45)
-		p99 = pts[len(pts)-1].P99
-	}
-	b.ReportMetric(p99, "day90-p99-s")
-}
-
-// BenchmarkFigure5Workload runs the weekly workload model and reports the
-// weekday decode:encode ratio.
-func BenchmarkFigure5Workload(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		dec, enc := cluster.Figure5(1)
-		var d, e float64
-		for day := 0; day < 5; day++ {
-			for h := 0; h < 24; h++ {
-				d += dec.Vals[day*24+h]
-				e += enc.Vals[day*24+h]
-			}
-		}
-		ratio = d / e
-	}
-	b.ReportMetric(ratio, "weekday-ratio")
 }
 
 // --- §5.5: outsourcing socket overhead (real sockets) ----------------------

@@ -32,7 +32,6 @@ import (
 	"strconv"
 
 	"lepton/internal/backfill"
-	"lepton/internal/cluster"
 	"lepton/internal/core"
 	"lepton/internal/diskstore"
 	"lepton/internal/imagegen"
@@ -70,7 +69,7 @@ func main() {
 		fatal(err)
 	}
 	if *withErrors {
-		files := cluster.BuildErrorCorpus(*seed, *n)
+		files := imagegen.BuildErrorCorpus(*seed, *n)
 		for i, data := range files {
 			write(*out, i, data)
 		}

@@ -1,32 +1,36 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
 	"time"
 
 	"lepton/internal/baseline"
-	"lepton/internal/cluster"
 	"lepton/internal/core"
 	"lepton/internal/imagegen"
 	"lepton/internal/model"
-	"lepton/internal/stats"
+	"lepton/internal/store"
 )
 
-// measure runs a codec over the corpus and reports savings and speed.
+// codecResult is one codec's savings and speed over a corpus.
 type codecResult struct {
 	name              string
-	savingsPct        []float64 // per file, 0 when rejected
+	savingsPct        []float64 // per file, 0 when rejected or failed
 	encMbps, decMbps  []float64
 	encSecs, decSecs  []float64
-	rejected          int
+	rejected          int // compress refused the file
+	failed            int // decode error, or other bytes from a file-preserving codec
 	bytesIn, bytesOut int64
 }
 
-// oneShotEncode, oneShotDecode and oneShotDecodeRange run one conversion on
-// a fresh codec, so each measured call pays every per-conversion
-// allocation.
+// roundTripFailures counts every failed file measureCodec has seen; a
+// nonzero count makes the command exit 1.
+var roundTripFailures int
+
+// oneShotEncode and oneShotDecode run one conversion on a fresh codec, so
+// each measured call pays every per-conversion allocation.
 func oneShotEncode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
 	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
 }
@@ -35,30 +39,31 @@ func oneShotDecode(comp []byte, memBudget int64) ([]byte, error) {
 	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
 }
 
-func oneShotDecodeRange(comp []byte, off, n, memBudget int64) ([]byte, error) {
-	return core.NewCodec().DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
-}
-
+// measureCodec compresses and decompresses every file of corpus with c.
+// A file the codec refuses or fails is counted as stored uncompressed, with
+// zero savings (the paper's Figure 2 includes chunks Lepton cannot
+// compress), and contributes no speed sample.
 func measureCodec(c baseline.Codec, corpus [][]byte) codecResult {
 	r := codecResult{name: c.Name()}
 	for _, data := range corpus {
+		r.bytesIn += int64(len(data))
 		t0 := time.Now()
 		comp, err := c.Compress(data)
 		encT := time.Since(t0).Seconds()
 		if err != nil {
-			// Rejected file: stored uncompressed, zero savings (the paper's
-			// Figure 2 includes chunks Lepton cannot compress).
 			r.rejected++
 			r.savingsPct = append(r.savingsPct, 0)
-			r.bytesIn += int64(len(data))
 			r.bytesOut += int64(len(data))
 			continue
 		}
 		t1 := time.Now()
-		_, derr := c.Decompress(comp)
+		back, derr := c.Decompress(comp)
 		decT := time.Since(t1).Seconds()
-		if derr != nil {
-			r.rejected++
+		if derr != nil || (c.FilePreserving() && !bytes.Equal(back, data)) {
+			r.failed++
+			roundTripFailures++
+			r.savingsPct = append(r.savingsPct, 0)
+			r.bytesOut += int64(len(data))
 			continue
 		}
 		mb := float64(len(data)) * 8 / 1e6
@@ -67,7 +72,6 @@ func measureCodec(c baseline.Codec, corpus [][]byte) codecResult {
 		r.decMbps = append(r.decMbps, mb/decT)
 		r.encSecs = append(r.encSecs, encT)
 		r.decSecs = append(r.decSecs, decT)
-		r.bytesIn += int64(len(data))
 		r.bytesOut += int64(len(comp))
 	}
 	return r
@@ -101,18 +105,15 @@ func figure1(opt options) {
 		n = 6
 	}
 	files := corpusLarge(opt.seed, n)
-	t := &stats.Table{Header: []string{"codec", "savings% p25", "p50", "p75", "decode Mbps p25", "p50", "p75"}}
+	t := newTable("codec", "savings% p25", "p50", "p75", "decode Mbps p25", "p50", "p75", "failed")
 	for _, c := range jpegAwareCodecs() {
 		r := measureCodec(c, files)
-		t.Add(r.name,
-			stats.F(stats.Percentile(r.savingsPct, 25), 1),
-			stats.F(stats.Percentile(r.savingsPct, 50), 1),
-			stats.F(stats.Percentile(r.savingsPct, 75), 1),
-			stats.F(stats.Percentile(r.decMbps, 25), 1),
-			stats.F(stats.Percentile(r.decMbps, 50), 1),
-			stats.F(stats.Percentile(r.decMbps, 75), 1))
+		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\n", r.name,
+			percentile(r.savingsPct, 25), percentile(r.savingsPct, 50), percentile(r.savingsPct, 75),
+			percentile(r.decMbps, 25), percentile(r.decMbps, 50), percentile(r.decMbps, 75),
+			r.failed)
 	}
-	fmt.Print(t)
+	t.Flush()
 	fmt.Println("paper: Lepton ~22-23% savings at >100 Mbps; PackJPG same savings ~9x slower;")
 	fmt.Println("       MozJPEG-arith ~8-12% savings; JPEGrescan ~8% (progressive half not modeled).")
 }
@@ -122,22 +123,19 @@ func figure1(opt options) {
 func figure2(opt options) {
 	header("Figure 2: savings and speed, all codecs (incl. rejected chunks)")
 	files := corpus(opt.seed, opt.n)
-	files = append(files, cluster.BuildErrorCorpus(opt.seed+1, opt.n/4)...)
-	t := &stats.Table{Header: []string{"codec", "savings%", "enc Mbps", "dec Mbps",
-		"enc p50 ms", "enc p99 ms", "dec p50 ms", "dec p99 ms", "rejected"}}
+	files = append(files, imagegen.BuildErrorCorpus(opt.seed+1, opt.n/4)...)
+	t := newTable("codec", "savings%", "enc Mbps", "dec Mbps",
+		"enc p50 ms", "enc p99 ms", "dec p50 ms", "dec p99 ms", "rejected", "failed")
 	for _, c := range allCodecs() {
 		r := measureCodec(c, files)
-		t.Add(r.name,
-			stats.F(100*(1-float64(r.bytesOut)/float64(r.bytesIn)), 1),
-			stats.F(stats.Percentile(r.encMbps, 50), 1),
-			stats.F(stats.Percentile(r.decMbps, 50), 1),
-			stats.F(stats.Percentile(r.encSecs, 50)*1000, 1),
-			stats.F(stats.Percentile(r.encSecs, 99)*1000, 1),
-			stats.F(stats.Percentile(r.decSecs, 50)*1000, 1),
-			stats.F(stats.Percentile(r.decSecs, 99)*1000, 1),
-			stats.I(int64(r.rejected)))
+		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\n", r.name,
+			100*(1-float64(r.bytesOut)/float64(r.bytesIn)),
+			percentile(r.encMbps, 50), percentile(r.decMbps, 50),
+			percentile(r.encSecs, 50)*1000, percentile(r.encSecs, 99)*1000,
+			percentile(r.decSecs, 50)*1000, percentile(r.decSecs, 99)*1000,
+			r.rejected, r.failed)
 	}
-	fmt.Print(t)
+	t.Flush()
 	fmt.Println("paper: Lepton 22.4% / Lepton 1-way 23.2% / PackJPG 23.0% / PAQ8PX 24.0% /")
 	fmt.Println("       JPEGrescan 8.3% / MozJPEG 12.0% / generic codecs <= 1%.")
 }
@@ -153,7 +151,7 @@ func figure3(opt options) {
 			big = f
 		}
 	}
-	t := &stats.Table{Header: []string{"codec", "encode MiB", "decode MiB"}}
+	t := newTable("codec", "encode MiB", "decode MiB")
 	for _, c := range allCodecs() {
 		var comp []byte
 		encPeak := peakHeap(func() {
@@ -165,9 +163,9 @@ func figure3(opt options) {
 				_, _ = c.Decompress(comp)
 			})
 		}
-		t.Add(c.Name(), stats.F(encPeak, 1), stats.F(decPeak, 1))
+		fmt.Fprintf(t, "%s\t%.1f\t%.1f\n", c.Name(), encPeak, decPeak)
 	}
-	fmt.Print(t)
+	t.Flush()
 	fmt.Printf("model size: %d bins/channel x 3 channels x 4 B = %.1f MiB per thread segment\n",
 		model.BinsPerChannel, float64(3*model.BinsPerChannel*4)/(1<<20))
 	fmt.Println("paper: Lepton decode 24 MiB (1-way) / 39 MiB p99 (multithreaded); others 69-192 MiB.")
@@ -227,19 +225,17 @@ func figure4(opt options) {
 		totalOrig += float64(len(data))
 		totalComp += float64(len(res.Compressed))
 	}
-	t := &stats.Table{Header: []string{"category", "original bytes %", "compression ratio %", "bytes saved %"}}
+	t := newTable("category", "original bytes %", "compression ratio %", "bytes saved %")
 	add := func(name string, orig, comp float64) {
-		t.Add(name,
-			stats.F(100*orig/totalOrig, 1),
-			stats.F(100*comp/orig, 1),
-			stats.F(100*(orig-comp)/totalOrig, 1))
+		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.1f\n", name,
+			100*orig/totalOrig, 100*comp/orig, 100*(orig-comp)/totalOrig)
 	}
 	add("Header", headerOrig, headerComp)
 	add("7x7 AC", origClass[model.Class77], compClass[model.Class77])
 	add("7x1/1x7", origClass[model.ClassEdge], compClass[model.ClassEdge])
 	add("DC", origClass[model.ClassDC], compClass[model.ClassDC])
 	add("Total", totalOrig, totalComp)
-	fmt.Print(t)
+	t.Flush()
 	fmt.Println("paper: header 2.3%/47.6%; 7x7 49.7%/80.2%; 7x1&1x7 39.8%/78.7%; DC 8.2%/59.9%; total 77.3%.")
 }
 
@@ -259,17 +255,16 @@ func sizeSweep(seed int64) [][]byte {
 // figure6: savings vs file size.
 func figure6(opt options) {
 	header("Figure 6: compression savings across file sizes")
-	t := &stats.Table{Header: []string{"size KiB", "savings %", "threads"}}
+	t := newTable("size KiB", "savings %", "threads")
 	for _, data := range sizeSweep(opt.seed) {
 		res, err := oneShotEncode(data, core.EncodeOptions{})
 		if err != nil {
 			continue
 		}
-		t.Add(stats.F(float64(len(data))/1024, 0),
-			stats.F(100*(1-float64(len(res.Compressed))/float64(len(data))), 1),
-			stats.I(int64(res.Segments)))
+		fmt.Fprintf(t, "%.0f\t%.1f\t%d\n", float64(len(data))/1024,
+			100*(1-float64(len(res.Compressed))/float64(len(data))), res.Segments)
 	}
-	fmt.Print(t)
+	t.Flush()
 	fmt.Println("paper: savings uniform across sizes (~23% +- a few points).")
 }
 
@@ -287,13 +282,13 @@ func figure8(opt options) {
 }
 
 func figureSpeed(opt options, encode bool) {
-	t := &stats.Table{Header: []string{"size KiB", "1 thread Mbps", "2", "4", "8"}}
+	t := newTable("size KiB", "1 thread Mbps", "2", "4", "8")
 	for _, data := range sizeSweep(opt.seed) {
-		row := []string{stats.F(float64(len(data))/1024, 0)}
+		fmt.Fprintf(t, "%.0f", float64(len(data))/1024)
 		for _, threads := range []int{1, 2, 4, 8} {
 			res, err := oneShotEncode(data, core.EncodeOptions{ForceSegments: threads})
 			if err != nil {
-				row = append(row, "-")
+				fmt.Fprint(t, "\t-")
 				continue
 			}
 			mb := float64(len(data)) * 8 / 1e6
@@ -315,11 +310,11 @@ func figureSpeed(opt options, encode bool) {
 				}
 				secs = time.Since(t0).Seconds() / float64(reps)
 			}
-			row = append(row, stats.F(mb/secs, 1))
+			fmt.Fprintf(t, "\t%.1f", mb/secs)
 		}
-		t.Add(row...)
+		fmt.Fprintln(t)
 	}
-	fmt.Print(t)
+	t.Flush()
 	if encode {
 		fmt.Println("paper: compression gains flatten past 4 threads (serial JPEG Huffman decode).")
 	} else {
@@ -340,7 +335,7 @@ func ablationTable(opt options) {
 		{"no DC gradient", model.Flags{EdgePrediction: true, DCGradient: false}},
 		{"neither (PackJPG-2007)", model.Flags{}},
 	}
-	t := &stats.Table{Header: []string{"config", "edge ratio %", "DC ratio %", "total ratio %"}}
+	t := newTable("config", "edge ratio %", "DC ratio %", "total ratio %")
 	for _, cfg := range configs {
 		var origEdge, compEdge, origDC, compDC, orig, comp float64
 		flags := cfg.flags
@@ -356,12 +351,10 @@ func ablationTable(opt options) {
 			orig += float64(len(data))
 			comp += float64(len(res.Compressed))
 		}
-		t.Add(cfg.name,
-			stats.F(100*compEdge/origEdge, 1),
-			stats.F(100*compDC/origDC, 1),
-			stats.F(100*comp/orig, 1))
+		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.1f\n", cfg.name,
+			100*compEdge/origEdge, 100*compDC/origDC, 100*comp/orig)
 	}
-	fmt.Print(t)
+	t.Flush()
 	fmt.Println("paper: edge prediction improves 7x1/1x7 from 82.5% to 78.7%;")
 	fmt.Println("       DC gradient improves DC from 79.4% to 59.9%.")
 }
@@ -373,52 +366,10 @@ func errorTable(opt options) {
 	if n < 200 {
 		n = 200
 	}
-	if opt.quick {
-		n = 120
-	}
-	q := cluster.ErrorCodeTable(opt.seed, n)
+	q := store.Qualify(imagegen.BuildErrorCorpus(opt.seed, n))
 	fmt.Print(q.String())
 	fmt.Println("paper: Success 94.069%, Progressive 3.043%, Unsupported 1.535%, Not an image 0.801%,")
 	fmt.Println("       CMYK 0.478%, >24MiB decode 0.024%, roundtrip/chroma/AC-range trace amounts.")
-}
-
-// costTable: §5.6.1 — paper constants plus a calibrated run using this
-// machine's measured encode throughput.
-func costTable(opt options) {
-	header("§5.6.1 cost effectiveness")
-	paper := cluster.Cost(cluster.DefaultBackfillConfig())
-	fmt.Printf("paper constants:   %.0f conversions/kWh, %.1f GiB saved/kWh, breakeven $%.2f/kWh\n",
-		paper.ConversionsPerKWh, paper.GiBSavedPerKWh, paper.BreakevenUSDPerKWh)
-	fmt.Printf("                   %.3g images/yr/machine, %.1f TiB saved/yr, $%.0f/yr at S3 IA\n",
-		paper.ImagesPerYearPerMachine, paper.TiBSavedPerYearPerMachine, paper.S3AnnualUSDPerMachine)
-
-	n := opt.n / 3
-	if n < 4 {
-		n = 4
-	}
-	files := corpusLarge(opt.seed, n) // paper's 1.5 MB average chunk
-	var bytesIn, bytesOut int64
-	t0 := time.Now()
-	count := 0
-	for _, data := range files {
-		res, err := oneShotEncode(data, core.EncodeOptions{VerifyRoundtrip: true})
-		if err != nil {
-			continue
-		}
-		bytesIn += int64(len(data))
-		bytesOut += int64(len(res.Compressed))
-		count++
-	}
-	secs := time.Since(t0).Seconds()
-	cfg := cluster.DefaultBackfillConfig()
-	cfg.ImagesPerSecPerMachine = float64(count) / secs
-	cfg.AvgImageMB = float64(bytesIn) / float64(count) / 1e6
-	cfg.SavingsRatio = 1 - float64(bytesOut)/float64(bytesIn)
-	c := cluster.Cost(cfg)
-	fmt.Printf("this machine:      %.1f images/s (avg %.2f MB, %.1f%% savings, verify on)\n",
-		cfg.ImagesPerSecPerMachine, cfg.AvgImageMB, 100*cfg.SavingsRatio)
-	fmt.Printf("                   %.0f conversions/kWh, %.1f GiB saved/kWh, breakeven $%.2f/kWh\n",
-		c.ConversionsPerKWh, c.GiBSavedPerKWh, c.BreakevenUSDPerKWh)
 }
 
 // extensionsTable measures the optional capabilities production disabled:
@@ -426,16 +377,16 @@ func costTable(opt options) {
 // features, implemented behind opt-in flags).
 func extensionsTable(opt options) {
 	header("Extensions: progressive (spectral selection) and CMYK, opt-in")
-	t := &stats.Table{Header: []string{"input", "bytes", "lepton bytes", "savings %", "roundtrip"}}
+	t := newTable("input", "bytes", "lepton bytes", "savings %", "roundtrip")
 	addRow := func(name string, data []byte, o core.EncodeOptions) {
 		o.VerifyRoundtrip = true
 		res, err := oneShotEncode(data, o)
 		if err != nil {
-			t.Add(name, stats.I(int64(len(data))), "-", "-", err.Error())
+			fmt.Fprintf(t, "%s\t%d\t-\t-\t%v\n", name, len(data), err)
 			return
 		}
-		t.Add(name, stats.I(int64(len(data))), stats.I(int64(len(res.Compressed))),
-			stats.F(100*(1-float64(len(res.Compressed))/float64(len(data))), 1), "ok")
+		fmt.Fprintf(t, "%s\t%d\t%d\t%.1f\tok\n", name, len(data), len(res.Compressed),
+			100*(1-float64(len(res.Compressed))/float64(len(data))))
 	}
 	img := imagegen.Synthesize(opt.seed, 400, 300)
 	cmyk, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 85, CMYK: true, PadBit: 1})
@@ -446,7 +397,7 @@ func extensionsTable(opt options) {
 	if err == nil {
 		addRow("baseline 400x300 (reference)", base, core.EncodeOptions{})
 	}
-	fmt.Print(t)
+	t.Flush()
 	fmt.Println("progressive inputs: see TestProgressiveContainerRoundTrip (19.8-29.8% savings);")
 	fmt.Println("paper: these classes were 3.0% (progressive) and 0.5% (CMYK) of backfill inputs.")
 }

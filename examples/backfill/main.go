@@ -5,8 +5,7 @@
 // per-node congestion windows, verifies every round trip before
 // acknowledging it, and checkpoints progress through the durable disk
 // store — kill the process mid-run and the next run resumes from the
-// checkpoint. The run closes with the §5.6.1 cost-effectiveness
-// arithmetic scaled by the measured throughput.
+// checkpoint. The run closes with the measured throughput and savings.
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"lepton/internal/backfill"
-	"lepton/internal/cluster"
 	"lepton/internal/diskstore"
 	"lepton/internal/server"
 	"lepton/internal/store"
@@ -81,18 +79,4 @@ func main() {
 	savings := 1 - float64(res.TotalOut)/float64(res.TotalIn)
 	fmt.Printf("\nbackfilled %d files in %v: %.1f images/s, %.2f%% savings, %d checkpoints\n",
 		res.TotalFiles, elapsed.Round(time.Millisecond), imagesPerSec, 100*savings, res.Checkpoints)
-
-	// §5.6.1 cost model, calibrated with this machine's measured rate.
-	cfg := cluster.DefaultBackfillConfig()
-	cfg.ImagesPerSecPerMachine = imagesPerSec
-	cfg.SavingsRatio = savings
-	cfg.AvgImageMB = float64(res.TotalIn) / float64(res.TotalFiles) / 1e6
-	c := cluster.Cost(cfg)
-	fmt.Printf("cost model (this machine as the backfill node):\n")
-	fmt.Printf("  conversions per kWh:    %.0f\n", c.ConversionsPerKWh)
-	fmt.Printf("  GiB saved per kWh:      %.1f\n", c.GiBSavedPerKWh)
-	fmt.Printf("  breakeven electricity:  $%.2f/kWh (vs $120 depowered 5TB drive)\n", c.BreakevenUSDPerKWh)
-	fmt.Printf("  images/year/machine:    %.3g\n", c.ImagesPerYearPerMachine)
-	fmt.Printf("  TiB saved/year/machine: %.1f\n", c.TiBSavedPerYearPerMachine)
-	fmt.Printf("  S3 IA value/year:       $%.0f\n", c.S3AnnualUSDPerMachine)
 }
