@@ -159,9 +159,9 @@ func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	st := b.StatsSnapshot()
 	fmt.Printf("draining (up to %v): compresses=%d decompresses=%d outsourced=%d errors=%d cancelled=%d\n",
-		*drainTimeout, b.Stats.Compresses.Load(), b.Stats.Decompresses.Load(),
-		b.Stats.Outsourced.Load(), b.Stats.Errors.Load(), b.Stats.Cancelled.Load())
+		*drainTimeout, st["compresses"], st["decompresses"], st["outsourced"], st["errors"], st["cancelled"])
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

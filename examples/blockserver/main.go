@@ -90,10 +90,10 @@ func main() {
 	}
 	wg.Wait()
 
+	fs := front.StatsSnapshot()
 	fmt.Printf("\nfrontend: %d compressed locally, %d outsourced, %d decompressed\n",
-		front.Stats.Compresses.Load(), front.Stats.Outsourced.Load(),
-		front.Stats.Decompresses.Load())
-	fmt.Printf("worker:   %d compressed\n", worker.Stats.Compresses.Load())
+		fs["compresses"], fs["outsourced"], fs["decompresses"])
+	fmt.Printf("worker:   %d compressed\n", worker.StatsSnapshot()["compresses"])
 
 	// Graceful drain: stop accepting, let in-flight work finish, cancel
 	// stragglers only if the deadline passes.

@@ -216,9 +216,8 @@ func main() {
 			firstReplica++
 		}
 	}
-	c := fs.Counters()
 	fmt.Printf("degraded-write file retrieved: byte-identical=%v, read repairs=%d (chunks fronted by the rejoined node: %d)\n",
-		bytes.Equal(back2, file2), c.ReadRepairs, firstReplica)
+		bytes.Equal(back2, file2), fs.StatsSnapshot()["read_repairs"], firstReplica)
 
 	fmt.Printf("router: %v\n", fleet.StatsSnapshot())
 	if adm != nil {

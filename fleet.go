@@ -160,10 +160,6 @@ type FleetStore struct {
 	r *store.Remote
 }
 
-// FleetStoreCounters is a snapshot of a FleetStore's operational
-// statistics.
-type FleetStoreCounters = store.RemoteCounters
-
 // NewFleetStore builds a distributed store over an existing Fleet's nodes.
 // opts may be nil.
 func NewFleetStore(fl *Fleet, opts *FleetStoreOptions) (*FleetStore, error) {
@@ -241,13 +237,13 @@ func (st *FleetStore) GetFileRange(ctx context.Context, ref FileRef, off, n int6
 // order.
 func (st *FleetStore) Placement(h ChunkHash) []string { return st.r.Placement(h) }
 
-// Counters returns a snapshot of operational statistics.
-func (st *FleetStore) Counters() FleetStoreCounters { return st.r.Counters() }
-
-// StatsSnapshot returns the counters as a flat name→value map, the same
-// shape Fleet.StatsSnapshot and the per-node /debug/vars export — ready to
-// register as an admin-plane source.
-func (st *FleetStore) StatsSnapshot() map[string]int64 { return st.r.Counters().Map() }
+// StatsSnapshot returns the store's operational counters (puts, gets,
+// replica_errors, misses, read_repairs, corrupt_replicas,
+// anti_entropy_sweeps, anti_entropy_repairs, range_gets, range_fallbacks)
+// as a flat name→value map, the same shape Fleet.StatsSnapshot and the
+// per-node /debug/vars export — ready to register as an admin-plane
+// source.
+func (st *FleetStore) StatsSnapshot() map[string]int64 { return st.r.StatsSnapshot() }
 
 // RemoveNode permanently removes addr from the placement ring — for a
 // node that is gone for good, not merely down (eviction handles that).

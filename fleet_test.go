@@ -83,7 +83,7 @@ func TestPublicFleetRoundtripAndStore(t *testing.T) {
 			t.Fatalf("placement %v: want 2 replicas", p)
 		}
 	}
-	if c := st.Counters(); c.Puts == 0 || c.Gets == 0 {
-		t.Fatalf("fleet store counters empty: %+v", c)
+	if c := st.StatsSnapshot(); c["puts"] == 0 || c["gets"] == 0 {
+		t.Fatalf("fleet store counters empty: %v", c)
 	}
 }

@@ -21,10 +21,14 @@
 //	/debug/vars  alias of /api/stats in the expvar shape, for tooling
 //	             pointed at the old per-node endpoint
 //
-// Sources are plain func() map[string]int64 snapshots. The contract —
-// enforced by the concurrent-scrape race test — is that a Source reads
-// every counter via atomics or under the lock that writers hold, so a
-// scrape racing live traffic or a node eviction is always safe.
+// Sources are plain func() map[string]int64 snapshots — in practice a
+// component's internal/metrics counter set plus the few values it computes
+// at read time — and each covers one instance: a node's snapshot counts
+// that node's work only, and a restarted node starts from zero. The
+// contract — enforced by the concurrent-scrape race test — is that a
+// Source reads every counter via atomics or under the lock that writers
+// hold, so a scrape racing live traffic or a node eviction is always safe
+// and consistent with itself.
 package admin
 
 import (

@@ -157,13 +157,46 @@ func TestSlowlorisHeaderTimeout(t *testing.T) {
 	}
 }
 
+// checkScrape decodes one JSON scrape and checks every fleet snapshot in
+// it for self-consistency: each node is either up or down, and the down
+// count is the sum of the per-node down flags.
+func checkScrape(path string, body []byte, nodes int) error {
+	if path == "/" {
+		return nil // the HTML status page
+	}
+	var fleet map[string]int64
+	if path == "/api/stats" || path == "/debug/vars" {
+		var all map[string]map[string]int64
+		if err := json.Unmarshal(body, &all); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		fleet = all["fleet"]
+	} else if err := json.Unmarshal(body, &fleet); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	} else if path != "/api/stats/fleet" {
+		return nil
+	}
+	if up, down := fleet["nodes_up"], fleet["nodes_down"]; up+down != int64(nodes) {
+		return fmt.Errorf("%s: nodes_up %d + nodes_down %d != %d nodes", path, up, down, nodes)
+	}
+	var flags int64
+	for i := 0; i < nodes; i++ {
+		flags += fleet[fmt.Sprintf("node%d_down", i)]
+	}
+	if flags != fleet["nodes_down"] {
+		return fmt.Errorf("%s: nodes_down %d but node<i>_down flags sum to %d", path, fleet["nodes_down"], flags)
+	}
+	return nil
+}
+
 // TestConcurrentScrapeUnderFleetTraffic is the bugfix-hunt pass over the
 // scrape path, run under -race in CI: every counter the admin plane
 // exposes (Fleet.StatsSnapshot with the health loop evicting a killed
 // node, FleetStore counters, per-node Blockserver.StatsSnapshot including
 // shard and store stats) is scraped concurrently with live conversion and
 // store traffic plus a node kill and restart. Any counter read outside
-// its atomics/owning lock shows up as a race report.
+// its atomics/owning lock shows up as a race report, and every fleet
+// snapshot scraped must agree with itself about which nodes are down.
 func TestConcurrentScrapeUnderFleetTraffic(t *testing.T) {
 	const n = 3
 	stores := make([]*store.Store, n)
@@ -195,7 +228,7 @@ func TestConcurrentScrapeUnderFleetTraffic(t *testing.T) {
 
 	adm := admin.New()
 	adm.Register("fleet", fleet.StatsSnapshot)
-	adm.Register("store", func() map[string]int64 { return remote.Counters().Map() })
+	adm.Register("store", remote.StatsSnapshot)
 	for i, b := range nodes {
 		adm.Register(fmt.Sprintf("node%d", i), b.StatsSnapshot)
 	}
@@ -257,11 +290,9 @@ func TestConcurrentScrapeUnderFleetTraffic(t *testing.T) {
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
 					scrapeErrs.Add(1)
-				} else if i%len(paths) < 4 {
-					var v map[string]any
-					if err := json.Unmarshal(body, &v); err != nil {
-						scrapeErrs.Add(1)
-					}
+				} else if err := checkScrape(paths[i%len(paths)], body, n); err != nil {
+					t.Error(err)
+					scrapeErrs.Add(1)
 				}
 				scrapes.Add(1)
 			}

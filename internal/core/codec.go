@@ -5,10 +5,12 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"io"
+	"slices"
 	"sync"
 
 	"lepton/internal/arith"
 	"lepton/internal/jpeg"
+	"lepton/internal/metrics"
 	"lepton/internal/model"
 )
 
@@ -30,10 +32,46 @@ type Codec struct {
 	zlibWs     sync.Pool // *zlib.Writer: container header compressor
 	zlibRs     sync.Pool // io.ReadCloser (+zlib.Resetter): header decompressor
 	bufs       sync.Pool // *bytes.Buffer: marshal/unmarshal scratch
+
+	// stats receives the codec's range_* counters and window its
+	// coeff_window_bytes gauge: bytes of streamed coefficient rows held by
+	// in-flight conversions, the quantity the §5.1 decode ceiling bounds
+	// (compressed-domain buffers, whose size follows the payload, are not
+	// counted).
+	stats  *metrics.Set
+	window *metrics.Gauge
 }
 
-// NewCodec returns an empty codec; pools fill as it is used.
-func NewCodec() *Codec { return &Codec{} }
+// rangeCounters split range decodes between the indexed fast path and the
+// full-decode fallbacks, and count the thread segments the fast path
+// decoded.
+var rangeCounters = []string{"range_requests", "range_fast",
+	"range_fallback_no_index", "range_fallback_unsupported", "range_segments_decoded"}
+
+const coeffWindow = "coeff_window_bytes"
+
+// process is the aggregate every codec's counters roll up into.
+var process = metrics.New(nil)
+
+// NewStatsSet returns a set for a component that owns codecs (a blockserver
+// node): it reports the codec counters and the named ones from the start,
+// and rolls up into the process-wide aggregate RangeStats reads. Codecs
+// made by NewCodecIn count into it.
+func NewStatsSet(counters ...string) *metrics.Set {
+	s := metrics.New(process, slices.Concat(rangeCounters, counters)...)
+	s.Gauge(coeffWindow)
+	return s
+}
+
+// NewCodec returns an empty codec with a counter set of its own under the
+// process-wide aggregate; pools fill as it is used.
+func NewCodec() *Codec { return NewCodecIn(NewStatsSet()) }
+
+// NewCodecIn returns an empty codec counting into stats, a set from
+// NewStatsSet (or one under it) so the counts still reach RangeStats.
+func NewCodecIn(stats *metrics.Set) *Codec {
+	return &Codec{stats: stats, window: stats.Gauge(coeffWindow)}
+}
 
 // rowSlab is one pooled block-row buffer.
 type rowSlab struct{ buf []int16 }

@@ -197,6 +197,69 @@ func TestCodecAllocReduction(t *testing.T) {
 	}
 }
 
+// TestCodecStatsPerInstance pins the counter aggregation perfbench and the
+// blockserver rely on: range and full decodes on one codec move that
+// codec's range_* counters and the process-wide RangeStats by the same
+// delta, leave a second codec at zero, and return the codec's
+// coefficient-window gauge to zero after every call.
+func TestCodecStatsPerInstance(t *testing.T) {
+	ctx := context.Background()
+	data := genJPEG(t, 93, 320, 240)
+	a, b := NewCodec(), NewCodec()
+	indexed, err := a.EncodeCtx(ctx, data, EncodeOptions{ForceSegments: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noIndex, err := a.EncodeCtx(ctx, data, EncodeOptions{ForceSegments: 3, DisableSeekIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name  string
+		run   func() error
+		moved string
+	}{
+		{"fast range", func() error {
+			_, err := a.DecodeRangeCtx(ctx, indexed.Compressed, 700, 4000, 0)
+			return err
+		}, "range_fast"},
+		{"fallback range", func() error {
+			_, err := a.DecodeRangeCtx(ctx, noIndex.Compressed, 700, 4000, 0)
+			return err
+		}, "range_fallback_no_index"},
+		{"full decode", func() error {
+			_, err := a.DecodeCtx(ctx, indexed.Compressed, 0)
+			return err
+		}, ""},
+	}
+	for _, c := range calls {
+		own0, proc0 := a.stats.Snapshot(), RangeStats()
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		own1, proc1 := a.stats.Snapshot(), RangeStats()
+		for k := range proc1 {
+			if d, pd := own1[k]-own0[k], proc1[k]-proc0[k]; d != pd {
+				t.Errorf("%s: %s moved %d on the codec but %d process-wide", c.name, k, d, pd)
+			}
+		}
+		if c.moved != "" && own1[c.moved] == own0[c.moved] {
+			t.Errorf("%s: %s did not move", c.name, c.moved)
+		}
+		if got := own1["coeff_window_bytes_in_use"]; got != 0 {
+			t.Errorf("%s: %d coefficient-window bytes still in use", c.name, got)
+		}
+	}
+	if _, peak := coeffMem(a); peak == 0 {
+		t.Error("conversions never raised the coefficient-window peak")
+	}
+	for k, v := range b.stats.Snapshot() {
+		if v != 0 {
+			t.Errorf("idle codec reports %s = %d", k, v)
+		}
+	}
+}
+
 // TestContainerOutputSize checks the cheap header peek servers use to frame
 // streamed responses.
 func TestContainerOutputSize(t *testing.T) {

@@ -452,7 +452,7 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 	if min := encodeMinGateBytes(f, starts, total); limit < min {
 		limit = min
 	}
-	gate := newMemGate(limit)
+	gate := newMemGate(limit, cd.window)
 	defer gate.close()
 
 	recs := make([]*rowRecycler, ncomp)
@@ -763,8 +763,8 @@ func (cd *Codec) decodeSegmentStreamed(ctx context.Context, cancelled <-chan str
 	winBytes := DecodeWindowBytes(f, 1)
 	slab := cd.getRowBuf(int(winBytes / 2))
 	defer cd.putRowBuf(slab)
-	grabCoeffBytes(winBytes)
-	defer dropCoeffBytes(winBytes)
+	cd.window.Add(winBytes)
+	defer cd.window.Add(-winBytes)
 	rings := make([]*ringRows, ncomp)
 	planes := make([]model.ComponentPlane, ncomp)
 	off := 0

@@ -59,9 +59,11 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decode(data, 0)
+		cd := NewCodec()
+		ctx := context.Background()
+		got, err := cd.DecodeCtx(ctx, data, 0)
 		var buf bytes.Buffer
-		err2 := decodeTo(&buf, data, 0)
+		err2 := cd.DecodeToCtx(ctx, &buf, data, 0)
 		if (err == nil) != (err2 == nil) {
 			// DecodeTo may have written a partial prefix before failing;
 			// both paths must still agree on success vs failure.
@@ -73,17 +75,17 @@ func FuzzDecode(f *testing.F) {
 		// A failed decode verifies against nothing, not even the prefix it
 		// wrote; a successful one verifies against its output and against
 		// no one-byte change of it.
-		if verr := NewCodec().VerifyCtx(context.Background(), data, buf.Bytes(), 0); (verr == nil) != (err == nil) {
+		if verr := cd.VerifyCtx(ctx, data, buf.Bytes(), 0); (verr == nil) != (err == nil) {
 			t.Fatalf("Decode err=%v but VerifyCtx err=%v", err, verr)
 		}
 		if err == nil && len(got) > 0 {
 			bad := append([]byte(nil), got...)
 			bad[len(bad)/2] ^= 1
-			if NewCodec().VerifyCtx(context.Background(), data, bad, 0) == nil {
+			if cd.VerifyCtx(ctx, data, bad, 0) == nil {
 				t.Fatal("VerifyCtx accepted a changed byte")
 			}
 		}
-		if inUse, _ := CoeffMemStats(); inUse != 0 {
+		if inUse, _ := coeffMem(cd); inUse != 0 {
 			t.Fatalf("decode leaked %d coefficient bytes", inUse)
 		}
 	})
@@ -110,8 +112,9 @@ func FuzzDecompressRange(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, off, n int64) {
-		full, ferr := decode(data, 0)
-		got, rerr := decodeRange(data, off, n, 0)
+		cd := NewCodec()
+		full, ferr := cd.DecodeCtx(context.Background(), data, 0)
+		got, rerr := cd.DecodeRangeCtx(context.Background(), data, off, n, 0)
 		if ferr == nil && off >= 0 && n >= 0 {
 			if rerr != nil {
 				t.Fatalf("full decode ok but decodeRange(off=%d n=%d): %v", off, n, rerr)
@@ -131,7 +134,7 @@ func FuzzDecompressRange(f *testing.F) {
 				t.Fatalf("decodeRange(off=%d n=%d) differs from full-decode slice", off, n)
 			}
 		}
-		if inUse, _ := CoeffMemStats(); inUse != 0 {
+		if inUse, _ := coeffMem(cd); inUse != 0 {
 			t.Fatalf("range decode leaked %d coefficient bytes", inUse)
 		}
 	})

@@ -2,11 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"lepton/internal/imagegen"
 	"lepton/internal/jpeg"
 )
+
+// coeffMem returns cd's coefficient-window gauge: bytes in use and peak.
+func coeffMem(cd *Codec) (inUse, peak int64) {
+	s := cd.stats.Snapshot()
+	return s[coeffWindow+"_in_use"], s[coeffWindow+"_peak"]
+}
 
 // bigSynthetic returns a 4:4:4 JPEG whose whole coefficient planes exceed
 // the 24 MiB decode budget — the class of file the pre-streaming engine
@@ -69,14 +76,14 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := DecodeWindowBytes(f, res.Segments)
-	ResetCoeffMemPeak()
-	if _, err := decode(res.Compressed, 0); err != nil {
+	cd := NewCodec()
+	if _, err := cd.DecodeCtx(context.Background(), res.Compressed, 0); err != nil {
 		t.Fatal(err)
 	}
-	if inUse, _ := CoeffMemStats(); inUse != 0 {
+	inUse, peak := coeffMem(cd)
+	if inUse != 0 {
 		t.Fatalf("coefficient accounting leaked: %d bytes still in use", inUse)
 	}
-	_, peak := CoeffMemStats()
 	if peak > bound {
 		t.Fatalf("decode peak coefficient bytes %d exceed window bound %d", peak, bound)
 	}
@@ -104,14 +111,14 @@ func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
 	if DefaultMemEncodeBudget > ceiling {
 		ceiling = DefaultMemEncodeBudget
 	}
-	ResetCoeffMemPeak()
-	if _, err := encode(data, EncodeOptions{}); err != nil {
+	cd := NewCodec()
+	if _, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if inUse, _ := CoeffMemStats(); inUse != 0 {
+	inUse, peak := coeffMem(cd)
+	if inUse != 0 {
 		t.Fatalf("coefficient accounting leaked: %d bytes still in use", inUse)
 	}
-	_, peak := CoeffMemStats()
 	if peak > ceiling {
 		t.Fatalf("encode peak coefficient bytes %d exceed gate ceiling %d", peak, ceiling)
 	}
@@ -141,7 +148,8 @@ func TestTightEncodeGateStillStreams(t *testing.T) {
 
 // BenchmarkDecodeMemory reports per-decode allocations (run with -benchmem:
 // B/op is the Figure-3 regression series for the streaming decoder) plus
-// the peak streamed coefficient bytes as a custom metric.
+// the peak streamed coefficient bytes as a custom metric. Each iteration
+// decodes with a fresh codec, so B/op includes filling its pools.
 func BenchmarkDecodeMemory(b *testing.B) {
 	img := imagegen.Synthesize(5, 2048, 1536)
 	data, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 85, PadBit: 1})
@@ -154,13 +162,15 @@ func BenchmarkDecodeMemory(b *testing.B) {
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
-	ResetCoeffMemPeak()
 	b.ResetTimer()
+	var peak int64
 	for i := 0; i < b.N; i++ {
-		if _, err := decode(res.Compressed, 0); err != nil {
+		cd := NewCodec()
+		if _, err := cd.DecodeCtx(context.Background(), res.Compressed, 0); err != nil {
 			b.Fatal(err)
 		}
+		_, p := coeffMem(cd)
+		peak = max(peak, p)
 	}
-	_, peak := CoeffMemStats()
 	b.ReportMetric(float64(peak), "peak-coeff-B")
 }

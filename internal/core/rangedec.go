@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 
 	"lepton/internal/arith"
 	"lepton/internal/jpeg"
@@ -32,26 +31,17 @@ import (
 // ErrInvalidRange reports a negative offset or length.
 var ErrInvalidRange = errors.New("core: negative range offset or length")
 
-var rangeCounters struct {
-	requests            atomic.Int64
-	fast                atomic.Int64
-	fallbackNoIndex     atomic.Int64
-	fallbackUnsupported atomic.Int64
-	segmentsDecoded     atomic.Int64
-}
-
-// RangeStats returns cumulative process-wide counters for range decodes:
-// how many requests were served, how many took the indexed fast path, how
-// many fell back to full decode (split by cause), and how many thread
-// segments the fast path decoded in total.
+// RangeStats returns cumulative process-wide counters for range decodes,
+// summed over every codec: how many requests were served, how many took
+// the indexed fast path, how many fell back to full decode (split by
+// cause), and how many thread segments the fast path decoded in total.
 func RangeStats() map[string]int64 {
-	return map[string]int64{
-		"range_requests":             rangeCounters.requests.Load(),
-		"range_fast":                 rangeCounters.fast.Load(),
-		"range_fallback_no_index":    rangeCounters.fallbackNoIndex.Load(),
-		"range_fallback_unsupported": rangeCounters.fallbackUnsupported.Load(),
-		"range_segments_decoded":     rangeCounters.segmentsDecoded.Load(),
+	snap := process.Snapshot()
+	out := make(map[string]int64, len(rangeCounters))
+	for _, k := range rangeCounters {
+		out[k] = snap[k]
 	}
+	return out
 }
 
 // RangeLength returns the byte count a range decode of (off, n) against
@@ -99,7 +89,7 @@ func (cd *Codec) DecodeRangeCtx(ctx context.Context, comp []byte, off, n int64, 
 // seek index, progressive scans, and four-component files are served by a
 // full decode that skips everything outside the range.
 func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byte, off, n int64, memBudget int64) (int64, error) {
-	rangeCounters.requests.Add(1)
+	cd.stats.Add("range_requests", 1)
 	if off < 0 || n < 0 {
 		return 0, ErrInvalidRange
 	}
@@ -124,7 +114,7 @@ func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byt
 		end = size
 	}
 	if end <= off {
-		rangeCounters.fast.Add(1)
+		cd.stats.Add("range_fast", 1)
 		return 0, nil
 	}
 
@@ -132,12 +122,12 @@ func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byt
 		if uint32(len(c.Raw)) != c.OutputSize {
 			return 0, badContainer("raw payload %d bytes, header says %d", len(c.Raw), c.OutputSize)
 		}
-		rangeCounters.fast.Add(1)
+		cd.stats.Add("range_fast", 1)
 		m, err := dst.Write(c.Raw[off:end])
 		return int64(m), err
 	}
 	if c.Mode == ModeProgressive {
-		rangeCounters.fallbackUnsupported.Add(1)
+		cd.stats.Add("range_fallback_unsupported", 1)
 		return cd.decodeRangeFallback(ctx, dst, comp, off, end, memBudget)
 	}
 
@@ -146,12 +136,12 @@ func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byt
 		return 0, fmt.Errorf("core: stored header: %w", err)
 	}
 	if len(f.Components) >= 4 {
-		rangeCounters.fallbackUnsupported.Add(1)
+		cd.stats.Add("range_fallback_unsupported", 1)
 		return cd.decodeRangeFallback(ctx, dst, comp, off, end, memBudget)
 	}
 	pl, ok := planRange(f, c)
 	if !ok {
-		rangeCounters.fallbackNoIndex.Add(1)
+		cd.stats.Add("range_fallback_no_index", 1)
 		return cd.decodeRangeFallback(ctx, dst, comp, off, end, memBudget)
 	}
 	return cd.decodeRangeIndexed(ctx, dst, f, c, pl, off, end, memBudget)
@@ -330,7 +320,7 @@ func (cd *Codec) decodeRangeIndexed(ctx context.Context, dst io.Writer, f *jpeg.
 			return 0, &jpeg.Error{Reason: jpeg.ReasonMemDecode,
 				Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", wb, memBudget)}
 		}
-		rangeCounters.segmentsDecoded.Add(int64(len(units)))
+		cd.stats.Add("range_segments_decoded", int64(len(units)))
 	}
 
 	cancelled := ctx.Done()
@@ -427,7 +417,7 @@ func (cd *Codec) decodeRangeIndexed(ctx context.Context, dst io.Writer, f *jpeg.
 	if written != end-off {
 		return written, badContainer("range decode produced %d bytes, want %d", written, end-off)
 	}
-	rangeCounters.fast.Add(1)
+	cd.stats.Add("range_fast", 1)
 	return written, nil
 }
 
@@ -451,8 +441,8 @@ func (cd *Codec) decodeSegmentRange(ctx context.Context, cancelled <-chan struct
 	winBytes := DecodeWindowBytes(f, 1)
 	slab := cd.getRowBuf(int(winBytes / 2))
 	defer cd.putRowBuf(slab)
-	grabCoeffBytes(winBytes)
-	defer dropCoeffBytes(winBytes)
+	cd.window.Add(winBytes)
+	defer cd.window.Add(-winBytes)
 	rings := make([]*ringRows, ncomp)
 	planes := make([]model.ComponentPlane, ncomp)
 	off := 0

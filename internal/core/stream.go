@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"lepton/internal/jpeg"
+	"lepton/internal/metrics"
 )
 
 // This file holds the row-window streaming machinery shared by the decode
@@ -15,43 +15,6 @@ import (
 // turns MemEncodeBudget into a streaming ceiling, and the coefficient-
 // memory accounting that makes the window bound observable in production
 // and testable in CI.
-
-// --- coefficient-memory accounting ---------------------------------------
-
-var coeffInUse atomic.Int64
-var coeffPeak atomic.Int64
-
-func grabCoeffBytes(n int64) {
-	v := coeffInUse.Add(n)
-	for {
-		p := coeffPeak.Load()
-		if v <= p || coeffPeak.CompareAndSwap(p, v) {
-			return
-		}
-	}
-}
-
-func dropCoeffBytes(n int64) { coeffInUse.Add(-n) }
-
-// CoeffMemStats reports the process-wide streamed coefficient-row memory:
-// bytes currently held by in-flight conversions and the high-water mark
-// since the last ResetCoeffMemPeak. These count only coefficient windows
-// and retained rows — the quantity the §5.1 decode ceiling bounds — not
-// compressed-domain buffers, whose size follows the request payload.
-func CoeffMemStats() (inUse, peak int64) {
-	return coeffInUse.Load(), coeffPeak.Load()
-}
-
-// ResetCoeffMemPeak clears the coefficient-memory high-water mark (testing
-// and monitoring-interval hook).
-func ResetCoeffMemPeak() {
-	for {
-		p := coeffPeak.Load()
-		if coeffPeak.CompareAndSwap(p, coeffInUse.Load()) {
-			return
-		}
-	}
-}
 
 // --- window geometry ------------------------------------------------------
 
@@ -157,18 +120,20 @@ func (r *ringRows) peek(row int) []int16 { return r.bufs[row%len(r.bufs)] }
 
 // memGate bounds the coefficient bytes the scan-decode producer may keep
 // in flight (delivered to segment feeds but not yet consumed and
-// recycled). It mirrors its balance into the global accounting and settles
-// any remainder at close, so error paths cannot leak the counters.
+// recycled). It mirrors its balance into the codec's coefficient-window
+// gauge and settles any remainder at close, so error paths cannot leak the
+// gauge.
 type memGate struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	inUse   int64
 	limit   int64
 	aborted bool
+	window  *metrics.Gauge
 }
 
-func newMemGate(limit int64) *memGate {
-	g := &memGate{limit: limit}
+func newMemGate(limit int64, window *metrics.Gauge) *memGate {
+	g := &memGate{limit: limit, window: window}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -187,7 +152,7 @@ func (g *memGate) acquire(n int64) bool {
 	}
 	g.mu.Unlock()
 	if ok {
-		grabCoeffBytes(n)
+		g.window.Add(n)
 	}
 	return ok
 }
@@ -196,7 +161,7 @@ func (g *memGate) release(n int64) {
 	g.mu.Lock()
 	g.inUse -= n
 	g.mu.Unlock()
-	dropCoeffBytes(n)
+	g.window.Add(-n)
 	g.cond.Broadcast()
 }
 
@@ -207,14 +172,14 @@ func (g *memGate) abort() {
 	g.cond.Broadcast()
 }
 
-// close settles the gate's remaining balance against the global counters.
+// close settles the gate's remaining balance against the gauge.
 func (g *memGate) close() {
 	g.mu.Lock()
 	rest := g.inUse
 	g.inUse = 0
 	g.mu.Unlock()
 	if rest != 0 {
-		dropCoeffBytes(rest)
+		g.window.Add(-rest)
 	}
 }
 

@@ -39,6 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lepton/internal/metrics"
 )
 
 // Hash is a chunk address: the SHA-256 of the chunk's bytes, by convention
@@ -135,20 +137,6 @@ type segment struct {
 	garbage int64 // bytes of records no longer reachable from the index
 }
 
-// Stats is a point-in-time view of the store's durability state.
-type Stats struct {
-	Chunks       int   // live chunks in the index
-	Segments     int   // on-disk segment files
-	LiveBytes    int64 // bytes of live records (headers included)
-	GarbageBytes int64 // bytes reclaimable by compaction
-
-	QuarantinedRecords int64 // CRC-mismatched records skipped (replay + reads)
-	TruncatedTails     int64 // torn tail records truncated on replay
-	Compactions        int64 // completed segment rewrites
-	LastCompactionUnix int64 // wall-clock seconds of the last compaction
-	Syncs              int64 // fsync calls issued
-}
-
 // Store is a disk-backed chunk store. Safe for concurrent use.
 type Store struct {
 	dir string
@@ -175,11 +163,12 @@ type Store struct {
 	stopCh chan struct{}
 	bg     sync.WaitGroup
 
-	quarantined    atomic.Int64
-	truncatedTails atomic.Int64
-	compactions    atomic.Int64
-	lastCompaction atomic.Int64
-	syncs          atomic.Int64
+	// stats counts quarantined_records (CRC-mismatched records skipped on
+	// replay and reads), truncated_tails (torn tail records truncated on
+	// replay), compactions (completed segment rewrites) and syncs (fsync
+	// calls issued).
+	stats          *metrics.Set
+	lastCompaction atomic.Int64 // wall-clock seconds of the last compaction
 }
 
 // Open opens (creating if needed) a store rooted at dir and rebuilds the
@@ -198,6 +187,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		segs:   make(map[uint64]*segment),
 		tombs:  make(map[Hash]struct{}),
 		stopCh: make(chan struct{}),
+		stats:  metrics.New(nil, "quarantined_records", "truncated_tails", "compactions", "syncs"),
 	}
 	s.syncCond = sync.NewCond(&s.syncMu)
 
@@ -349,7 +339,7 @@ func (s *Store) replaySegment(seq uint64) error {
 		if crc32.Checksum(rec[4:], castagnoli) != binary.LittleEndian.Uint32(rec[:4]) {
 			// A bit flip inside a well-framed record: quarantine it. The
 			// chunk (if any) reads as missing and heals from replicas.
-			s.quarantined.Add(1)
+			s.stats.Add("quarantined_records", 1)
 			s.logf("diskstore: quarantined record at %s+%d (%d bytes, crc mismatch)", path, off, recLen)
 			seg.garbage += recLen
 			off += recLen
@@ -382,7 +372,7 @@ func (s *Store) replaySegment(seq uint64) error {
 			f.Close()
 			return fmt.Errorf("diskstore: %w", err)
 		}
-		s.truncatedTails.Add(int64(truncs))
+		s.stats.Add("truncated_tails", int64(truncs))
 		s.logf("diskstore: truncated torn tail of %s at %d (was %d)", path, off, size)
 	}
 	seg.size = off
@@ -445,7 +435,7 @@ func (s *Store) rotateLocked() error {
 		s.failed = fmt.Errorf("diskstore: seal %s: %w", s.active.path, err)
 		return s.failed
 	}
-	s.syncs.Add(1)
+	s.stats.Add("syncs", 1)
 	if err := s.addSegment(s.active.seq + 1); err != nil {
 		s.failed = err
 		return err
@@ -559,7 +549,7 @@ func (s *Store) quarantineRead(h Hash, loc recordLoc) {
 	if cur, ok := s.index[h]; ok && cur == loc {
 		delete(s.index, h)
 		s.addGarbage(loc)
-		s.quarantined.Add(1)
+		s.stats.Add("quarantined_records", 1)
 		s.logf("diskstore: quarantined chunk %x on read (crc mismatch)", h[:8])
 	}
 	s.mu.Unlock()
@@ -692,7 +682,7 @@ func (s *Store) syncActive() error {
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("diskstore: fsync: %w", err)
 	}
-	s.syncs.Add(1)
+	s.stats.Add("syncs", 1)
 	return nil
 }
 
@@ -791,7 +781,7 @@ func (s *Store) Compact() (bool, error) {
 			if crc32.Checksum(rec[4:], castagnoli) != binary.LittleEndian.Uint32(rec[:4]) {
 				// Rotted since replay: quarantine rather than copying
 				// corruption forward.
-				s.quarantined.Add(1)
+				s.stats.Add("quarantined_records", 1)
 				delete(s.index, h)
 			} else {
 				newLoc, _, err := s.appendLocked(rec)
@@ -817,7 +807,7 @@ func (s *Store) Compact() (bool, error) {
 		s.failed = fmt.Errorf("diskstore: compact sync: %w", err)
 		return false, s.failed
 	}
-	s.syncs.Add(1)
+	s.stats.Add("syncs", 1)
 
 	victim.f.Close()
 	if err := os.Remove(victim.path); err != nil {
@@ -833,7 +823,7 @@ func (s *Store) Compact() (bool, error) {
 			break
 		}
 	}
-	s.compactions.Add(1)
+	s.stats.Add("compactions", 1)
 	s.lastCompaction.Store(time.Now().Unix())
 	s.logf("diskstore: compacted %s (%d live records moved, %d garbage bytes reclaimed)",
 		victim.path, moved, victim.garbage)
@@ -842,41 +832,26 @@ func (s *Store) Compact() (bool, error) {
 
 // --- stats and lifecycle ---------------------------------------------------
 
-// Stats returns a snapshot of the store's durability state.
-func (s *Store) Stats() Stats {
+// BackendStats returns the store's durability counters plus its current
+// shape — live chunks, segment files, live bytes (record headers
+// included), bytes reclaimable by compaction, and the wall-clock second
+// of the last compaction — as a flat map for expvar/JSON export; the
+// blockserver merges it into StatsSnapshot under store_* keys.
+func (s *Store) BackendStats() map[string]int64 {
+	snap := s.stats.Snapshot()
 	s.mu.RLock()
-	st := Stats{
-		Chunks:   len(s.index),
-		Segments: len(s.order),
-	}
+	snap["chunks"] = int64(len(s.index))
+	snap["segments"] = int64(len(s.order))
+	var live, garbage int64
 	for _, seg := range s.segs {
-		st.LiveBytes += seg.size - seg.garbage
-		st.GarbageBytes += seg.garbage
+		live += seg.size - seg.garbage
+		garbage += seg.garbage
 	}
 	s.mu.RUnlock()
-	st.QuarantinedRecords = s.quarantined.Load()
-	st.TruncatedTails = s.truncatedTails.Load()
-	st.Compactions = s.compactions.Load()
-	st.LastCompactionUnix = s.lastCompaction.Load()
-	st.Syncs = s.syncs.Load()
-	return st
-}
-
-// BackendStats is Stats flattened for expvar/JSON export; the blockserver
-// merges it into StatsSnapshot under store_* keys.
-func (s *Store) BackendStats() map[string]int64 {
-	st := s.Stats()
-	return map[string]int64{
-		"chunks":               int64(st.Chunks),
-		"segments":             int64(st.Segments),
-		"live_bytes":           st.LiveBytes,
-		"garbage_bytes":        st.GarbageBytes,
-		"quarantined_records":  st.QuarantinedRecords,
-		"truncated_tails":      st.TruncatedTails,
-		"compactions":          st.Compactions,
-		"last_compaction_unix": st.LastCompactionUnix,
-		"syncs":                st.Syncs,
-	}
+	snap["live_bytes"] = live
+	snap["garbage_bytes"] = garbage
+	snap["last_compaction_unix"] = s.lastCompaction.Load()
+	return snap
 }
 
 func (s *Store) closeFiles() {
@@ -909,7 +884,7 @@ func (s *Store) Close() error {
 		if serr := s.active.f.Sync(); serr != nil {
 			err = fmt.Errorf("diskstore: close sync: %w", serr)
 		} else {
-			s.syncs.Add(1)
+			s.stats.Add("syncs", 1)
 		}
 	}
 	s.closeFiles()

@@ -102,8 +102,8 @@ func TestPutGetDeleteReopen(t *testing.T) {
 	for i := 5; i < n; i++ {
 		mustGet(t, s, hashes[i], blobs[i])
 	}
-	st := s.Stats()
-	if st.TruncatedTails != 0 || st.QuarantinedRecords != 0 {
+	st := s.BackendStats()
+	if st["truncated_tails"] != 0 || st["quarantined_records"] != 0 {
 		t.Fatalf("clean replay reported damage: %+v", st)
 	}
 }
@@ -154,13 +154,13 @@ func TestTornTailTruncation(t *testing.T) {
 		if _, ok, _ := s.Get(h2); ok {
 			t.Fatalf("cut=%d: torn chunk still readable", cut)
 		}
-		if st := s.Stats(); st.TruncatedTails == 0 {
+		if st := s.BackendStats(); st["truncated_tails"] == 0 {
 			t.Fatalf("cut=%d: no truncation counted", cut)
 		}
 		// The torn bytes are gone from disk: a second replay is clean.
 		s.Close()
 		s = mustOpen(t, dir, testOptions())
-		if st := s.Stats(); st.TruncatedTails != 0 {
+		if st := s.BackendStats(); st["truncated_tails"] != 0 {
 			t.Fatalf("cut=%d: second replay still truncating (%+v)", cut, st)
 		}
 		mustGet(t, s, h1, b1)
@@ -202,11 +202,11 @@ func TestBitFlipQuarantineOnReplay(t *testing.T) {
 	if _, ok, _ := s.Get(h2); ok {
 		t.Fatal("bit-flipped chunk served")
 	}
-	st := s.Stats()
-	if st.QuarantinedRecords != 1 {
-		t.Fatalf("QuarantinedRecords = %d, want 1", st.QuarantinedRecords)
+	st := s.BackendStats()
+	if st["quarantined_records"] != 1 {
+		t.Fatalf("QuarantinedRecords = %d, want 1", st["quarantined_records"])
 	}
-	if st.GarbageBytes == 0 {
+	if st["garbage_bytes"] == 0 {
 		t.Fatal("quarantined record not counted as garbage")
 	}
 	// A repair write re-admits the chunk.
@@ -234,8 +234,8 @@ func TestBitFlipQuarantineOnRead(t *testing.T) {
 	if _, ok, err := s.Get(h1); ok || err != nil {
 		t.Fatalf("corrupt read: ok=%v err=%v (want miss, nil)", ok, err)
 	}
-	if st := s.Stats(); st.QuarantinedRecords != 1 {
-		t.Fatalf("QuarantinedRecords = %d, want 1", st.QuarantinedRecords)
+	if st := s.BackendStats(); st["quarantined_records"] != 1 {
+		t.Fatalf("QuarantinedRecords = %d, want 1", st["quarantined_records"])
 	}
 	// Quarantine dropped it from the index, so a repair put works.
 	mustPut(t, s, h1, b1)
@@ -270,7 +270,7 @@ func TestGarbageFramingTruncates(t *testing.T) {
 		}
 		s := mustOpen(t, dir, testOptions())
 		mustGet(t, s, h1, b1)
-		if st := s.Stats(); st.TruncatedTails == 0 {
+		if st := s.BackendStats(); st["truncated_tails"] == 0 {
 			t.Fatal("garbage tail not truncated")
 		}
 		s.Close()
@@ -292,9 +292,9 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 		hashes[i], blobs[i] = chunk(i, 512)
 		mustPut(t, s, hashes[i], blobs[i])
 	}
-	st := s.Stats()
-	if st.Segments < 4 {
-		t.Fatalf("expected rotation to produce several segments, got %d", st.Segments)
+	st := s.BackendStats()
+	if st["segments"] < 4 {
+		t.Fatalf("expected rotation to produce several segments, got %d", st["segments"])
 	}
 
 	// Delete most of the early chunks, making early segments garbage-heavy.
@@ -312,14 +312,14 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 			break
 		}
 	}
-	st2 := s.Stats()
-	if st2.Compactions == 0 {
+	st2 := s.BackendStats()
+	if st2["compactions"] == 0 {
 		t.Fatal("no compactions ran")
 	}
-	if st2.Segments >= st.Segments {
-		t.Fatalf("compaction did not reduce segments: %d -> %d", st.Segments, st2.Segments)
+	if st2["segments"] >= st["segments"] {
+		t.Fatalf("compaction did not reduce segments: %d -> %d", st["segments"], st2["segments"])
 	}
-	if st2.LastCompactionUnix == 0 {
+	if st2["last_compaction_unix"] == 0 {
 		t.Fatal("LastCompactionUnix not stamped")
 	}
 	// Live data intact, deletes still deleted — including after replay, so
@@ -412,8 +412,8 @@ func TestGroupCommitDurability(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := s.Stats()
-	if st.Syncs == 0 {
+	st := s.BackendStats()
+	if st["syncs"] == 0 {
 		t.Fatal("group commit issued no fsyncs")
 	}
 	// Group commit should have coalesced: far fewer fsyncs than puts is

@@ -16,51 +16,19 @@ import (
 
 	"lepton/internal/core"
 	"lepton/internal/jpeg"
+	"lepton/internal/metrics"
 	"lepton/internal/store"
 )
 
-// Stats counts blockserver activity.
-type Stats struct {
-	Compresses   atomic.Int64
-	Decompresses atomic.Int64
-	// GetRanges counts OpGetRange requests served (fast path and fallback
-	// alike; the split lives in core.RangeStats, merged into StatsSnapshot).
-	GetRanges  atomic.Int64
-	Outsourced atomic.Int64
-	Errors     atomic.Int64
-	// Cancelled counts conversions aborted mid-flight by a per-request
-	// context: peer disconnect, RequestTimeout, or a forced drain.
-	Cancelled atomic.Int64
-	// Writevs counts the vectored write batches issued by streamed
-	// decompress responses — each is one writev syscall on TCP and Unix
-	// sockets, covering up to vecMaxIOV decoder segments that previously
-	// took a write call apiece.
-	Writevs atomic.Int64
-}
-
-// StatsSnapshot returns a point-in-time view of the server's counters plus
-// the process-wide streamed-coefficient memory gauges (current and peak
-// row-window bytes — the §5.1 ceiling as actually observed), in a form
-// ready for expvar/JSON export; see cmd/blockserverd's -debug-addr.
+// StatsSnapshot returns a point-in-time view of this node's counters —
+// including the range-decode split and the streamed-coefficient memory
+// gauges (current and peak row-window bytes, the §5.1 ceiling as actually
+// observed) of the conversions it ran — plus in-flight and shard-queue
+// state, in a form ready for expvar/JSON export; see cmd/blockserverd's
+// -debug-addr. A restarted node starts from zero.
 func (b *Blockserver) StatsSnapshot() map[string]int64 {
-	inUse, peak := core.CoeffMemStats()
-	snap := map[string]int64{
-		"compresses":                b.Stats.Compresses.Load(),
-		"decompresses":              b.Stats.Decompresses.Load(),
-		"get_ranges":                b.Stats.GetRanges.Load(),
-		"outsourced":                b.Stats.Outsourced.Load(),
-		"errors":                    b.Stats.Errors.Load(),
-		"cancelled":                 b.Stats.Cancelled.Load(),
-		"in_flight":                 int64(b.InFlight()),
-		"writevs":                   b.Stats.Writevs.Load(),
-		"coeff_window_bytes_in_use": inUse,
-		"coeff_window_bytes_peak":   peak,
-	}
-	// Process-wide range-decode counters (fast path vs fallback split),
-	// same process-global scope as the coefficient gauges above.
-	for k, v := range core.RangeStats() {
-		snap[k] = v
-	}
+	snap := b.counters().Snapshot()
+	snap["in_flight"] = int64(b.InFlight())
 	if b.Outsource != nil {
 		// Target selection and per-peer probe RTTs of the outsourcing
 		// router: outsource_probe_failures, outsource_node<i>_srtt_us, ...
@@ -141,12 +109,22 @@ type Blockserver struct {
 	// EncodeOptions configures the codec.
 	EncodeOptions core.EncodeOptions
 	// Store, when non-nil, enables the store-backed chunk operations
-	// (OpPutChunk*/OpGetChunk*).
+	// (OpPutChunk*/OpGetChunk*). Serve replaces its Codec with one that
+	// counts toward this node.
 	Store *store.Store
 	// Logf, when set, receives diagnostics.
 	Logf func(format string, args ...any)
 
-	Stats Stats
+	// stats is the node's counter set: its request counters plus the
+	// range_* and coeff_window_bytes counters of every codec it runs
+	// (shard codecs and the Store's). get_ranges counts OpGetRange
+	// requests, fast path and fallback alike; cancelled counts
+	// conversions aborted mid-flight by a per-request context (peer
+	// disconnect, RequestTimeout, forced drain); writevs counts the
+	// vectored write batches of streamed responses, each one writev
+	// syscall covering up to vecMaxIOV decoder segments.
+	stats     *metrics.Set
+	statsOnce sync.Once
 
 	inFlight atomic.Int32
 	pool     *shardPool
@@ -233,8 +211,24 @@ func (sc *srvConn) Read(p []byte) (int, error) {
 	return sc.conn.Read(p)
 }
 
+// counters returns the node's counter set, creating it on first use: a
+// Blockserver is built as a struct literal, and StatsSnapshot may run
+// before Serve. Request paths, which only run after init, use b.stats
+// directly.
+func (b *Blockserver) counters() *metrics.Set {
+	b.statsOnce.Do(func() {
+		b.stats = core.NewStatsSet("compresses", "decompresses", "get_ranges",
+			"outsourced", "errors", "cancelled", "writevs")
+	})
+	return b.stats
+}
+
 func (b *Blockserver) init() {
 	b.initOnce.Do(func() {
+		set := b.counters()
+		if b.Store != nil {
+			b.Store.Codec = core.NewCodecIn(set)
+		}
 		b.baseCtx, b.cancelAll = context.WithCancel(context.Background())
 		b.conns = make(map[*srvConn]struct{})
 		if b.OutsourceThreshold == 0 {
@@ -247,7 +241,7 @@ func (b *Blockserver) init() {
 		// Published under connMu so StatsSnapshot can read the pool
 		// concurrently with a lazy init from another goroutine's Serve.
 		b.connMu.Lock()
-		b.pool = newShardPool(n)
+		b.pool = newShardPool(n, set)
 		b.connMu.Unlock()
 	})
 }
@@ -415,7 +409,7 @@ func (b *Blockserver) handle(conn net.Conn) {
 		if err != nil {
 			// EOF here is the normal end of a persistent connection.
 			if !errors.Is(err, io.EOF) && !b.draining.Load() {
-				b.Stats.Errors.Add(1)
+				b.stats.Add("errors", 1)
 			}
 			return
 		}
@@ -500,10 +494,10 @@ func (b *Blockserver) withRequestCtx(sc *srvConn, fn func(ctx context.Context) b
 // another node; everything else is a deterministic StatusError.
 func (b *Blockserver) respondErr(conn net.Conn, err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		b.Stats.Cancelled.Add(1)
+		b.stats.Add("cancelled", 1)
 		return WriteResponse(conn, StatusRetry, []byte(err.Error())) == nil
 	}
-	b.Stats.Errors.Add(1)
+	b.stats.Add("errors", 1)
 	return WriteResponse(conn, StatusError, []byte(err.Error())) == nil
 }
 
@@ -540,7 +534,7 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 			return b.handleStoreOp(ctx, sc, op, payload)
 		})
 	default:
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return WriteResponse(conn, StatusError, []byte("unknown op")) == nil
 	}
 }
@@ -561,7 +555,7 @@ func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, mayOutsour
 		resp, err := b.Outsource.outsource(octx, payload)
 		ocancel()
 		if err == nil {
-			b.Stats.Outsourced.Add(1)
+			b.stats.Add("outsourced", 1)
 			return WriteResponse(conn, StatusOK, resp) == nil
 		}
 		if ctx.Err() != nil {
@@ -580,7 +574,7 @@ func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, mayOutsour
 
 // compressLocal runs on a shard worker with the shard's private codec.
 func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, conn net.Conn, payload []byte) bool {
-	b.Stats.Compresses.Add(1)
+	b.stats.Add("compresses", 1)
 	res, err := cd.EncodeCtx(ctx, payload, withVerify(b.EncodeOptions))
 	if err != nil {
 		if ctx.Err() != nil {
@@ -624,23 +618,23 @@ func (b *Blockserver) serveDecompress(ctx context.Context, sc *srvConn, payload 
 // only be signaled by tearing the connection down.
 func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *srvConn, payload []byte) bool {
 	conn := sc.conn
-	b.Stats.Decompresses.Add(1)
+	b.stats.Add("decompresses", 1)
 	size, err := core.ContainerOutputSize(payload)
 	if err != nil {
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return WriteResponse(conn, StatusError, []byte(err.Error())) == nil
 	}
 	w := &sc.fw
-	w.reset(conn, size, &b.Stats.Writevs)
+	w.reset(conn, size, b.stats)
 	if err := cd.DecodeToCtx(ctx, w, payload, 0); err != nil {
 		if !w.wrote {
 			w.discard()
 			return b.respondErr(conn, err)
 		}
 		if ctx.Err() != nil {
-			b.Stats.Cancelled.Add(1)
+			b.stats.Add("cancelled", 1)
 		} else {
-			b.Stats.Errors.Add(1)
+			b.stats.Add("errors", 1)
 		}
 		w.discard()
 		b.logf("decompress stream failed: %v", err)
@@ -652,7 +646,7 @@ func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *s
 	}
 	if err := w.Flush(); err != nil {
 		// A response write failure: the connection is done either way.
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return false
 	}
 	return true
@@ -661,7 +655,7 @@ func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *s
 func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, payload []byte) bool {
 	conn := sc.conn
 	if b.Store == nil {
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return WriteResponse(conn, StatusError, []byte("no store configured")) == nil
 	}
 	fail := func(err error) bool {
@@ -729,7 +723,7 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 			// A miss is answered with its own status byte so replicated
 			// readers can key read-repair on it without parsing error
 			// prose; it still counts as an error for this node's stats.
-			b.Stats.Errors.Add(1)
+			b.stats.Add("errors", 1)
 			return WriteResponse(conn, StatusNotFound, []byte("unknown chunk")) == nil
 		}
 		return WriteResponse(conn, StatusOK, cb) == nil
@@ -759,7 +753,7 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 // through the Store's own codec (its budgets and shutoff switch are store
 // configuration); the shard still bounds their concurrency.
 func (b *Blockserver) putRawLocal(ctx context.Context, conn net.Conn, payload []byte) bool {
-	b.Stats.Compresses.Add(1)
+	b.stats.Add("compresses", 1)
 	ref, err := b.Store.PutFileCtx(ctx, payload)
 	if err != nil {
 		return b.respondErr(conn, err)
@@ -782,7 +776,7 @@ func (b *Blockserver) putCompressedLocal(ctx context.Context, conn net.Conn, pay
 
 // getRawLocal runs OpGetChunkRaw on a shard worker.
 func (b *Blockserver) getRawLocal(ctx context.Context, conn net.Conn, h store.Hash) bool {
-	b.Stats.Decompresses.Add(1)
+	b.stats.Add("decompresses", 1)
 	out, err := b.Store.GetChunkCtx(ctx, h)
 	if err != nil {
 		return b.respondErr(conn, err)
@@ -799,35 +793,35 @@ func (b *Blockserver) getRawLocal(ctx context.Context, conn net.Conn, h store.Ha
 // it signaled by connection teardown.
 func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srvConn, h store.Hash, off, n int64) bool {
 	conn := sc.conn
-	b.Stats.GetRanges.Add(1)
+	b.stats.Add("get_ranges", 1)
 	cb, ok := b.Store.GetCompressedChunk(h)
 	if !ok {
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return WriteResponse(conn, StatusNotFound, []byte("unknown chunk")) == nil
 	}
 	rlen, err := core.RangeLength(cb, off, n)
 	if err != nil {
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return WriteResponse(conn, StatusError, []byte(err.Error())) == nil
 	}
 	if rlen > maxPayload {
 		// The client's ReadResponse caps a frame at maxPayload; a range this
 		// large should be fetched as the whole chunk instead.
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return WriteResponse(conn, StatusError,
 			[]byte(fmt.Sprintf("range of %d bytes exceeds the %d-byte response limit", rlen, maxPayload))) == nil
 	}
 	w := &sc.fw
-	w.reset(conn, uint32(rlen), &b.Stats.Writevs)
+	w.reset(conn, uint32(rlen), b.stats)
 	if _, err := cd.DecodeRangeToCtx(ctx, w, cb, off, n, 0); err != nil {
 		if !w.wrote {
 			w.discard()
 			return b.respondErr(conn, err)
 		}
 		if ctx.Err() != nil {
-			b.Stats.Cancelled.Add(1)
+			b.stats.Add("cancelled", 1)
 		} else {
-			b.Stats.Errors.Add(1)
+			b.stats.Add("errors", 1)
 		}
 		w.discard()
 		b.logf("get-range stream failed: %v", err)
@@ -838,7 +832,7 @@ func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srv
 		return WriteResponseHeader(conn, StatusOK, uint32(rlen)) == nil
 	}
 	if err := w.Flush(); err != nil {
-		b.Stats.Errors.Add(1)
+		b.stats.Add("errors", 1)
 		return false
 	}
 	return true
@@ -860,9 +854,9 @@ type vecFrameWriter struct {
 	size    uint32
 	hdr     [5]byte
 	bufs    net.Buffers
-	pending int  // payload bytes queued and not yet flushed
-	wrote   bool // something reached the wire; the response is committed
-	writevs *atomic.Int64
+	pending int          // payload bytes queued and not yet flushed
+	wrote   bool         // something reached the wire; the response is committed
+	stats   *metrics.Set // counts writevs
 }
 
 // Flush thresholds: enough batching to collapse a typical multi-segment
@@ -874,12 +868,12 @@ const (
 	vecMaxIOV     = 64
 )
 
-func (w *vecFrameWriter) reset(conn net.Conn, size uint32, writevs *atomic.Int64) {
+func (w *vecFrameWriter) reset(conn net.Conn, size uint32, stats *metrics.Set) {
 	w.conn = conn
 	w.size = size
 	w.pending = 0
 	w.wrote = false
-	w.writevs = writevs
+	w.stats = stats
 	w.bufs = w.bufs[:0]
 }
 
@@ -908,9 +902,7 @@ func (w *vecFrameWriter) Flush() error {
 		return nil
 	}
 	w.wrote = true
-	if w.writevs != nil {
-		w.writevs.Add(1)
-	}
+	w.stats.Add("writevs", 1)
 	// WriteTo consumes a copy of the slice header; w.bufs keeps the full
 	// backing view so discard() below can release the aliased segments.
 	v := w.bufs

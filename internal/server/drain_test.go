@@ -81,7 +81,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("drained response undecodable: %v", err)
 	}
-	if got := b.Stats.Cancelled.Load(); got != 0 {
+	if got := b.StatsSnapshot()["cancelled"]; got != 0 {
 		t.Fatalf("clean drain cancelled %d conversions", got)
 	}
 
@@ -150,7 +150,7 @@ func TestShutdownExpiredCtxForceCancels(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("force-cancelled request reported success")
 	}
-	if got := b.Stats.Cancelled.Load(); got == 0 {
+	if got := b.StatsSnapshot()["cancelled"]; got == 0 {
 		t.Fatal("forced drain recorded no cancelled conversions")
 	}
 }
@@ -182,7 +182,7 @@ func TestPeerDisconnectCancelsConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, 10*time.Second, func() bool { return b.Stats.Cancelled.Load() > 0 },
+	waitFor(t, 10*time.Second, func() bool { return b.StatsSnapshot()["cancelled"] > 0 },
 		"conversion to be cancelled after disconnect")
 	waitFor(t, 10*time.Second, func() bool { return b.InFlight() == 0 }, "worker slot to free")
 }
@@ -202,7 +202,7 @@ func TestRequestTimeoutCancelsConversion(t *testing.T) {
 	if _, err := cl.Compress(context.Background(), data); err == nil {
 		t.Fatal("compress succeeded despite a 5ms request timeout")
 	}
-	if got := b.Stats.Cancelled.Load(); got == 0 {
+	if got := b.StatsSnapshot()["cancelled"]; got == 0 {
 		t.Fatal("request timeout recorded no cancellation")
 	}
 	// The error was reported in-band: the connection must still serve.

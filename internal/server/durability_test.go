@@ -136,7 +136,7 @@ func TestFleetKillRestartDiskZeroLoss(t *testing.T) {
 		}
 		refsA = append(refsA, ref)
 	}
-	if c := r.Counters(); c.ReplicaErrors != 0 {
+	if c := r.StatsSnapshot(); c["replica_errors"] != 0 {
 		t.Fatalf("phase A not fully replicated: %+v", c)
 	}
 	chunksA := refChunks(refsA)
@@ -206,7 +206,7 @@ func TestFleetKillRestartDiskZeroLoss(t *testing.T) {
 			t.Fatalf("file %d not byte-identical after crash recovery", i)
 		}
 	}
-	if c := r.Counters(); c.CorruptReplicas != 0 {
+	if c := r.StatsSnapshot(); c["corrupt_replicas"] != 0 {
 		t.Fatalf("corrupt replicas served during recovery: %+v", c)
 	}
 }
@@ -234,7 +234,7 @@ func TestFleetAntiEntropyRestoresReplication(t *testing.T) {
 		}
 		refs = append(refs, ref)
 	}
-	if c := r.Counters(); c.ReplicaErrors != 0 {
+	if c := r.StatsSnapshot(); c["replica_errors"] != 0 {
 		t.Fatalf("workload not fully replicated: %+v", c)
 	}
 	chunks := refChunks(refs)
@@ -267,7 +267,7 @@ func TestFleetAntiEntropyRestoresReplication(t *testing.T) {
 		t.Fatal("victim removal left no replication hole; test setup broken")
 	}
 
-	getsBefore := r.Counters().Gets
+	getsBefore := r.StatsSnapshot()["gets"]
 	stop := r.StartAntiEntropy(25 * time.Millisecond)
 	defer stop()
 
@@ -281,7 +281,7 @@ func TestFleetAntiEntropyRestoresReplication(t *testing.T) {
 	// target before the sweeping client increments AntiEntropyRepairs, so
 	// checking the counter only after observing convergence races.
 	waitFor(t, 15*time.Second, func() bool {
-		if r.Counters().AntiEntropyRepairs == 0 {
+		if r.StatsSnapshot()["anti_entropy_repairs"] == 0 {
 			return false
 		}
 		for _, h := range chunks {
@@ -294,11 +294,11 @@ func TestFleetAntiEntropyRestoresReplication(t *testing.T) {
 		return true
 	}, "anti-entropy to restore replication R")
 
-	c := r.Counters()
-	if c.Gets != getsBefore {
-		t.Fatalf("healing involved %d client reads, want 0", c.Gets-getsBefore)
+	c := r.StatsSnapshot()
+	if c["gets"] != getsBefore {
+		t.Fatalf("healing involved %d client reads, want 0", c["gets"]-getsBefore)
 	}
-	if c.ReadRepairs != 0 {
+	if c["read_repairs"] != 0 {
 		t.Fatalf("read-repair fired without reads: %+v", c)
 	}
 

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lepton/internal/metrics"
 	"lepton/internal/store"
 )
 
@@ -79,18 +80,6 @@ type FleetOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// FleetStats counts routing activity.
-type FleetStats struct {
-	Requests      atomic.Int64
-	Retries       atomic.Int64
-	Hedged        atomic.Int64
-	HedgeWins     atomic.Int64
-	Evictions     atomic.Int64
-	Readmissions  atomic.Int64
-	ProbeFailures atomic.Int64
-	DialFailures  atomic.Int64
-}
-
 // fleetNode is one blockserver as the router sees it: an address, a pool of
 // idle persistent clients, and a health flag.
 type fleetNode struct {
@@ -110,8 +99,9 @@ type fleetNode struct {
 	// operator-visible. Request exchanges do not feed it — a conversion's
 	// latency measures the payload, not the wire.
 	rtt RTTEstimator
-	// evictions counts how many times this node specifically was evicted.
-	evictions atomic.Int64
+	// evictions names the router counter of how many times this node
+	// specifically was evicted (node<i>_evictions).
+	evictions string
 }
 
 func (n *fleetNode) isDown() bool {
@@ -130,7 +120,7 @@ type Fleet struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	Stats FleetStats
+	stats *metrics.Set
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -142,7 +132,9 @@ type Fleet struct {
 // "unix:<path>"), deduplicated, and starts the health loop. opts may be
 // nil. Callers own Close.
 func NewFleet(addrs []string, opts *FleetOptions) (*Fleet, error) {
-	f := &Fleet{byAddr: map[string]*fleetNode{}, stopCh: make(chan struct{})}
+	f := &Fleet{byAddr: map[string]*fleetNode{}, stopCh: make(chan struct{}),
+		stats: metrics.New(nil, "requests", "retries", "hedged", "hedge_wins", "evictions",
+			"readmissions", "probe_failures", "dial_failures")}
 	if opts != nil {
 		f.opts = *opts
 	}
@@ -167,7 +159,8 @@ func NewFleet(addrs []string, opts *FleetOptions) (*Fleet, error) {
 		if _, dup := f.byAddr[addr]; dup {
 			continue
 		}
-		n := &fleetNode{addr: addr}
+		n := &fleetNode{addr: addr, evictions: fmt.Sprintf("node%d_evictions", len(f.nodes))}
+		f.stats.Add(n.evictions, 0)
 		f.nodes = append(f.nodes, n)
 		f.byAddr[addr] = n
 	}
@@ -210,41 +203,28 @@ func (f *Fleet) NodeDown(addr string) bool {
 }
 
 // StatsSnapshot returns a point-in-time view of the router's counters plus
-// the current up/down node split, mirroring Blockserver.StatsSnapshot.
+// the current up/down node split and each node's RTT estimate, mirroring
+// Blockserver.StatsSnapshot. Each node's health flag is read once, so
+// nodes_up + nodes_down is the node count and nodes_down is the sum of
+// the node<i>_down flags even while a node is being evicted.
 func (f *Fleet) StatsSnapshot() map[string]int64 {
-	var up, down int64
-	for _, n := range f.nodes {
-		if n.isDown() {
-			down++
-		} else {
-			up++
-		}
-	}
-	snap := map[string]int64{
-		"requests":       f.Stats.Requests.Load(),
-		"retries":        f.Stats.Retries.Load(),
-		"hedged":         f.Stats.Hedged.Load(),
-		"hedge_wins":     f.Stats.HedgeWins.Load(),
-		"evictions":      f.Stats.Evictions.Load(),
-		"readmissions":   f.Stats.Readmissions.Load(),
-		"probe_failures": f.Stats.ProbeFailures.Load(),
-		"dial_failures":  f.Stats.DialFailures.Load(),
-		"nodes_up":       up,
-		"nodes_down":     down,
-	}
+	snap := f.stats.Snapshot()
+	var down int64
 	for i, n := range f.nodes {
 		st := n.rtt.Stat()
 		snap[fmt.Sprintf("node%d_srtt_us", i)] = st.SRTT.Microseconds()
 		snap[fmt.Sprintf("node%d_rttvar_us", i)] = st.RTTVar.Microseconds()
 		snap[fmt.Sprintf("node%d_rto_us", i)] = st.RTO.Microseconds()
 		snap[fmt.Sprintf("node%d_rtt_samples", i)] = st.Samples
-		snap[fmt.Sprintf("node%d_evictions", i)] = n.evictions.Load()
 		var downFlag int64
 		if n.isDown() {
 			downFlag = 1
 		}
+		down += downFlag
 		snap[fmt.Sprintf("node%d_down", i)] = downFlag
 	}
+	snap["nodes_up"] = int64(len(f.nodes)) - down
+	snap["nodes_down"] = down
 	return snap
 }
 
@@ -310,8 +290,8 @@ func (f *Fleet) evict(n *fleetNode, why string) {
 		_ = c.Close()
 	}
 	if !already {
-		f.Stats.Evictions.Add(1)
-		n.evictions.Add(1)
+		f.stats.Add("evictions", 1)
+		f.stats.Add(n.evictions, 1)
 		f.logf("fleet: evicted %s (%s)", n.addr, why)
 	}
 }
@@ -325,7 +305,7 @@ func (f *Fleet) readmit(n *fleetNode) {
 	n.healthFails = 0
 	n.mu.Unlock()
 	if was {
-		f.Stats.Readmissions.Add(1)
+		f.stats.Add("readmissions", 1)
 		f.logf("fleet: readmitted %s", n.addr)
 	}
 }
@@ -466,7 +446,7 @@ func (f *Fleet) pick(ctx context.Context, exclude map[*fleetNode]bool) (*fleetNo
 		}
 		for k, err := range errs {
 			if err != nil {
-				f.Stats.ProbeFailures.Add(1)
+				f.stats.Add("probe_failures", 1)
 				local[pair[k]] = true
 				lastResort = pair[k]
 			}
@@ -516,13 +496,13 @@ func (f *Fleet) outsource(ctx context.Context, payload []byte) ([]byte, error) {
 	}
 	for _, err := range errs {
 		if err != nil {
-			f.Stats.ProbeFailures.Add(1)
+			f.stats.Add("probe_failures", 1)
 		}
 	}
 	if win < 0 {
 		return nil, ErrNoNodes
 	}
-	f.Stats.Requests.Add(1)
+	f.stats.Add("requests", 1)
 	resp, err := f.try(ctx, pair[win], OpCompressLocal, payload)
 	if err != nil {
 		return nil, fmt.Errorf("outsource to %s: %w", pair[win].addr, err)
@@ -544,7 +524,7 @@ func (f *Fleet) try(ctx context.Context, n *fleetNode, op byte, payload []byte) 
 		c, fromPool, err := f.getClient(ctx, n, attempt > 0)
 		if err != nil {
 			if ctx.Err() == nil {
-				f.Stats.DialFailures.Add(1)
+				f.stats.Add("dial_failures", 1)
 				f.evict(n, fmt.Sprintf("dial: %v", err))
 			}
 			return nil, err
@@ -644,7 +624,7 @@ func (f *Fleet) tryHedged(ctx context.Context, primary *fleetNode, op byte, payl
 					ch <- result{nil, err, nil, true}
 					return
 				}
-				f.Stats.Hedged.Add(1)
+				f.stats.Add("hedged", 1)
 				resp, err := f.try(hctx, n2, op, payload)
 				ch <- result{resp, err, n2, true}
 			}()
@@ -664,7 +644,7 @@ func (f *Fleet) tryHedged(ctx context.Context, primary *fleetNode, op byte, payl
 			}
 			if r.err == nil {
 				if r.hedge {
-					f.Stats.HedgeWins.Add(1)
+					f.stats.Add("hedge_wins", 1)
 				}
 				// Cancel the loser; its client tears down and the server
 				// aborts the duplicate conversion at its next checkpoint.
@@ -714,7 +694,7 @@ func (f *Fleet) Do(ctx context.Context, op byte, payload []byte) ([]byte, error)
 	if err := checkPayloadSize(payload); err != nil {
 		return nil, err
 	}
-	f.Stats.Requests.Add(1)
+	f.stats.Add("requests", 1)
 	exclude := make(map[*fleetNode]bool)
 	var lastErr error
 	for attempt := 0; attempt < f.opts.MaxAttempts; attempt++ {
@@ -729,7 +709,7 @@ func (f *Fleet) Do(ctx context.Context, op byte, payload []byte) ([]byte, error)
 			return nil, err
 		}
 		if attempt > 0 {
-			f.Stats.Retries.Add(1)
+			f.stats.Add("retries", 1)
 		}
 		resp, err := f.tryHedged(ctx, n, op, payload, exclude)
 		if err == nil {
@@ -837,7 +817,7 @@ func (f *Fleet) HealthCheck(ctx context.Context) {
 			case ctx.Err() != nil:
 				// The caller's context expired; no verdict on the node.
 			default:
-				f.Stats.ProbeFailures.Add(1)
+				f.stats.Add("probe_failures", 1)
 				n.mu.Lock()
 				n.healthFails++
 				fails := n.healthFails
@@ -946,7 +926,7 @@ func (f *Fleet) GetRangeAny(ctx context.Context, h store.Hash, off, n int64) ([]
 	if err != nil {
 		return nil, err
 	}
-	f.Stats.Requests.Add(1)
+	f.stats.Add("requests", 1)
 	exclude := make(map[*fleetNode]bool)
 	var lastErr error
 	for attempt := 0; attempt < f.opts.MaxAttempts; attempt++ {
@@ -961,7 +941,7 @@ func (f *Fleet) GetRangeAny(ctx context.Context, h store.Hash, off, n int64) ([]
 			return nil, err
 		}
 		if attempt > 0 {
-			f.Stats.Retries.Add(1)
+			f.stats.Add("retries", 1)
 		}
 		resp, err := f.tryHedged(ctx, node, OpGetRange, req, exclude)
 		if err == nil {

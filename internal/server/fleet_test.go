@@ -604,7 +604,7 @@ func TestRemoteStoreOverFleet(t *testing.T) {
 	if !bytes.Equal(back2, data2) {
 		t.Fatal("post-rejoin read mismatch")
 	}
-	if c := r.Counters(); c.ReadRepairs == 0 {
+	if c := r.StatsSnapshot(); c["read_repairs"] == 0 {
 		t.Fatalf("first-replica miss did not read-repair: %+v", c)
 	}
 	// And the repaired replica really holds the chunk now: ask it directly.
@@ -649,7 +649,7 @@ func TestFleetRetriesNodeLocalTimeouts(t *testing.T) {
 		comps = append(comps, comp)
 	}
 	snap := f.StatsSnapshot()
-	if flaky.Stats.Cancelled.Load() > 0 && snap["retries"] == 0 {
+	if flaky.StatsSnapshot()["cancelled"] > 0 && snap["retries"] == 0 {
 		t.Fatalf("flaky node declined conversions but nothing was retried: %v", snap)
 	}
 	if snap["evictions"] != 0 {

@@ -77,9 +77,6 @@ func TestGetRangeOp(t *testing.T) {
 	if after["range_fast"]-before["range_fast"] == 0 {
 		t.Error("no range read took the indexed fast path")
 	}
-	if got := b.Stats.GetRanges.Load(); got != int64(len(probes)) {
-		t.Fatalf("GetRanges counter = %d, want %d", got, len(probes))
-	}
 	snap := b.StatsSnapshot()
 	if snap["get_ranges"] != int64(len(probes)) {
 		t.Fatalf("snapshot get_ranges = %d", snap["get_ranges"])
@@ -184,6 +181,61 @@ func TestFleetGetRange(t *testing.T) {
 	}
 }
 
+// TestNodeStatsArePerNode routes range reads unevenly across a 3-node
+// in-process fleet and checks that every node's range_* and
+// coeff_window_* counters cover its own conversions only: each node's
+// range_requests and range_fast equal its own get_ranges, and only nodes
+// that converted something report a coefficient-window peak.
+func TestNodeStatsArePerNode(t *testing.T) {
+	nodes := startTestFleet(t, 3)
+	f := newTestFleet(t, nodes, nil)
+	ctx := context.Background()
+
+	raw := gen(t, 64, 320, 240)
+	res, err := core.NewCodec().EncodeCtx(ctx, raw, core.EncodeOptions{ForceSegments: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nodes 0 and 1 admit the chunk (a verifying decode on each); node 2
+	// converts nothing.
+	var h store.Hash
+	for _, nd := range nodes[:2] {
+		if h, err = f.PutCompressed(ctx, nd.addr, res.Compressed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads := []int{5, 2, 0}
+	for i, n := range reads {
+		for k := 0; k < n; k++ {
+			off := int64(k) * 1500
+			got, err := f.GetRange(ctx, nodes[i].addr, h, off, 700)
+			if err != nil {
+				t.Fatalf("node %d GetRange(off=%d): %v", i, off, err)
+			}
+			if !bytes.Equal(got, raw[off:off+700]) {
+				t.Fatalf("node %d GetRange(off=%d) mismatch", i, off)
+			}
+		}
+	}
+	for i, nd := range nodes {
+		snap := nd.snapshot()
+		if snap["get_ranges"] != int64(reads[i]) {
+			t.Errorf("node %d: get_ranges = %d, want %d", i, snap["get_ranges"], reads[i])
+		}
+		if snap["range_requests"] != snap["get_ranges"] || snap["range_fast"] != snap["get_ranges"] {
+			t.Errorf("node %d: range_requests = %d, range_fast = %d, want its own get_ranges %d",
+				i, snap["range_requests"], snap["range_fast"], snap["get_ranges"])
+		}
+		if converted := i < 2; (snap["coeff_window_bytes_peak"] > 0) != converted {
+			t.Errorf("node %d: coeff_window_bytes_peak = %d, ran conversions: %v",
+				i, snap["coeff_window_bytes_peak"], converted)
+		}
+		if snap["coeff_window_bytes_in_use"] != 0 {
+			t.Errorf("node %d: %d coefficient-window bytes still in use", i, snap["coeff_window_bytes_in_use"])
+		}
+	}
+}
+
 // TestRemoteStoreRange drives store.Remote.GetRange and GetFileRange over a
 // live fleet: replica-ordered range reads, the whole-chunk local fallback
 // accounting, and the chunk-arithmetic file ranges.
@@ -230,12 +282,12 @@ func TestRemoteStoreRange(t *testing.T) {
 			t.Fatalf("GetFileRange(off=%d n=%d) differs from file slice", p[0], p[1])
 		}
 	}
-	c := r.Counters()
-	if c.RangeGets == 0 {
+	c := r.StatsSnapshot()
+	if c["range_gets"] == 0 {
 		t.Fatal("no range gets counted")
 	}
-	if c.RangeFallbacks != 0 {
-		t.Fatalf("range reads over a range-capable fleet fell back %d times", c.RangeFallbacks)
+	if c["range_fallbacks"] != 0 {
+		t.Fatalf("range reads over a range-capable fleet fell back %d times", c["range_fallbacks"])
 	}
 
 	// A mismatched chunk size must be refused, not silently misread.
@@ -256,8 +308,8 @@ func TestRemoteStoreRange(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data[100:300]) {
 		t.Fatalf("rangeless transport fallback: %v", err)
 	}
-	if c2 := r2.Counters(); c2.RangeFallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", c2.RangeFallbacks)
+	if c2 := r2.StatsSnapshot(); c2["range_fallbacks"] != 1 {
+		t.Fatalf("fallbacks = %d, want 1", c2["range_fallbacks"])
 	}
 }
 

@@ -97,10 +97,10 @@ func TestOutsourcingToDedicated(t *testing.T) {
 	frontAddr := startServer(t, "tcp:127.0.0.1:0", front)
 
 	compressN(t, frontAddr, gen(t, 3, 200, 150), 1)
-	if front.Stats.Outsourced.Load() == 0 {
+	if front.StatsSnapshot()["outsourced"] == 0 {
 		t.Fatal("frontend did not outsource")
 	}
-	if worker.Stats.Compresses.Load() == 0 {
+	if worker.StatsSnapshot()["compresses"] == 0 {
 		t.Fatal("worker saw no work")
 	}
 }
@@ -137,13 +137,13 @@ func TestOutsourcedCompressNotReoutsourced(t *testing.T) {
 	if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("outsourced round trip mismatch (%v)", err)
 	}
-	if got := a.Stats.Outsourced.Load(); got != 1 {
+	if got := a.StatsSnapshot()["outsourced"]; got != 1 {
 		t.Errorf("A outsourced %d, want 1", got)
 	}
-	if got := b.Stats.Outsourced.Load(); got != 0 {
+	if got := b.StatsSnapshot()["outsourced"]; got != 0 {
 		t.Errorf("B outsourced %d, want 0", got)
 	}
-	if got := b.Stats.Compresses.Load(); got != 1 {
+	if got := b.StatsSnapshot()["compresses"]; got != 1 {
 		t.Errorf("B compressed %d, want 1", got)
 	}
 }
@@ -165,10 +165,10 @@ func TestOutsourcingPowerOfTwoPrefersIdlePeer(t *testing.T) {
 		t.Fatalf("power-of-two did not prefer the idle peer: idle %d, busy %d", idle, busyJobs.Load())
 	}
 	// The fake peers reject every job, so each compress fell back locally.
-	if got := front.Stats.Outsourced.Load(); got != 0 {
+	if got := front.StatsSnapshot()["outsourced"]; got != 0 {
 		t.Fatalf("outsourced %d jobs the peers rejected", got)
 	}
-	if got := front.Stats.Compresses.Load(); got != trials {
+	if got := front.StatsSnapshot()["compresses"]; got != trials {
 		t.Fatalf("compressed %d locally, want %d", got, trials)
 	}
 }
@@ -243,7 +243,7 @@ func TestOutsourceSelectionLatencyBoundedByOneTimeout(t *testing.T) {
 	if elapsed > 2*time.Second+conversions {
 		t.Fatalf("3 compresses against hung peers took %v (%v converting); probes not sharing one timeout", elapsed, conversions)
 	}
-	if got := b.Stats.Outsourced.Load(); got != 0 {
+	if got := b.StatsSnapshot()["outsourced"]; got != 0 {
 		t.Fatalf("outsourced %d jobs to hung peers", got)
 	}
 }

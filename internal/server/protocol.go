@@ -138,21 +138,6 @@ func WriteFrame(conn net.Conn, op byte, payload []byte) error {
 	return err
 }
 
-// WriteRequest sends op+payload and half-closes the write side, signaling
-// end of request exactly as the production protocol did ("the file is
-// complete once the socket is shut down for writing"). Persistent clients
-// use WriteFrame instead.
-func WriteRequest(conn net.Conn, op byte, payload []byte) error {
-	if err := WriteFrame(conn, op, payload); err != nil {
-		return err
-	}
-	type closeWriter interface{ CloseWrite() error }
-	if cw, ok := conn.(closeWriter); ok {
-		return cw.CloseWrite()
-	}
-	return nil
-}
-
 // ReadRequest reads one request from a connection (any io.Reader over the
 // framed stream).
 func ReadRequest(conn io.Reader) (op byte, payload []byte, err error) {

@@ -77,8 +77,8 @@ func TestUnixSocketCompressDecompress(t *testing.T) {
 	if !bytes.Equal(back, data) {
 		t.Fatal("socket round trip mismatch")
 	}
-	if c, d := b.Stats.Compresses.Load(), b.Stats.Decompresses.Load(); c != 1 || d != 1 {
-		t.Fatalf("stats: compresses=%d decompresses=%d", c, d)
+	if st := b.StatsSnapshot(); st["compresses"] != 1 || st["decompresses"] != 1 {
+		t.Fatalf("stats: compresses=%d decompresses=%d", st["compresses"], st["decompresses"])
 	}
 	snap := settledSnapshot(t, b, "in_flight to settle", func(s map[string]int64) bool { return s["in_flight"] == 0 })
 	if snap["compresses"] != 1 || snap["decompresses"] != 1 {
@@ -144,7 +144,12 @@ func TestHalfCloseOneShotRequest(t *testing.T) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	data := gen(t, 8, 96, 64)
-	if err := server.WriteRequest(conn, server.OpCompress, data); err != nil {
+	if err := server.WriteFrame(conn, server.OpCompress, data); err != nil {
+		t.Fatal(err)
+	}
+	// End of request, as the production protocol signaled it: "the file is
+	// complete once the socket is shut down for writing".
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
 	status, comp, err := server.ReadResponse(conn)
@@ -318,8 +323,8 @@ func TestPersistentConnectionManyRequests(t *testing.T) {
 			}
 		}
 	}
-	if got := b.Stats.Compresses.Load() + b.Stats.Decompresses.Load(); got < rounds {
-		t.Fatalf("server saw %d conversions, want >= %d", got, rounds)
+	if st := b.StatsSnapshot(); st["compresses"]+st["decompresses"] < rounds {
+		t.Fatalf("server saw %d conversions, want >= %d", st["compresses"]+st["decompresses"], rounds)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"lepton/internal/core"
+	"lepton/internal/metrics"
 	"lepton/internal/store"
 )
 
@@ -157,13 +158,15 @@ type shardPool struct {
 	wg     sync.WaitGroup
 }
 
-func newShardPool(n int) *shardPool {
+// newShardPool starts n workers, each with a private codec counting into
+// stats.
+func newShardPool(n int, stats *metrics.Set) *shardPool {
 	if n < 1 {
 		n = 1
 	}
 	p := &shardPool{shards: make([]shard, n)}
 	for i := range p.shards {
-		p.shards[i].codec = core.NewCodec()
+		p.shards[i].codec = core.NewCodecIn(stats)
 		p.shards[i].cond = sync.NewCond(&p.mu)
 	}
 	p.wg.Add(n)

@@ -43,7 +43,7 @@ func submitFunc(t *testing.T, p *shardPool, shard int, fn func() bool) *shardJob
 // TestShardPoolAffinity: with every worker idle, a job lands on its
 // preferred shard's worker — never a steal.
 func TestShardPoolAffinity(t *testing.T) {
-	p := newShardPool(2)
+	p := newShardPool(2, nil)
 	defer p.close()
 	for round := 0; round < 3; round++ {
 		for s := 0; s < 2; s++ {
@@ -69,7 +69,7 @@ func TestShardPoolAffinity(t *testing.T) {
 // TestShardPoolStealing: with shard 0's worker pinned by a running job, a
 // job queued for shard 0 is stolen and completed by shard 1's worker.
 func TestShardPoolStealing(t *testing.T) {
-	p := newShardPool(2)
+	p := newShardPool(2, nil)
 	defer p.close()
 	waitParked(t, p)
 
@@ -115,7 +115,7 @@ func TestShardPoolStealing(t *testing.T) {
 // TestShardPoolCancelWhileQueued: cancelling a submitter whose job is
 // still queued withdraws the job; it never runs.
 func TestShardPoolCancelWhileQueued(t *testing.T) {
-	p := newShardPool(1)
+	p := newShardPool(1, nil)
 	defer p.close()
 	waitParked(t, p)
 

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -111,7 +110,7 @@ func (r *Remote) sweep(ctx context.Context, catalogAddrs []string, strict bool) 
 			if strict && inCatalog[addr] {
 				return 0, 0, fmt.Errorf("store: list %s: %w", addr, lerr)
 			}
-			atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+			r.stats.Add("replica_errors", 1)
 			continue
 		}
 		listed[addr] = true
@@ -151,19 +150,19 @@ func (r *Remote) repairTo(ctx context.Context, h Hash, target string, from map[s
 	for addr := range from {
 		cb, err := r.T.GetCompressed(ctx, addr, h)
 		if err != nil {
-			atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+			r.stats.Add("replica_errors", 1)
 			continue
 		}
 		if sha256.Sum256(cb) != h {
-			atomic.AddInt64(&r.counters.CorruptReplicas, 1)
+			r.stats.Add("corrupt_replicas", 1)
 			continue
 		}
 		rh, err := r.T.PutCompressed(ctx, target, cb)
 		if err != nil || rh != h {
-			atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+			r.stats.Add("replica_errors", 1)
 			return false
 		}
-		atomic.AddInt64(&r.counters.AntiEntropyRepairs, 1)
+		r.stats.Add("anti_entropy_repairs", 1)
 		return true
 	}
 	return false
@@ -175,7 +174,7 @@ func (r *Remote) repairTo(ctx context.Context, h Hash, target string, from map[s
 // that never saw the affected chunks, so only the survivors' listings
 // know what needs copying. Returns the number of replica copies made.
 func (r *Remote) AntiEntropy(ctx context.Context) (int, error) {
-	atomic.AddInt64(&r.counters.AntiEntropySweeps, 1)
+	r.stats.Add("anti_entropy_sweeps", 1)
 	_, repaired, err := r.sweep(ctx, r.nodesSnapshot(), false)
 	return repaired, err
 }

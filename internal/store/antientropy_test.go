@@ -88,7 +88,7 @@ func TestAntiEntropyRestoresReplicationAfterNodeLoss(t *testing.T) {
 	tr.wipeAll(victim)
 	r.RemoveNode(victim)
 
-	getsBefore := r.Counters().Gets
+	getsBefore := r.StatsSnapshot()["gets"]
 	repaired, err := r.AntiEntropy(context.Background())
 	if err != nil {
 		t.Fatalf("AntiEntropy: %v", err)
@@ -97,15 +97,15 @@ func TestAntiEntropyRestoresReplicationAfterNodeLoss(t *testing.T) {
 		t.Fatal("node loss repaired nothing — sweep found no under-replicated chunks")
 	}
 	assertFullyReplicated(t, r, tr, hashes)
-	c := r.Counters()
+	c := r.StatsSnapshot()
 	// Proactive healing, not read-repair: no client read was involved.
-	if c.Gets != getsBefore {
-		t.Fatalf("sweep performed %d client Gets", c.Gets-getsBefore)
+	if c["gets"] != getsBefore {
+		t.Fatalf("sweep performed %d client Gets", c["gets"]-getsBefore)
 	}
-	if c.AntiEntropySweeps != 1 || c.AntiEntropyRepairs != int64(repaired) {
+	if c["anti_entropy_sweeps"] != 1 || c["anti_entropy_repairs"] != int64(repaired) {
 		t.Fatalf("counters: %+v, want 1 sweep / %d repairs", c, repaired)
 	}
-	if c.ReadRepairs != 0 {
+	if c["read_repairs"] != 0 {
 		t.Fatalf("sweep counted as read-repair: %+v", c)
 	}
 	// A second sweep is a no-op: the system converged.
@@ -278,7 +278,7 @@ func TestStartAntiEntropyBackgroundLoop(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	stop()
-	if r.Counters().AntiEntropySweeps == 0 {
+	if r.StatsSnapshot()["anti_entropy_sweeps"] == 0 {
 		t.Fatal("no sweeps counted")
 	}
 }

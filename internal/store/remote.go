@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"lepton/internal/chunk"
 	"lepton/internal/core"
+	"lepton/internal/metrics"
 )
 
 // ErrRemoteMiss marks a replica that answered but does not hold the
@@ -45,40 +45,6 @@ type RangeTransport interface {
 	GetRange(ctx context.Context, addr string, h Hash, off, n int64) ([]byte, error)
 }
 
-// RemoteCounters exposes the distributed store's operational statistics.
-type RemoteCounters struct {
-	Puts            int64
-	Gets            int64
-	ReplicaErrors   int64 // replica writes/reads lost to unreachable nodes
-	Misses          int64 // replicas that answered "no such chunk"
-	ReadRepairs     int64 // chunks written back to repaired replicas
-	CorruptReplicas int64 // replicas whose bytes failed the content hash
-
-	AntiEntropySweeps  int64 // background sweeps started
-	AntiEntropyRepairs int64 // replica copies made by sweeps (not read-repair)
-
-	RangeGets      int64 // chunk range reads requested
-	RangeFallbacks int64 // of those, served by full-chunk fetch + local range decode
-}
-
-// Map renders the counters as a flat name→value map in the shape every
-// other stats surface exports (Blockserver/Fleet StatsSnapshot), so the
-// admin plane and the load harness can scrape all three uniformly.
-func (c RemoteCounters) Map() map[string]int64 {
-	return map[string]int64{
-		"puts":                 c.Puts,
-		"gets":                 c.Gets,
-		"replica_errors":       c.ReplicaErrors,
-		"misses":               c.Misses,
-		"read_repairs":         c.ReadRepairs,
-		"corrupt_replicas":     c.CorruptReplicas,
-		"anti_entropy_sweeps":  c.AntiEntropySweeps,
-		"anti_entropy_repairs": c.AntiEntropyRepairs,
-		"range_gets":           c.RangeGets,
-		"range_fallbacks":      c.RangeFallbacks,
-	}
-}
-
 // Remote is the fleet-backed chunk store: content-addressed chunks placed
 // on R nodes by consistent hashing, written through the blockserver store
 // protocol, and read back with verification against the content hash plus
@@ -103,7 +69,7 @@ type Remote struct {
 	ringMu sync.RWMutex
 	ring   *hashRing
 
-	counters RemoteCounters
+	stats *metrics.Set
 }
 
 // NewRemote builds a distributed store over t's node set.
@@ -121,7 +87,14 @@ func NewRemote(t RemoteTransport, replication int) (*Remote, error) {
 	if replication > len(nodes) {
 		replication = len(nodes)
 	}
-	return &Remote{T: t, Codec: core.NewCodec(), Replication: replication, ring: newHashRing(nodes)}, nil
+	// replica_errors counts replica writes and reads lost to unreachable
+	// nodes, misses replicas that answered "no such chunk",
+	// anti_entropy_repairs replica copies made by sweeps (not by
+	// read-repair), and range_fallbacks range reads served by a
+	// whole-chunk fetch plus a local range decode.
+	stats := metrics.New(nil, "puts", "gets", "replica_errors", "misses", "read_repairs",
+		"corrupt_replicas", "anti_entropy_sweeps", "anti_entropy_repairs", "range_gets", "range_fallbacks")
+	return &Remote{T: t, Codec: core.NewCodec(), Replication: replication, ring: newHashRing(nodes), stats: stats}, nil
 }
 
 // Placement returns the R distinct node addresses that should hold h, in
@@ -140,7 +113,7 @@ func (r *Remote) Placement(h Hash) []string {
 // compressed bytes), cross-checked against what each replica computed.
 func (r *Remote) Put(ctx context.Context, compressed []byte) (Hash, error) {
 	sum := sha256.Sum256(compressed)
-	atomic.AddInt64(&r.counters.Puts, 1)
+	r.stats.Add("puts", 1)
 	replicas := r.Placement(sum)
 	errs := make([]error, len(replicas))
 	var wg sync.WaitGroup
@@ -169,7 +142,7 @@ func (r *Remote) Put(ctx context.Context, compressed []byte) (Hash, error) {
 			stored++
 			continue
 		}
-		atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+		r.stats.Add("replica_errors", 1)
 		lastErr = err
 	}
 	if stored == 0 {
@@ -183,7 +156,7 @@ func (r *Remote) Put(ctx context.Context, compressed []byte) (Hash, error) {
 // missing or corrupt along the way are repaired with the good copy —
 // content-addressed writes are idempotent, so repairing is always safe.
 func (r *Remote) GetCompressed(ctx context.Context, h Hash) ([]byte, error) {
-	atomic.AddInt64(&r.counters.Gets, 1)
+	r.stats.Add("gets", 1)
 	replicas := r.Placement(h)
 	var repair []string
 	var lastErr error
@@ -195,11 +168,11 @@ func (r *Remote) GetCompressed(ctx context.Context, h Hash) ([]byte, error) {
 			}
 			lastErr = err
 			if errors.Is(err, ErrRemoteMiss) {
-				atomic.AddInt64(&r.counters.Misses, 1)
+				r.stats.Add("misses", 1)
 				repair = append(repair, addr)
 			} else {
 				// Unreachable: it may still hold the chunk; don't rewrite.
-				atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+				r.stats.Add("replica_errors", 1)
 			}
 			continue
 		}
@@ -207,7 +180,7 @@ func (r *Remote) GetCompressed(ctx context.Context, h Hash) ([]byte, error) {
 			// The §5.7 checksum discipline, applied across the network: a
 			// replica returning different bytes is corrupt and gets the
 			// good copy written back over it.
-			atomic.AddInt64(&r.counters.CorruptReplicas, 1)
+			r.stats.Add("corrupt_replicas", 1)
 			lastErr = fmt.Errorf("store: node %s returned corrupt bytes for %x", addr, h[:8])
 			repair = append(repair, addr)
 			continue
@@ -219,9 +192,9 @@ func (r *Remote) GetCompressed(ctx context.Context, h Hash) ([]byte, error) {
 			// replica unhealed and is counted so the cycle is visible.
 			rh, err := r.T.PutCompressed(ctx, m, cb)
 			if err == nil && rh == h {
-				atomic.AddInt64(&r.counters.ReadRepairs, 1)
+				r.stats.Add("read_repairs", 1)
 			} else {
-				atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+				r.stats.Add("replica_errors", 1)
 			}
 		}
 		return cb, nil
@@ -252,7 +225,7 @@ func (r *Remote) GetRange(ctx context.Context, h Hash, off, n int64) ([]byte, er
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("store: negative range off=%d n=%d", off, n)
 	}
-	atomic.AddInt64(&r.counters.RangeGets, 1)
+	r.stats.Add("range_gets", 1)
 	if rt, ok := r.T.(RangeTransport); ok {
 		for _, addr := range r.Placement(h) {
 			b, err := rt.GetRange(ctx, addr, h, off, n)
@@ -263,13 +236,13 @@ func (r *Remote) GetRange(ctx context.Context, h Hash, off, n int64) ([]byte, er
 				return nil, ctx.Err()
 			}
 			if errors.Is(err, ErrRemoteMiss) {
-				atomic.AddInt64(&r.counters.Misses, 1)
+				r.stats.Add("misses", 1)
 			} else {
-				atomic.AddInt64(&r.counters.ReplicaErrors, 1)
+				r.stats.Add("replica_errors", 1)
 			}
 		}
 	}
-	atomic.AddInt64(&r.counters.RangeFallbacks, 1)
+	r.stats.Add("range_fallbacks", 1)
 	cb, err := r.GetCompressed(ctx, h)
 	if err != nil {
 		return nil, err
@@ -457,23 +430,11 @@ func (r *Remote) GetFile(ctx context.Context, ref FileRef) ([]byte, error) {
 	return out, nil
 }
 
-// Counters returns a snapshot of operational statistics.
-func (r *Remote) Counters() RemoteCounters {
-	return RemoteCounters{
-		Puts:            atomic.LoadInt64(&r.counters.Puts),
-		Gets:            atomic.LoadInt64(&r.counters.Gets),
-		ReplicaErrors:   atomic.LoadInt64(&r.counters.ReplicaErrors),
-		Misses:          atomic.LoadInt64(&r.counters.Misses),
-		ReadRepairs:     atomic.LoadInt64(&r.counters.ReadRepairs),
-		CorruptReplicas: atomic.LoadInt64(&r.counters.CorruptReplicas),
-
-		AntiEntropySweeps:  atomic.LoadInt64(&r.counters.AntiEntropySweeps),
-		AntiEntropyRepairs: atomic.LoadInt64(&r.counters.AntiEntropyRepairs),
-
-		RangeGets:      atomic.LoadInt64(&r.counters.RangeGets),
-		RangeFallbacks: atomic.LoadInt64(&r.counters.RangeFallbacks),
-	}
-}
+// StatsSnapshot returns the store's counters as a flat name→value map in
+// the shape every other stats surface exports (Blockserver and Fleet
+// StatsSnapshot), so the admin plane and the load harness scrape all of
+// them uniformly.
+func (r *Remote) StatsSnapshot() map[string]int64 { return r.stats.Snapshot() }
 
 // --- consistent-hash ring -------------------------------------------------
 

@@ -171,7 +171,7 @@ func TestRemotePutSucceedsWithOneReplicaDown(t *testing.T) {
 	if got := tr.replicaCount(h); got != 1 {
 		t.Fatalf("chunk on %d nodes, want 1 (degraded)", got)
 	}
-	if r.Counters().ReplicaErrors == 0 {
+	if r.StatsSnapshot()["replica_errors"] == 0 {
 		t.Fatal("degraded put recorded no replica error")
 	}
 }
@@ -205,7 +205,7 @@ func TestRemoteGetReadRepairsMissingReplica(t *testing.T) {
 	if !tr.holds(primary, sum) {
 		t.Fatal("read did not repair the missing replica")
 	}
-	if r.Counters().ReadRepairs == 0 {
+	if r.StatsSnapshot()["read_repairs"] == 0 {
 		t.Fatal("repair not counted")
 	}
 }
@@ -228,7 +228,7 @@ func TestRemoteGetDetectsCorruptReplica(t *testing.T) {
 	if !bytes.Equal(got, cb) {
 		t.Fatal("corrupt replica's bytes leaked through")
 	}
-	if r.Counters().CorruptReplicas == 0 {
+	if r.StatsSnapshot()["corrupt_replicas"] == 0 {
 		t.Fatal("corruption not counted")
 	}
 }

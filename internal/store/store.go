@@ -20,6 +20,7 @@ import (
 
 	"lepton/internal/chunk"
 	"lepton/internal/core"
+	"lepton/internal/metrics"
 )
 
 // Hash is a chunk address.
@@ -31,7 +32,7 @@ type FileRef struct {
 	Size   int64
 }
 
-// Counters exposes operational statistics.
+// Counters is a snapshot of a Store's operational statistics.
 type Counters struct {
 	Encodes           int64
 	Decodes           int64
@@ -177,7 +178,7 @@ func (m *MemBackend) HashesAfter(after Hash, max int) []Hash {
 type Store struct {
 	backend Backend
 
-	counters Counters
+	stats *metrics.Set // read through Counters
 
 	// ShutoffPath is checked before each Lepton encode; if the file exists
 	// the encoder is bypassed and deflate used instead. Production used a
@@ -205,7 +206,9 @@ func New() *Store { return NewWithBackend(NewMemBackend()) }
 
 // NewWithBackend returns a store over b — pass a *diskstore.Store for a
 // store that survives restarts.
-func NewWithBackend(b Backend) *Store { return &Store{backend: b, Codec: core.NewCodec()} }
+func NewWithBackend(b Backend) *Store {
+	return &Store{backend: b, Codec: core.NewCodec(), stats: metrics.New(nil)}
+}
 
 // Backend returns the store's blob backend.
 func (st *Store) Backend() Backend { return st.backend }
@@ -267,7 +270,7 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 	}
 	var comp [][]byte
 	if st.shutoff() {
-		atomic.AddInt64(&st.counters.ShutoffSkips, 1)
+		st.stats.Add("shutoff_skips", 1)
 	} else {
 		var err error
 		comp, err = chunk.CompressCtx(ctx, data, chunk.Options{ChunkSize: size, Codec: st.Codec})
@@ -275,8 +278,8 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 			return FileRef{}, ctx.Err()
 		}
 	}
-	atomic.AddInt64(&st.counters.Encodes, 1)
-	atomic.AddInt64(&st.counters.BytesIn, int64(len(data)))
+	st.stats.Add("encodes", 1)
+	st.stats.Add("bytes_in", int64(len(data)))
 
 	var sums []Hash
 	if comp != nil {
@@ -285,7 +288,7 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 			if ctx.Err() != nil {
 				return FileRef{}, ctx.Err()
 			}
-			atomic.AddInt64(&st.counters.RoundtripFailures, 1)
+			st.stats.Add("roundtrip_failures", 1)
 			comp = nil // fall through to deflate
 		}
 	}
@@ -316,11 +319,11 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 			return FileRef{}, fmt.Errorf("store: chunk %d checksum changed after store", k)
 		}
 		if core.IsLepton(cb) && !isRawMode(cb) {
-			atomic.AddInt64(&st.counters.LeptonChunks, 1)
+			st.stats.Add("lepton_chunks", 1)
 		} else {
-			atomic.AddInt64(&st.counters.DeflateChunks, 1)
+			st.stats.Add("deflate_chunks", 1)
 		}
-		atomic.AddInt64(&st.counters.BytesStored, int64(len(cb)))
+		st.stats.Add("bytes_stored", int64(len(cb)))
 		if st.Net != nil {
 			o0, o1 := chunkSpan(k, size, len(data))
 			if err := st.Net.Put(sum, data[o0:o1]); err != nil {
@@ -407,8 +410,8 @@ func (st *Store) PutCompressedChunkCtx(ctx context.Context, cb []byte) (Hash, er
 	if err := st.backend.Put(sum, cb); err != nil {
 		return Hash{}, fmt.Errorf("store: %w", err)
 	}
-	atomic.AddInt64(&st.counters.LeptonChunks, 1)
-	atomic.AddInt64(&st.counters.BytesStored, int64(len(cb)))
+	st.stats.Add("lepton_chunks", 1)
+	st.stats.Add("bytes_stored", int64(len(cb)))
 	return sum, nil
 }
 
@@ -422,7 +425,7 @@ func (st *Store) GetChunkCtx(ctx context.Context, h Hash) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: unknown chunk %x", h[:8])
 	}
-	atomic.AddInt64(&st.counters.Decodes, 1)
+	st.stats.Add("decodes", 1)
 	return st.Codec.DecodeCtx(ctx, cb, 0)
 }
 
@@ -465,7 +468,7 @@ func (st *Store) GetChunkRangeCtx(ctx context.Context, h Hash, off, n int64) ([]
 	if !ok {
 		return nil, fmt.Errorf("store: unknown chunk %x", h[:8])
 	}
-	atomic.AddInt64(&st.counters.Decodes, 1)
+	st.stats.Add("decodes", 1)
 	return st.Codec.DecodeRangeCtx(ctx, cb, off, n, 0)
 }
 
@@ -494,16 +497,18 @@ func (st *Store) RecoverFromSafetyNet(h Hash) ([]byte, error) {
 	return raw, nil
 }
 
-// Counters returns a snapshot of operational statistics.
+// Counters returns a snapshot of operational statistics, read from the
+// store's counter set.
 func (st *Store) Counters() Counters {
+	c := st.stats.Snapshot()
 	return Counters{
-		Encodes:           atomic.LoadInt64(&st.counters.Encodes),
-		Decodes:           atomic.LoadInt64(&st.counters.Decodes),
-		LeptonChunks:      atomic.LoadInt64(&st.counters.LeptonChunks),
-		DeflateChunks:     atomic.LoadInt64(&st.counters.DeflateChunks),
-		RoundtripFailures: atomic.LoadInt64(&st.counters.RoundtripFailures),
-		BytesIn:           atomic.LoadInt64(&st.counters.BytesIn),
-		BytesStored:       atomic.LoadInt64(&st.counters.BytesStored),
-		ShutoffSkips:      atomic.LoadInt64(&st.counters.ShutoffSkips),
+		Encodes:           c["encodes"],
+		Decodes:           c["decodes"],
+		LeptonChunks:      c["lepton_chunks"],
+		DeflateChunks:     c["deflate_chunks"],
+		RoundtripFailures: c["roundtrip_failures"],
+		BytesIn:           c["bytes_in"],
+		BytesStored:       c["bytes_stored"],
+		ShutoffSkips:      c["shutoff_skips"],
 	}
 }

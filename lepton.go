@@ -199,17 +199,6 @@ type Codec struct {
 // NewCodec returns a reusable codec with empty pools.
 func NewCodec() *Codec { return &Codec{core: core.NewCodec()} }
 
-// CoeffMemStats reports the process-wide streamed coefficient-row memory:
-// bytes currently held by in-flight conversions and the high-water mark —
-// the working set the §5.1 row-window ceiling bounds, as actually
-// observed. Monitoring loops (see blockserverd's -debug-addr) read it to
-// watch production memory behavior; tests assert against it.
-func CoeffMemStats() (inUse, peak int64) { return core.CoeffMemStats() }
-
-// ResetCoeffMemPeak clears the coefficient-memory high-water mark, e.g. at
-// a monitoring interval boundary.
-func ResetCoeffMemPeak() { core.ResetCoeffMemPeak() }
-
 // defaultCodec backs Compress, Decompress, and stores opened without a
 // codec, so even casual callers get steady-state pooling.
 var defaultCodec = NewCodec()
@@ -320,9 +309,11 @@ func RangeLength(comp []byte, off, n int64) (int64, error) {
 	return core.RangeLength(comp, off, n)
 }
 
-// RangeStats returns cumulative process-wide range-decode counters:
-// requests served, indexed fast-path hits, fallbacks to full decode split
-// by cause, and thread segments decoded by the fast path.
+// RangeStats returns cumulative process-wide range-decode counters, summed
+// over every codec in the process: requests served, indexed fast-path
+// hits, fallbacks to full decode split by cause, and thread segments
+// decoded by the fast path. A blockserver's StatsSnapshot carries the
+// same counters for that node's conversions alone.
 func RangeStats() map[string]int64 { return core.RangeStats() }
 
 // IsCompressed reports whether data begins with the Lepton magic number
