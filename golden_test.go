@@ -11,10 +11,11 @@ import (
 	"lepton"
 )
 
-// updateGolden regenerates the golden-bitstream fixtures instead of checking
-// against them. Only run it deliberately: a changed fixture means the coder
-// produces a different stream, which breaks decodability of already-stored
-// files (paper §5.2 determinism).
+// updateGolden regenerates the golden-bitstream (golden-*) and no-index
+// (noindex-*) fixtures instead of checking against them. Only run it
+// deliberately: a changed fixture means the coder produces a different
+// stream, which breaks decodability of already-stored files (paper §5.2
+// determinism) unless the container version changes with it.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden bitstream fixtures")
 
 // goldenCases pins the exact compressed bytes for a spread of deterministic
@@ -35,9 +36,9 @@ var goldenCases = []struct {
 }
 
 // TestGoldenBitstream asserts that compression output is byte-identical to
-// the checked-in fixtures generated before the table-driven entropy hot path
-// (baseline cases) and the row-window streaming core (progressive/CMYK
-// cases) landed, proving the refactors preserved the format bit for bit.
+// the checked-in fixtures, last regenerated when the container moved to
+// MCU-row segment order (version 0x02), so any refactor that alters the
+// stream fails loudly.
 func TestGoldenBitstream(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,6 +73,35 @@ func TestGoldenBitstream(t *testing.T) {
 			}
 			if !bytes.Equal(back, data) {
 				t.Fatal("fixture does not decompress to the original JPEG")
+			}
+		})
+	}
+}
+
+// TestGoldenSizeMatchesPlanar pins why the MCU-row segment order costs no
+// compression: no model context crosses components, so every component's
+// bits see the same probabilities as in planar order and only their place
+// in the stream moves. Each golden case must stay within 2 bytes per
+// thread segment of its planar v1-* fixture.
+func TestGoldenSizeMatchesPlanar(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, opt := goldenInput(t, tc.name, tc.seed, tc.w, tc.h)
+			res, err := lepton.Compress(data, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1, err := os.ReadFile(filepath.Join("testdata", "v1-"+tc.name+".lep"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff := len(res.Compressed) - len(v1)
+			if diff < 0 {
+				diff = -diff
+			}
+			if diff > 2*res.Threads {
+				t.Fatalf("MCU-row container is %d bytes, planar v1 fixture %d: differ by %d > 2 per segment (%d segments)",
+					len(res.Compressed), len(v1), diff, res.Threads)
 			}
 		})
 	}

@@ -63,8 +63,9 @@ type Options struct {
 	// files over the memory budget (§6.2).
 	BufferLimit int64
 	// DisableSeekIndex omits the per-MCU-row seek index from each chunk
-	// container, reproducing the pre-index chunk bytes exactly. Range
-	// reads of index-less chunks fall back to decoding the whole chunk.
+	// container, which is otherwise byte-identical to the indexed one.
+	// Range reads of index-less chunks fall back to decoding the whole
+	// chunk.
 	DisableSeekIndex bool
 }
 

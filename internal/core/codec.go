@@ -43,10 +43,11 @@ type Codec struct {
 }
 
 // rangeCounters split range decodes between the indexed fast path and the
-// full-decode fallbacks, and count the thread segments the fast path
-// decoded.
+// full-decode fallbacks, and count the thread segments and block rows (all
+// components) the fast path decoded.
 var rangeCounters = []string{"range_requests", "range_fast",
-	"range_fallback_no_index", "range_fallback_unsupported", "range_segments_decoded"}
+	"range_fallback_no_index", "range_fallback_unsupported", "range_segments_decoded",
+	"range_block_rows"}
 
 const coeffWindow = "coeff_window_bytes"
 

@@ -48,10 +48,11 @@ import (
 // (rangedec.go) binary-searches it to map a byte range to an MCU-row
 // interval, arith-decodes only the thread segments containing those rows
 // (each seeded from its recorded handover state), and re-emits exactly
-// the requested scan bytes — a 1 KB read costs roughly one segment, not
-// one file. Containers the planner distrusts — progressive, CMYK, legacy
-// index-less, corrupt index — take a counted fallback through the full
-// decode, which is always correct, only slower.
+// the requested scan bytes. Segments are coded in MCU-row order, so a 1 KB
+// read decodes one segment only up to the last MCU row it needs.
+// Containers the planner distrusts — progressive, CMYK, legacy index-less,
+// corrupt index — take a counted fallback through the full decode, which
+// is always correct, only slower.
 const (
 	DefaultMemDecodeBudget = 24 << 20
 	DefaultMemEncodeBudget = 178 << 20
@@ -86,9 +87,9 @@ type EncodeOptions struct {
 	// color channel", §6.2) — also off in production.
 	AllowCMYK bool
 	// DisableSeekIndex omits the trailing per-MCU-row seek index (see
-	// seekindex.go), reproducing the pre-index container byte for byte.
-	// Index-less files stay fully decodable; range reads on them fall back
-	// to full decode.
+	// seekindex.go); the container is otherwise byte-identical to the
+	// indexed one. Index-less files stay fully decodable; range reads on
+	// them fall back to full decode.
 	DisableSeekIndex bool
 }
 
@@ -156,12 +157,15 @@ func seekIndexEligible(opt EncodeOptions, f *jpeg.File) bool {
 	return !opt.DisableSeekIndex && SeekIndexable(f)
 }
 
-// planesOf adapts a decoded scan to the model's whole-plane view.
-func planesOf(f *jpeg.File, coeff [][]int16) []model.ComponentPlane {
+// planesOf adapts a decoded scan to the model's whole-plane view, in the
+// traversal order of the given container version.
+func planesOf(f *jpeg.File, coeff [][]int16, version byte) []model.ComponentPlane {
 	var planes []model.ComponentPlane
 	for i := range f.Components {
 		c := &f.Components[i]
-		planes = append(planes, model.Plane(c.BlocksWide, c.BlocksHigh, &f.Quant[c.TQ], coeff[i]))
+		p := model.Plane(c.BlocksWide, c.BlocksHigh, &f.Quant[c.TQ], coeff[i])
+		p.TurnRows = turnRows(f, i, version)
+		planes = append(planes, p)
 	}
 	return planes
 }
@@ -350,7 +354,7 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 	startRow := mStart / f.MCUsWide
 	endRow := (mEnd + f.MCUsWide - 1) / f.MCUsWide
 	starts := segmentRanges(f, nSeg, startRow, endRow)
-	planes := planesOf(f, s.Coeff)
+	planes := planesOf(f, s.Coeff, Version)
 	done := ctx.Done()
 
 	type segOut struct {
@@ -430,12 +434,12 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 // Huffman scan decode runs in the calling goroutine and feeds block rows
 // through bounded per-segment windows into the parallel segment encoders,
 // so scan decode overlaps model encode instead of completing first, and no
-// whole coefficient plane is ever materialized. The first component's rows
-// stream through a two-row window; later components' rows are retained
-// until the segment's planar traversal reaches them, with the total
-// retained bytes capped by the encode budget (raised to the structural
-// minimum when the budget is smaller — the conversion streams rather than
-// failing). Handover words are recorded at every MCU-row start — the
+// whole coefficient plane is ever materialized. The segment coders walk
+// MCU rows in the order the scan decode produces them, so each component's
+// rows stream through a few-row window; the total retained bytes are
+// capped by the encode budget (raised to the structural minimum when the
+// budget is smaller — the conversion streams rather than failing).
+// Handover words are recorded at every MCU-row start — the
 // segment handovers are the subset at segment-start rows, and the full
 // table (returned as rowPos when the image is small enough to index) is
 // the seek index that makes DecodeRangeToCtx segment-sized instead of
@@ -449,7 +453,7 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 	done := ctx.Done()
 
 	limit := encBudget
-	if min := encodeMinGateBytes(f, starts, total); limit < min {
+	if min := encodeMinGateBytes(f); limit < min {
 		limit = min
 	}
 	gate := newMemGate(limit, cd.window)
@@ -482,7 +486,8 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 			fs[ci] = newFeedRows(rs[ci], recs[ci], gate, rowB[ci])
 			comp := &f.Components[ci]
 			planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
-				BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: fs[ci]}
+				BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: fs[ci],
+				TurnRows: vEff(f, ci)}
 		}
 		feeds[i] = fs
 		codec := cd.getSegCodec(planes, rs, re, flags)
@@ -672,7 +677,7 @@ func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memB
 
 	// Every segment runs its whole pipeline fused in its own goroutine:
 	// each block row is arithmetic-decoded into a sliding ring window and
-	// immediately Huffman re-encoded (via the planar row queues of
+	// immediately Huffman re-encoded (via the per-component row queues of
 	// jpeg.StreamScanEncoder), so per-segment coefficient memory is a few
 	// rows, not the segment's plane. Output is streamed in segment order
 	// as each completes, so the time-to-first-byte is governed by segment
@@ -778,7 +783,8 @@ func (cd *Codec) decodeSegmentStreamed(ctx context.Context, cancelled <-chan str
 		}
 		rings[ci] = newRingRows(bufs)
 		planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
-			BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: rings[ci]}
+			BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: rings[ci],
+			TurnRows: turnRows(f, ci, c.Version)}
 	}
 
 	codec := cd.getSegCodec(planes, rs, re, flags)

@@ -16,9 +16,17 @@ import (
 
 // Container wire constants (A.1).
 const (
-	Magic0  = 0xCF
-	Magic1  = 0x84
-	Version = 0x01
+	Magic0 = 0xCF
+	Magic1 = 0x84
+
+	// Version is the container version the encoder writes: every thread
+	// segment is coded in MCU-row order (all components of MCU row r,
+	// then row r+1), so a range decode stops at the last MCU row it
+	// needs. VersionPlanar containers code each segment component by
+	// component (every Y row, then Cb, then Cr); they still decode, but
+	// nothing writes them any more.
+	Version       = 0x02
+	VersionPlanar = 0x01
 
 	// ModeLepton marks an arithmetic-coded baseline JPEG payload; ModeRaw
 	// marks a deflate-compressed verbatim payload (the production fallback
@@ -63,7 +71,11 @@ type Segment struct {
 
 // Container is the parsed Lepton file.
 type Container struct {
-	Mode byte
+	// Version is the container version byte, which fixes the segment
+	// traversal order: Unmarshal records it, and Marshal writes it, or
+	// Version when it is zero.
+	Version byte
+	Mode    byte
 
 	// OutputSize is the exact byte length of the reconstructed output.
 	OutputSize uint32
@@ -247,7 +259,7 @@ func (c *Container) marshal(p *Codec) ([]byte, error) {
 	out := bytes.NewBuffer(make([]byte, 0, 28+z.Len()+streamLen))
 	out.WriteByte(Magic0)
 	out.WriteByte(Magic1)
-	out.WriteByte(Version)
+	out.WriteByte(c.version())
 	out.WriteByte(c.Mode)
 	putU32(out, uint32(len(c.Segments)))
 	out.Write(BuildRevision[:])
@@ -263,6 +275,24 @@ func (c *Container) marshal(p *Codec) ([]byte, error) {
 		appendSeekIndex(out, c.SeekIndex)
 	}
 	return out.Bytes(), nil
+}
+
+// version returns the version byte the container is written with.
+func (c *Container) version() byte {
+	if c.Version == 0 {
+		return Version
+	}
+	return c.Version
+}
+
+// turnRows returns component ci's model.ComponentPlane.TurnRows for a
+// container of the given version: its rows per MCU row for MCU-row order,
+// or 0 (one turn per component) for planar VersionPlanar segments.
+func turnRows(f *jpeg.File, ci int, version byte) int {
+	if version == VersionPlanar {
+		return 0
+	}
+	return vEff(f, ci)
 }
 
 func boolByte(b bool) byte {
@@ -301,10 +331,10 @@ func unmarshal(data []byte, p *Codec) (*Container, *bytes.Buffer, error) {
 	if data[0] != Magic0 || data[1] != Magic1 {
 		return nil, nil, badContainer("bad magic %#02x %#02x", data[0], data[1])
 	}
-	if data[2] != Version {
+	if data[2] != Version && data[2] != VersionPlanar {
 		return nil, nil, badContainer("unsupported version %d", data[2])
 	}
-	c := &Container{Mode: data[3]}
+	c := &Container{Version: data[2], Mode: data[3]}
 	if c.Mode != ModeLepton && c.Mode != ModeRaw && c.Mode != ModeLeptonInterleaved &&
 		c.Mode != ModeProgressive {
 		return nil, nil, badContainer("unknown mode %#02x", c.Mode)

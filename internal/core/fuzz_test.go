@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lepton/internal/imagegen"
@@ -39,6 +41,28 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 	return out
 }
 
+// planarFixtureSeeds returns the checked-in containers the encoder no
+// longer writes (version 0x01 planar segments, with and without a seek
+// index), so fuzzing keeps exercising the planar decode path.
+func planarFixtureSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	var out [][]byte
+	for _, pat := range []string{"v1-*.lep", "legacy-*.lep"} {
+		paths, err := filepath.Glob(fixturePath(pat))
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("no %s fixtures: %v", pat, err)
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
 // FuzzDecode feeds arbitrary bytes to the container parser and streaming
 // decoder. The invariants: never panic, never hang, fail cleanly on
 // corrupt segments (the row-window decoder must not over-read a window),
@@ -57,6 +81,9 @@ func FuzzDecode(f *testing.F) {
 			f.Add(c)
 			f.Add(s[:3*len(s)/4])
 		}
+	}
+	for _, s := range planarFixtureSeeds(f) {
+		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cd := NewCodec()
@@ -110,6 +137,9 @@ func FuzzDecompressRange(f *testing.F) {
 			f.Add(c, int64(64), int64(512))
 			f.Add(s[:7*len(s)/8], int64(0), int64(1<<20))
 		}
+	}
+	for i, s := range planarFixtureSeeds(f) {
+		f.Add(s, int64(1024*(i+1)), int64(4096))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, off, n int64) {
 		cd := NewCodec()

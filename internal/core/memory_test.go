@@ -96,7 +96,10 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 }
 
 // TestEncodePeakCoeffBytesUnderGate asserts the encode producer/consumer
-// pipeline keeps retained coefficient rows under the memory gate's ceiling.
+// pipeline runs at its structural floor: with the encode budget set to
+// encodeMinGateBytes — a few block rows per component, independent of image
+// height and segment count — the encode completes byte-identically to the
+// default budget and never retains more coefficient bytes than the floor.
 func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-megapixel conversion")
@@ -106,24 +109,28 @@ func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts := segmentRanges(f, SegmentCountFor(len(data)), 0, f.MCUsHigh)
-	ceiling := encodeMinGateBytes(f, starts, f.TotalMCUs())
-	if DefaultMemEncodeBudget > ceiling {
-		ceiling = DefaultMemEncodeBudget
+	floor := encodeMinGateBytes(f)
+	want, err := encode(data, EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cd := NewCodec()
-	if _, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{}); err != nil {
+	got, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{MemEncodeBudget: floor})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Compressed, want.Compressed) {
+		t.Fatal("floor-budget encode differs from default-budget encode")
 	}
 	inUse, peak := coeffMem(cd)
 	if inUse != 0 {
 		t.Fatalf("coefficient accounting leaked: %d bytes still in use", inUse)
 	}
-	if peak > ceiling {
-		t.Fatalf("encode peak coefficient bytes %d exceed gate ceiling %d", peak, ceiling)
+	if peak > floor {
+		t.Fatalf("encode peak coefficient bytes %d exceed gate floor %d", peak, floor)
 	}
-	t.Logf("encode peak coefficient bytes: %d (ceiling %d, whole planes %d)",
-		peak, ceiling, int64(f.CoefficientCount())*2)
+	t.Logf("encode peak coefficient bytes: %d (floor %d, %d segments, whole planes %d)",
+		peak, floor, got.Segments, int64(f.CoefficientCount())*2)
 }
 
 // TestTightEncodeGateStillStreams forces the encode budget below the

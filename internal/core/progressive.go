@@ -44,7 +44,7 @@ func (cd *Codec) encodeProgressive(ctx context.Context, data []byte, opt EncodeO
 	for i := range f.Components {
 		re[i] = f.Components[i].BlocksHigh
 	}
-	codec := model.NewCodec(planesOf(f, coeff), rs, re, flags)
+	codec := model.NewCodec(planesOf(f, coeff, Version), rs, re, flags)
 	if opt.CollectStats {
 		codec.Stats = &model.Stats{}
 	}
@@ -133,7 +133,7 @@ func decodeProgressiveContainer(ctx context.Context, w io.Writer, c *Container, 
 	if len(c.Streams) != 1 {
 		return badContainer("progressive container has %d streams", len(c.Streams))
 	}
-	codec := model.NewCodec(planesOf(f, coeff), rs, re, flags)
+	codec := model.NewCodec(planesOf(f, coeff, c.Version), rs, re, flags)
 	d := arith.NewDecoder(c.Streams[0])
 	if err := codec.DecodeSegmentCtx(d, ctx.Done()); err != nil {
 		if errors.Is(err, model.ErrInterrupted) {

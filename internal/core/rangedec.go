@@ -17,8 +17,9 @@ import (
 // reconstructed JPEG without regenerating the whole file. The seek index
 // (see seekindex.go) records the scan position at every MCU row, so a
 // request maps to a row interval, the row interval to the thread segments
-// containing it, and only those segments are arithmetic-decoded — a 1 KB
-// read out of a large file costs roughly one segment, not one file.
+// containing it, and only those segments are arithmetic-decoded, each from
+// its start only as far as the last MCU row the request needs — a 1 KB
+// read out of a large file costs at most one segment, not one file.
 //
 // The fast path requires a baseline container carrying a valid index.
 // Everything else — progressive scans, four-component (CMYK) files, legacy
@@ -34,7 +35,8 @@ var ErrInvalidRange = errors.New("core: negative range offset or length")
 // RangeStats returns cumulative process-wide counters for range decodes,
 // summed over every codec: how many requests were served, how many took
 // the indexed fast path, how many fell back to full decode (split by
-// cause), and how many thread segments the fast path decoded in total.
+// cause), and how many thread segments and block rows the fast path
+// decoded in total.
 func RangeStats() map[string]int64 {
 	snap := process.Snapshot()
 	out := make(map[string]int64, len(rangeCounters))
@@ -425,18 +427,23 @@ func (cd *Codec) decodeRangeIndexed(ctx context.Context, dst io.Writer, f *jpeg.
 // arithmetic decode still starts at the segment boundary (that is where
 // the model and encoder handover state were recorded), but only the MCU
 // rows in [u0, u1) are fed to the scan re-encoder, the encoder is seeded
-// from the seek index entry at u0, and the decode early-exits after the
-// last component finishes row u1 — the planar traversal visits components
-// in order, so clipping only the last component's row range stops the
-// stream right after the final row the range needs while leaving every
-// earlier component's (preceding) bits fully consumed.
+// from the seek index entry at u0, and the decode stops once MCU row u1-1
+// is done. In MCU-row order that is every component clipped at row u1, so
+// the stream is read no further than the last row the range needs. A
+// planar VersionPlanar segment holds each earlier component's rows in
+// full before the last component's, so there only the last component is
+// clipped.
 func (cd *Codec) decodeSegmentRange(ctx context.Context, cancelled <-chan struct{}, f *jpeg.File, c *Container, u rangeUnit, pl rangePlan) segResult {
 	rs, re := rowRangesFor(f, u.segStart, u.segEnd)
 	ncomp := len(f.Components)
-	last := ncomp - 1
-	if clip := u.u1 * vEff(f, last); clip < re[last] {
-		re[last] = clip
+	var rows int64
+	for ci := range re {
+		if clip := u.u1 * vEff(f, ci); clip < re[ci] && (c.Version != VersionPlanar || ci == ncomp-1) {
+			re[ci] = clip
+		}
+		rows += int64(re[ci] - rs[ci])
 	}
+	cd.stats.Add("range_block_rows", rows)
 
 	winBytes := DecodeWindowBytes(f, 1)
 	slab := cd.getRowBuf(int(winBytes / 2))
@@ -456,7 +463,8 @@ func (cd *Codec) decodeSegmentRange(ctx context.Context, cancelled <-chan struct
 		}
 		rings[ci] = newRingRows(bufs)
 		planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
-			BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: rings[ci]}
+			BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: rings[ci],
+			TurnRows: turnRows(f, ci, c.Version)}
 	}
 
 	flags := model.Flags{

@@ -59,36 +59,17 @@ func DecodeWindowBytes(f *jpeg.File, nSeg int) int64 {
 }
 
 // encodeMinGateBytes returns the smallest retained-row ceiling at which the
-// streamed encode cannot deadlock: the segment arithmetic coders consume
-// components in planar order while the scan decode produces rows in MCU
-// order, so a segment must be able to hold every row of its later
-// components plus the first component's window, plus one MCU row group in
-// flight at the producer.
-func encodeMinGateBytes(f *jpeg.File, starts []int, endMCU int) int64 {
-	var maxSeg int64
-	for i, start := range starts {
-		end := endMCU
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		rs, re := rowRangesFor(f, start, end)
-		var n int64
-		for ci := range f.Components {
-			if ci == 0 {
-				n += int64(windowRowsFor(vEff(f, ci))) * rowBytes(f, ci)
-			} else {
-				n += int64(re[ci]-rs[ci]) * rowBytes(f, ci)
-			}
-		}
-		if n > maxSeg {
-			maxSeg = n
-		}
-	}
-	var group int64
+// streamed encode cannot deadlock. The scan decode produces rows in MCU
+// order and the segment coders consume them in the same MCU-row order, so
+// a segment waiting on MCU row r holds at most its (V+1)-row window per
+// component, and the producer needs one MCU row group in flight. The floor
+// is independent of image height and segment count.
+func encodeMinGateBytes(f *jpeg.File) int64 {
+	group := int64(0)
 	for ci := range f.Components {
 		group += int64(vEff(f, ci)) * rowBytes(f, ci)
 	}
-	return maxSeg + group
+	return DecodeWindowBytes(f, 1) + group
 }
 
 // --- decode-side ring window ----------------------------------------------

@@ -6,15 +6,16 @@ import (
 )
 
 // This file is the consumer half of the row-window streaming pipeline: a
-// scan re-encoder fed one component block row at a time, in the planar
-// order the arithmetic model decodes (all of component 0's rows, then
-// component 1's, ...), that still produces the MCU-interleaved scan bytes
-// of the original JPEG.
+// scan re-encoder fed one component's MCU row group at a time, in the order
+// the arithmetic model decodes (MCU-row order: every component of MCU row
+// r, then row r+1; or, for planar containers, all of component 0's rows,
+// then component 1's, ...), that still produces the MCU-interleaved scan
+// bytes of the original JPEG.
 //
-// For a single-component scan the two orders coincide and rows are
+// For a single-component scan the orders coincide and rows are
 // Huffman-coded straight into the output. For an interleaved scan they do
-// not: the bits of component 0's rows sit byte- and bit-interleaved with
-// the later components' bits. Each component therefore Huffman-codes its
+// not: the bits of component 0's row group sit byte- and bit-interleaved
+// with the later components' bits, block by block. Each component therefore Huffman-codes its
 // rows into a private *unstuffed* bit queue as they arrive — running its
 // own DC-prediction chain and restart resets, which depend only on that
 // component — and records its bit length per MCU. Finish then stitches the
@@ -82,8 +83,8 @@ type StreamEncBuffers struct {
 }
 
 // StreamScanEncoder re-creates the entropy-coded bytes of an MCU range
-// from block rows delivered in planar component order (see the file
-// comment). Create one per thread segment, feed it with ConsumeGroup, and
+// from block rows delivered one component's MCU row group at a time (see
+// the file comment). Create one per thread segment, feed it with ConsumeGroup, and
 // call Finish once every component's rows have been consumed.
 type StreamScanEncoder struct {
 	f          *File
@@ -157,8 +158,8 @@ func (q *compQueue) restartCheck(m, ri, rstLimit int) {
 func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error {
 	f := se.f
 	if se.queues == nil {
-		// Planar order is MCU order: encode straight into the seeded,
-		// stuffed output writer, restarts included.
+		// One component: row order is MCU order, so encode straight into
+		// the seeded, stuffed output writer, restarts included.
 		row := rows[0]
 		for col := 0; col < f.MCUsWide; col++ {
 			m := mcuRow*f.MCUsWide + col

@@ -11,6 +11,8 @@
 package model
 
 import (
+	"math/bits"
+
 	"lepton/internal/arith"
 )
 
@@ -152,16 +154,13 @@ func (em *emitter) codeVal(mb *magBins, rb *resBins, v int32) int32 {
 }
 
 func (em *emitter) encodeVal(mb *magBins, rb *resBins, v int32) int32 {
-	mag := v
+	mag := uint32(v)
 	neg := 0
-	if mag < 0 {
+	if v < 0 {
 		mag = -mag
 		neg = 1
 	}
-	l := 0
-	for m := mag; m != 0; m >>= 1 {
-		l++
-	}
+	l := bits.Len32(mag)
 	for i := 0; i < l; i++ {
 		em.ebit(&mb.exp[i], 1)
 	}
@@ -289,14 +288,11 @@ func ilog159(x int32) int {
 
 // ilog2 returns the bit length of |x| clamped to limit-1.
 func ilog2(x int32, limit int) int {
+	mag := uint32(x)
 	if x < 0 {
-		x = -x
+		mag = -mag
 	}
-	l := 0
-	for x != 0 {
-		x >>= 1
-		l++
-	}
+	l := bits.Len32(mag)
 	if l >= limit {
 		l = limit - 1
 	}

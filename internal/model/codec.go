@@ -55,6 +55,15 @@ type ComponentPlane struct {
 	// SlabRows (see Plane); streaming pipelines hand the codec a sliding
 	// window that retains only the rows the model predictors read.
 	Rows RowWindow
+	// TurnRows is how many block rows the component codes per turn of the
+	// segment traversal, which visits components round-robin. Its rows
+	// per MCU row (the effective vertical sampling factor) give MCU-row
+	// order: all components of MCU row r, then row r+1. Zero codes the
+	// component's whole segment range in one turn: planar order, every
+	// row of component 0, then component 1, and so on. No context crosses
+	// components, so the order moves only where each component's bits sit
+	// in the stream.
+	TurnRows int
 }
 
 // Plane builds a whole-plane ComponentPlane over a coefficient slab in
@@ -82,9 +91,9 @@ type Codec struct {
 
 	rowStart, rowEnd []int
 
-	// st is the per-component rolling-cache scratch, reused across
-	// components and (via Reset) across conversions.
-	st segState
+	// st is the per-component traversal state: row cursor and rolling
+	// caches, reused (via Reset) across conversions.
+	st []segState
 
 	// sizeHint, when positive, pre-sizes the arithmetic encoder's output
 	// buffer before a segment encode (see SetSizeHint).
@@ -130,6 +139,7 @@ func NewCodec(comps []ComponentPlane, rowStart, rowEnd []int, flags Flags) *Code
 	for range comps {
 		c.bins = append(c.bins, &chanBins{})
 	}
+	c.st = make([]segState, len(comps))
 	return c
 }
 
@@ -148,6 +158,9 @@ func (c *Codec) Reset(comps []ComponentPlane, rowStart, rowEnd []int, flags Flag
 	}
 	for i := range comps {
 		*c.bins[i] = chanBins{}
+	}
+	for len(c.st) < len(comps) {
+		c.st = append(c.st, segState{})
 	}
 	c.sizeHint = 0
 	c.OnRow = nil
@@ -168,6 +181,9 @@ func (c *Codec) Release() {
 	for i := range c.comps {
 		c.comps[i] = ComponentPlane{}
 	}
+	for i := range c.st {
+		c.st[i].above = nil
+	}
 	c.comps = c.comps[:0]
 	c.OnRow = nil
 	c.Stats = nil
@@ -179,9 +195,11 @@ func (c *Codec) BinCount() int { return len(c.comps) * BinsPerChannel }
 // ModelBytes returns the approximate memory footprint of the bins.
 func (c *Codec) ModelBytes() int { return c.BinCount() * 4 }
 
-// segState holds the per-component rolling caches used while walking a
-// segment in raster order.
+// segState is one component's traversal state within a segment: the next
+// block row to code, the row above it, and the rolling caches.
 type segState struct {
+	row      int     // next block row to code
+	above    []int16 // the previous block row, nil before the first
 	nzAbove  []uint8
 	nzCur    []uint8
 	edAbove  []blockEdges
@@ -190,11 +208,11 @@ type segState struct {
 	prevDC   int32
 }
 
-// reset sizes the caches for a plane w blocks wide, growing the backing
-// arrays only when needed. Stale contents are harmless: nzAbove/edAbove are
-// read only once hasAbove is set (after the first nextRow), and nzCur/edCur
-// are written at every column before any read.
-func (s *segState) reset(w int) {
+// reset positions the state at block row row of a plane w blocks wide,
+// growing the cache arrays only when needed. Stale contents are harmless:
+// nzAbove/edAbove are read only once hasAbove is set (after the first
+// nextRow), and nzCur/edCur are written at every column before any read.
+func (s *segState) reset(w, row int) {
 	if cap(s.nzAbove) < w {
 		s.nzAbove = make([]uint8, w)
 		s.nzCur = make([]uint8, w)
@@ -206,19 +224,23 @@ func (s *segState) reset(w int) {
 		s.edAbove = s.edAbove[:w]
 		s.edCur = s.edCur[:w]
 	}
+	s.row = row
+	s.above = nil
 	s.hasAbove = false
 	s.prevDC = 0
 }
 
-func (s *segState) nextRow() {
+func (s *segState) nextRow(cur []int16) {
 	s.nzAbove, s.nzCur = s.nzCur, s.nzAbove
 	s.edAbove, s.edCur = s.edCur, s.edAbove
+	s.above = cur
 	s.hasAbove = true
 	s.prevDC = 0
+	s.row++
 }
 
-// EncodeSegment writes all blocks of the segment to e, component by
-// component in raster order.
+// EncodeSegment writes all blocks of the segment to e in the traversal
+// order the planes' TurnRows select.
 func (c *Codec) EncodeSegment(e *arith.Encoder) {
 	if c.sizeHint > 0 {
 		e.Grow(c.sizeHint)
@@ -250,51 +272,66 @@ func (c *Codec) DecodeSegmentCtx(d *arith.Decoder, done <-chan struct{}) error {
 	return c.run(&emitter{d: d}, done)
 }
 
+// run is the one segment traversal: turns go round-robin over the
+// components, each coding the next TurnRows block rows of one component
+// (all of its remaining rows when TurnRows is zero), until every component
+// has reached its segment end.
 func (c *Codec) run(em *emitter, done <-chan struct{}) error {
 	for ci := range c.comps {
-		cp := &c.comps[ci]
-		st := &c.st
-		st.reset(cp.BlocksWide)
-		var aboveRow []int16
-		for row := c.rowStart[ci]; row < c.rowEnd[ci]; row++ {
-			if done != nil {
-				select {
-				case <-done:
+		c.st[ci].reset(c.comps[ci].BlocksWide, c.rowStart[ci])
+	}
+	for more := true; more; {
+		more = false
+		for ci := range c.comps {
+			cp := &c.comps[ci]
+			st := &c.st[ci]
+			stop := c.rowEnd[ci]
+			if cp.TurnRows > 0 && st.row+cp.TurnRows < stop {
+				stop = st.row + cp.TurnRows
+			}
+			for st.row < stop {
+				if done != nil {
+					select {
+					case <-done:
+						return ErrInterrupted
+					default:
+					}
+				}
+				row := st.row
+				curRow := cp.Rows.Row(row)
+				if curRow == nil {
+					// A streaming window aborts the segment by refusing
+					// the row (producer failed or the conversion was
+					// cancelled).
 					return ErrInterrupted
-				default:
 				}
-			}
-			curRow := cp.Rows.Row(row)
-			if curRow == nil {
-				// A streaming window aborts the segment by refusing the
-				// row (producer failed or the conversion was cancelled).
-				return ErrInterrupted
-			}
-			for col := 0; col < cp.BlocksWide; col++ {
-				if err := c.codeBlock(em, ci, col, st, curRow, aboveRow); err != nil {
-					return err
+				for col := 0; col < cp.BlocksWide; col++ {
+					if err := c.codeBlock(em, ci, col, st, curRow); err != nil {
+						return err
+					}
 				}
-			}
-			if c.OnRow != nil {
-				if err := c.OnRow(ci, row); err != nil {
-					return err
+				if c.OnRow != nil {
+					if err := c.OnRow(ci, row); err != nil {
+						return err
+					}
 				}
+				st.nextRow(curRow)
 			}
-			st.nextRow()
-			aboveRow = curRow
+			more = more || st.row < c.rowEnd[ci]
 		}
 	}
 	return nil
 }
 
 // codeBlock transports one block through the model in either direction.
-// curRow holds the block row being coded, aboveRow the previous block row
-// of the same component (nil on the segment's first row).
-func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveRow []int16) error {
+// curRow holds the block row being coded; st.above is the previous block
+// row of the same component (nil on the segment's first row).
+func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow []int16) error {
 	cp := &c.comps[ci]
 	ch := c.bins[ci]
 	q := cp.Quant
 	cur := curRow[col*64 : col*64+64]
+	aboveRow := st.above
 
 	var above, left, aboveLeft []int16
 	if st.hasAbove {

@@ -2,7 +2,9 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +33,37 @@ func TestIlog159(t *testing.T) {
 	for x, want := range cases {
 		if got := ilog159(x); got != want {
 			t.Fatalf("ilog159(%d) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// TestIlog2EdgeValues covers the int32 extremes: the magnitude of
+// math.MinInt32 does not fit in an int32, and the old shift loop never
+// terminated on it.
+func TestIlog2EdgeValues(t *testing.T) {
+	cases := []struct {
+		x     int32
+		limit int
+		want  int
+	}{
+		{0, 33, 0},
+		{1, 33, 1},
+		{-1, 33, 1},
+		{2, 33, 2},
+		{-2, 33, 2},
+		{4095, 33, 12},
+		{-4096, 33, 13},
+		{math.MaxInt32, 33, 31},
+		{-math.MaxInt32, 33, 31},
+		{math.MinInt32, 33, 32},
+		{math.MinInt32 + 1, 33, 31},
+		{math.MinInt32, avgBuckets, avgBuckets - 1},
+		{math.MaxInt32, 8, 7},
+		{5, 3, 2},
+	}
+	for _, c := range cases {
+		if got := ilog2(c.x, c.limit); got != c.want {
+			t.Errorf("ilog2(%d, %d) = %d, want %d", c.x, c.limit, got, c.want)
 		}
 	}
 }
@@ -199,6 +232,46 @@ func TestSegmentRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTurnOrderParity codes one 4:2:0-shaped segment (luma twice the
+// chroma rows) in planar order and in MCU-row order. Both must round-trip,
+// and because no context crosses components the two streams may differ
+// in length only by the arithmetic coder's rounding: at most 2 bytes.
+func TestTurnOrderParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	planes := append(makePlanes(rng, 1, 12, 10), makePlanes(rng, 2, 6, 5)...)
+	rs := []int{0, 0, 0}
+	re := []int{10, 5, 5}
+	var streams [][]byte
+	for _, turns := range [][3]int{{0, 0, 0}, {2, 1, 1}} {
+		in := make([]ComponentPlane, len(planes))
+		for ci := range planes {
+			in[ci] = planes[ci]
+			in[ci].TurnRows = turns[ci]
+		}
+		e := arith.NewEncoder()
+		NewCodec(in, rs, re, DefaultFlags()).EncodeSegment(e)
+		data := append([]byte(nil), e.Flush()...)
+		streams = append(streams, data)
+
+		out := clonePlanes(in)
+		if err := NewCodec(out, rs, re, DefaultFlags()).DecodeSegment(arith.NewDecoder(data)); err != nil {
+			t.Fatalf("turns %v: decode: %v", turns, err)
+		}
+		for ci := range in {
+			if !slices.Equal(in[ci].Slab(), out[ci].Slab()) {
+				t.Fatalf("turns %v: component %d does not round-trip", turns, ci)
+			}
+		}
+	}
+	planar, mcuRow := streams[0], streams[1]
+	if bytes.Equal(planar, mcuRow) {
+		t.Fatal("MCU-row turns produced the planar stream: TurnRows was ignored")
+	}
+	if d := len(planar) - len(mcuRow); d < -2 || d > 2 {
+		t.Fatalf("planar stream %d bytes, MCU-row stream %d bytes: differ by more than 2", len(planar), len(mcuRow))
 	}
 }
 

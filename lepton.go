@@ -140,8 +140,8 @@ type Options struct {
 	AllowCMYK bool
 	// DisableSeekIndex omits the per-MCU-row seek index normally appended
 	// to baseline containers. Without it DecompressRangeCtx falls back to
-	// a full decode; the container reproduces the pre-index format byte for
-	// byte.
+	// a full decode; the container is otherwise byte-identical to the
+	// indexed one.
 	DisableSeekIndex bool
 }
 
@@ -311,8 +311,8 @@ func RangeLength(comp []byte, off, n int64) (int64, error) {
 
 // RangeStats returns cumulative process-wide range-decode counters, summed
 // over every codec in the process: requests served, indexed fast-path
-// hits, fallbacks to full decode split by cause, and thread segments
-// decoded by the fast path. A blockserver's StatsSnapshot carries the
+// hits, fallbacks to full decode split by cause, and thread segments and
+// block rows decoded by the fast path. A blockserver's StatsSnapshot carries the
 // same counters for that node's conversions alone.
 func RangeStats() map[string]int64 { return core.RangeStats() }
 

@@ -149,64 +149,112 @@ func TestDecompressRangeChunks(t *testing.T) {
 	}
 }
 
-// TestLegacyContainerBackCompat pins the pre-seek-index container format:
-// fixtures captured before the index existed must decompress unchanged
-// through every entry point, compressing with DisableSeekIndex must
-// reproduce those legacy bytes exactly, and range reads against index-less
-// containers must be served correctly by the fallback.
+// oldContainerPrefixes names the fixture sets of containers this package
+// decodes but no longer writes: legacy-* were captured before the seek
+// index existed, v1-* are the last planar-order (version 0x01) containers
+// with a seek index.
+var oldContainerPrefixes = []string{"legacy", "v1"}
+
+// TestLegacyContainerBackCompat pins decodability of every container format
+// the encoder no longer writes: each legacy-* and v1-* fixture must carry
+// version byte 0x01 and reconstruct the original bytes through Decompress,
+// DecompressToCtx, DecompressCtx and DecompressRangeCtx. Baseline v1-*
+// ranges take the indexed fast path over planar segments; index-less
+// legacy-* ranges fall back to a full decode.
 func TestLegacyContainerBackCompat(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-"+tc.name+".lep"))
-			if err != nil {
-				t.Fatalf("missing legacy fixture: %v", err)
+			data, _ := goldenInput(t, tc.name, tc.seed, tc.w, tc.h)
+			for _, prefix := range oldContainerPrefixes {
+				old, err := os.ReadFile(filepath.Join("testdata", prefix+"-"+tc.name+".lep"))
+				if err != nil {
+					t.Fatalf("missing fixture: %v", err)
+				}
+				if old[2] != 0x01 {
+					t.Fatalf("%s fixture has version byte %#02x, want 0x01", prefix, old[2])
+				}
+
+				back, err := lepton.Decompress(old)
+				if err != nil {
+					t.Fatalf("%s: Decompress: %v", prefix, err)
+				}
+				if !bytes.Equal(back, data) {
+					t.Fatalf("%s container does not decompress to the original JPEG", prefix)
+				}
+				codec := lepton.NewCodec()
+				var buf bytes.Buffer
+				if err := codec.DecompressToCtx(context.Background(), &buf, old); err != nil {
+					t.Fatalf("%s: DecompressToCtx: %v", prefix, err)
+				}
+				if !bytes.Equal(buf.Bytes(), data) {
+					t.Fatalf("%s: DecompressToCtx mismatch", prefix)
+				}
+				if back, err = codec.DecompressCtx(context.Background(), old); err != nil || !bytes.Equal(back, data) {
+					t.Fatalf("%s: DecompressCtx: %v", prefix, err)
+				}
+
+				size := int64(len(data))
+				probes := [][2]int64{{0, 64}, {size / 3, 1}, {size / 2, 512}, {size - 9, 9}}
+				before := lepton.RangeStats()
+				for _, p := range probes {
+					checkRange(t, old, data, p[0], p[1])
+				}
+				fast := lepton.RangeStats()["range_fast"] - before["range_fast"]
+				wantFast := int64(0)
+				if prefix == "v1" && tc.name != "progressive" && tc.name != "cmyk" {
+					wantFast = int64(len(probes))
+				}
+				if fast != wantFast {
+					t.Errorf("%s: %d of %d ranges took the indexed fast path, want %d",
+						prefix, fast, len(probes), wantFast)
+				}
 			}
+		})
+	}
+}
+
+// TestNoIndexContainerPinned pins the DisableSeekIndex output: compressing
+// without the seek index must reproduce the noindex-* fixtures byte for
+// byte (run with -update-golden after a deliberate format change), the
+// fixtures must round-trip, and range reads on them must be served by the
+// full-decode fallback.
+func TestNoIndexContainerPinned(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
 			data, opt := goldenInput(t, tc.name, tc.seed, tc.w, tc.h)
-
-			// Every decompress entry point must reconstruct the original.
-			back, err := lepton.Decompress(legacy)
-			if err != nil {
-				t.Fatalf("Decompress: %v", err)
-			}
-			if !bytes.Equal(back, data) {
-				t.Fatal("legacy container does not decompress to the original JPEG")
-			}
-			codec := lepton.NewCodec()
-			var buf bytes.Buffer
-			if err := codec.DecompressToCtx(context.Background(), &buf, legacy); err != nil {
-				t.Fatalf("DecompressToCtx: %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), data) {
-				t.Fatal("DecompressToCtx mismatch on legacy container")
-			}
-			if back, err = codec.DecompressCtx(context.Background(), legacy); err != nil || !bytes.Equal(back, data) {
-				t.Fatalf("DecompressCtx on legacy container: %v", err)
-			}
-
-			// Compressing with the index disabled must reproduce the legacy
-			// format byte for byte (and for progressive/CMYK, which never
-			// carry an index, current output must equal legacy output).
 			o := *opt
 			o.DisableSeekIndex = true
 			res, err := lepton.Compress(data, &o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(res.Compressed, legacy) {
-				t.Fatalf("DisableSeekIndex output diverged from legacy container (%d vs %d bytes, first diff %d)",
-					len(res.Compressed), len(legacy), firstDiff(res.Compressed, legacy))
+			path := filepath.Join("testdata", "noindex-"+tc.name+".lep")
+			if *updateGolden {
+				if err := os.WriteFile(path, res.Compressed, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s (%d bytes)", path, len(res.Compressed))
+				return
 			}
-
-			// Range reads on index-less containers go through the fallback
-			// and must still match slices of the full decode.
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
+			}
+			if !bytes.Equal(res.Compressed, want) {
+				t.Fatalf("DisableSeekIndex output diverged from %s (%d vs %d bytes, first diff %d)",
+					path, len(res.Compressed), len(want), firstDiff(res.Compressed, want))
+			}
+			back, err := lepton.Decompress(want)
+			if err != nil || !bytes.Equal(back, data) {
+				t.Fatalf("no-index fixture does not round-trip: %v", err)
+			}
 			size := int64(len(data))
 			before := lepton.RangeStats()
 			for _, p := range [][2]int64{{0, 64}, {size / 2, 512}, {size - 9, 9}} {
-				checkRange(t, legacy, data, p[0], p[1])
+				checkRange(t, want, data, p[0], p[1])
 			}
-			after := lepton.RangeStats()
-			if after["range_fast"]-before["range_fast"] != 0 {
-				t.Error("legacy container unexpectedly took the indexed fast path")
+			if lepton.RangeStats()["range_fast"]-before["range_fast"] != 0 {
+				t.Error("index-less container unexpectedly took the indexed fast path")
 			}
 		})
 	}
