@@ -35,10 +35,10 @@ var goldenCases = []struct {
 	{"cmyk", 19, 176, 144},
 }
 
-// TestGoldenBitstream asserts that compression output is byte-identical to
-// the checked-in fixtures, last regenerated when the container moved to
-// MCU-row segment order (version 0x02), so any refactor that alters the
-// stream fails loudly.
+// TestGoldenBitstream asserts that compression output, with and without
+// CollectStats, is byte-identical to the checked-in fixtures, last
+// regenerated when the container moved to MCU-row segment order (version
+// 0x02), so any refactor that alters the stream fails loudly.
 func TestGoldenBitstream(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,6 +65,16 @@ func TestGoldenBitstream(t *testing.T) {
 			if !bytes.Equal(res.Compressed, want) {
 				t.Fatalf("%s: compressed output diverged from golden fixture: got %d bytes, want %d bytes (first diff at %d)",
 					tc.name, len(res.Compressed), len(want), firstDiff(res.Compressed, want))
+			}
+			// Collecting the Figure-4 statistics must not change a byte.
+			withStats := *opt
+			withStats.CollectStats = true
+			if res, err = lepton.Compress(data, &withStats); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Compressed, want) {
+				t.Fatalf("%s: CollectStats output diverged from golden fixture (first diff at %d)",
+					tc.name, firstDiff(res.Compressed, want))
 			}
 			// The fixture must still round-trip to the original input.
 			back, err := lepton.Decompress(want)

@@ -16,10 +16,10 @@ import (
 
 // Codec is a reusable encode/decode pipeline. It owns sync.Pools for the
 // dominant per-conversion allocations — model statistic-bin tables (~1 MiB
-// per thread segment), coefficient planes, per-segment arithmetic coders and
-// rolling-cache scratch, and the zlib header compressors — so a long-lived
-// codec serving many conversions reuses memory instead of re-allocating it
-// on every call. That is the shape of the paper's deployment: blockservers
+// per thread segment), streamed coefficient rows, per-segment arithmetic
+// coders and rolling-cache scratch, and the zlib header compressors — so a
+// long-lived codec serving many conversions reuses memory instead of
+// re-allocating it on every call. That is the shape of the paper's deployment: blockservers
 // run for months and per-request memory is the binding constraint (§6.2).
 //
 // A Codec is safe for concurrent use.
@@ -27,7 +27,6 @@ type Codec struct {
 	segCodecs  sync.Pool // *model.Codec: bin tables + segment scratch
 	encoders   sync.Pool // *arith.Encoder: arithmetic-coder output buffers
 	rows       sync.Pool // *rowSlab: streaming window/feed row buffers
-	scanBufs   sync.Pool // *jpeg.ScanBuffers: buffered-path planes + positions
 	streamBufs sync.Pool // *jpeg.StreamEncBuffers: decode-side scan bit queues
 	zlibWs     sync.Pool // *zlib.Writer: container header compressor
 	zlibRs     sync.Pool // io.ReadCloser (+zlib.Resetter): header decompressor
@@ -141,28 +140,6 @@ func (c *Codec) getStreamBufs() *jpeg.StreamEncBuffers {
 func (c *Codec) putStreamBufs(sb *jpeg.StreamEncBuffers) {
 	if sb != nil {
 		c.streamBufs.Put(sb)
-	}
-}
-
-// decodeScan entropy-decodes f's scan using pooled buffers; the Scan aliases
-// the returned ScanBuffers, which must be released only once the Scan is
-// dead.
-func (c *Codec) decodeScan(f *jpeg.File) (*jpeg.Scan, *jpeg.ScanBuffers, error) {
-	sb, _ := c.scanBufs.Get().(*jpeg.ScanBuffers)
-	if sb == nil {
-		sb = &jpeg.ScanBuffers{}
-	}
-	s, err := jpeg.DecodeScanInto(f, sb)
-	if err != nil {
-		c.putScanBufs(sb)
-		return nil, nil, err
-	}
-	return s, sb, nil
-}
-
-func (c *Codec) putScanBufs(sb *jpeg.ScanBuffers) {
-	if sb != nil {
-		c.scanBufs.Put(sb)
 	}
 }
 

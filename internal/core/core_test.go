@@ -3,7 +3,9 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"lepton/internal/core"
@@ -179,6 +181,13 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 			bad[i] ^= 0xFF
 			_, _ = decode(bad, 0)
 		}
+	}
+	// The Appendix A.1 interleaved body (mode 'I') is not a mode this
+	// package reads.
+	interleaved := append([]byte(nil), comp...)
+	interleaved[3] = 'I'
+	if _, err := decode(interleaved, 0); !errors.Is(err, core.ErrBadContainer) || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("mode 'I' container: err %v, want the unknown-mode rejection", err)
 	}
 	// Truncations. The container ends with an optional seek-index section
 	// that readers must tolerate losing (it is advisory: a damaged index

@@ -49,10 +49,13 @@ import (
 // interval, arith-decodes only the thread segments containing those rows
 // (each seeded from its recorded handover state), and re-emits exactly
 // the requested scan bytes. Segments are coded in MCU-row order, so a 1 KB
-// read decodes one segment only up to the last MCU row it needs.
-// Containers the planner distrusts — progressive, CMYK, legacy index-less,
-// corrupt index — take a counted fallback through the full decode, which
-// is always correct, only slower.
+// read decodes one segment only up to the last MCU row it needs. A full
+// decode is the same run over the whole file: every decode is a plan of
+// units (MCU-row spans of one thread segment) that one unit decoder
+// regenerates and one stitcher writes out. Containers the planner
+// distrusts — legacy index-less, corrupt index, CMYK — take a counted
+// fallback to whole-segment units; progressive files take a full decode
+// and a slice. Both are always correct, only slower.
 const (
 	DefaultMemDecodeBudget = 24 << 20
 	DefaultMemEncodeBudget = 178 << 20
@@ -257,61 +260,36 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 		ModelFlags: flagsByte(flags.EdgePrediction, flags.DCGradient),
 	}
 
-	var stats [model.NumClasses]float64
-	var release func()
 	if opt.CollectStats {
 		// The Figure-4 statistics attribute the *original* scan's Huffman
-		// bits per class, which needs the whole coefficient planes: stats
-		// runs use the buffered pipeline, so (unlike the streamed path)
-		// their plane bytes must fit the encode budget up front.
+		// bits per class, which needs the whole coefficient planes: their
+		// bytes must fit the encode budget up front.
 		if pb := int64(f.CoefficientCount()) * 2; pb > encBudget {
 			return nil, &jpeg.Error{Reason: jpeg.ReasonMemEncode,
 				Detail: fmt.Sprintf("stats pipeline needs %d coefficient bytes > %d budget", pb, encBudget)}
 		}
-		s, sb, err := c.decodeScan(f)
+		s, err := jpeg.DecodeScan(f)
 		if err != nil {
 			return nil, err
 		}
-		defer c.putScanBufs(sb)
-		cont.Tail, cont.PadBit, cont.RSTCount = s.Tail, s.PadBit, uint32(s.RSTCount)
-		var segErr error
-		cont.Segments, cont.Streams, stats, release, segErr = c.EncodeSegmentsCtx(ctx, f, s, 0, total, nSeg, flags, true)
-		if segErr != nil {
-			release()
-			return nil, segErr
-		}
 		res.OriginalClassBits = originalClassBits(f, s)
-		if seekIndexEligible(opt, f) {
-			// The buffered pipeline recorded a position at every MCU; the
-			// index wants the row starts.
-			idx := make([]jpeg.MCUPos, f.MCUsHigh)
-			for r := range idx {
-				idx[r] = s.Positions[r*f.MCUsWide]
-			}
-			cont.SeekIndex = idx
-		}
-	} else {
-		// Streamed pipeline: the sequential scan decode overlaps the
-		// parallel segment encodes, row by row, under the encode budget's
-		// retained-row ceiling.
-		var info *jpeg.StreamScanInfo
-		var rowPos []jpeg.MCUPos
-		var segErr error
-		cont.Segments, cont.Streams, info, rowPos, release, segErr = c.encodeSegmentsStreamed(ctx, f, starts, total, flags, encBudget)
-		if segErr != nil {
-			release()
-			return nil, segErr
-		}
-		cont.Tail, cont.PadBit, cont.RSTCount = info.Tail, info.PadBit, uint32(info.RSTCount)
-		if seekIndexEligible(opt, f) {
-			cont.SeekIndex = rowPos
-		}
+	}
+	// The sequential scan decode overlaps the parallel segment encodes, row
+	// by row, under the encode budget's retained-row ceiling.
+	enc, err := c.encodeSegmentsStreamed(ctx, f, starts, total, flags, encBudget, opt.CollectStats)
+	if err != nil {
+		return nil, err
+	}
+	cont.Segments, cont.Streams = enc.segs, enc.streams
+	cont.Tail, cont.PadBit, cont.RSTCount = enc.info.Tail, enc.info.PadBit, uint32(enc.info.RSTCount)
+	if seekIndexEligible(opt, f) {
+		cont.SeekIndex = enc.rowPos
 	}
 	res.Segments = len(cont.Segments)
-	res.ClassBits = stats
+	res.ClassBits = enc.stats
 
 	comp, err := cont.marshal(c)
-	release()
+	enc.release()
 	if err != nil {
 		return nil, err
 	}
@@ -334,11 +312,11 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 // segment descriptors (with handover words taken from the scan's recorded
 // positions), the per-segment streams, and per-class bit statistics when
 // collectStats is set. The chunk layer composes this into per-chunk
-// containers; EncodeCtx uses it for whole files. Segment model codecs and
-// arithmetic encoders come from the codec's pools. The returned streams
-// alias pooled encoder buffers; the caller must call release once the
-// stream bytes have been copied out (normally by Container marshaling) and
-// must not touch their contents afterwards.
+// containers; whole files stream through EncodeCtx instead. Segment model
+// codecs and arithmetic encoders come from the codec's pools. The returned
+// streams alias pooled encoder buffers; the caller must call release once
+// the stream bytes have been copied out (normally by Container marshaling)
+// and must not touch their contents afterwards.
 func (c *Codec) EncodeSegments(f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64, func()) {
 	segs, streams, stats, release, _ := c.EncodeSegmentsCtx(context.Background(), f, s, mStart, mEnd, nSeg, flags, collectStats)
 	return segs, streams, stats, release
@@ -430,6 +408,19 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 	return segs, streams, stats, release, nil
 }
 
+// streamedEncode is encodeSegmentsStreamed's output. The streams alias
+// pooled encoder buffers: marshal first, then call release.
+type streamedEncode struct {
+	segs    []Segment
+	streams [][]byte
+	// stats is the per-class bit count summed over segments, filled when
+	// the encode collects statistics (Figure 4).
+	stats   [model.NumClasses]float64
+	info    *jpeg.StreamScanInfo
+	rowPos  []jpeg.MCUPos // every MCU-row start; nil when too tall to index
+	release func()
+}
+
 // encodeSegmentsStreamed is the whole-file encode pipeline: the sequential
 // Huffman scan decode runs in the calling goroutine and feeds block rows
 // through bounded per-segment windows into the parallel segment encoders,
@@ -443,11 +434,11 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 // segment handovers are the subset at segment-start rows, and the full
 // table (returned as rowPos when the image is small enough to index) is
 // the seek index that makes DecodeRangeToCtx segment-sized instead of
-// file-sized.
+// file-sized. With collectStats each segment coder tallies its bits per
+// coefficient class.
 //
-// On success the returned streams alias pooled encoder buffers: marshal
-// first, then call release. release is non-nil on every path.
-func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, starts []int, total int, flags model.Flags, encBudget int64) (segs []Segment, streams [][]byte, info *jpeg.StreamScanInfo, rowPos []jpeg.MCUPos, release func(), err error) {
+// On error every pooled resource is already recycled.
+func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, starts []int, total int, flags model.Flags, encBudget int64, collectStats bool) (*streamedEncode, error) {
 	nSeg := len(starts)
 	ncomp := len(f.Components)
 	done := ctx.Done()
@@ -491,6 +482,9 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 		}
 		feeds[i] = fs
 		codec := cd.getSegCodec(planes, rs, re, flags)
+		if collectStats {
+			codec.Stats = &model.Stats{}
+		}
 		if total > 0 {
 			codec.SetSizeHint(len(f.ScanData) * (end - start) / total)
 		}
@@ -561,22 +555,24 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 	for _, rc := range recs {
 		rc.drainTo(cd)
 	}
-	release = func() {
+	out := &streamedEncode{info: info, release: func() {
 		for i := range codecs {
 			cd.putSegCodec(codecs[i])
 			cd.putEncoder(encs[i])
 		}
-	}
+	}}
 	if perr != nil {
+		out.release()
 		if sink := jpeg.SinkErr(perr); sink != nil {
 			// The sink refused a row: that is this conversion's context
 			// error, not scan corruption.
 			perr = sink
 		}
-		return nil, nil, nil, nil, release, perr
+		return nil, perr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, nil, release, err
+		out.release()
+		return nil, err
 	}
 	for i, start := range starts {
 		pos := posOut[i]
@@ -587,17 +583,22 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 		if start > 0 {
 			h = handoverFromPos(pos)
 		}
-		segs = append(segs, Segment{
+		out.segs = append(out.segs, Segment{
 			StartMCU: uint32(start),
 			Handover: h,
 			ArithLen: uint32(len(outs[i])),
 		})
-		streams = append(streams, outs[i])
+		out.streams = append(out.streams, outs[i])
+		if st := codecs[i].Stats; st != nil {
+			for k, b := range st.Bits {
+				out.stats[k] += b
+			}
+		}
 	}
 	if indexable {
-		rowPos = posOut
+		out.rowPos = posOut
 	}
-	return segs, streams, info, rowPos, release, nil
+	return out, nil
 }
 
 // DecodeCtx reconstructs the original bytes from a Lepton container into
@@ -632,34 +633,122 @@ func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memB
 		return err
 	}
 	defer cd.putBuf(headBuf)
-	if c.Mode == ModeRaw {
-		// Enforce the recorded size before the first write: callers frame
-		// responses from the container header, so a mismatch must fail
-		// loudly instead of desyncing the caller's framing.
-		if uint32(len(c.Raw)) != c.OutputSize {
-			return badContainer("raw payload %d bytes, header says %d", len(c.Raw), c.OutputSize)
+	switch c.Mode {
+	case ModeRaw:
+		raw, err := rawPayload(c)
+		if err != nil {
+			return err
 		}
-		_, err := w.Write(c.Raw)
+		_, err = w.Write(raw)
 		return err
-	}
-	if c.Mode == ModeProgressive {
+	case ModeProgressive:
 		return decodeProgressiveContainer(ctx, w, c, memBudget)
 	}
 	f, err := jpeg.ParseHeader(c.JPEGHeader)
 	if err != nil {
 		return fmt.Errorf("core: stored header: %w", err)
 	}
-	// The streaming decoder holds one (V+1)-row coefficient window per
-	// component per segment — that is what the §5.1 ceiling bounds. Tall
-	// over-"budget" images stream through; only absurd width × segment
-	// products are rejected.
-	if w := DecodeWindowBytes(f, len(c.Segments)); w > memBudget {
-		return &jpeg.Error{Reason: jpeg.ReasonMemDecode,
-			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", w, memBudget)}
+	_, err = cd.runPlan(ctx, w, f, c, segmentPlan(f, c), 0, int64(c.OutputSize), memBudget)
+	return err
+}
+
+// rawPayload returns a raw container's stored bytes. The recorded size is
+// enforced before the first write: callers frame responses from the
+// container header, so a mismatch must fail loudly instead of desyncing
+// the caller's framing.
+func rawPayload(c *Container) ([]byte, error) {
+	if uint32(len(c.Raw)) != c.OutputSize {
+		return nil, badContainer("raw payload %d bytes, header says %d", len(c.Raw), c.OutputSize)
 	}
+	return c.Raw, nil
+}
+
+// A decodeUnit is a span of MCU rows inside one thread segment, the piece
+// of work every ModeLepton decode is planned in. The segment is
+// arithmetic-decoded from its start, where the model state and handover
+// word were recorded; only MCU rows [u0, u1) are re-encoded into scan
+// bytes, starting from the scan position seed, and the decode stops once
+// MCU row u1-1 is done. A full decode has one whole-segment unit per
+// segment.
+type decodeUnit struct {
+	seg              int
+	u0, u1           int // global MCU rows re-encoded
+	segStart, segEnd int // the segment's MCU span
+	encStart, encEnd int // MCUs re-encoded: rows [u0, u1) within the segment
+	seed             jpeg.MCUPos
+	// want is the byte count the seek index promises for the unit, or -1
+	// when nothing can check it.
+	want int64
+}
+
+// decodePlan is one ModeLepton decode: its units in output order and the
+// output offset of the first unit's first byte (of the trailer when there
+// are no units). indexed marks a plan drawn from the seek index, the range
+// fast path.
+type decodePlan struct {
+	units   []decodeUnit
+	scanPos int64
+	indexed bool
+}
+
+// segmentSpan returns thread segment i's MCU span.
+func segmentSpan(c *Container, i int) (start, end int) {
+	start, end = int(c.Segments[i].StartMCU), int(c.MCUEnd)
+	if i+1 < len(c.Segments) {
+		end = int(c.Segments[i+1].StartMCU)
+	}
+	return start, end
+}
+
+// prefixLen is the output length of the verbatim zone ahead of the scan
+// bytes: the header, when emitted, then the prepend bytes.
+func prefixLen(c *Container) int64 {
+	n := int64(len(c.Prepend))
+	if c.EmitHeader {
+		n += int64(len(c.JPEGHeader))
+	}
+	return n
+}
+
+// segmentPlan decodes every thread segment whole, each seeded from its
+// recorded handover word.
+func segmentPlan(f *jpeg.File, c *Container) decodePlan {
+	w := f.MCUsWide
+	p := decodePlan{scanPos: prefixLen(c)}
+	for i := range c.Segments {
+		start, end := segmentSpan(c, i)
+		p.units = append(p.units, decodeUnit{seg: i, u0: start / w, u1: (end + w - 1) / w,
+			segStart: start, segEnd: end, encStart: start, encEnd: end,
+			seed: c.Segments[i].Handover.toPos(0), want: -1})
+	}
+	return p
+}
+
+// rows returns the block rows of each component a unit decodes: its
+// segment's rows, clipped after MCU row u1-1. In MCU-row order every
+// component is clipped, so the stream is read no further than the last row
+// the unit needs; a VersionPlanar segment holds each earlier component's
+// rows in full before the last component's, so there only the last
+// component is.
+func (u *decodeUnit) rows(f *jpeg.File, version byte) (rs, re []int) {
+	rs, re = rowRangesFor(f, u.segStart, u.segEnd)
+	for ci := range re {
+		if clip := u.u1 * vEff(f, ci); clip < re[ci] && (version != VersionPlanar || ci == len(re)-1) {
+			re[ci] = clip
+		}
+	}
+	return rs, re
+}
+
+// runPlan validates c against f, runs the plan's units concurrently, and
+// stitches bytes [off, end) of the output into dst: the verbatim header and
+// prepend, the units' bytes at consecutive positions from p.scanPos, then
+// the verbatim trailer. Units are written in order as each completes. It
+// returns the bytes written.
+func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Container, p decodePlan, off, end, memBudget int64) (int64, error) {
 	total := f.TotalMCUs()
 	if c.MCUEnd > uint32(total) || c.MCUStart > c.MCUEnd {
-		return badContainer("MCU range %d..%d of %d", c.MCUStart, c.MCUEnd, total)
+		return 0, badContainer("MCU range %d..%d of %d", c.MCUStart, c.MCUEnd, total)
 	}
 	// Every block costs at least two bits in the regenerated scan (a DC
 	// code and an EOB), so a container claiming more blocks than its
@@ -672,57 +761,46 @@ func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memB
 	blocks := int64(c.MCUEnd-c.MCUStart) * int64(f.BlocksPerMCU())
 	rowBlocks := int64(f.MCUsWide) * int64(f.BlocksPerMCU())
 	if blocks > int64(c.OutputSize)*4+rowBlocks {
-		return badContainer("%d blocks cannot fit in %d output bytes", blocks, c.OutputSize)
+		return 0, badContainer("%d blocks cannot fit in %d output bytes", blocks, c.OutputSize)
 	}
-
-	// Every segment runs its whole pipeline fused in its own goroutine:
-	// each block row is arithmetic-decoded into a sliding ring window and
-	// immediately Huffman re-encoded (via the per-component row queues of
-	// jpeg.StreamScanEncoder), so per-segment coefficient memory is a few
-	// rows, not the segment's plane. Output is streamed in segment order
-	// as each completes, so the time-to-first-byte is governed by segment
-	// 0 alone, not by the slowest segment (§3.4's streaming requirement).
-	flags := model.Flags{
-		EdgePrediction: c.ModelFlags&1 != 0,
-		DCGradient:     c.ModelFlags&2 != 0,
+	// Each unit holds one (V+1)-row coefficient window per component —
+	// that is what the §5.1 ceiling bounds. Tall over-"budget" images
+	// stream through; only absurd width × unit products are rejected.
+	if wb := DecodeWindowBytes(f, len(p.units)); wb > memBudget {
+		return 0, &jpeg.Error{Reason: jpeg.ReasonMemDecode,
+			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", wb, memBudget)}
 	}
-	cancelled := ctx.Done()
-	done := make([]chan segResult, len(c.Segments))
-	for i := range c.Segments {
-		done[i] = make(chan segResult, 1)
-		go func(i int) {
-			start := int(c.Segments[i].StartMCU)
-			end := int(c.MCUEnd)
-			if i+1 < len(c.Segments) {
-				end = int(c.Segments[i+1].StartMCU)
+	if p.indexed {
+		cd.stats.Add("range_segments_decoded", int64(len(p.units)))
+		var rows int64
+		for i := range p.units {
+			rs, re := p.units[i].rows(f, c.Version)
+			for ci := range re {
+				rows += int64(re[ci] - rs[ci])
 			}
-			done[i] <- cd.decodeSegmentStreamed(ctx, cancelled, f, c, i, start, end, total, flags)
-		}(i)
+		}
+		cd.stats.Add("range_block_rows", rows)
 	}
 
-	// Stream out in order as segments complete.
-	written := 0
-	emit := func(b []byte) error {
-		if written+len(b) > int(c.OutputSize) {
-			b = b[:int(c.OutputSize)-written]
-		}
-		n, err := w.Write(b)
-		written += n
-		return err
+	done := make([]chan segResult, len(p.units))
+	for j := range p.units {
+		done[j] = make(chan segResult, 1)
+		go func(j int) {
+			done[j] <- cd.decodeUnit(ctx, f, c, &p.units[j])
+		}(j)
 	}
+
+	out := &sliceWriter{dst: dst, off: off, end: end}
 	var firstErr error
 	if c.EmitHeader {
-		if err := emit(c.JPEGHeader); err != nil {
-			firstErr = err
-		}
+		_, firstErr = out.Write(c.JPEGHeader)
 	}
-	if firstErr == nil && len(c.Prepend) > 0 {
-		if err := emit(c.Prepend); err != nil {
-			firstErr = err
-		}
+	if firstErr == nil {
+		_, firstErr = out.Write(c.Prepend)
 	}
-	for i := range done {
-		r := <-done[i]
+	out.pos = p.scanPos
+	for j := range done {
+		r := <-done[j]
 		if firstErr != nil {
 			continue // drain remaining goroutines
 		}
@@ -730,38 +808,46 @@ func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memB
 			firstErr = r.err
 			continue
 		}
-		if err := emit(r.bytes); err != nil {
-			firstErr = err
+		// A unit that stops before the container's last row must land
+		// exactly on the next row's recorded offset, or the index lied.
+		if u := &p.units[j]; u.want >= 0 && int64(len(r.bytes)) != u.want {
+			firstErr = badContainer("seek index: rows %d..%d produced %d scan bytes, index says %d",
+				u.u0, u.u1, len(r.bytes), u.want)
+			continue
 		}
+		_, firstErr = out.Write(r.bytes)
 	}
 	if firstErr != nil {
-		return firstErr
+		return out.written, firstErr
 	}
 	if c.EmitTail {
-		if err := emit(c.Trailer); err != nil {
-			return err
+		if _, err := out.Write(c.Trailer); err != nil {
+			return out.written, err
 		}
 	}
-	if written != int(c.OutputSize) {
-		return badContainer("produced %d bytes, expected %d", written, c.OutputSize)
+	if err := ctx.Err(); err != nil {
+		return out.written, err
 	}
-	return nil
+	if out.written != end-off {
+		return out.written, badContainer("decode produced %d bytes, want %d", out.written, end-off)
+	}
+	return out.written, nil
 }
 
-// segResult is one decoded segment's regenerated scan bytes (or error).
+// segResult is one decoded unit's regenerated scan bytes (or error).
 type segResult struct {
 	bytes []byte
 	err   error
 }
 
-// decodeSegmentStreamed runs one thread segment's fused pipeline: the
-// arithmetic decode writes block rows into a ring window sized to the
-// model's two-row context (plus the MCU row the scan re-encoder groups),
-// and the OnRow hook hands every completed MCU row group straight to the
-// streaming scan encoder, which recycles nothing coefficient-shaped —
-// what it retains per segment is Huffman bits, roughly output-sized.
-func (cd *Codec) decodeSegmentStreamed(ctx context.Context, cancelled <-chan struct{}, f *jpeg.File, c *Container, i, start, end, total int, flags model.Flags) segResult {
-	rs, re := rowRangesFor(f, start, end)
+// decodeUnit runs one unit's fused pipeline: the arithmetic decode writes
+// block rows into a ring window sized to the model's two-row context (plus
+// the MCU row the scan re-encoder groups), and the OnRow hook hands every
+// completed MCU row group in [u0, u1) straight to the streaming scan
+// encoder, which recycles nothing coefficient-shaped — what it retains per
+// unit is Huffman bits, roughly output-sized.
+func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, u *decodeUnit) segResult {
+	rs, re := u.rows(f, c.Version)
 	ncomp := len(f.Components)
 
 	// Carve every component's ring out of one pooled slab.
@@ -787,17 +873,20 @@ func (cd *Codec) decodeSegmentStreamed(ctx context.Context, cancelled <-chan str
 			TurnRows: turnRows(f, ci, c.Version)}
 	}
 
+	flags := model.Flags{
+		EdgePrediction: c.ModelFlags&1 != 0,
+		DCGradient:     c.ModelFlags&2 != 0,
+	}
 	codec := cd.getSegCodec(planes, rs, re, flags)
 	defer cd.putSegCodec(codec)
 	sbufs := cd.getStreamBufs()
-	se, err := jpeg.NewStreamScanEncoder(f, c.PadBit, int(c.RSTCount), start, end,
-		c.Segments[i].Handover.toPos(0), sbufs)
+	se, err := jpeg.NewStreamScanEncoder(f, c.PadBit, int(c.RSTCount), u.encStart, u.encEnd, u.seed, sbufs)
 	if err != nil {
 		cd.putStreamBufs(sbufs)
 		return segResult{err: err}
 	}
 	// Recycle the queue storage on every path, including cancelled or
-	// corrupt segments — the bytes Finish returns alias the sequential
+	// corrupt units — the bytes Finish returns alias the sequential
 	// writer, never the queues, so release is always safe here.
 	defer func() {
 		se.ReleaseBuffers(sbufs)
@@ -809,15 +898,19 @@ func (cd *Codec) decodeSegmentStreamed(ctx context.Context, cancelled <-chan str
 		if (row+1)%v != 0 {
 			return nil // MCU row group not complete yet
 		}
+		mr := row / v
+		if mr < u.u0 || mr >= u.u1 {
+			return nil // outside the unit's rows: decode, don't re-encode
+		}
 		group = group[:0]
 		for r := row - v + 1; r <= row; r++ {
 			group = append(group, rings[ci].peek(r))
 		}
-		return se.ConsumeGroup(ci, row/v, group)
+		return se.ConsumeGroup(ci, mr, group)
 	}
 
-	d := arith.NewDecoder(c.Streams[i])
-	if err := codec.DecodeSegmentCtx(d, cancelled); err != nil {
+	d := arith.NewDecoder(c.Streams[u.seg])
+	if err := codec.DecodeSegmentCtx(d, ctx.Done()); err != nil {
 		if errors.Is(err, model.ErrInterrupted) {
 			return segResult{err: ctx.Err()}
 		}
@@ -832,7 +925,7 @@ func (cd *Codec) decodeSegmentStreamed(ctx context.Context, cancelled <-chan str
 	// Only the true end of the scan gets padding and the verbatim tail; a
 	// chunk ending mid-scan leaves its final partial byte to the next
 	// chunk's prepend data.
-	b, err := se.Finish(c.Tail, end == total)
+	b, err := se.Finish(c.Tail, u.encEnd == f.TotalMCUs())
 	if err != nil {
 		return segResult{err: fmt.Errorf("core: segment encode: %w", err)}
 	}

@@ -105,8 +105,8 @@ type Container struct {
 	// range decode (see seekindex.go): entry r is the scan position at the
 	// start of MCU row MCUStart/MCUsWide + r. It rides an optional trailing
 	// section after the streams; containers without one (all pre-index
-	// files, interleaved layouts, progressive/raw modes) decode exactly as
-	// before and ranges fall back to full decode.
+	// files, progressive/raw modes) decode exactly as before and ranges
+	// fall back to whole-segment decodes.
 	SeekIndex []jpeg.MCUPos
 	// ProgScans describes each scan of a progressive file
 	// (ModeProgressive only).
@@ -335,8 +335,7 @@ func unmarshal(data []byte, p *Codec) (*Container, *bytes.Buffer, error) {
 		return nil, nil, badContainer("unsupported version %d", data[2])
 	}
 	c := &Container{Version: data[2], Mode: data[3]}
-	if c.Mode != ModeLepton && c.Mode != ModeRaw && c.Mode != ModeLeptonInterleaved &&
-		c.Mode != ModeProgressive {
+	if c.Mode != ModeLepton && c.Mode != ModeRaw && c.Mode != ModeProgressive {
 		return nil, nil, badContainer("unknown mode %#02x", c.Mode)
 	}
 	nSeg := binary.LittleEndian.Uint32(data[4:])
@@ -435,16 +434,6 @@ func unmarshal(data []byte, p *Codec) (*Container, *bytes.Buffer, error) {
 			}
 			c.ProgScans = append(c.ProgScans, ps)
 		}
-	}
-	if c.Mode == ModeLeptonInterleaved {
-		streams, err := deinterleave(data[body:], lens)
-		if err != nil {
-			return fail(err)
-		}
-		c.Streams = streams
-		// Normalize: downstream consumers treat the container uniformly.
-		c.Mode = ModeLepton
-		return c, headBuf, nil
 	}
 	for i, l := range lens {
 		if body+int(l) > len(data) {

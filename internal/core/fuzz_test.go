@@ -141,6 +141,8 @@ func FuzzDecompressRange(f *testing.F) {
 	for i, s := range planarFixtureSeeds(f) {
 		f.Add(s, int64(1024*(i+1)), int64(4096))
 	}
+	bound, off := cpuBoundContainer(f)
+	f.Add(bound, off, int64(1))
 	f.Fuzz(func(t *testing.T, data []byte, off, n int64) {
 		cd := NewCodec()
 		full, ferr := cd.DecodeCtx(context.Background(), data, 0)

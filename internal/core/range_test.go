@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -194,11 +195,23 @@ func TestDecodeRangeFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
+			ctx := context.Background()
+			before := core.RangeStats()
 			full, err := decode(res.Compressed, 0)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			before := core.RangeStats()
+			if err := core.NewCodec().VerifyCtx(ctx, res.Compressed, full, 0); err != nil {
+				t.Fatalf("VerifyCtx: %v", err)
+			}
+			// Full decodes share the range path's pipeline but are not
+			// range reads: no range_* counter may move.
+			for k, v := range core.RangeStats() {
+				if v != before[k] {
+					t.Errorf("DecodeCtx/VerifyCtx moved %s (%d -> %d)", k, before[k], v)
+				}
+			}
+			before = core.RangeStats()
 			rangeSweep(t, res.Compressed, full, 7)
 			after := core.RangeStats()
 			if after[tc.counter] <= before[tc.counter] {

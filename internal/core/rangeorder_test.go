@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"lepton/internal/imagegen"
 	"lepton/internal/jpeg"
@@ -169,5 +172,69 @@ func TestUnmarshalVersions(t *testing.T) {
 		if _, err := decode(data, 0); !errors.Is(err, ErrBadContainer) {
 			t.Fatalf("version %#02x decode: err %v, want ErrBadContainer", v, err)
 		}
+	}
+}
+
+// cpuBoundContainer rewrites the golden color-small container into one
+// whose stored header claims a 65520×16384 image, whose one segment's
+// stream is 64 zero bytes, and whose seek index is all zero, while its
+// recorded output size stays a few kilobytes. Every block costs at least
+// two bits of output, so no decode may start on it. off is the first scan
+// byte: a one-byte read there maps to the image's last MCU row, which the
+// segment can only reach by decoding every row before it.
+func cpuBoundContainer(tb testing.TB) (comp []byte, off int64) {
+	tb.Helper()
+	golden, err := os.ReadFile(fixturePath("golden-color-small.lep"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := Unmarshal(golden)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hdr := append([]byte(nil), c.JPEGHeader...)
+	sof := bytes.Index(hdr, []byte{0xFF, 0xC0})
+	if sof < 0 {
+		tb.Fatal("golden header has no SOF0 marker")
+	}
+	binary.BigEndian.PutUint16(hdr[sof+5:], 16384) // height
+	binary.BigEndian.PutUint16(hdr[sof+7:], 65520) // width
+	f, err := jpeg.ParseHeader(hdr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.JPEGHeader = hdr
+	c.MCUStart, c.MCUEnd = 0, uint32(f.TotalMCUs())
+	c.Segments = []Segment{{ArithLen: 64}}
+	c.Streams = [][]byte{make([]byte, 64)}
+	c.SeekIndex = make([]jpeg.MCUPos, f.MCUsHigh)
+	if comp, err = c.Marshal(); err != nil {
+		tb.Fatal(err)
+	}
+	return comp, prefixLen(c)
+}
+
+// TestRangeRejectsBlocksBeyondOutputSize pins the CPU bound on the range
+// path: a container claiming more blocks than its output size could hold is
+// refused by a range read exactly as by a full decode, before any unit
+// starts, instead of arith-decoding millions of blocks.
+func TestRangeRejectsBlocksBeyondOutputSize(t *testing.T) {
+	comp, off := cpuBoundContainer(t)
+	if _, err := decode(comp, 0); !errors.Is(err, ErrBadContainer) || !strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("full decode: err %v, want the blocks-vs-output-size rejection", err)
+	}
+	cd := NewCodec()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := cd.DecodeRangeCtx(ctx, comp, off, 1, 0)
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatal("range read ran until the deadline instead of rejecting the container")
+	}
+	if !errors.Is(err, ErrBadContainer) || !strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("range read: err %v, want the blocks-vs-output-size rejection", err)
+	}
+	snap := cd.stats.Snapshot()
+	if snap["range_block_rows"] != 0 || snap["range_segments_decoded"] != 0 {
+		t.Fatalf("rejected range read started decoding: %v", snap)
 	}
 }

@@ -23,9 +23,7 @@ import (
 // unmarshal slices streams by their recorded lengths and ignored trailing
 // bytes long before the index existed. New readers treat a missing,
 // truncated, or corrupt section as "no index" and fall back to full
-// decode — the index can optimize a decode but never fail one. The
-// interleaved layout (ModeLeptonInterleaved) consumes every body byte
-// during deinterleaving, so those containers never carry an index.
+// decode — the index can optimize a decode but never fail one.
 //
 // Per-segment arithmetic input offsets are not duplicated here: they are
 // prefix sums of the ArithLen fields already in the zlib head section,

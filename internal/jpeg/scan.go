@@ -233,19 +233,6 @@ func (d *scanDecoder) tryRestart(expect byte) (bool, error) {
 	return true, nil
 }
 
-// ScanBuffers is reusable backing storage for DecodeScanInto: one
-// coefficient slab covering every component plane plus the per-MCU position
-// table. Pooling these across conversions removes the two dominant
-// per-encode allocations.
-type ScanBuffers struct {
-	Coeff []int16
-	Pos   []MCUPos
-}
-
-// DecodeScan entropy-decodes the scan of a parsed file into coefficients,
-// recording per-MCU handover state.
-func DecodeScan(f *File) (*Scan, error) { return DecodeScanInto(f, nil) }
-
 // slabSink adapts whole coefficient planes to the streaming decoder's
 // RowSink: row buffers are handed out as consecutive slices of the planes
 // (rows arrive strictly in order per component) and EmitRow has nothing
@@ -265,44 +252,22 @@ func (s *slabSink) GetRowBuf(ci int) []int16 {
 
 func (s *slabSink) EmitRow(ci, row int, coeff []int16) error { return nil }
 
-// DecodeScanInto is DecodeScan drawing coefficient and position storage from
-// buf, growing it as needed; the returned Scan aliases buf, so buf must not
-// be reused until the Scan is dead. A nil buf allocates fresh storage. It
-// is DecodeScanStream over slab-backed rows with every position recorded —
-// the buffered and streaming paths share one MCU walk.
-func DecodeScanInto(f *File, buf *ScanBuffers) (*Scan, error) {
-	s := &Scan{File: f}
-	total := f.TotalMCUs()
-	need := f.CoefficientCount()
-	if buf == nil {
-		buf = &ScanBuffers{}
-	}
-	if cap(buf.Coeff) < need {
-		buf.Coeff = make([]int16, need)
-	} else {
-		// The entropy decoder writes only nonzero coefficients; planes
-		// must start zeroed.
-		buf.Coeff = buf.Coeff[:need]
-		clear(buf.Coeff)
-	}
-	if cap(buf.Pos) < total {
-		buf.Pos = make([]MCUPos, total)
-	} else {
-		// Every entry is assigned by the walk; no clear needed.
-		buf.Pos = buf.Pos[:total]
-	}
+// DecodeScan entropy-decodes the scan of a parsed file into whole
+// coefficient planes, recording per-MCU handover state. It is
+// DecodeScanStream over slab-backed rows with every position recorded —
+// the whole-plane and streaming paths share one MCU walk.
+func DecodeScan(f *File) (*Scan, error) {
+	s := &Scan{File: f, Positions: make([]MCUPos, f.TotalMCUs())}
+	coeff := make([]int16, f.CoefficientCount())
 	sink := &slabSink{nextRow: make([]int, len(f.Components))}
 	off := 0
 	for _, c := range f.Components {
 		n := c.BlocksWide * c.BlocksHigh * 64
-		s.Coeff = append(s.Coeff, buf.Coeff[off:off+n:off+n])
+		s.Coeff = append(s.Coeff, coeff[off:off+n:off+n])
+		sink.rowLen = append(sink.rowLen, c.BlocksWide*64)
 		off += n
 	}
 	sink.planes = s.Coeff
-	for i := range f.Components {
-		sink.rowLen = append(sink.rowLen, f.Components[i].BlocksWide*64)
-	}
-	s.Positions = buf.Pos
 	info, err := DecodeScanStream(f, sink, nil, s.Positions)
 	if err != nil {
 		return nil, err

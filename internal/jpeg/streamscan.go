@@ -9,7 +9,7 @@ import (
 // This file is the producer half of the row-window streaming pipeline
 // (paper §5.1: the deployed system "streams row by row" under a hard
 // memory ceiling). DecodeScanStream entropy-decodes the scan exactly like
-// DecodeScanInto, but instead of materializing whole coefficient planes it
+// DecodeScan, but instead of materializing whole coefficient planes it
 // borrows one MCU row's worth of block-row buffers from its sink at a
 // time, hands each completed row over, and never looks back — per-file
 // coefficient memory is one MCU row, not one image.
@@ -60,7 +60,7 @@ func SinkErr(err error) error {
 // ascending MCU indices whose entropy-decoder state (Huffman handover
 // words) should be recorded into posOut, which must have the same length;
 // both may be nil, and a nil posAt with posOut covering every MCU records
-// them all. This is the only MCU walk in the package: DecodeScanInto is a
+// them all. This is the only MCU walk in the package: DecodeScan is a
 // slab-backed sink over it, so the buffered and streamed decoders cannot
 // diverge on restart handling or pad-bit bookkeeping.
 func DecodeScanStream(f *File, sink RowSink, posAt []int, posOut []MCUPos) (*StreamScanInfo, error) {

@@ -160,7 +160,7 @@ var oldContainerPrefixes = []string{"legacy", "v1"}
 // version byte 0x01 and reconstruct the original bytes through Decompress,
 // DecompressToCtx, DecompressCtx and DecompressRangeCtx. Baseline v1-*
 // ranges take the indexed fast path over planar segments; index-less
-// legacy-* ranges fall back to a full decode.
+// legacy-* ranges decode every segment whole.
 func TestLegacyContainerBackCompat(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,21 +193,7 @@ func TestLegacyContainerBackCompat(t *testing.T) {
 					t.Fatalf("%s: DecompressCtx: %v", prefix, err)
 				}
 
-				size := int64(len(data))
-				probes := [][2]int64{{0, 64}, {size / 3, 1}, {size / 2, 512}, {size - 9, 9}}
-				before := lepton.RangeStats()
-				for _, p := range probes {
-					checkRange(t, old, data, p[0], p[1])
-				}
-				fast := lepton.RangeStats()["range_fast"] - before["range_fast"]
-				wantFast := int64(0)
-				if prefix == "v1" && tc.name != "progressive" && tc.name != "cmyk" {
-					wantFast = int64(len(probes))
-				}
-				if fast != wantFast {
-					t.Errorf("%s: %d of %d ranges took the indexed fast path, want %d",
-						prefix, fast, len(probes), wantFast)
-				}
+				checkFixtureRanges(t, prefix, tc.name, old, data)
 			}
 		})
 	}
@@ -217,7 +203,7 @@ func TestLegacyContainerBackCompat(t *testing.T) {
 // without the seek index must reproduce the noindex-* fixtures byte for
 // byte (run with -update-golden after a deliberate format change), the
 // fixtures must round-trip, and range reads on them must be served by the
-// full-decode fallback.
+// index-less fallback.
 func TestNoIndexContainerPinned(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,14 +234,43 @@ func TestNoIndexContainerPinned(t *testing.T) {
 			if err != nil || !bytes.Equal(back, data) {
 				t.Fatalf("no-index fixture does not round-trip: %v", err)
 			}
-			size := int64(len(data))
-			before := lepton.RangeStats()
-			for _, p := range [][2]int64{{0, 64}, {size / 2, 512}, {size - 9, 9}} {
-				checkRange(t, want, data, p[0], p[1])
-			}
-			if lepton.RangeStats()["range_fast"]-before["range_fast"] != 0 {
-				t.Error("index-less container unexpectedly took the indexed fast path")
-			}
+			checkFixtureRanges(t, "noindex", tc.name, want, data)
 		})
+	}
+}
+
+// rangeOutcomes are the counters that say how a range read was served.
+var rangeOutcomes = []string{"range_fast", "range_fallback_no_index", "range_fallback_unsupported"}
+
+// checkFixtureRanges reads ranges at the start, the middle and the last
+// byte of fixture comp, of the golden case name in fixture set prefix, and
+// requires each to equal the slice of data and to be served the way that
+// fixture set is: the indexed fast path for v1-* baseline fixtures, the
+// index-less fallback for other baseline fixtures, and the unsupported
+// fallback for CMYK and progressive ones.
+func checkFixtureRanges(t *testing.T, prefix, name string, comp, data []byte) {
+	t.Helper()
+	want := "range_fallback_no_index"
+	switch {
+	case name == "progressive" || name == "cmyk":
+		want = "range_fallback_unsupported"
+	case prefix == "v1":
+		want = "range_fast"
+	}
+	size := int64(len(data))
+	for _, p := range [][2]int64{{0, 64}, {size / 3, 1}, {size / 2, 512}, {size - 9, 9}, {size - 1, 1}} {
+		before := lepton.RangeStats()
+		checkRange(t, comp, data, p[0], p[1])
+		after := lepton.RangeStats()
+		for _, k := range rangeOutcomes {
+			moved, wantMoved := after[k]-before[k], int64(0)
+			if k == want {
+				wantMoved = 1
+			}
+			if moved != wantMoved {
+				t.Errorf("%s-%s range (off=%d n=%d) moved %s by %d, want %d",
+					prefix, name, p[0], p[1], k, moved, wantMoved)
+			}
+		}
 	}
 }
