@@ -68,7 +68,7 @@ func usage() {
 
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	threads := fs.Int("threads", 0, "thread segments (0 = by size)")
+	threads := fs.Int("threads", 0, "thread segments, 1..64 (0 = by size)")
 	verify := fs.Bool("verify", true, "verify round trip before writing")
 	oneWay := fs.Bool("1way", false, "single-model maximum-compression mode")
 	progressive := fs.Bool("progressive", false, "accept spectral-selection progressive JPEGs")

@@ -39,8 +39,10 @@ const DefaultChunkSize = 4 << 20
 type Options struct {
 	// ChunkSize in bytes; 0 means DefaultChunkSize.
 	ChunkSize int
-	// SegmentsPerChunk forces the thread-segment count per chunk (0 = by
-	// chunk payload size, as in core.SegmentCountFor).
+	// SegmentsPerChunk forces the thread-segment count per chunk
+	// (1..core.MaxSegments; 0 = by chunk payload size, as in
+	// core.SegmentCountFor). Other values are refused before any work. At
+	// most eight of a chunk's segments run at once, whatever the count.
 	SegmentsPerChunk int
 	// Flags selects model predictors; nil means the deployed configuration.
 	Flags *model.Flags
@@ -69,6 +71,14 @@ type Options struct {
 	DisableSeekIndex bool
 }
 
+// check refuses a forced segment count the decoder would refuse.
+func (o Options) check() error {
+	if o.SegmentsPerChunk < 0 || o.SegmentsPerChunk > core.MaxSegments {
+		return fmt.Errorf("chunk: SegmentsPerChunk %d outside 0..%d", o.SegmentsPerChunk, core.MaxSegments)
+	}
+	return nil
+}
+
 // CompressCtx splits data into chunks and compresses each one
 // independently. If the data is not a JPEG that Lepton supports, every chunk
 // is stored in raw (deflate) mode — the caller can inspect Mode to know which
@@ -77,6 +87,9 @@ type Options struct {
 // Cancellation is observed between chunks and, through the core encoder's
 // per-row checkpoints, inside each chunk's segment encode.
 func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error) {
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	size := opt.ChunkSize
 	if size <= 0 {
 		size = DefaultChunkSize
@@ -106,6 +119,9 @@ func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error
 // through in constant space. Cancellation is checked before each chunk is
 // read, compressed, and emitted.
 func CompressFromCtx(ctx context.Context, r io.Reader, opt Options, emit func(chunk []byte) error) error {
+	if err := opt.check(); err != nil {
+		return err
+	}
 	size := opt.ChunkSize
 	if size <= 0 {
 		size = DefaultChunkSize
@@ -185,14 +201,15 @@ func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk 
 	var s *jpeg.Scan
 	if err == nil {
 		// Every stored chunk must be decodable within the streaming decode
-		// ceiling: chunks carry at most 8 thread segments, so bound the
-		// row windows at that count. The chunk *encoder*, unlike the
-		// whole-file path, still materializes the scan's coefficient
-		// planes (chunk boundaries need every row-start position), so its
-		// plane bytes must additionally fit the encode budget — Parse no
-		// longer bounds whole planes, only row windows.
+		// ceiling: whatever a chunk's segment count, a decode holds the
+		// row windows of at most eight live segments, which is what
+		// DecodeWindowBytes counts for MaxSegments. The chunk *encoder*,
+		// unlike the whole-file path, still materializes the scan's
+		// coefficient planes (chunk boundaries need every row-start
+		// position), so its plane bytes must additionally fit the encode
+		// budget — Parse no longer bounds whole planes, only row windows.
 		switch {
-		case core.DecodeWindowBytes(f, 8) > core.DefaultMemDecodeBudget:
+		case core.DecodeWindowBytes(f, core.MaxSegments) > core.DefaultMemDecodeBudget:
 			err = fmt.Errorf("over decode budget")
 		case int64(f.CoefficientCount())*2 > core.DefaultMemEncodeBudget:
 			err = fmt.Errorf("over encode budget")

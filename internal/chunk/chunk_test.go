@@ -11,6 +11,7 @@ import (
 	"lepton/internal/chunk"
 	"lepton/internal/core"
 	"lepton/internal/imagegen"
+	"lepton/internal/jpeg"
 )
 
 // compress and compressFrom run the chunk entry points under
@@ -298,4 +299,78 @@ func TestCompressWithSharedCodec(t *testing.T) {
 			t.Fatalf("seed %d: reassembly failed (%v)", seed, err)
 		}
 	}
+}
+
+// TestSegmentsPerChunkOutOfRangeRefused checks that a forced per-chunk
+// segment count the decoder would refuse fails both entry points before
+// any chunk is written.
+func TestSegmentsPerChunkOutOfRangeRefused(t *testing.T) {
+	data := gen(t, 5, 64, 64)
+	for _, n := range []int{-1, core.MaxSegments + 1} {
+		opt := chunk.Options{SegmentsPerChunk: n, Codec: core.NewCodec()}
+		if _, err := compress(data, opt); err == nil {
+			t.Errorf("CompressCtx with SegmentsPerChunk %d succeeded", n)
+		}
+		emitted := 0
+		err := compressFrom(bytes.NewReader(data), opt, func([]byte) error { emitted++; return nil })
+		if err == nil || emitted != 0 {
+			t.Errorf("CompressFromCtx with SegmentsPerChunk %d: err %v after %d chunks", n, err, emitted)
+		}
+	}
+}
+
+// TestRangeReadDecodesAFractionOfTheChunk pins what a 4 KiB read of a
+// large chunk costs: the chunk gets one thread segment per 128 KiB, so no
+// read decodes more than a sixteenth of the chunk's block rows plus the
+// MCU row it spills into the next segment. With eight segments per chunk
+// a read could decode an eighth.
+func TestRangeReadDecodesAFractionOfTheChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-megabyte chunk")
+	}
+	img := imagegen.Synthesize(11, 2560, 1920)
+	data, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 100, PadBit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2<<20 || len(data) > chunk.DefaultChunkSize {
+		t.Fatalf("test image is %d bytes, want one chunk of at least 2 MiB", len(data))
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blockRows, group int64
+	for _, c := range f.Components {
+		blockRows += int64(c.BlocksHigh)
+		group += int64(c.V)
+	}
+	chunks, err := compress(data, chunk.Options{Codec: core.NewCodec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) != 1 {
+		t.Fatalf("%d chunks, want 1", len(chunks))
+	}
+	stats := core.NewStatsSet()
+	codec := core.NewCodecIn(stats)
+	bound := blockRows/16 + group
+	var most int64
+	for j := 0; j < 16; j++ {
+		off := int64(len(data)) * int64(2*j+1) / 32
+		before := stats.Snapshot()["range_block_rows"]
+		got, err := codec.DecodeRangeCtx(context.Background(), chunks[0], off, 4096, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[off:min(off+4096, int64(len(data)))]) {
+			t.Fatalf("read at %d differs from the input", off)
+		}
+		most = max(most, stats.Snapshot()["range_block_rows"]-before)
+	}
+	if most > bound {
+		t.Fatalf("a 4 KiB read decoded %d block rows, more than %d (1/16 of %d plus one MCU row)",
+			most, bound, blockRows)
+	}
+	t.Logf("most block rows per 4 KiB read: %d of %d (bound %d)", most, blockRows, bound)
 }

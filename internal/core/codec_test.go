@@ -3,13 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"lepton/internal/imagegen"
+	"lepton/internal/jpeg"
+	"lepton/internal/model"
 )
 
 func genJPEG(t testing.TB, seed int64, w, h int) []byte {
@@ -108,6 +112,69 @@ func TestCodecPoolPoisoning(t *testing.T) {
 		if _, err := codec.EncodeCtx(context.Background(), []byte("not a jpeg"), EncodeOptions{}); err == nil {
 			t.Fatal("garbage input must be rejected")
 		}
+	}
+}
+
+// TestEncodeAbortsWithSegmentsWaiting aborts 32-segment encodes while
+// most segments still wait for a live slot: a scan that turns corrupt
+// halfway, and cancellations at a spread of delays on both the streamed
+// whole-file encode and the chunk layer's EncodeSegmentsCtx. Each must
+// return, settle the coefficient gauge, and leave the codec producing
+// byte-identical output.
+func TestEncodeAbortsWithSegmentsWaiting(t *testing.T) {
+	data := genJPEG(t, 41, 960, 1536)
+	opt := EncodeOptions{ForceSegments: 32}
+	want, err := encode(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := jpeg.DecodeScan(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), data...)
+	mid := len(f.Header) + len(f.ScanData)/2
+	for i := mid; i < mid+64; i++ {
+		bad[i] = 0xFF
+	}
+	cd := NewCodec()
+	settled := func(what string) {
+		t.Helper()
+		if inUse, _ := coeffMem(cd); inUse != 0 {
+			t.Fatalf("%s: %d coefficient bytes still in use", what, inUse)
+		}
+	}
+	if _, err := cd.EncodeCtx(context.Background(), bad, opt); jpeg.ReasonOf(err) != jpeg.ReasonTruncated {
+		t.Fatalf("corrupt scan: err = %v, want a truncated-scan rejection", err)
+	}
+	settled("corrupt scan")
+	for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 60 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		res, err := cd.EncodeCtx(ctx, data, opt)
+		if err == nil && !bytes.Equal(res.Compressed, want.Compressed) {
+			t.Fatalf("EncodeCtx (deadline %v): output differs", d)
+		}
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("EncodeCtx (deadline %v): err = %v", d, err)
+		}
+		settled("cancelled EncodeCtx")
+		_, _, _, release, err := cd.EncodeSegmentsCtx(ctx, f, scan, 0, f.TotalMCUs(), 32, model.DefaultFlags(), false)
+		release()
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("EncodeSegmentsCtx (deadline %v): err = %v", d, err)
+		}
+	}
+	res, err := cd.EncodeCtx(context.Background(), data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Compressed, want.Compressed) {
+		t.Fatal("codec output changed after aborted conversions: pools poisoned")
 	}
 }
 

@@ -388,12 +388,43 @@ func TestSingleVsMultiThreadIdentical(t *testing.T) {
 	}
 }
 
+// TestSegmentCountFor pins the count rule: Figure 7's cutoffs below
+// 1.5 MB, then one segment per 128 KiB up to 64.
 func TestSegmentCountFor(t *testing.T) {
-	if core.SegmentCountFor(50<<10) != 1 ||
-		core.SegmentCountFor(200<<10) != 2 ||
-		core.SegmentCountFor(1<<20) != 4 ||
-		core.SegmentCountFor(4<<20) != 8 {
-		t.Fatal("segment cutoffs changed")
+	for _, c := range []struct{ n, want int }{
+		{0, 1},
+		{50 << 10, 1},
+		{100<<10 - 1, 1},
+		{100 << 10, 2},
+		{400<<10 - 1, 2},
+		{400 << 10, 4},
+		{1 << 20, 4},
+		{3<<20/2 - 1, 4},
+		{3 << 20 / 2, 12},
+		{4 << 20, 32},
+		{4<<20 + 1, 33},
+		{8 << 20, 64},
+		{1 << 30, 64},
+	} {
+		if got := core.SegmentCountFor(c.n); got != c.want {
+			t.Errorf("SegmentCountFor(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
+// TestForceSegmentsOutOfRangeRefused checks that an explicit segment count
+// the decoder would refuse is refused at encode time, before any work,
+// and that the largest allowed count still round-trips.
+func TestForceSegmentsOutOfRangeRefused(t *testing.T) {
+	data := mustGen(t, 3, 32, 17600)
+	for _, n := range []int{-1, core.MaxSegments + 1, 1025} {
+		if _, err := encode(data, core.EncodeOptions{ForceSegments: n}); err == nil {
+			t.Errorf("ForceSegments %d: encode succeeded", n)
+		}
+	}
+	res := roundTrip(t, data, core.EncodeOptions{ForceSegments: core.MaxSegments})
+	if res.Segments != core.MaxSegments {
+		t.Fatalf("%d segments, want %d", res.Segments, core.MaxSegments)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 
 // Default memory budgets (paper §5.1, §6.2). Like the deployed system,
 // this implementation streams row by row: per-request coefficient memory
-// is a sliding window of block rows per component per thread segment, so
+// is a sliding window of block rows per component per live thread segment
+// (at most maxLiveSegments run at once, however many a file has), so
 // MemDecodeBudget is a real streaming ceiling — it bounds the row windows
-// (which scale with image width × segment count), not the pixel count, and
+// (which scale with image width × live segments), not the pixel count, and
 // a tall over-"plane-budget" image streams through instead of being
 // rejected. MemEncodeBudget additionally caps the rows the encode producer
 // may keep in flight ahead of the segment coders (the bounded ring). Only
@@ -67,7 +68,10 @@ type EncodeOptions struct {
 	// deployed configuration (everything on).
 	Flags *model.Flags
 	// ForceSegments overrides the file-size-based thread segment count
-	// (1..64); 0 selects automatically (Figure 7's cutoffs).
+	// (1..MaxSegments); 0 selects automatically (SegmentCountFor). Other
+	// values are refused before any work. However many segments a file
+	// has, at most eight run at once, so the count does not change the
+	// memory a conversion holds.
 	ForceSegments int
 	// CollectStats fills Result.ClassBits for Figure 4.
 	CollectStats bool
@@ -113,8 +117,30 @@ type Result struct {
 	HeaderCompressed int
 }
 
+// MaxSegments is the most thread segments an encoder writes into one
+// container.
+const MaxSegments = 64
+
+// maxLiveSegments is the most thread segments of one conversion that run
+// at once (§5.1's eight threads); the rest wait their turn in index order.
+// So the row windows and model codecs a conversion holds, and the budgets
+// that bound them, do not grow with its segment count. It is a fixed
+// number, not GOMAXPROCS, so whether a file is admitted does not depend on
+// the machine that checks it.
+const maxLiveSegments = 8
+
+// segmentTargetBytes is the input bytes per thread segment from 1.5 MB up.
+// A range read decodes its segment from the start to the last MCU row it
+// needs, so it walks at most about this many bytes of scan. Against eight
+// segments per 4 MiB chunk, 128 KiB cuts a 4 KiB read's median time by
+// about two thirds and makes the Lepton bytes about 1% larger; 64 KiB
+// would save a little more time for twice the size cost.
+const segmentTargetBytes = 128 << 10
+
 // SegmentCountFor returns the automatic thread-segment count for an input
-// of n bytes, following the multithreading cutoffs visible in Figures 7/8.
+// of n bytes. Below 1.5 MB it follows the multithreading cutoffs visible
+// in Figures 7/8; from there up it is one segment per segmentTargetBytes,
+// at most MaxSegments.
 func SegmentCountFor(n int) int {
 	switch {
 	case n < 100<<10:
@@ -124,9 +150,45 @@ func SegmentCountFor(n int) int {
 	case n < 3<<20/2:
 		return 4
 	default:
-		return 8
+		return min(MaxSegments, (n+segmentTargetBytes-1)/segmentTargetBytes)
 	}
 }
+
+// launcher starts the units of one conversion (thread segments, or decode
+// units) in index order, each in its own goroutine, with at most
+// maxLiveSegments holding a slot at once. A slot is freed by done: by the
+// unit itself when it finishes, or by the caller once it has written the
+// unit's output.
+type launcher struct {
+	slots chan struct{}
+	wg    sync.WaitGroup
+}
+
+func newLauncher() *launcher {
+	return &launcher{slots: make(chan struct{}, maxLiveSegments)}
+}
+
+// start waits for a free slot, then runs fn in a new goroutine. It
+// returns false, starting nothing, if stop closes while it waits.
+func (l *launcher) start(stop <-chan struct{}, fn func()) bool {
+	select {
+	case <-stop:
+		return false
+	case l.slots <- struct{}{}:
+	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		fn()
+	}()
+	return true
+}
+
+// done frees one slot.
+func (l *launcher) done() { <-l.slots }
+
+// wait returns once every started unit's goroutine has returned.
+func (l *launcher) wait() { l.wg.Wait() }
 
 // segmentRanges splits the MCU rows [startRow, endRow) into nSeg contiguous
 // ranges, returning the start MCU of each segment. Fewer ranges are returned
@@ -204,6 +266,11 @@ func rowRangesFor(f *jpeg.File, startMCU, endMCU int) (rs, re []int) {
 // context.Canceled / DeadlineExceeded); pooled state is recycled exactly
 // as on success, so the codec stays reusable.
 func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (*Result, error) {
+	// A count outside 0..MaxSegments would write a container the decoder
+	// refuses.
+	if opt.ForceSegments < 0 || opt.ForceSegments > MaxSegments {
+		return nil, fmt.Errorf("core: ForceSegments %d outside 0..%d", opt.ForceSegments, MaxSegments)
+	}
 	encBudget := opt.MemEncodeBudget
 	if encBudget == 0 {
 		encBudget = DefaultMemEncodeBudget
@@ -235,9 +302,9 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	}
 	total := f.TotalMCUs()
 	starts := segmentRanges(f, nSeg, 0, f.MCUsHigh)
-	// The decoder will hold one row window per segment: enforce its budget
-	// at encode time so every stored file is decodable within budget
-	// (§6.2). The bound scales with image width and segment count, never
+	// The decoder will hold one row window per live segment: enforce its
+	// budget at encode time so every stored file is decodable within budget
+	// (§6.2). The bound scales with image width and live segments, never
 	// with height — a tall image streams through, it is not rejected.
 	if w := DecodeWindowBytes(f, len(starts)); w > decBudget {
 		return nil, &jpeg.Error{Reason: jpeg.ReasonMemDecode,
@@ -308,15 +375,16 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 }
 
 // EncodeSegments arithmetic-codes the MCU range [mStart, mEnd) — which must
-// be MCU-row aligned — as nSeg thread segments, in parallel. It returns the
-// segment descriptors (with handover words taken from the scan's recorded
-// positions), the per-segment streams, and per-class bit statistics when
-// collectStats is set. The chunk layer composes this into per-chunk
-// containers; whole files stream through EncodeCtx instead. Segment model
-// codecs and arithmetic encoders come from the codec's pools. The returned
-// streams alias pooled encoder buffers; the caller must call release once
-// the stream bytes have been copied out (normally by Container marshaling)
-// and must not touch their contents afterwards.
+// be MCU-row aligned — as nSeg thread segments, at most maxLiveSegments of
+// them in parallel. It returns the segment descriptors (with handover words
+// taken from the scan's recorded positions), the per-segment streams, and
+// per-class bit statistics when collectStats is set. The chunk layer
+// composes this into per-chunk containers; whole files stream through
+// EncodeCtx instead. Segment model codecs and arithmetic encoders come from
+// the codec's pools; each model codec goes back as soon as its segment is
+// flushed. The returned streams alias pooled encoder buffers; the caller
+// must call release once the stream bytes have been copied out (normally by
+// Container marshaling) and must not touch their contents afterwards.
 func (c *Codec) EncodeSegments(f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64, func()) {
 	segs, streams, stats, release, _ := c.EncodeSegmentsCtx(context.Background(), f, s, mStart, mEnd, nSeg, flags, collectStats)
 	return segs, streams, stats, release
@@ -340,23 +408,23 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 		stats *model.Stats
 	}
 	outs := make([]segOut, len(starts))
-	codecs := make([]*model.Codec, len(starts))
 	encs := make([]*arith.Encoder, len(starts))
-	var wg sync.WaitGroup
+	l := newLauncher()
 	for i := range starts {
 		start := starts[i]
 		end := mEnd
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
-		wg.Add(1)
-		go func(i, start, end int) {
-			defer wg.Done()
+		ok := l.start(done, func() {
+			defer l.done()
 			rs, re := rowRangesFor(f, start, end)
 			codec := c.getSegCodec(planes, rs, re, flags)
-			codecs[i] = codec
+			defer c.putSegCodec(codec)
+			var st *model.Stats
 			if collectStats {
-				codec.Stats = &model.Stats{}
+				st = &model.Stats{}
+				codec.Stats = st
 			}
 			// Pre-size the arithmetic encoder to this segment's share of the
 			// original scan bytes — an upper bound on its output — so the
@@ -371,15 +439,18 @@ func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Sca
 				// is Reset on next get, so nothing leaks into later calls.
 				return
 			}
-			outs[i] = segOut{bytes: e.Flush(), stats: codec.Stats}
-		}(i, start, end)
+			outs[i] = segOut{bytes: e.Flush(), stats: st}
+		})
+		if !ok {
+			break
+		}
 	}
-	wg.Wait()
+	l.wait()
 
+	// The streams alias the encoders, so those stay held until release.
 	release := func() {
-		for i := range codecs {
-			c.putSegCodec(codecs[i])
-			c.putEncoder(encs[i])
+		for _, e := range encs {
+			c.putEncoder(e)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -437,6 +508,17 @@ type streamedEncode struct {
 // file-sized. With collectStats each segment coder tallies its bits per
 // coefficient class.
 //
+// At most maxLiveSegments segment coders run at once: segment i takes its
+// model codec and starts only once a slot frees, after segments started
+// before it finish. This cannot deadlock. The scan decode delivers rows in
+// MCU order, so while it produces a row of segment k, every segment before
+// k already holds all of its rows and every segment after k holds none. If
+// k is running, the segments before it finish without the producer and k
+// consumes its own rows, so the gate frees exactly as with every segment
+// live. If k is still waiting, every running segment has all its rows and
+// finishes, freeing slots in index order until k starts. So the rows a
+// waiting segment has queued never block a row a running segment needs.
+//
 // On error every pooled resource is already recycled.
 func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, starts []int, total int, flags model.Flags, encBudget int64, collectStats bool) (*streamedEncode, error) {
 	nSeg := len(starts)
@@ -459,10 +541,13 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 
 	feeds := make([][]*feedRows, nSeg)
 	segRowEnd := make([]int, nSeg)
-	codecs := make([]*model.Codec, nSeg)
-	encs := make([]*arith.Encoder, nSeg)
-	outs := make([][]byte, nSeg)
-	var wg sync.WaitGroup
+	// A segJob is what segment i needs to start once the launcher admits it.
+	type segJob struct {
+		planes   []model.ComponentPlane
+		rs, re   []int
+		sizeHint int
+	}
+	jobs := make([]segJob, nSeg)
 	for i := range starts {
 		start := starts[i]
 		end := total
@@ -470,53 +555,64 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 			end = starts[i+1]
 		}
 		segRowEnd[i] = (end + f.MCUsWide - 1) / f.MCUsWide
-		rs, re := rowRangesFor(f, start, end)
+		j := &jobs[i]
+		j.rs, j.re = rowRangesFor(f, start, end)
 		fs := make([]*feedRows, ncomp)
-		planes := make([]model.ComponentPlane, ncomp)
+		j.planes = make([]model.ComponentPlane, ncomp)
 		for ci := range fs {
-			fs[ci] = newFeedRows(rs[ci], recs[ci], gate, rowB[ci])
+			fs[ci] = newFeedRows(j.rs[ci], recs[ci], gate, rowB[ci])
 			comp := &f.Components[ci]
-			planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
+			j.planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
 				BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: fs[ci],
 				TurnRows: vEff(f, ci)}
 		}
 		feeds[i] = fs
-		codec := cd.getSegCodec(planes, rs, re, flags)
-		if collectStats {
-			codec.Stats = &model.Stats{}
-		}
 		if total > 0 {
-			codec.SetSizeHint(len(f.ScanData) * (end - start) / total)
+			j.sizeHint = len(f.ScanData) * (end - start) / total
 		}
-		codecs[i] = codec
+	}
+	encs := make([]*arith.Encoder, nSeg)
+	outs := make([][]byte, nSeg)
+	stats := make([]*model.Stats, nSeg)
+	segment := func(i int) {
+		j := &jobs[i]
+		codec := cd.getSegCodec(j.planes, j.rs, j.re, flags)
+		if collectStats {
+			stats[i] = &model.Stats{}
+			codec.Stats = stats[i]
+		}
+		codec.SetSizeHint(j.sizeHint)
 		e := cd.getEncoder()
 		encs[i] = e
-		wg.Add(1)
-		go func(codec *model.Codec, e *arith.Encoder, fs []*feedRows, i int) {
-			defer wg.Done()
-			err := codec.EncodeSegmentCtx(e, done)
-			// Recycle whatever the windows still hold (the model keeps its
-			// last two rows; an interrupt leaves more) so the gate frees up.
-			for _, fr := range fs {
-				fr.drain()
-			}
-			if err == nil {
-				outs[i] = e.Flush()
-			}
-		}(codec, e, fs, i)
+		err := codec.EncodeSegmentCtx(e, done)
+		// Recycle whatever the windows still hold (the model keeps its
+		// last two rows; an interrupt leaves more) so the gate frees up.
+		for _, fr := range feeds[i] {
+			fr.drain()
+		}
+		if err == nil {
+			outs[i] = e.Flush()
+		}
+		cd.putSegCodec(codec)
 	}
 
+	// Wake blocked producers and consumers, and stop starting segments,
+	// when the context fires or the scan decode fails; the per-row
+	// checkpoints alone cannot rouse a goroutine parked on the gate or an
+	// empty feed.
+	aborted := make(chan struct{})
+	var abortOnce sync.Once
 	abortAll := func() {
-		gate.abort()
-		for _, fs := range feeds {
-			for _, fr := range fs {
-				fr.abort()
+		abortOnce.Do(func() {
+			close(aborted)
+			gate.abort()
+			for _, fs := range feeds {
+				for _, fr := range fs {
+					fr.abort()
+				}
 			}
-		}
+		})
 	}
-	// Wake blocked producers and consumers when the context fires; the
-	// per-row checkpoints alone cannot rouse a goroutine parked on the
-	// gate or an empty feed.
 	stop := make(chan struct{})
 	if done != nil {
 		go func() {
@@ -527,6 +623,19 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 			}
 		}()
 	}
+	l := newLauncher()
+	launched := make(chan struct{})
+	go func() {
+		defer close(launched)
+		for i := range starts {
+			if !l.start(aborted, func() {
+				defer l.done()
+				segment(i)
+			}) {
+				return
+			}
+		}
+	}()
 
 	router := &encodeRouter{
 		f: f, gate: gate, recs: recs, feeds: feeds,
@@ -550,15 +659,23 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 	if perr != nil {
 		abortAll()
 	}
-	wg.Wait()
+	<-launched
+	l.wait()
 	close(stop)
+	// Segments never started (an aborted conversion) still hold the rows
+	// queued for them.
+	for _, fs := range feeds {
+		for _, fr := range fs {
+			fr.drain()
+		}
+	}
 	for _, rc := range recs {
 		rc.drainTo(cd)
 	}
+	// The streams alias the encoders, so those stay held until release.
 	out := &streamedEncode{info: info, release: func() {
-		for i := range codecs {
-			cd.putSegCodec(codecs[i])
-			cd.putEncoder(encs[i])
+		for _, e := range encs {
+			cd.putEncoder(e)
 		}
 	}}
 	if perr != nil {
@@ -589,7 +706,7 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 			ArithLen: uint32(len(outs[i])),
 		})
 		out.streams = append(out.streams, outs[i])
-		if st := codecs[i].Stats; st != nil {
+		if st := stats[i]; st != nil {
 			for k, b := range st.Bits {
 				out.stats[k] += b
 			}
@@ -743,8 +860,10 @@ func (u *decodeUnit) rows(f *jpeg.File, version byte) (rs, re []int) {
 // runPlan validates c against f, runs the plan's units concurrently, and
 // stitches bytes [off, end) of the output into dst: the verbatim header and
 // prepend, the units' bytes at consecutive positions from p.scanPos, then
-// the verbatim trailer. Units are written in order as each completes. It
-// returns the bytes written.
+// the verbatim trailer. Units are written in order as each completes; unit
+// j+maxLiveSegments starts only once unit j's bytes are written, so at most
+// maxLiveSegments row windows are held at once. It returns the bytes
+// written.
 func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Container, p decodePlan, off, end, memBudget int64) (int64, error) {
 	total := f.TotalMCUs()
 	if c.MCUEnd > uint32(total) || c.MCUStart > c.MCUEnd {
@@ -763,9 +882,9 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 	if blocks > int64(c.OutputSize)*4+rowBlocks {
 		return 0, badContainer("%d blocks cannot fit in %d output bytes", blocks, c.OutputSize)
 	}
-	// Each unit holds one (V+1)-row coefficient window per component —
+	// Each live unit holds one (V+1)-row coefficient window per component —
 	// that is what the §5.1 ceiling bounds. Tall over-"budget" images
-	// stream through; only absurd width × unit products are rejected.
+	// stream through; only absurd widths are rejected.
 	if wb := DecodeWindowBytes(f, len(p.units)); wb > memBudget {
 		return 0, &jpeg.Error{Reason: jpeg.ReasonMemDecode,
 			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", wb, memBudget)}
@@ -783,11 +902,21 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 	}
 
 	done := make([]chan segResult, len(p.units))
-	for j := range p.units {
+	l := newLauncher()
+	started := 0
+	// launch starts the next unit. It never waits: it runs only while
+	// fewer than maxLiveSegments units hold a slot.
+	launch := func() {
+		if started == len(p.units) {
+			return
+		}
+		j := started
 		done[j] = make(chan segResult, 1)
-		go func(j int) {
-			done[j] <- cd.decodeUnit(ctx, f, c, &p.units[j])
-		}(j)
+		l.start(nil, func() { done[j] <- cd.decodeUnit(ctx, f, c, &p.units[j]) })
+		started++
+	}
+	for range maxLiveSegments {
+		launch()
 	}
 
 	out := &sliceWriter{dst: dst, off: off, end: end}
@@ -799,10 +928,11 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 		_, firstErr = out.Write(c.Prepend)
 	}
 	out.pos = p.scanPos
-	for j := range done {
+	for j := 0; j < started; j++ {
 		r := <-done[j]
+		l.done()
 		if firstErr != nil {
-			continue // drain remaining goroutines
+			continue // drain the units already started
 		}
 		if r.err != nil {
 			firstErr = r.err
@@ -815,7 +945,9 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 				u.u0, u.u1, len(r.bytes), u.want)
 			continue
 		}
-		_, firstErr = out.Write(r.bytes)
+		if _, firstErr = out.Write(r.bytes); firstErr == nil {
+			launch()
+		}
 	}
 	if firstErr != nil {
 		return out.written, firstErr

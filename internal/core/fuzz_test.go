@@ -12,26 +12,36 @@ import (
 )
 
 // fuzzSeedContainers builds a spread of valid containers — whole-file
-// baseline variants across color layouts and restart intervals, plus a raw
-// container — whose mutations give the fuzzer a head start on the
-// container grammar.
+// baseline variants across color layouts and restart intervals, a
+// 64-segment container (one segment per MCU row, so decodes run the
+// in-order launcher well past eight live units), plus a raw container —
+// whose mutations give the fuzzer a head start on the container grammar.
 func fuzzSeedContainers(f *testing.F) [][]byte {
 	f.Helper()
 	var out [][]byte
-	add := func(img []byte, err error) {
-		if err != nil {
-			f.Fatal(err)
+	// with returns a function that encodes one seed image with opt.
+	with := func(opt EncodeOptions) func([]byte, error) {
+		return func(img []byte, err error) {
+			if err != nil {
+				f.Fatal(err)
+			}
+			res, err := encode(img, opt)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if opt.ForceSegments != 0 && res.Segments != opt.ForceSegments {
+				f.Fatalf("%d segments, want %d", res.Segments, opt.ForceSegments)
+			}
+			out = append(out, res.Compressed)
 		}
-		res, err := encode(img, EncodeOptions{})
-		if err != nil {
-			f.Fatal(err)
-		}
-		out = append(out, res.Compressed)
 	}
+	add := with(EncodeOptions{})
 	sy := imagegen.Synthesize(3, 120, 88)
 	add(imagegen.EncodeJPEG(sy, imagegen.Options{Quality: 85, PadBit: 1}))
 	add(imagegen.EncodeJPEG(sy, imagegen.Options{Quality: 85, Grayscale: true, PadBit: 1}))
 	add(imagegen.EncodeJPEG(sy, imagegen.Options{Quality: 75, SubsampleChroma: true, RestartInterval: 3, PadBit: 0}))
+	tall := imagegen.Synthesize(5, 24, 8*MaxSegments)
+	with(EncodeOptions{ForceSegments: MaxSegments})(imagegen.EncodeJPEG(tall, imagegen.Options{Quality: 80, Grayscale: true, PadBit: 1}))
 	raw := &Container{Mode: ModeRaw, Raw: []byte("not a jpeg"), OutputSize: 10}
 	rb, err := raw.Marshal()
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"lepton/internal/imagegen"
@@ -59,6 +60,13 @@ func TestOverBudgetImageStreams(t *testing.T) {
 	}
 }
 
+// liveWindowBound is the most coefficient bytes a decode of f with the
+// given segment count may hold: one row window per live segment, and at
+// most eight segments live at once (§5.1's eight threads).
+func liveWindowBound(f *jpeg.File, segments int) int64 {
+	return DecodeWindowBytes(f, 1) * int64(min(segments, 8))
+}
+
 // TestDecodePeakCoeffBytesUnderWindowBound asserts the streaming decoder's
 // peak coefficient memory stays within the advertised row-window bound —
 // the §5.1 ceiling made checkable.
@@ -75,7 +83,7 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := DecodeWindowBytes(f, res.Segments)
+	bound := liveWindowBound(f, res.Segments)
 	cd := NewCodec()
 	if _, err := cd.DecodeCtx(context.Background(), res.Compressed, 0); err != nil {
 		t.Fatal(err)
@@ -93,6 +101,90 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 	}
 	t.Logf("decode peak coefficient bytes: %d (bound %d, whole planes %d, %.0fx reduction)",
 		peak, bound, planeBytes, float64(planeBytes)/float64(peak))
+}
+
+// TestDecodeHoldsAtMostEightWindows decodes and verifies a 32-segment
+// container: however many segments a file has, at most eight run at once,
+// so the peak coefficient memory is eight row windows, not 32. With as
+// many Ps as segments every started unit runs at once, so only the
+// live-segment bound keeps the peak down, not the host's core count.
+func TestDecodeHoldsAtMostEightWindows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(32))
+	data := genJPEG(t, 41, 960, 1536)
+	res, err := encode(data, EncodeOptions{ForceSegments: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Segments != 32 {
+		t.Fatalf("%d segments, want 32", res.Segments)
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := liveWindowBound(f, res.Segments)
+	runs := []struct {
+		name string
+		run  func(cd *Codec) error
+	}{
+		{"DecodeCtx", func(cd *Codec) error {
+			back, err := cd.DecodeCtx(context.Background(), res.Compressed, 0)
+			if err == nil && !bytes.Equal(back, data) {
+				t.Error("DecodeCtx: round trip differs from input")
+			}
+			return err
+		}},
+		{"VerifyCtx", func(cd *Codec) error {
+			return cd.VerifyCtx(context.Background(), res.Compressed, data, 0)
+		}},
+	}
+	for _, r := range runs {
+		cd := NewCodec()
+		if err := r.run(cd); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		inUse, peak := coeffMem(cd)
+		if inUse != 0 {
+			t.Errorf("%s: coefficient accounting leaked: %d bytes still in use", r.name, inUse)
+		}
+		if peak > bound {
+			t.Errorf("%s: peak coefficient bytes %d exceed eight windows (%d)", r.name, peak, bound)
+		}
+	}
+}
+
+// TestWideImageFitsAtThirtyTwoSegments encodes an image so wide that 32
+// row windows exceed the default decode budget but eight do not. Since
+// only eight segments run at once, it compresses with 32 segments and
+// round-trips at the default budget instead of being refused.
+func TestWideImageFitsAtThirtyTwoSegments(t *testing.T) {
+	img := imagegen.Synthesize(7, 8448, 256)
+	data, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 75, PadBit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := DecodeWindowBytes(f, 1)
+	if one*32 <= DefaultMemDecodeBudget || one*8 > DefaultMemDecodeBudget {
+		t.Fatalf("window %d bytes: 32 windows must exceed and 8 fit the %d budget", one, DefaultMemDecodeBudget)
+	}
+	res, err := encode(data, EncodeOptions{ForceSegments: 32})
+	if err != nil {
+		t.Fatalf("32-segment encode refused: %v", err)
+	}
+	if res.Segments != 32 {
+		t.Fatalf("%d segments, want 32", res.Segments)
+	}
+	cd := NewCodec()
+	if err := cd.VerifyCtx(context.Background(), res.Compressed, data, 0); err != nil {
+		t.Fatalf("32-segment round trip: %v", err)
+	}
+	if _, peak := coeffMem(cd); peak > one*8 {
+		t.Fatalf("peak coefficient bytes %d exceed eight windows (%d)", peak, one*8)
+	}
 }
 
 // TestEncodePeakCoeffBytesUnderGate asserts the encode producer/consumer

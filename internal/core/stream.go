@@ -44,18 +44,17 @@ func rowBytes(f *jpeg.File, ci int) int64 {
 
 // DecodeWindowBytes returns the peak coefficient bytes a streaming decode
 // of f holds with nSeg thread segments: one (V+1)-row ring per component
-// per segment. This — not the whole coefficient planes — is what
-// MemDecodeBudget bounds; it grows with image *width* and segment count,
-// never with image height.
+// per live segment, and at most maxLiveSegments segments run at once. This
+// — not the whole coefficient planes — is what MemDecodeBudget bounds; it
+// grows with image *width* and live segments, never with image height or
+// with segments beyond the live ones.
 func DecodeWindowBytes(f *jpeg.File, nSeg int) int64 {
-	if nSeg < 1 {
-		nSeg = 1
-	}
+	live := min(max(nSeg, 1), maxLiveSegments)
 	var per int64
 	for ci := range f.Components {
 		per += int64(windowRowsFor(vEff(f, ci))) * rowBytes(f, ci)
 	}
-	return per * int64(nSeg)
+	return per * int64(live)
 }
 
 // encodeMinGateBytes returns the smallest retained-row ceiling at which the

@@ -317,7 +317,7 @@ func (f *File) parseSOF(data []byte, pos int, memLimit int64, allowCMYK bool) (i
 		// component — (V+1 rows) × width — never whole planes, so the
 		// budget bounds that working set. It scales with image width only;
 		// a tall image streams through row by row (§5.1). Callers layer
-		// per-segment multiples on top (see core.DecodeWindowBytes); this
+		// per-live-segment multiples on top (see core.DecodeWindowBytes); this
 		// is the single-segment floor no decode can go below.
 		var winBytes int64
 		for _, c := range f.Components {

@@ -106,7 +106,9 @@ func ReasonOf(err error) Reason { return jpeg.ReasonOf(err) }
 // production configuration.
 type Options struct {
 	// Threads forces the number of thread segments (1..64); 0 selects by
-	// file size, matching the paper's cutoffs (Figures 7-8).
+	// file size: the paper's cutoffs (Figures 7-8) below 1.5 MB, one
+	// segment per 128 KiB from there up. Other values are refused. At most
+	// eight segments of one conversion run at once, whatever the count.
 	Threads int
 	// SingleModel is the "Lepton 1-way" configuration: one model adapted
 	// across the whole image for maximum compression, single-threaded
@@ -330,7 +332,8 @@ type ChunkOptions struct {
 	ChunkSize int
 	// Verify round-trips every chunk before returning.
 	Verify bool
-	// Threads forces the per-chunk segment count; 0 selects by size.
+	// Threads forces the per-chunk segment count (1..64); 0 selects by
+	// size, as Options.Threads does. Other values are refused.
 	Threads int
 	// BufferLimit bounds how much of a stream CompressChunksFromCtx holds
 	// in memory; 0 means the deployed encode budget. Larger streams are
