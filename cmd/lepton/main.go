@@ -71,7 +71,6 @@ func cmdCompress(args []string) error {
 	threads := fs.Int("threads", 0, "thread segments, 1..64 (0 = by size)")
 	verify := fs.Bool("verify", true, "verify round trip before writing")
 	oneWay := fs.Bool("1way", false, "single-model maximum-compression mode")
-	progressive := fs.Bool("progressive", false, "accept spectral-selection progressive JPEGs")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("compress: need input and output paths")
@@ -83,7 +82,6 @@ func cmdCompress(args []string) error {
 	start := time.Now()
 	res, err := codec.CompressCtx(context.Background(), data, &lepton.Options{
 		Threads: *threads, Verify: *verify, SingleModel: *oneWay,
-		AllowProgressive: *progressive,
 	})
 	if err != nil {
 		return fmt.Errorf("%s (reason: %v)", err, lepton.ReasonOf(err))

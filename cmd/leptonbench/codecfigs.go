@@ -372,11 +372,12 @@ func errorTable(opt options) {
 	fmt.Println("       CMYK 0.478%, >24MiB decode 0.024%, roundtrip/chroma/AC-range trace amounts.")
 }
 
-// extensionsTable measures the optional capabilities production disabled:
-// spectral-selection progressive and CMYK (§6.2's "intentionally disabled"
-// features, implemented behind opt-in flags).
+// extensionsTable measures the one optional capability production
+// disabled that the encoder still offers: CMYK (§6.2's "intentionally
+// disabled" features), behind an opt-in. Progressive files are refused,
+// as production refused them.
 func extensionsTable(opt options) {
-	header("Extensions: progressive (spectral selection) and CMYK, opt-in")
+	header("Extensions: CMYK, opt-in")
 	t := newTable("input", "bytes", "lepton bytes", "savings %", "roundtrip")
 	addRow := func(name string, data []byte, o core.EncodeOptions) {
 		o.VerifyRoundtrip = true
@@ -398,6 +399,5 @@ func extensionsTable(opt options) {
 		addRow("baseline 400x300 (reference)", base, core.EncodeOptions{})
 	}
 	t.Flush()
-	fmt.Println("progressive inputs: see TestProgressiveContainerRoundTrip (19.8-29.8% savings);")
-	fmt.Println("paper: these classes were 3.0% (progressive) and 0.5% (CMYK) of backfill inputs.")
+	fmt.Println("paper: CMYK was 0.5% of backfill inputs.")
 }

@@ -46,7 +46,7 @@ func run() int {
 	ablation := flag.Bool("ablation", false, "§4.3 component ablation table")
 	errorsT := flag.Bool("errors", false, "§6.2 exit-code table")
 	outsource := flag.Bool("outsource", false, "§5.5 socket overhead measurement")
-	extensions := flag.Bool("extensions", false, "opt-in progressive/CMYK capabilities")
+	extensions := flag.Bool("extensions", false, "opt-in CMYK capability")
 	all := flag.Bool("all", false, "run everything")
 	n := flag.Int("n", 40, "corpus size for codec experiments")
 	seed := flag.Int64("seed", 1, "corpus seed")

@@ -55,8 +55,8 @@ import (
 // units (MCU-row spans of one thread segment) that one unit decoder
 // regenerates and one stitcher writes out. Containers the planner
 // distrusts — legacy index-less, corrupt index, CMYK — take a counted
-// fallback to whole-segment units; progressive files take a full decode
-// and a slice. Both are always correct, only slower.
+// fallback to whole-segment units; progressive containers (decode-only)
+// take a full decode and a slice. Both are always correct, only slower.
 const (
 	DefaultMemDecodeBudget = 24 << 20
 	DefaultMemEncodeBudget = 178 << 20
@@ -86,12 +86,8 @@ type EncodeOptions struct {
 	// SingleModel tallies statistic bins across the whole image in one
 	// segment regardless of size — the "Lepton 1-way" configuration of §4.
 	SingleModel bool
-	// AllowProgressive enables the spectral-selection progressive path.
-	// Production kept this off (§6.2: "intentionally disabled ... for
-	// simplicity"); it is the optional capability the binary had.
-	AllowProgressive bool
 	// AllowCMYK enables four-component files ("an extra model for the 4th
-	// color channel", §6.2) — also off in production.
+	// color channel", §6.2), which production kept off.
 	AllowCMYK bool
 	// DisableSeekIndex omits the trailing per-MCU-row seek index (see
 	// seekindex.go); the container is otherwise byte-identical to the
@@ -284,9 +280,6 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	}
 	f, err := jpeg.ParseOpt(data, encBudget, opt.AllowCMYK)
 	if err != nil {
-		if opt.AllowProgressive && jpeg.ReasonOf(err) == jpeg.ReasonProgressive {
-			return c.encodeProgressive(ctx, data, opt, encBudget, decBudget)
-		}
 		return nil, err
 	}
 	flags := model.DefaultFlags()

@@ -31,8 +31,10 @@ const (
 	// ModeLepton marks an arithmetic-coded baseline JPEG payload; ModeRaw
 	// marks a deflate-compressed verbatim payload (the production fallback
 	// for chunks Lepton cannot handle, §5.7); ModeProgressive marks an
-	// arithmetic-coded spectral-selection progressive JPEG (the optional
-	// capability production disabled, §6.2).
+	// arithmetic-coded spectral-selection progressive JPEG. Progressive
+	// containers are decode-only: the encoder refuses progressive input,
+	// as production did (§6.2), but those an earlier opt-in wrote still
+	// decode.
 	ModeLepton      = 'Z'
 	ModeRaw         = 'R'
 	ModeProgressive = 'P'

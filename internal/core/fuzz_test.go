@@ -3,19 +3,45 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"lepton/internal/bitio"
+	"lepton/internal/huffman"
 	"lepton/internal/imagegen"
+	"lepton/internal/jpeg"
 )
 
+// fuzzSeedJPEGs returns small baseline JPEGs across color layouts and
+// restart intervals: 4:4:4, grayscale, 4:2:0, and 4:2:0 with restarts.
+func fuzzSeedJPEGs(tb testing.TB) [][]byte {
+	tb.Helper()
+	sy := imagegen.Synthesize(3, 120, 88)
+	var out [][]byte
+	for _, opt := range []imagegen.Options{
+		{Quality: 85, PadBit: 1},
+		{Quality: 85, Grayscale: true, PadBit: 1},
+		{Quality: 80, SubsampleChroma: true, PadBit: 1},
+		{Quality: 75, SubsampleChroma: true, RestartInterval: 3, PadBit: 0},
+	} {
+		img, err := imagegen.EncodeJPEG(sy, opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, img)
+	}
+	return out
+}
+
 // fuzzSeedContainers builds a spread of valid containers — whole-file
-// baseline variants across color layouts and restart intervals, a
-// 64-segment container (one segment per MCU row, so decodes run the
-// in-order launcher well past eight live units), plus a raw container —
-// whose mutations give the fuzzer a head start on the container grammar.
+// baseline variants of fuzzSeedJPEGs, a 64-segment container (one segment
+// per MCU row, so decodes run the in-order launcher well past eight live
+// units), a raw container, and the crafted progressive containers whose
+// scan records break the scan rules — whose mutations give the fuzzer a
+// head start on the container grammar.
 func fuzzSeedContainers(f *testing.F) [][]byte {
 	f.Helper()
 	var out [][]byte
@@ -35,11 +61,9 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 			out = append(out, res.Compressed)
 		}
 	}
-	add := with(EncodeOptions{})
-	sy := imagegen.Synthesize(3, 120, 88)
-	add(imagegen.EncodeJPEG(sy, imagegen.Options{Quality: 85, PadBit: 1}))
-	add(imagegen.EncodeJPEG(sy, imagegen.Options{Quality: 85, Grayscale: true, PadBit: 1}))
-	add(imagegen.EncodeJPEG(sy, imagegen.Options{Quality: 75, SubsampleChroma: true, RestartInterval: 3, PadBit: 0}))
+	for _, img := range fuzzSeedJPEGs(f) {
+		with(EncodeOptions{})(img, nil)
+	}
 	tall := imagegen.Synthesize(5, 24, 8*MaxSegments)
 	with(EncodeOptions{ForceSegments: MaxSegments})(imagegen.EncodeJPEG(tall, imagegen.Options{Quality: 80, Grayscale: true, PadBit: 1}))
 	raw := &Container{Mode: ModeRaw, Raw: []byte("not a jpeg"), OutputSize: 10}
@@ -48,6 +72,9 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	out = append(out, rb)
+	for _, c := range craftedProgressive(f) {
+		out = append(out, c.comp)
+	}
 	return out
 }
 
@@ -207,4 +234,159 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 		return 0, io.ErrClosedPipe
 	}
 	return len(p), nil
+}
+
+// acTableSymbols returns the offset and count of the symbols of luma AC
+// Huffman table 0 in a baseline JPEG's DHT segments.
+func acTableSymbols(tb testing.TB, data []byte) (off, n int) {
+	tb.Helper()
+	for pos := 2; pos+4 <= len(data) && data[pos] == 0xFF; {
+		marker, l := data[pos+1], int(data[pos+2])<<8|int(data[pos+3])
+		if marker == 0xC4 {
+			for t := pos + 4; t < pos+2+l; {
+				total := 0
+				for _, c := range data[t+1 : t+17] {
+					total += int(c)
+				}
+				if data[t] == 0x10 {
+					return t + 17, total
+				}
+				t += 17 + total
+			}
+		}
+		if marker == 0xDA {
+			break
+		}
+		pos += 2 + l
+	}
+	tb.Fatal("no AC table 0")
+	return 0, 0
+}
+
+// nonCanonicalJPEG is a baseline JPEG whose Huffman coding decodes to
+// coefficients the re-encoder would write back differently, with the
+// reason compression must refuse it for.
+type nonCanonicalJPEG struct {
+	name   string
+	data   []byte
+	reason jpeg.Reason
+}
+
+// nonCanonicalJPEGs returns one nonCanonicalJPEG per class of coding.
+func nonCanonicalJPEGs(tb testing.TB) []nonCanonicalJPEG {
+	tb.Helper()
+	base, err := imagegen.EncodeJPEG(imagegen.Synthesize(6, 64, 48), imagegen.Options{Quality: 85, PadBit: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	off, n := acTableSymbols(tb, base)
+
+	// EOB renamed from 0x00 to 0x10, a size-0 symbol with a run of one.
+	eob := append([]byte(nil), base...)
+	i := bytes.IndexByte(eob[off:off+n], 0x00)
+	if i < 0 || bytes.IndexByte(eob[off:off+n], 0x10) >= 0 {
+		tb.Fatal("AC table 0 is not the standard table")
+	}
+	eob[off+i] = 0x10
+
+	// The last symbol overwritten by the first: symbol 0x01 gets two codes.
+	dup := append([]byte(nil), base...)
+	dup[off+n-1] = dup[off]
+
+	// One 8x8 gray block, DC 0, with AC coded through ZRLs that no
+	// coefficient follows. The canonical coding ends the block with EOB
+	// right after the last nonzero coefficient.
+	gray, err := imagegen.EncodeJPEG(imagegen.Synthesize(1, 8, 8), imagegen.Options{Quality: 85, Grayscale: true, PadBit: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := jpeg.Parse(gray, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	block := func(acSyms ...byte) []byte {
+		w := bitio.NewWriter()
+		dc, _ := huffman.NewEncoder(&huffman.StdDCLuminance)
+		ac, _ := huffman.NewEncoder(&huffman.StdACLuminance)
+		if err := dc.Encode(w, 0x00); err != nil {
+			tb.Fatal(err)
+		}
+		for _, sym := range acSyms {
+			if err := ac.Encode(w, sym); err != nil {
+				tb.Fatal(err)
+			}
+			if sym&15 != 0 {
+				w.WriteBits(1, sym&15) // a positive value of that size
+			}
+		}
+		w.AlignPad(1)
+		return append(append(append([]byte(nil), f.Header...), w.Bytes()...), 0xFF, 0xD9)
+	}
+
+	return []nonCanonicalJPEG{
+		{"eob-renamed", eob, jpeg.ReasonUnsupported},
+		{"duplicate-symbol", dup, jpeg.ReasonUnsupported},
+		{"zrl-then-eob", block(0xF0, 0x00), jpeg.ReasonRoundtrip},
+		// A 1 at zigzag 15, then three ZRLs to the block's end.
+		{"zrl-to-block-end", block(0xE1, 0xF0, 0xF0, 0xF0), jpeg.ReasonRoundtrip},
+	}
+}
+
+// TestNonCanonicalHuffmanRefused: with default options compression does not
+// verify, so a scan whose coding the re-encoder cannot reproduce must be
+// refused while it is parsed, or the container would decode to other
+// bytes than the input.
+func TestNonCanonicalHuffmanRefused(t *testing.T) {
+	for _, tc := range nonCanonicalJPEGs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := NewCodec().EncodeCtx(context.Background(), tc.data, EncodeOptions{})
+			if err == nil {
+				back, derr := decode(res.Compressed, 0)
+				t.Fatalf("compressed; decodes back to the input: %v (decode err %v)", bytes.Equal(back, tc.data), derr)
+			}
+			if jpeg.ReasonOf(err) != tc.reason {
+				t.Fatalf("reason = %v (%v), want %v", jpeg.ReasonOf(err), err, tc.reason)
+			}
+		})
+	}
+}
+
+// FuzzCompress feeds arbitrary bytes to the encoder with default options,
+// the unverified path a caller of Compress takes. Invariants: never
+// panic; either refuse the input with a typed Reason, or return a
+// container that decodes to exactly the input. The checked-in corpus
+// (testdata/fuzz/FuzzCompress) holds the nonCanonicalJPEGs.
+func FuzzCompress(f *testing.F) {
+	for _, img := range fuzzSeedJPEGs(f) {
+		f.Add(img)
+		f.Add(imagegen.MakeProgressive(img))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cd := NewCodec()
+		ctx := context.Background()
+		res, err := cd.EncodeCtx(ctx, data, EncodeOptions{})
+		if err != nil {
+			var je *jpeg.Error
+			if !errors.As(err, &je) {
+				t.Fatalf("refusal without a typed Reason: %v", err)
+			}
+			return
+		}
+		back, err := cd.DecodeCtx(ctx, res.Compressed, 0)
+		if err != nil {
+			t.Fatalf("compressed container does not decode: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("container decodes to %d bytes that differ from the %d-byte input (first diff %d)",
+				len(back), len(data), firstDiffAt(back, data))
+		}
+	})
+}
+
+func firstDiffAt(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }

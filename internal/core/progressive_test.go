@@ -1,112 +1,150 @@
-package core_test
+package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"os"
 	"testing"
 
-	"lepton/internal/core"
-	"lepton/internal/huffman"
-	"lepton/internal/imagegen"
 	"lepton/internal/jpeg"
 )
 
-// progFile wraps a synthetic image as a spectral-selection progressive
-// JPEG.
-func progFile(t testing.TB, seed int64, w, h int, ri int) []byte {
-	t.Helper()
-	img := imagegen.Synthesize(seed, w, h)
-	base, err := imagegen.EncodeJPEG(img, imagegen.Options{
-		Quality: 85, SubsampleChroma: true, PadBit: 1, RestartInterval: ri,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := jpeg.Parse(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := jpeg.DecodeScan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &jpeg.ProgressiveSpec{}
-	spec.Width, spec.Height = f.Width, f.Height
-	for _, c := range f.Components {
-		spec.Components = append(spec.Components, jpeg.Component{ID: c.ID, H: c.H, V: c.V, TQ: c.TQ})
-	}
-	spec.Quant = f.Quant
-	spec.DC = [4]*huffman.Spec{&huffman.StdDCLuminance, &huffman.StdDCChrominance}
-	spec.AC = [4]*huffman.Spec{&huffman.StdACLuminance, &huffman.StdACChrominance}
-	spec.RestartInterval = ri
-	spec.PadBit = 1
-	data, err := jpeg.WriteProgressive(spec, s.Coeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+// craftedContainer is a named container crafted to break one rule.
+type craftedContainer struct {
+	name string
+	comp []byte
 }
 
-func TestProgressiveContainerRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		seed int64
-		w, h int
-		ri   int
+// craftedProgressive returns ModeProgressive containers that each change
+// one scan record of the golden progressive fixture so that it breaks a
+// rule the SOS parser enforces on a real file. The fixture's first scan is
+// the interleaved DC scan; its second is the first luma AC band.
+func craftedProgressive(tb testing.TB) []craftedContainer {
+	tb.Helper()
+	golden, _ := progressiveGolden(tb)
+	edits := []struct {
+		name string
+		edit func(scans []ProgScanMeta)
 	}{
-		{1, 160, 120, 0},
-		{2, 320, 240, 0},
-		{3, 96, 64, 4},
-	} {
-		data := progFile(t, tc.seed, tc.w, tc.h, tc.ri)
-		res, err := encode(data, core.EncodeOptions{AllowProgressive: true, VerifyRoundtrip: true})
+		{"ac-band-past-63", func(s []ProgScanMeta) { s[1].Se = 200 }},
+		{"selector-nibble-15", func(s []ProgScanMeta) { s[0].Sel[0] = 0xF0 }},
+		{"undefined-dc-table", func(s []ProgScanMeta) { s[0].Sel[0] = 0x30 }},
+		{"undefined-ac-table", func(s []ProgScanMeta) { s[1].Sel[0] = 0x03 }},
+		{"ac-scan-no-components", func(s []ProgScanMeta) { s[1].Comps, s[1].Sel = nil, nil }},
+	}
+	var out []craftedContainer
+	for _, e := range edits {
+		c, err := Unmarshal(golden)
 		if err != nil {
-			t.Fatalf("seed %d: %v", tc.seed, err)
+			tb.Fatal(err)
 		}
-		back, err := decode(res.Compressed, 0)
+		if len(c.ProgScans) < 2 || c.ProgScans[0].Ss != 0 || c.ProgScans[1].Ss == 0 {
+			tb.Fatal("golden progressive fixture does not start with a DC scan and an AC scan")
+		}
+		e.edit(c.ProgScans)
+		b, err := c.Marshal()
 		if err != nil {
-			t.Fatalf("seed %d: decode: %v", tc.seed, err)
+			tb.Fatal(err)
 		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("seed %d: progressive container round trip mismatch", tc.seed)
-		}
-		if len(res.Compressed) >= len(data) {
-			t.Fatalf("seed %d: no savings on progressive: %d >= %d",
-				tc.seed, len(res.Compressed), len(data))
-		}
-		t.Logf("seed %d: %d -> %d (%.1f%% savings)", tc.seed, len(data), len(res.Compressed),
-			100*(1-float64(len(res.Compressed))/float64(len(data))))
+		out = append(out, craftedContainer{e.name, b})
+	}
+	return out
+}
+
+// TestProgressiveCraftedScansRejected feeds scan records that no parsed
+// SOS header could produce: each must fail as a malformed container
+// through the full and the range decoder, never index past a table.
+func TestProgressiveCraftedScansRejected(t *testing.T) {
+	for _, tc := range craftedProgressive(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cd := NewCodec()
+			ctx := context.Background()
+			if _, err := cd.DecodeCtx(ctx, tc.comp, 0); !errors.Is(err, ErrBadContainer) {
+				t.Fatalf("DecodeCtx: err = %v, want ErrBadContainer", err)
+			}
+			var buf bytes.Buffer
+			if _, err := cd.DecodeRangeToCtx(ctx, &buf, tc.comp, 100, 1000, 0); !errors.Is(err, ErrBadContainer) {
+				t.Fatalf("DecodeRangeToCtx: err = %v, want ErrBadContainer", err)
+			}
+		})
 	}
 }
 
-func TestProgressiveRejectedByDefault(t *testing.T) {
-	data := progFile(t, 4, 96, 96, 0)
-	_, err := encode(data, core.EncodeOptions{})
-	if jpeg.ReasonOf(err) != jpeg.ReasonProgressive {
-		t.Fatalf("reason = %v, want Progressive (production default)", jpeg.ReasonOf(err))
-	}
-}
-
+// TestProgressiveContainerCorruption flips bytes across, and truncates,
+// the golden progressive container: every outcome is an error or some
+// output, never a panic, and no truncation decodes.
 func TestProgressiveContainerCorruption(t *testing.T) {
-	data := progFile(t, 5, 128, 96, 0)
-	res, err := encode(data, core.EncodeOptions{AllowProgressive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 30; i < len(res.Compressed); i += 37 {
-		bad := append([]byte(nil), res.Compressed...)
+	comp, _ := progressiveGolden(t)
+	for i := 30; i < len(comp); i += 37 {
+		bad := append([]byte(nil), comp...)
 		bad[i] ^= 0x80
-		_, _ = decode(bad, 0) // classified error or garbage; no panic
+		_, _ = decode(bad, 0)
 	}
-	for _, n := range []int{10, 50, len(res.Compressed) / 2} {
-		if _, err := decode(res.Compressed[:n], 0); err == nil {
+	for _, n := range []int{10, 50, len(comp) / 2} {
+		if _, err := decode(comp[:n], 0); err == nil {
 			t.Fatalf("truncated progressive container at %d decoded", n)
 		}
 	}
 }
 
+// progressiveGolden returns the golden progressive container and the
+// source JPEG it was written from.
+func progressiveGolden(tb testing.TB) (comp, src []byte) {
+	tb.Helper()
+	comp, err := os.ReadFile(fixturePath("golden-progressive.lep"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if src, err = os.ReadFile(fixturePath("golden-progressive.jpg")); err != nil {
+		tb.Fatal(err)
+	}
+	return comp, src
+}
+
+// TestProgressiveContainerRoundTrip: a stored progressive container
+// decodes to its source through the buffered and the streamed decoder of
+// one reused codec, and VerifyCtx accepts exactly those bytes.
+func TestProgressiveContainerRoundTrip(t *testing.T) {
+	comp, src := progressiveGolden(t)
+	cd := NewCodec()
+	ctx := context.Background()
+	for round := 0; round < 2; round++ {
+		got, err := cd.DecodeCtx(ctx, comp, 0)
+		if err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("round %d: DecodeCtx does not reproduce the source (err %v)", round, err)
+		}
+		var buf bytes.Buffer
+		if err := cd.DecodeToCtx(ctx, &buf, comp, 0); err != nil || !bytes.Equal(buf.Bytes(), src) {
+			t.Fatalf("round %d: DecodeToCtx does not reproduce the source (err %v)", round, err)
+		}
+	}
+	if err := cd.VerifyCtx(ctx, comp, src, 0); err != nil {
+		t.Fatalf("VerifyCtx: %v", err)
+	}
+	bad := append([]byte(nil), src...)
+	bad[len(bad)/2] ^= 1
+	if cd.VerifyCtx(ctx, comp, bad, 0) == nil {
+		t.Fatal("VerifyCtx accepted a changed byte")
+	}
+}
+
+// TestProgressiveRejectedByDefault: compression refuses a progressive JPEG
+// with ReasonProgressive, as production did (§6.2); no option admits one.
+func TestProgressiveRejectedByDefault(t *testing.T) {
+	_, src := progressiveGolden(t)
+	for _, opt := range []EncodeOptions{{}, {AllowCMYK: true, VerifyRoundtrip: true}} {
+		if _, err := encode(src, opt); jpeg.ReasonOf(err) != jpeg.ReasonProgressive {
+			t.Fatalf("options %+v: reason = %v, want Progressive", opt, jpeg.ReasonOf(err))
+		}
+	}
+}
+
+// TestProgressiveMemBudget: a progressive container is decoded whole, so a
+// budget below its coefficient planes refuses it up front.
 func TestProgressiveMemBudget(t *testing.T) {
-	data := progFile(t, 6, 256, 192, 0)
-	_, err := encode(data, core.EncodeOptions{AllowProgressive: true, MemDecodeBudget: 1024})
-	if jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
-		t.Fatalf("reason = %v", jpeg.ReasonOf(err))
+	comp, _ := progressiveGolden(t)
+	if _, err := decode(comp, 1024); jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
+		t.Fatalf("reason = %v, want MemDecode", jpeg.ReasonOf(err))
 	}
 }

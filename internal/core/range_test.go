@@ -5,46 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lepton/internal/core"
-	"lepton/internal/huffman"
 	"lepton/internal/imagegen"
-	"lepton/internal/jpeg"
 )
-
-// progressiveJPEG renders a spectral-selection progressive file for the
-// fallback tests (mirrors the root-level golden fixture construction).
-func progressiveJPEG(t *testing.T, seed int64, w, h int) []byte {
-	t.Helper()
-	img := imagegen.Synthesize(seed, w, h)
-	base, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 85, SubsampleChroma: true, PadBit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := jpeg.Parse(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := jpeg.DecodeScan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &jpeg.ProgressiveSpec{}
-	spec.Width, spec.Height = f.Width, f.Height
-	for _, c := range f.Components {
-		spec.Components = append(spec.Components, jpeg.Component{ID: c.ID, H: c.H, V: c.V, TQ: c.TQ})
-	}
-	spec.Quant = f.Quant
-	spec.DC = [4]*huffman.Spec{&huffman.StdDCLuminance, &huffman.StdDCChrominance}
-	spec.AC = [4]*huffman.Spec{&huffman.StdACLuminance, &huffman.StdACChrominance}
-	spec.PadBit = 1
-	data, err := jpeg.WriteProgressive(spec, s.Coeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
 
 // rangeSweep checks DecodeRange against slices of the full decode for a
 // deterministic set of offsets plus seeded random probes, and returns how
@@ -165,43 +132,46 @@ func TestDecodeRangeDifferential(t *testing.T) {
 }
 
 // TestDecodeRangeFallbacks covers every input class the fast path refuses:
-// index-less containers, progressive scans, and four-component files must
-// still produce byte-exact slices via the full-decode fallback, and the
-// matching counter must move.
+// index-less containers, progressive scans (a stored container: nothing
+// writes them any more), and four-component files must still produce
+// byte-exact slices via the full-decode fallback, and the matching counter
+// must move.
 func TestDecodeRangeFallbacks(t *testing.T) {
-	base := mustGen(t, 9, 320, 240)
-	progressive := progressiveJPEG(t, 17, 240, 180)
+	enc := func(data []byte, opt core.EncodeOptions) []byte {
+		res, err := encode(data, opt)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		return res.Compressed
+	}
 	cmykImg := imagegen.Synthesize(19, 176, 144)
 	cmyk, err := imagegen.EncodeJPEG(cmykImg, imagegen.Options{Quality: 85, CMYK: true, PadBit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	progressive, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden-progressive.lep"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
-		data    []byte
-		opt     core.EncodeOptions
+		comp    []byte
 		counter string
 	}{
-		{"no-index", base, core.EncodeOptions{ForceSegments: 3, DisableSeekIndex: true},
+		{"no-index", enc(mustGen(t, 9, 320, 240), core.EncodeOptions{ForceSegments: 3, DisableSeekIndex: true}),
 			"range_fallback_no_index"},
-		{"progressive", progressive, core.EncodeOptions{AllowProgressive: true},
-			"range_fallback_unsupported"},
-		{"cmyk", cmyk, core.EncodeOptions{AllowCMYK: true},
-			"range_fallback_unsupported"},
+		{"progressive", progressive, "range_fallback_unsupported"},
+		{"cmyk", enc(cmyk, core.EncodeOptions{AllowCMYK: true}), "range_fallback_unsupported"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := encode(tc.data, tc.opt)
-			if err != nil {
-				t.Fatalf("Encode: %v", err)
-			}
 			ctx := context.Background()
 			before := core.RangeStats()
-			full, err := decode(res.Compressed, 0)
+			full, err := decode(tc.comp, 0)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			if err := core.NewCodec().VerifyCtx(ctx, res.Compressed, full, 0); err != nil {
+			if err := core.NewCodec().VerifyCtx(ctx, tc.comp, full, 0); err != nil {
 				t.Fatalf("VerifyCtx: %v", err)
 			}
 			// Full decodes share the range path's pipeline but are not
@@ -212,7 +182,7 @@ func TestDecodeRangeFallbacks(t *testing.T) {
 				}
 			}
 			before = core.RangeStats()
-			rangeSweep(t, res.Compressed, full, 7)
+			rangeSweep(t, tc.comp, full, 7)
 			after := core.RangeStats()
 			if after[tc.counter] <= before[tc.counter] {
 				t.Errorf("counter %s did not advance (%d -> %d)",

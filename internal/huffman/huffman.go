@@ -121,10 +121,20 @@ func (e *Encoder) Encode(w *bitio.Writer, sym byte) error {
 	return nil
 }
 
-// NewDecoder builds decoding tables from a validated Spec.
+// NewDecoder builds decoding tables from a validated Spec. A table that
+// names one symbol twice is refused: its two codes decode to the same
+// symbol, and an Encoder keeps only the last, so data read through the
+// other code could not be written back.
 func NewDecoder(s *Spec) (*Decoder, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	var seen [256]bool
+	for _, sym := range s.Symbols {
+		if seen[sym] {
+			return nil, fmt.Errorf("huffman: symbol %#02x listed twice", sym)
+		}
+		seen[sym] = true
 	}
 	d := &Decoder{symbols: append([]byte(nil), s.Symbols...)}
 	code := int32(0)

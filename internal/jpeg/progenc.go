@@ -7,10 +7,10 @@ import (
 	"lepton/internal/huffman"
 )
 
-// Progressive scan re-encoding. For files this package accepts (spectral
-// selection only), the encoding of each scan is fully determined by the
-// coefficients, the scan script, and the maximal-EOB-run convention every
-// known encoder uses — so re-encoding is bit-exact.
+// Progressive scan re-encoding. For spectral-selection scans, the encoding
+// of each scan is fully determined by the coefficients, the scan script,
+// and the maximal-EOB-run convention every known encoder uses — so
+// re-encoding is bit-exact.
 
 // encodeProgDC regenerates a DC scan's entropy bytes.
 func encodeProgDC(f *File, scan *ProgScan, coeff [][]int16) ([]byte, error) {
@@ -166,276 +166,4 @@ func encodeProgAC(f *File, scan *ProgScan, plane []int16, ci int) ([]byte, error
 	w.AlignPad(scan.PadBit)
 	w.AppendRaw(scan.Tail)
 	return w.Bytes(), nil
-}
-
-// ProgressiveSpec configures the synthetic progressive writer.
-type ProgressiveSpec struct {
-	EncodeSpec
-	// Bands for the luma AC scans (split points in zigzag indices); chroma
-	// components each get one full 1..63 scan. Nil selects {1..5, 6..63}.
-	LumaBands [][2]int
-}
-
-// WriteProgressive synthesizes a spectral-selection progressive JPEG from
-// quantized coefficients: one interleaved DC scan, then AC band scans. It
-// builds optimal Huffman tables for each scan's actual symbol statistics
-// (progressive needs EOBn symbols absent from the Annex K tables).
-func WriteProgressive(spec *ProgressiveSpec, coeff [][]int16) ([]byte, error) {
-	f, err := fileFromSpec(&spec.EncodeSpec)
-	if err != nil {
-		return nil, err
-	}
-	bands := spec.LumaBands
-	if bands == nil {
-		bands = [][2]int{{1, 5}, {6, 63}}
-	}
-	// Build the scan list.
-	var scans []ProgScan
-	dcComps := make([]int, len(f.Components))
-	for i := range dcComps {
-		dcComps[i] = i
-	}
-	scans = append(scans, ProgScan{Comps: dcComps, Ss: 0, Se: 0, PadBit: spec.PadBit})
-	for _, b := range bands {
-		scans = append(scans, ProgScan{Comps: []int{0}, Ss: b[0], Se: b[1], PadBit: spec.PadBit})
-	}
-	for ci := 1; ci < len(f.Components); ci++ {
-		scans = append(scans, ProgScan{Comps: []int{ci}, Ss: 1, Se: 63, PadBit: spec.PadBit})
-	}
-	// Restart counts per scan.
-	if f.RestartInterval > 0 {
-		for i := range scans {
-			var total int
-			if scans[i].Ss == 0 {
-				total = f.TotalMCUs()
-			} else {
-				uw, uh := unpaddedBlocks(f, scans[i].Comps[0])
-				total = uw * uh
-			}
-			scans[i].RSTCount = (total - 1) / f.RestartInterval
-		}
-	}
-
-	// Tally symbol frequencies to build per-class optimal tables: one DC
-	// table for luma, one for chroma, likewise AC.
-	dcFreq, acFreq := progFrequencies(f, scans, coeff)
-	for i := 0; i < 2; i++ {
-		if hasAnySym(&dcFreq[i]) {
-			s, err := huffman.BuildOptimal(&dcFreq[i])
-			if err != nil {
-				return nil, err
-			}
-			f.DC[i] = s
-		} else {
-			f.DC[i] = &huffman.StdDCLuminance
-		}
-		if hasAnySym(&acFreq[i]) {
-			s, err := huffman.BuildOptimal(&acFreq[i])
-			if err != nil {
-				return nil, err
-			}
-			f.AC[i] = s
-		} else {
-			f.AC[i] = &huffman.StdACLuminance
-		}
-	}
-	for i := range f.Components {
-		tid := byte(0)
-		if i > 0 {
-			tid = 1
-		}
-		f.Components[i].TD = tid
-		f.Components[i].TA = tid
-	}
-	for si := range scans {
-		scan := &scans[si]
-		scan.Sel = scan.Sel[:0]
-		for _, ci := range scan.Comps {
-			c := &f.Components[ci]
-			scan.Sel = append(scan.Sel, c.TD<<4|c.TA)
-		}
-	}
-
-	// Emit: header (SOF2), then scans with their SOS headers.
-	hdr := buildProgHeader(f, &spec.EncodeSpec)
-	out := append([]byte(nil), hdr...)
-	for si := range scans {
-		scan := &scans[si]
-		sos := buildProgSOS(f, scan)
-		if si > 0 {
-			scan.HeaderBytes = sos
-		}
-		out = append(out, sos...)
-		var data []byte
-		var err error
-		if scan.Ss == 0 {
-			data, err = encodeProgDC(f, scan, coeff)
-		} else {
-			data, err = encodeProgAC(f, scan, coeff[scan.Comps[0]], scan.Comps[0])
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
-	}
-	return append(out, 0xFF, mEOI), nil
-}
-
-func hasAnySym(freq *[256]int64) bool {
-	n := 0
-	for _, v := range freq {
-		if v > 0 {
-			n++
-		}
-	}
-	return n >= 2
-}
-
-// progFrequencies counts the Huffman symbols each scan will emit, grouped
-// into luma (table 0) and chroma (table 1) classes.
-func progFrequencies(f *File, scans []ProgScan, coeff [][]int16) (dc, ac [2][256]int64) {
-	for si := range scans {
-		scan := &scans[si]
-		if scan.Ss == 0 {
-			var prevDC [MaxComponents]int16
-			total, iter := progMCUIter(f, scan)
-			ri := f.RestartInterval
-			for m := 0; m < total; m++ {
-				if ri > 0 && m > 0 && m%ri == 0 {
-					prevDC = [MaxComponents]int16{}
-				}
-				for _, bl := range iter(m) {
-					d := coeff[bl.comp][bl.off]
-					diff := int32(d) - int32(prevDC[bl.comp])
-					prevDC[bl.comp] = d
-					dc[tableClass(bl.comp)][category(diff)]++
-				}
-			}
-			continue
-		}
-		ci := scan.Comps[0]
-		cls := tableClass(ci)
-		bw := f.Components[ci].BlocksWide
-		uw, uh := unpaddedBlocks(f, ci)
-		plane := coeff[ci]
-		eobrun := 0
-		ri := f.RestartInterval
-		flush := func() {
-			for eobrun > 0 {
-				n := eobrun
-				if n > 0x7FFF {
-					n = 0x7FFF
-				}
-				r := 0
-				for (1 << (r + 1)) <= n {
-					r++
-				}
-				ac[cls][byte(r<<4)]++
-				eobrun -= n
-			}
-		}
-		for m := 0; m < uw*uh; m++ {
-			if ri > 0 && m > 0 && m%ri == 0 {
-				flush()
-			}
-			base := ((m/uw)*bw + m%uw) * 64
-			last := scan.Ss - 1
-			for k := scan.Se; k >= scan.Ss; k-- {
-				if plane[base+int(zigzagTable[k])] != 0 {
-					last = k
-					break
-				}
-			}
-			if last < scan.Ss {
-				eobrun++
-				if eobrun == 0x7FFF {
-					flush()
-				}
-				continue
-			}
-			flush()
-			run := 0
-			for k := scan.Ss; k <= last; k++ {
-				v := int32(plane[base+int(zigzagTable[k])])
-				if v == 0 {
-					run++
-					continue
-				}
-				for run >= 16 {
-					ac[cls][0xF0]++
-					run -= 16
-				}
-				ac[cls][byte(run<<4)|category(v)]++
-				run = 0
-			}
-			if last < scan.Se {
-				eobrun++
-				if eobrun == 0x7FFF {
-					flush()
-				}
-			}
-		}
-		flush()
-	}
-	return dc, ac
-}
-
-func tableClass(ci int) int {
-	if ci == 0 {
-		return 0
-	}
-	return 1
-}
-
-// buildProgHeader emits SOI..DHT (everything before the first SOS).
-func buildProgHeader(f *File, spec *EncodeSpec) []byte {
-	hdr := []byte{0xFF, mSOI}
-	hdr = appendSegment(hdr, mAPP0, []byte{'J', 'F', 'I', 'F', 0, 1, 1, 0, 0, 1, 0, 1, 0, 0})
-	written := [4]bool{}
-	for _, c := range f.Components {
-		if written[c.TQ] {
-			continue
-		}
-		written[c.TQ] = true
-		payload := make([]byte, 65)
-		payload[0] = c.TQ
-		for z := 0; z < 64; z++ {
-			payload[1+z] = byte(f.Quant[c.TQ][zigzagTable[z]])
-		}
-		hdr = appendSegment(hdr, mDQT, payload)
-	}
-	sof := []byte{8,
-		byte(f.Height >> 8), byte(f.Height),
-		byte(f.Width >> 8), byte(f.Width),
-		byte(len(f.Components)),
-	}
-	for _, c := range f.Components {
-		sof = append(sof, c.ID, byte(c.H<<4|c.V), c.TQ)
-	}
-	hdr = appendSegment(hdr, mSOF2, sof)
-	wdc, wac := [4]bool{}, [4]bool{}
-	for _, c := range f.Components {
-		if !wdc[c.TD] {
-			wdc[c.TD] = true
-			hdr = appendSegment(hdr, mDHT, dhtPayload(0, c.TD, f.DC[c.TD]))
-		}
-		if !wac[c.TA] {
-			wac[c.TA] = true
-			hdr = appendSegment(hdr, mDHT, dhtPayload(1, c.TA, f.AC[c.TA]))
-		}
-	}
-	if f.RestartInterval > 0 {
-		hdr = appendSegment(hdr, mDRI, []byte{byte(f.RestartInterval >> 8), byte(f.RestartInterval)})
-	}
-	return hdr
-}
-
-func buildProgSOS(f *File, scan *ProgScan) []byte {
-	sos := []byte{byte(len(scan.Comps))}
-	for _, ci := range scan.Comps {
-		c := &f.Components[ci]
-		sos = append(sos, c.ID, c.TD<<4|c.TA)
-	}
-	sos = append(sos, byte(scan.Ss), byte(scan.Se), 0)
-	return appendSegment(nil, mSOS, sos)
 }

@@ -2,25 +2,18 @@ package jpeg
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-
-	"lepton/internal/bitio"
-	"lepton/internal/huffman"
 )
 
 // Progressive JPEG support (SOF2), restricted to spectral selection
-// (Ah = Al = 0). The deployed Lepton intentionally rejected progressive
-// files "for simplicity" even though the binary could handle them (§6.2);
-// this implements that optional capability for the spectral-selection
-// subset: a DC scan followed by per-component AC band scans, each
-// re-encodable bit-exactly (including EOB-run coding).
-//
-// Successive-approximation scans (Ah or Al nonzero) remain rejected: their
-// refinement coding has encoder freedom this round-trip cannot pin down
-// without the original encoder's implementation.
+// (Ah = Al = 0), is decode-only. The deployed Lepton rejected progressive
+// files "for simplicity" even though the binary could handle them (§6.2),
+// and so does this package's encode path; what remains regenerates the
+// scans of a stored progressive container from its coefficients: a DC scan
+// followed by per-component AC band scans, each re-encoded bit-exactly
+// (including EOB-run coding).
 
-// ProgScan is one scan of a progressive file.
+// ProgScan is one scan of a progressive file, as a container records it.
 type ProgScan struct {
 	// HeaderBytes are the verbatim marker segments preceding this scan's
 	// entropy data (DHT/DRI/SOS...), excluded for the first scan whose
@@ -29,21 +22,17 @@ type ProgScan struct {
 	// Comps indexes Frame components participating in this scan.
 	Comps []int
 	// Sel holds each scan component's Huffman table selectors (Td<<4|Ta),
-	// parallel to Comps; applied before decoding or re-encoding the scan.
+	// parallel to Comps; applied before re-encoding the scan.
 	Sel []byte
 	// Spectral band.
 	Ss, Se int
-	// Entropy-coded bytes of this scan.
-	Data []byte
-	// PadBit / PadSeen / RSTCount / Tail mirror the baseline Scan fields,
-	// per scan.
+	// PadBit / RSTCount / Tail mirror the baseline Scan fields, per scan.
 	PadBit   uint8
-	PadSeen  bool
 	RSTCount int
 	Tail     []byte
 }
 
-// ProgFile is a parsed spectral-selection progressive JPEG.
+// ProgFile is a spectral-selection progressive JPEG's structure.
 type ProgFile struct {
 	Frame *File
 	// Header holds SOI through the first SOS header, verbatim.
@@ -61,20 +50,20 @@ func unpaddedBlocks(f *File, ci int) (w, h int) {
 	return (compW + 7) / 8, (compH + 7) / 8
 }
 
-// ParseProgressive parses a progressive JPEG. Unlike Parse it walks every
-// scan; unsupported features are rejected with classified reasons.
-func ParseProgressive(data []byte, memLimit int64) (*ProgFile, error) {
+// ParseProgressiveHeader parses a progressive file's leading header bytes
+// (SOI through the first SOS, as stored in a Lepton container) and returns
+// the frame structure. Scan parameters come from the container's per-scan
+// records, not from this header; its SOS is only held to the scan rules.
+func ParseProgressiveHeader(data []byte) (*File, error) {
 	if len(data) < 4 || data[0] != 0xFF || data[1] != mSOI {
 		return nil, reject(ReasonNotImage, "missing SOI marker")
 	}
-	p := &ProgFile{Frame: &File{}}
-	f := p.Frame
+	f := &File{}
 	sawSOF := false
 	pos := 2
-	segStart := 2 // start of the current inter-scan header region
 	for {
 		if pos >= len(data) {
-			return nil, reject(ReasonTruncated, "EOF in progressive structure")
+			return nil, reject(ReasonTruncated, "EOF before SOS")
 		}
 		if data[pos] != 0xFF {
 			return nil, reject(ReasonUnsupported, "garbage byte %#02x at %d", data[pos], pos)
@@ -92,31 +81,14 @@ func ParseProgressive(data []byte, memLimit int64) (*ProgFile, error) {
 			if !sawSOF {
 				return nil, reject(ReasonUnsupported, "SOS before SOF")
 			}
-			scan, segEnd, err := p.parseProgSOS(data, pos)
-			if err != nil {
+			if err := parseProgSOS(f, data, pos); err != nil {
 				return nil, err
 			}
-			if len(p.Scans) == 0 {
-				p.Header = data[:segEnd]
-			} else {
-				scan.HeaderBytes = data[segStart:segEnd]
-			}
-			scanEnd, err := findScanEnd(data, segEnd)
-			if err != nil {
-				return nil, err
-			}
-			scan.Data = data[segEnd:scanEnd]
-			p.Scans = append(p.Scans, scan)
-			pos = scanEnd
-			segStart = scanEnd
+			return f, nil
 		case marker == mEOI:
-			if len(p.Scans) == 0 {
-				return nil, reject(ReasonUnsupported, "EOI before any scan")
-			}
-			p.Trailer = data[segStart:]
-			return p, nil
+			return nil, reject(ReasonUnsupported, "EOI before any scan")
 		case marker == mSOF2:
-			n, err := f.parseSOF(data, pos, memLimit, false)
+			n, err := f.parseSOF(data, pos, 0, false)
 			if err != nil {
 				return nil, err
 			}
@@ -163,40 +135,35 @@ func ParseProgressive(data []byte, memLimit int64) (*ProgFile, error) {
 	}
 }
 
-// parseProgSOS validates a progressive scan header; returns the scan
-// skeleton and the offset where entropy data begins.
-func (p *ProgFile) parseProgSOS(data []byte, pos int) (ProgScan, int, error) {
-	f := p.Frame
-	var scan ProgScan
+// parseProgSOS holds the progressive scan header at data[pos:] to the
+// scan rules.
+func parseProgSOS(f *File, data []byte, pos int) error {
 	if pos+2 > len(data) {
-		return scan, 0, reject(ReasonTruncated, "EOF in SOS")
+		return reject(ReasonTruncated, "EOF in SOS")
 	}
 	l := u16(data[pos:])
 	if pos+l > len(data) || l < 3 {
-		return scan, 0, reject(ReasonTruncated, "SOS overruns file")
+		return reject(ReasonTruncated, "SOS overruns file")
 	}
 	seg := data[pos+2 : pos+l]
 	ns := int(seg[0])
 	if ns < 1 || ns > len(f.Components) || len(seg) < 1+2*ns+3 {
-		return scan, 0, reject(ReasonUnsupported, "scan with %d components", ns)
+		return reject(ReasonUnsupported, "scan with %d components", ns)
 	}
+	var scan ProgScan
 	for i := 0; i < ns; i++ {
 		cs := seg[1+2*i]
-		sel := seg[2+2*i]
-		if sel>>4 > 3 || sel&15 > 3 {
-			return scan, 0, reject(ReasonUnsupported, "table selector out of range")
-		}
 		found := false
 		for j := range f.Components {
 			if f.Components[j].ID == cs {
 				scan.Comps = append(scan.Comps, j)
-				scan.Sel = append(scan.Sel, sel)
+				scan.Sel = append(scan.Sel, seg[2+2*i])
 				found = true
 				break
 			}
 		}
 		if !found {
-			return scan, 0, reject(ReasonUnsupported, "scan component %d not in frame", cs)
+			return reject(ReasonUnsupported, "scan component %d not in frame", cs)
 		}
 	}
 	scan.Ss = int(seg[1+2*ns])
@@ -204,81 +171,68 @@ func (p *ProgFile) parseProgSOS(data []byte, pos int) (ProgScan, int, error) {
 	ah := seg[3+2*ns] >> 4
 	al := seg[3+2*ns] & 15
 	if ah != 0 || al != 0 {
-		return scan, 0, reject(ReasonProgressive,
+		return reject(ReasonProgressive,
 			"successive approximation (Ah=%d Al=%d) unsupported", ah, al)
 	}
-	if scan.Ss > scan.Se || scan.Se > 63 {
-		return scan, 0, reject(ReasonUnsupported, "spectral band %d..%d", scan.Ss, scan.Se)
-	}
-	if scan.Ss == 0 && scan.Se != 0 {
-		return scan, 0, reject(ReasonUnsupported, "mixed DC/AC scan")
-	}
-	if scan.Ss > 0 && len(scan.Comps) != 1 {
-		return scan, 0, reject(ReasonUnsupported, "interleaved AC scan")
-	}
-	return scan, pos + l, nil
+	return scan.check(f)
 }
 
-// ParseProgressiveHeader parses a progressive file's leading header bytes
-// (SOI through the first SOS, as stored in a Lepton container) and returns
-// the frame structure. Scan parameters come from the container's per-scan
-// records, not from this header.
-func ParseProgressiveHeader(hdr []byte) (*File, error) {
-	// Append a minimal empty body so the scan-walking parser terminates:
-	// the first scan gets empty Data and the loop ends at EOI.
-	data := append(append([]byte(nil), hdr...), 0xFF, mEOI)
-	p, err := ParseProgressive(data, 0)
-	if err != nil {
-		return nil, err
+// check holds a scan to the rules of a spectral-selection scan header: one
+// or more distinct frame components, each with selectors naming table
+// slots 0..3; a band inside the block; a DC scan coding DC alone; and an
+// AC scan coding a single component.
+func (s *ProgScan) check(f *File) error {
+	if len(s.Comps) == 0 || len(s.Sel) != len(s.Comps) {
+		return reject(ReasonUnsupported, "scan with %d components and %d selectors", len(s.Comps), len(s.Sel))
 	}
-	return p.Frame, nil
+	var seen [MaxComponents]bool
+	for i, ci := range s.Comps {
+		if ci >= len(f.Components) || seen[ci] {
+			return reject(ReasonUnsupported, "scan component index %d repeated or not in frame", ci)
+		}
+		seen[ci] = true
+		if s.Sel[i]>>4 > 3 || s.Sel[i]&15 > 3 {
+			return reject(ReasonUnsupported, "table selector %#02x out of range", s.Sel[i])
+		}
+	}
+	if s.Ss > s.Se || s.Se > 63 {
+		return reject(ReasonUnsupported, "spectral band %d..%d", s.Ss, s.Se)
+	}
+	if s.Ss == 0 && s.Se != 0 {
+		return reject(ReasonUnsupported, "mixed DC/AC scan")
+	}
+	if s.Ss > 0 && len(s.Comps) != 1 {
+		return reject(ReasonUnsupported, "interleaved AC scan")
+	}
+	return nil
 }
 
-// DecodeProgressive entropy-decodes every scan into full coefficient
-// planes (padded geometry, matching baseline layout).
-func DecodeProgressive(p *ProgFile) ([][]int16, error) {
+// CheckScans holds every scan record to the scan rules and requires the
+// Huffman table each scan selects to be defined when that scan runs. Scan
+// records read from a container were never parsed from a scan header, so
+// Reassemble requires this check to have passed.
+func (p *ProgFile) CheckScans() error {
 	f := p.Frame
-	coeff := make([][]int16, len(f.Components))
-	for i := range f.Components {
-		c := &f.Components[i]
-		coeff[i] = make([]int16, c.BlocksWide*c.BlocksHigh*64)
+	if err := reparseTables(f, p.Header); err != nil {
+		return err
 	}
-	seenDC := false
-	covered := make([][64]bool, len(f.Components))
 	for si := range p.Scans {
-		scan := &p.Scans[si]
-		// Scan headers may redefine Huffman tables; re-parse them.
-		if len(scan.HeaderBytes) > 0 {
-			if err := reparseTables(f, scan.HeaderBytes); err != nil {
-				return nil, err
+		s := &p.Scans[si]
+		if si > 0 {
+			if err := reparseTables(f, s.HeaderBytes); err != nil {
+				return err
 			}
 		}
-		scan.applySelectors(f)
-		if scan.Ss == 0 {
-			if err := decodeProgDC(f, scan, coeff); err != nil {
-				return nil, err
-			}
-			seenDC = true
-			for _, ci := range scan.Comps {
-				covered[ci][0] = true
-			}
-		} else {
-			if !seenDC {
-				return nil, reject(ReasonUnsupported, "AC scan before DC scan")
-			}
-			ci := scan.Comps[0]
-			for k := scan.Ss; k <= scan.Se; k++ {
-				if covered[ci][k] {
-					return nil, reject(ReasonUnsupported, "band %d..%d re-covers coefficients", scan.Ss, scan.Se)
-				}
-				covered[ci][k] = true
-			}
-			if err := decodeProgAC(f, scan, coeff[ci], ci); err != nil {
-				return nil, err
+		if err := s.check(f); err != nil {
+			return fmt.Errorf("scan %d: %w", si, err)
+		}
+		for _, sel := range s.Sel {
+			if s.Ss == 0 && f.DC[sel>>4] == nil || s.Ss > 0 && f.AC[sel&15] == nil {
+				return reject(ReasonUnsupported, "scan %d selects undefined Huffman table %#02x", si, sel)
 			}
 		}
 	}
-	return coeff, nil
+	return nil
 }
 
 // reparseTables processes DHT/DRI segments in a verbatim header region
@@ -330,96 +284,6 @@ func reparseTables(f *File, hdr []byte) error {
 	return nil
 }
 
-// progRestart consumes an expected restart marker; unlike the baseline
-// decoder this is strict (our progressive writer always emits them).
-func progRestart(r *bitio.Reader, expect int, pads *[]uint8) error {
-	bits, nbits, err := r.AlignSkipPad()
-	if err != nil && !errors.Is(err, bitio.ErrMarker) {
-		return wrapEntropyErr(err)
-	}
-	*pads = append(*pads, bits[:nbits]...)
-	if _, err := r.ReadBit(); !errors.Is(err, bitio.ErrMarker) {
-		return reject(ReasonRoundtrip, "missing restart marker in progressive scan")
-	}
-	code, err := r.SkipMarker()
-	if err != nil {
-		return wrapEntropyErr(err)
-	}
-	if code != mRST0+byte(expect%8) {
-		return reject(ReasonRoundtrip, "wrong restart marker %#02x", code)
-	}
-	return nil
-}
-
-func notePads(scan *ProgScan, bits []uint8) error {
-	for _, b := range bits {
-		if !scan.PadSeen {
-			scan.PadBit = b
-			scan.PadSeen = true
-		} else if b != scan.PadBit {
-			return reject(ReasonRoundtrip, "inconsistent pad bits in progressive scan")
-		}
-	}
-	return nil
-}
-
-// decodeProgDC decodes a DC scan (interleaved over the scan's components).
-func decodeProgDC(f *File, scan *ProgScan, coeff [][]int16) error {
-	r := bitio.NewReader(scan.Data)
-	dcDec, err := buildDCDecoders(f, scan)
-	if err != nil {
-		return err
-	}
-	var prevDC [MaxComponents]int16
-	ri := f.RestartInterval
-	total, iter := progMCUIter(f, scan)
-	rstSeen := 0
-	var pads []uint8
-	for m := 0; m < total; m++ {
-		if ri > 0 && m > 0 && m%ri == 0 {
-			if err := progRestart(r, rstSeen, &pads); err != nil {
-				return err
-			}
-			if err := notePads(scan, pads); err != nil {
-				return err
-			}
-			pads = nil
-			rstSeen++
-			prevDC = [MaxComponents]int16{}
-		}
-		blocks := iter(m)
-		for _, bl := range blocks {
-			s, err := dcDec[bl.comp].Decode(r)
-			if err != nil {
-				return wrapEntropyErr(err)
-			}
-			if s > 11 {
-				return reject(ReasonACRange, "DC category %d", s)
-			}
-			raw, err := r.ReadBits(s)
-			if err != nil {
-				return wrapEntropyErr(err)
-			}
-			dc := int32(prevDC[bl.comp]) + extend(raw, s)
-			if dc < -2048 || dc > 2047 {
-				return reject(ReasonACRange, "DC %d", dc)
-			}
-			prevDC[bl.comp] = int16(dc)
-			coeff[bl.comp][bl.off] = int16(dc)
-		}
-	}
-	scan.RSTCount = rstSeen
-	tailBits, nTail, err := r.AlignSkipPad()
-	if err != nil && !errors.Is(err, bitio.ErrTruncated) && !errors.Is(err, bitio.ErrMarker) {
-		return wrapEntropyErr(err)
-	}
-	if err := notePads(scan, tailBits[:nTail]); err != nil {
-		return err
-	}
-	scan.Tail = append([]byte(nil), r.Remaining()...)
-	return nil
-}
-
 type progBlock struct {
 	comp int
 	off  int // coefficient base offset (block index * 64)
@@ -457,129 +321,23 @@ func progMCUIter(f *File, scan *ProgScan) (int, func(int) []progBlock) {
 	}
 }
 
-func buildDCDecoders(f *File, scan *ProgScan) (map[int]*huffman.Decoder, error) {
-	out := map[int]*huffman.Decoder{}
-	for _, ci := range scan.Comps {
-		td := f.Components[ci].TD
-		if f.DC[td] == nil {
-			return nil, reject(ReasonUnsupported, "missing DC table %d", td)
-		}
-		d, err := huffman.NewDecoder(f.DC[td])
-		if err != nil {
-			return nil, reject(ReasonUnsupported, "DC table: %v", err)
-		}
-		out[ci] = d
-	}
-	return out, nil
-}
-
-// decodeProgAC decodes one AC band scan of a single component.
-func decodeProgAC(f *File, scan *ProgScan, plane []int16, ci int) error {
-	ta := f.Components[ci].TA
-	if f.AC[ta] == nil {
-		return reject(ReasonUnsupported, "missing AC table %d", ta)
-	}
-	dec, err := huffman.NewDecoder(f.AC[ta])
-	if err != nil {
-		return reject(ReasonUnsupported, "AC table: %v", err)
-	}
-	r := bitio.NewReader(scan.Data)
-	w, h := unpaddedBlocks(f, ci)
-	bw := f.Components[ci].BlocksWide
-	ri := f.RestartInterval
-	eobrun := 0
-	rstSeen := 0
-	var pads []uint8
-	for m := 0; m < w*h; m++ {
-		if ri > 0 && m > 0 && m%ri == 0 {
-			if eobrun > 0 {
-				return reject(ReasonRoundtrip, "EOB run crosses restart interval")
-			}
-			if err := progRestart(r, rstSeen, &pads); err != nil {
-				return err
-			}
-			if err := notePads(scan, pads); err != nil {
-				return err
-			}
-			pads = nil
-			rstSeen++
-		}
-		if eobrun > 0 {
-			eobrun--
-			continue
-		}
-		row := m / w
-		col := m % w
-		base := (row*bw + col) * 64
-		k := scan.Ss
-		for k <= scan.Se {
-			rs, err := dec.Decode(r)
-			if err != nil {
-				return wrapEntropyErr(err)
-			}
-			run, size := int(rs>>4), rs&15
-			if size == 0 {
-				if run == 15 { // ZRL
-					k += 16
-					continue
-				}
-				extra, err := r.ReadBits(uint8(run))
-				if err != nil {
-					return wrapEntropyErr(err)
-				}
-				eobrun = (1 << run) - 1 + int(extra)
-				break
-			}
-			if size > 10 {
-				return reject(ReasonACRange, "AC category %d", size)
-			}
-			k += run
-			if k > scan.Se {
-				return reject(ReasonACRange, "AC run past band end")
-			}
-			raw, err := r.ReadBits(size)
-			if err != nil {
-				return wrapEntropyErr(err)
-			}
-			plane[base+int(zigzagTable[k])] = int16(extend(raw, size))
-			k++
-		}
-	}
-	if eobrun > 0 {
-		return reject(ReasonRoundtrip, "EOB run extends past final block")
-	}
-	scan.RSTCount = rstSeen
-	tailBits, nTail, err := r.AlignSkipPad()
-	if err != nil && !errors.Is(err, bitio.ErrTruncated) && !errors.Is(err, bitio.ErrMarker) {
-		return wrapEntropyErr(err)
-	}
-	if err := notePads(scan, tailBits[:nTail]); err != nil {
-		return err
-	}
-	scan.Tail = append([]byte(nil), r.Remaining()...)
-	return nil
-}
-
 // applySelectors installs this scan's Huffman table selectors on the frame
-// components, as the scan's SOS header did at decode time.
+// components, as the scan's SOS header did when the file was read.
 func (s *ProgScan) applySelectors(f *File) {
 	for i, ci := range s.Comps {
-		if i < len(s.Sel) {
-			f.Components[ci].TD = s.Sel[i] >> 4
-			f.Components[ci].TA = s.Sel[i] & 15
-		}
+		f.Components[ci].TD = s.Sel[i] >> 4
+		f.Components[ci].TA = s.Sel[i] & 15
 	}
 }
 
 // Reassemble regenerates the complete progressive file from coefficient
-// planes: verbatim headers spliced with re-encoded scan data. The result
-// must be byte-identical to the original for files this package accepts.
-// p must be the ProgFile the coefficients were decoded from (the decoder
-// records per-scan pad bits, restart counts, and tails on it).
+// planes: verbatim headers spliced with re-encoded scan data, byte-identical
+// to the file the container was written from. p's scans must have passed
+// CheckScans.
 func (p *ProgFile) Reassemble(coeff [][]int16) ([]byte, error) {
 	f := p.Frame
-	// Restore the initial Huffman/DRI state: decoding may have left the
-	// frame holding tables redefined by later scans.
+	// Restore the initial Huffman/DRI state: CheckScans left the frame
+	// holding tables redefined by later scans.
 	if err := reparseTables(f, p.Header); err != nil {
 		return nil, err
 	}

@@ -1,189 +1,79 @@
-package jpeg_test
+package jpeg
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"lepton/internal/dct"
-	"lepton/internal/huffman"
-	"lepton/internal/imagegen"
-	"lepton/internal/jpeg"
 )
 
-// progSample builds a spectral-selection progressive JPEG from a synthetic
-// image.
-func progSample(t testing.TB, seed int64, w, h int, subsample bool, ri int) []byte {
+// progHeader returns the header of a checked-in progressive source JPEG:
+// SOI through its first SOS segment, the bytes a container stores.
+func progHeader(t *testing.T, name string) []byte {
 	t.Helper()
-	img := imagegen.Synthesize(seed, w, h)
-	// Reuse the baseline pipeline to produce coefficients, then re-wrap
-	// them progressively.
-	base, err := imagegen.EncodeJPEG(img, imagegen.Options{
-		Quality: 85, SubsampleChroma: subsample, PadBit: 1, RestartInterval: ri,
-	})
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := jpeg.Parse(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := jpeg.DecodeScan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &jpeg.ProgressiveSpec{}
-	spec.Width = f.Width
-	spec.Height = f.Height
-	spec.Components = make([]jpeg.Component, len(f.Components))
-	for i, c := range f.Components {
-		spec.Components[i] = jpeg.Component{ID: c.ID, H: c.H, V: c.V, TQ: c.TQ}
-	}
-	spec.Quant = f.Quant
-	spec.DC = [4]*huffman.Spec{&huffman.StdDCLuminance, &huffman.StdDCChrominance}
-	spec.AC = [4]*huffman.Spec{&huffman.StdACLuminance, &huffman.StdACChrominance}
-	spec.RestartInterval = ri
-	spec.PadBit = 1
-	data, err := jpeg.WriteProgressive(spec, s.Coeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func progRoundTrip(t *testing.T, data []byte) [][]int16 {
-	t.Helper()
-	p, err := jpeg.ParseProgressive(data, 0)
-	if err != nil {
-		t.Fatalf("ParseProgressive: %v", err)
-	}
-	coeff, err := jpeg.DecodeProgressive(p)
-	if err != nil {
-		t.Fatalf("DecodeProgressive: %v", err)
-	}
-	got, err := p.Reassemble(coeff)
-	if err != nil {
-		t.Fatalf("Reassemble: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		i := 0
-		for i < len(got) && i < len(data) && got[i] == data[i] {
-			i++
-		}
-		t.Fatalf("progressive round trip differs at byte %d (lens %d vs %d)",
-			i, len(got), len(data))
-	}
-	return coeff
-}
-
-func TestProgressiveRoundTripBasic(t *testing.T) {
-	progRoundTrip(t, progSample(t, 1, 160, 120, true, 0))
-}
-
-func TestProgressiveRoundTripMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		seed int64
-		w, h int
-		sub  bool
-		ri   int
-	}{
-		{2, 64, 64, false, 0},
-		{3, 200, 152, true, 0},
-		{4, 97, 63, false, 0},
-		{5, 128, 128, true, 4},
-		{6, 320, 240, true, 16},
-		{7, 48, 48, false, 2},
-	} {
-		progRoundTrip(t, progSample(t, tc.seed, tc.w, tc.h, tc.sub, tc.ri))
-	}
-}
-
-func TestProgressiveCoefficientsMatchBaseline(t *testing.T) {
-	// The progressive wrapper must carry the same coefficients as the
-	// baseline encoding it was derived from — except the AC of padded
-	// blocks, which non-interleaved AC scans structurally cannot carry
-	// (the DC scan, being interleaved, covers even padded blocks).
-	img := imagegen.Synthesize(8, 120, 88)
-	base, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 85, SubsampleChroma: true, PadBit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := jpeg.Parse(base, 0)
-	s, _ := jpeg.DecodeScan(f)
-
-	prog := progSample(t, 8, 120, 88, true, 0)
-	coeff := progRoundTrip(t, prog)
-	for ci := range s.Coeff {
-		c := &f.Components[ci]
-		compW := (f.Width*c.H + f.HMax - 1) / f.HMax
-		compH := (f.Height*c.V + f.VMax - 1) / f.VMax
-		uw, uh := (compW+7)/8, (compH+7)/8
-		for j := range s.Coeff[ci] {
-			blk := j / 64
-			pos := j % 64
-			row, col := blk/c.BlocksWide, blk%c.BlocksWide
-			padded := row >= uh || col >= uw
-			if padded && pos != 0 {
-				continue // AC of padded blocks is not representable
-			}
-			if s.Coeff[ci][j] != coeff[ci][j] {
-				t.Fatalf("comp %d block %d pos %d: %d != %d", ci, blk, pos,
-					coeff[ci][j], s.Coeff[ci][j])
-			}
+	for i := 2; i+3 < len(data); i++ {
+		if data[i] == 0xFF && data[i+1] == mSOS {
+			return data[:i+2+u16(data[i+2:])]
 		}
 	}
+	t.Fatalf("%s: no SOS", name)
+	return nil
 }
 
 func TestProgressiveHeaderOnlyParse(t *testing.T) {
-	data := progSample(t, 9, 96, 96, true, 0)
-	p, err := jpeg.ParseProgressive(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := jpeg.ParseProgressiveHeader(p.Header)
+	f, err := ParseProgressiveHeader(progHeader(t, "golden-progressive.jpg"))
 	if err != nil {
 		t.Fatalf("ParseProgressiveHeader: %v", err)
 	}
-	if f.Width != 96 || f.Height != 96 || len(f.Components) != 3 {
+	if f.Width != 240 || f.Height != 180 || len(f.Components) != 3 {
 		t.Fatalf("frame = %dx%d %d comps", f.Width, f.Height, len(f.Components))
 	}
 }
 
 func TestProgressiveRejectsSuccessiveApproximation(t *testing.T) {
-	data := progSample(t, 10, 64, 64, false, 0)
-	// Patch the first SOS's Ah/Al byte: find the SOS and set Al=1.
-	for i := 0; i+2 < len(data); i++ {
-		if data[i] == 0xFF && data[i+1] == 0xDA {
-			l := int(data[i+2])<<8 | int(data[i+3])
-			bad := append([]byte(nil), data...)
-			bad[i+2+l-1] = 0x01 // Al = 1
-			_, err := jpeg.ParseProgressive(bad, 0)
-			if jpeg.ReasonOf(err) != jpeg.ReasonProgressive {
-				t.Fatalf("reason = %v", jpeg.ReasonOf(err))
-			}
-			return
-		}
+	bad := append([]byte(nil), progHeader(t, "golden-progressive.jpg")...)
+	bad[len(bad)-1] = 0x01 // the first SOS's Ah/Al byte: Al = 1
+	_, err := ParseProgressiveHeader(bad)
+	if ReasonOf(err) != ReasonProgressive {
+		t.Fatalf("reason = %v", ReasonOf(err))
 	}
-	t.Fatal("no SOS found")
 }
 
+// TestProgressiveMutationRobustness flips bits across a stored header:
+// parsing must fail cleanly or succeed, never panic.
 func TestProgressiveMutationRobustness(t *testing.T) {
-	data := progSample(t, 11, 80, 80, true, 0)
-	for i := 0; i < len(data); i += 7 {
-		bad := append([]byte(nil), data...)
+	hdr := progHeader(t, "golden-progressive.jpg")
+	for i := range hdr {
+		bad := append([]byte(nil), hdr...)
 		bad[i] ^= 0x40
-		p, err := jpeg.ParseProgressive(bad, 1<<24)
-		if err != nil {
-			continue
-		}
-		_, _ = jpeg.DecodeProgressive(p) // must not panic
+		_, _ = ParseProgressiveHeader(bad)
 	}
 }
 
+// TestProgressiveUnpaddedGeometry: a 100x60 4:2:0 frame pads luma to 14x8
+// blocks, but its non-interleaved AC scans cover only the 13x8 blocks the
+// image reaches (chroma 7x4), in unpadded raster order.
 func TestProgressiveUnpaddedGeometry(t *testing.T) {
-	// A 100x60 4:2:0 image: luma blocks padded to 14x8 but unpadded 13x8;
-	// chroma unpadded 7x4. AC scans must touch only unpadded blocks.
-	data := progSample(t, 12, 100, 60, true, 0)
-	coeff := progRoundTrip(t, data)
-	_ = coeff
-	_ = dct.Zigzag // keep import stable if assertions change
+	f, err := ParseProgressiveHeader(progHeader(t, "progressive-420-odd.jpg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bw, bh := f.Components[0].BlocksWide, f.Components[0].BlocksHigh; bw != 14 || bh != 8 {
+		t.Fatalf("luma padded to %dx%d blocks, want 14x8", bw, bh)
+	}
+	for ci, want := range [][2]int{{13, 8}, {7, 4}, {7, 4}} {
+		if w, h := unpaddedBlocks(f, ci); w != want[0] || h != want[1] {
+			t.Fatalf("component %d: unpadded %dx%d, want %dx%d", ci, w, h, want[0], want[1])
+		}
+	}
+	n, blocks := progMCUIter(f, &ProgScan{Comps: []int{0}, Sel: []byte{0}, Ss: 1, Se: 63})
+	if n != 13*8 {
+		t.Fatalf("luma AC scan has %d blocks, want %d", n, 13*8)
+	}
+	if b := blocks(13); b[0].off != 14*64 {
+		t.Fatalf("block 13 of the AC scan at offset %d, want the start of padded row 1 (%d)", b[0].off, 14*64)
+	}
 }

@@ -140,7 +140,12 @@ func (d *scanDecoder) decodeBlock(comp int, out []int16) error {
 	d.prevDC[comp] = int16(dc)
 	out[0] = int16(dc)
 
-	k := 1
+	// The re-encoder writes the canonical coding of the coefficients: EOB
+	// as symbol 0x00, and a ZRL only before a nonzero coefficient. Any
+	// other coding decodes to coefficients it would write back differently,
+	// so it is refused here. zrlEnd is the k the last ZRL ended at; it
+	// equals k at the block's end only if no coefficient followed it.
+	k, zrlEnd := 1, 0
 	for k < 64 {
 		rs, raw, fast := d.fastCode(acTab, 0x0F, 10)
 		if !fast {
@@ -154,7 +159,11 @@ func (d *scanDecoder) decodeBlock(comp int, out []int16) error {
 		if size == 0 {
 			if run == 15 { // ZRL: sixteen zeros
 				k += 16
+				zrlEnd = k
 				continue
+			}
+			if run != 0 {
+				return reject(ReasonUnsupported, "AC symbol %#02x is neither EOB nor ZRL", rs)
 			}
 			break // EOB
 		}
@@ -177,6 +186,9 @@ func (d *scanDecoder) decodeBlock(comp int, out []int16) error {
 		}
 		out[zigzagTable[k]] = int16(extend(raw, size))
 		k++
+	}
+	if k == zrlEnd {
+		return reject(ReasonRoundtrip, "ZRL not followed by a nonzero coefficient")
 	}
 	return nil
 }

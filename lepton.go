@@ -60,9 +60,12 @@
 // internal/server drives the same codec and store over a socket protocol
 // and drains gracefully via its Shutdown(ctx).
 //
-// Files the codec cannot handle (progressive JPEG, CMYK, corrupt data, ...)
-// are rejected with a classified Reason; callers typically fall back to
-// generic compression, as production did. Payloads that are not Lepton
+// Files the codec cannot handle (progressive JPEG, CMYK without
+// Options.AllowCMYK, corrupt data, ...) are rejected with a classified
+// Reason; callers typically fall back to generic compression, as
+// production did. Progressive containers are decode-only: those written
+// while an opt-in still compressed progressive files decode byte-exactly,
+// but nothing writes new ones. Payloads that are not Lepton
 // containers at all are rejected by the decompress functions with an error
 // wrapping ErrNotLepton.
 package lepton
@@ -103,7 +106,8 @@ const (
 func ReasonOf(err error) Reason { return jpeg.ReasonOf(err) }
 
 // Options tunes compression. The zero value (or nil) is the deployed
-// production configuration.
+// production configuration. No option admits a progressive JPEG: those
+// are refused with ReasonProgressive, as production refused them (§6.2).
 type Options struct {
 	// Threads forces the number of thread segments (1..64); 0 selects by
 	// file size: the paper's cutoffs (Figures 7-8) below 1.5 MB, one
@@ -132,13 +136,8 @@ type Options struct {
 	// ReasonMemDecode; everything else streams.
 	MemDecodeBudget int64
 	MemEncodeBudget int64
-	// AllowProgressive enables compression of spectral-selection
-	// progressive JPEGs. The deployed system kept this off "for
-	// simplicity" (§6.2) even though the binary could handle them;
-	// successive-approximation files remain rejected either way.
-	AllowProgressive bool
 	// AllowCMYK enables four-component (CMYK) files, the paper's "extra
-	// model for the 4th color channel" — likewise off in production.
+	// model for the 4th color channel", which production kept off (§6.2).
 	AllowCMYK bool
 	// DisableSeekIndex omits the per-MCU-row seek index normally appended
 	// to baseline containers. Without it DecompressRangeCtx falls back to
@@ -163,7 +162,6 @@ func (o *Options) coreOptions() core.EncodeOptions {
 		CollectStats:     o.CollectStats,
 		MemDecodeBudget:  o.MemDecodeBudget,
 		MemEncodeBudget:  o.MemEncodeBudget,
-		AllowProgressive: o.AllowProgressive,
 		AllowCMYK:        o.AllowCMYK,
 		DisableSeekIndex: o.DisableSeekIndex,
 	}

@@ -3,12 +3,12 @@ package lepton_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lepton"
-	"lepton/internal/huffman"
 	"lepton/internal/imagegen"
-	"lepton/internal/jpeg"
 )
 
 func gen(t testing.TB, seed int64, w, h int) []byte {
@@ -133,26 +133,19 @@ func TestPublicAblations(t *testing.T) {
 	}
 }
 
+// TestPublicProgressive: a spectral-selection progressive JPEG, which an
+// opt-in once compressed, is refused with ReasonProgressive whatever the
+// options, as production refused it (§6.2). TestProgressiveFixtures
+// decodes the containers written while it was not.
 func TestPublicProgressive(t *testing.T) {
-	// Build a spectral-selection progressive file via the internal helper
-	// path, then exercise the public opt-in.
-	base := gen(t, 8, 200, 150)
-	res, err := lepton.Compress(base, nil)
+	prog, err := os.ReadFile(filepath.Join("testdata", "golden-progressive.jpg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	prog := progressiveSample(t, 8, 200, 150)
-	if _, err := lepton.Compress(prog, nil); lepton.ReasonOf(err) != lepton.ReasonProgressive {
-		t.Fatalf("progressive accepted by default: %v", err)
-	}
-	pres, err := lepton.Compress(prog, &lepton.Options{AllowProgressive: true, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := lepton.Decompress(pres.Compressed)
-	if err != nil || !bytes.Equal(back, prog) {
-		t.Fatal("progressive public round trip failed")
+	for _, opt := range []*lepton.Options{nil, {AllowCMYK: true, Verify: true}} {
+		if _, err := lepton.Compress(prog, opt); lepton.ReasonOf(err) != lepton.ReasonProgressive {
+			t.Fatalf("options %+v: reason = %v", opt, lepton.ReasonOf(err))
+		}
 	}
 }
 
@@ -173,37 +166,6 @@ func TestPublicCMYK(t *testing.T) {
 	if err != nil || !bytes.Equal(back, cmyk) {
 		t.Fatal("CMYK public round trip failed")
 	}
-}
-
-func progressiveSample(t testing.TB, seed int64, w, h int) []byte {
-	t.Helper()
-	img := imagegen.Synthesize(seed, w, h)
-	base, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 85, SubsampleChroma: true, PadBit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := jpeg.Parse(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := jpeg.DecodeScan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &jpeg.ProgressiveSpec{}
-	spec.Width, spec.Height = f.Width, f.Height
-	for _, c := range f.Components {
-		spec.Components = append(spec.Components, jpeg.Component{ID: c.ID, H: c.H, V: c.V, TQ: c.TQ})
-	}
-	spec.Quant = f.Quant
-	spec.DC = [4]*huffman.Spec{&huffman.StdDCLuminance, &huffman.StdDCChrominance}
-	spec.AC = [4]*huffman.Spec{&huffman.StdACLuminance, &huffman.StdACChrominance}
-	spec.PadBit = 1
-	data, err := jpeg.WriteProgressive(spec, s.Coeff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestPublicCodecReuse(t *testing.T) {

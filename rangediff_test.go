@@ -3,9 +3,12 @@ package lepton_test
 import (
 	"bytes"
 	"context"
+	"image"
+	stdjpeg "image/jpeg"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lepton"
@@ -26,8 +29,8 @@ func goldenInput(t testing.TB, name string, seed int64, w, h int) ([]byte, *lept
 			Quality: 85, Grayscale: true, PadBit: 1,
 		})
 	case "progressive":
-		data = progressiveSample(t, seed, w, h)
-		opt.AllowProgressive = true
+		// The source JPEG of the decode-only progressive fixtures.
+		data, err = os.ReadFile(filepath.Join("testdata", "golden-progressive.jpg"))
 	case "cmyk":
 		img := imagegen.Synthesize(seed, w, h)
 		data, err = imagegen.EncodeJPEG(img, imagegen.Options{
@@ -88,11 +91,7 @@ func TestDecompressRangeGoldenDifferential(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			data, opt := goldenInput(t, tc.name, tc.seed, tc.w, tc.h)
-			res, err := lepton.Compress(data, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comp := res.Compressed
+			comp := goldenCompressed(t, "golden", tc.name, tc.refused, data, opt)
 			full, err := lepton.Decompress(comp)
 			if err != nil {
 				t.Fatal(err)
@@ -166,10 +165,7 @@ func TestLegacyContainerBackCompat(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data, _ := goldenInput(t, tc.name, tc.seed, tc.w, tc.h)
 			for _, prefix := range oldContainerPrefixes {
-				old, err := os.ReadFile(filepath.Join("testdata", prefix+"-"+tc.name+".lep"))
-				if err != nil {
-					t.Fatalf("missing fixture: %v", err)
-				}
+				old := goldenFixture(t, prefix, tc.name)
 				if old[2] != 0x01 {
 					t.Fatalf("%s fixture has version byte %#02x, want 0x01", prefix, old[2])
 				}
@@ -203,32 +199,26 @@ func TestLegacyContainerBackCompat(t *testing.T) {
 // without the seek index must reproduce the noindex-* fixtures byte for
 // byte (run with -update-golden after a deliberate format change), the
 // fixtures must round-trip, and range reads on them must be served by the
-// index-less fallback.
+// index-less fallback. A decode-only case's fixture is only decoded.
 func TestNoIndexContainerPinned(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			data, opt := goldenInput(t, tc.name, tc.seed, tc.w, tc.h)
 			o := *opt
 			o.DisableSeekIndex = true
-			res, err := lepton.Compress(data, &o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", "noindex-"+tc.name+".lep")
-			if *updateGolden {
-				if err := os.WriteFile(path, res.Compressed, 0o644); err != nil {
+			comp := goldenCompressed(t, "noindex", tc.name, tc.refused, data, &o)
+			if *updateGolden && tc.refused == lepton.ReasonNone {
+				path := filepath.Join("testdata", "noindex-"+tc.name+".lep")
+				if err := os.WriteFile(path, comp, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("wrote %s (%d bytes)", path, len(res.Compressed))
+				t.Logf("wrote %s (%d bytes)", path, len(comp))
 				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
-			}
-			if !bytes.Equal(res.Compressed, want) {
-				t.Fatalf("DisableSeekIndex output diverged from %s (%d vs %d bytes, first diff %d)",
-					path, len(res.Compressed), len(want), firstDiff(res.Compressed, want))
+			want := goldenFixture(t, "noindex", tc.name)
+			if !bytes.Equal(comp, want) {
+				t.Fatalf("DisableSeekIndex output diverged from noindex-%s.lep (%d vs %d bytes, first diff %d)",
+					tc.name, len(comp), len(want), firstDiff(comp, want))
 			}
 			back, err := lepton.Decompress(want)
 			if err != nil || !bytes.Equal(back, data) {
@@ -252,7 +242,7 @@ func checkFixtureRanges(t *testing.T, prefix, name string, comp, data []byte) {
 	t.Helper()
 	want := "range_fallback_no_index"
 	switch {
-	case name == "progressive" || name == "cmyk":
+	case strings.HasPrefix(name, "progressive") || name == "cmyk":
 		want = "range_fallback_unsupported"
 	case prefix == "v1":
 		want = "range_fast"
@@ -272,5 +262,76 @@ func checkFixtureRanges(t *testing.T, prefix, name string, comp, data []byte) {
 					prefix, name, p[0], p[1], k, moved, wantMoved)
 			}
 		}
+	}
+}
+
+// progressiveSources maps each source JPEG of a stored progressive
+// container to its pixel size. The restart-interval source is 4:4:4
+// because image/jpeg counts restart intervals of a non-interleaved scan in
+// interleaved MCUs, which misreads subsampled components.
+var progressiveSources = map[string]image.Point{
+	"golden-progressive.jpg":  {240, 180},
+	"progressive-ri4.jpg":     {96, 64},  // restart interval 4
+	"progressive-444-odd.jpg": {97, 63},  // unsubsampled chroma, odd size
+	"progressive-420-odd.jpg": {100, 60}, // luma padded past its AC scans
+}
+
+// TestProgressiveFixtures pins decode-only progressive support. Every
+// stored progressive container — the golden, legacy, v1 and noindex
+// captures of the golden case, and one pair each for a restart interval,
+// unsubsampled chroma at an odd size, and padded luma — decodes to its
+// source through Decompress, DecompressToCtx and DecompressRangeCtx. Each
+// source is checked as a progressive JPEG of its stated size by the
+// standard library's decoder, which shares no code with this repository's.
+func TestProgressiveFixtures(t *testing.T) {
+	for name, size := range progressiveSources {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte{0xFF, 0xC2}) {
+			t.Fatalf("%s has no SOF2 marker", name)
+		}
+		img, err := stdjpeg.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: image/jpeg: %v", name, err)
+		}
+		if got := img.Bounds().Size(); got != size {
+			t.Fatalf("%s: image/jpeg decodes %v, want %v", name, got, size)
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "*progressive*.lep"))
+	if err != nil || len(paths) != 7 {
+		t.Fatalf("want 7 progressive containers, found %d (%v)", len(paths), err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".lep")
+		prefix, golden := strings.CutSuffix(name, "-progressive")
+		src := name + ".jpg"
+		if golden {
+			src = "golden-progressive.jpg"
+		}
+		t.Run(name, func(t *testing.T) {
+			if _, ok := progressiveSources[src]; !ok {
+				t.Fatalf("source %s has no stated size", src)
+			}
+			comp, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join("testdata", src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := lepton.Decompress(comp)
+			if err != nil || !bytes.Equal(back, data) {
+				t.Fatalf("Decompress does not reproduce %s (err %v)", src, err)
+			}
+			var buf bytes.Buffer
+			if err := lepton.NewCodec().DecompressToCtx(context.Background(), &buf, comp); err != nil || !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("DecompressToCtx does not reproduce %s (err %v)", src, err)
+			}
+			checkFixtureRanges(t, prefix, "progressive", comp, data)
+		})
 	}
 }
