@@ -19,6 +19,11 @@
 // Ownership is rounded to MCU-row boundaries, which keeps the model's
 // row-based thread segmentation intact at the cost of a slightly longer
 // verbatim prepend.
+//
+// A file's chunks come from one streamed encode of its whole scan, the
+// same pipeline whole-file compression runs (§5.1: row by row under a
+// fixed memory ceiling), with its thread segments cut at the chunks' MCU
+// rows; no whole coefficient plane is built on a put.
 package chunk
 
 import (
@@ -26,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 
 	"lepton/internal/core"
 	"lepton/internal/jpeg"
@@ -44,8 +50,6 @@ type Options struct {
 	// core.SegmentCountFor). Other values are refused before any work. At
 	// most eight of a chunk's segments run at once, whatever the count.
 	SegmentsPerChunk int
-	// Flags selects model predictors; nil means the deployed configuration.
-	Flags *model.Flags
 	// VerifyRoundtrip decodes every chunk and compares it byte for byte
 	// with its input slice before returning, failing with ReasonRoundtrip
 	// on the first chunk that differs (production admission, §5.7). Callers
@@ -62,7 +66,8 @@ type Options struct {
 	// deployed encode budget (core.DefaultMemEncodeBudget). Streams larger
 	// than the limit are chunk-compressed incrementally in raw (deflate)
 	// mode with O(ChunkSize) memory — the same treatment production gave
-	// files over the memory budget (§6.2).
+	// files over the memory budget (§6.2). JPEGs within the limit are
+	// encoded with the deployed model flags; this layer has no ablations.
 	BufferLimit int64
 	// DisableSeekIndex omits the per-MCU-row seek index from each chunk
 	// container, which is otherwise byte-identical to the indexed one.
@@ -84,21 +89,13 @@ func (o Options) check() error {
 // is stored in raw (deflate) mode — the caller can inspect Mode to know which
 // path was taken. The error return reports only internal failures and
 // cancellation; unsupported inputs are not errors at this layer.
-// Cancellation is observed between chunks and, through the core encoder's
-// per-row checkpoints, inside each chunk's segment encode.
+// Cancellation is observed between chunks and, per MCU row, inside the
+// row-position pass and the file's one streamed encode.
 func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
 	}
-	size := opt.ChunkSize
-	if size <= 0 {
-		size = DefaultChunkSize
-	}
-	nChunks := (len(data) + size - 1) / size
-	if nChunks == 0 {
-		nChunks = 1
-	}
-	out := make([][]byte, 0, nChunks)
+	var out [][]byte
 	err := compressAll(ctx, data, opt, func(chunk []byte) error {
 		out = append(out, chunk)
 		return nil
@@ -113,19 +110,15 @@ func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error
 // with each finished chunk in order. It buffers at most
 // Options.BufferLimit bytes: a stream that fits is treated exactly like
 // CompressCtx (JPEGs get the full Lepton treatment, with output identical
-// on the same bytes); a larger stream — which could never pass the
-// encoder's memory admission check anyway — is deflated chunk by chunk
-// without ever holding the whole input, so files larger than memory stream
-// through in constant space. Cancellation is checked before each chunk is
+// on the same bytes); a larger stream is deflated chunk by chunk without
+// ever holding the whole input, so files larger than memory stream through
+// in constant space. Cancellation is checked before each chunk is
 // read, compressed, and emitted.
 func CompressFromCtx(ctx context.Context, r io.Reader, opt Options, emit func(chunk []byte) error) error {
 	if err := opt.check(); err != nil {
 		return err
 	}
-	size := opt.ChunkSize
-	if size <= 0 {
-		size = DefaultChunkSize
-	}
+	size := chunkSize(opt)
 	limit := opt.BufferLimit
 	if limit <= 0 {
 		limit = core.DefaultMemEncodeBudget
@@ -185,88 +178,62 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 }
 
 // compressAll is the shared whole-input path behind CompressCtx and
-// CompressFromCtx, emitting chunks in order as they are produced.
+// CompressFromCtx, emitting chunks in order. A JPEG takes one streamed
+// encode of its whole scan (core.Codec.EncodeScanCtx, the path whole-file
+// compression takes too), cut into thread segments so that no segment
+// crosses a chunk's MCU rows; each chunk's container then takes its slice
+// of the segments and streams. Only the row windows of that encode are
+// held, never whole coefficient planes, so the encode budget bounds a put
+// the way it bounds a whole-file compress, whatever the image's height.
 func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk []byte) error) error {
-	size := opt.ChunkSize
-	if size <= 0 {
-		size = DefaultChunkSize
-	}
-	nChunks := (len(data) + size - 1) / size
-	if nChunks == 0 {
-		nChunks = 1
-	}
+	size := chunkSize(opt)
 	codec := opt.Codec
-
 	f, err := jpeg.Parse(data, core.DefaultMemEncodeBudget)
-	var s *jpeg.Scan
+	// Every stored chunk must be decodable within the streaming decode
+	// ceiling: whatever a chunk's segment count, a decode holds the row
+	// windows of at most eight live segments, which is what
+	// DecodeWindowBytes counts for MaxSegments.
+	if err == nil && core.DecodeWindowBytes(f, core.MaxSegments) > core.DefaultMemDecodeBudget {
+		err = fmt.Errorf("over decode budget")
+	}
+	var spans []span
+	var starts []int
 	if err == nil {
-		// Every stored chunk must be decodable within the streaming decode
-		// ceiling: whatever a chunk's segment count, a decode holds the
-		// row windows of at most eight live segments, which is what
-		// DecodeWindowBytes counts for MaxSegments. The chunk *encoder*,
-		// unlike the whole-file path, still materializes the scan's
-		// coefficient planes (chunk boundaries need every row-start
-		// position), so its plane bytes must additionally fit the encode
-		// budget — Parse no longer bounds whole planes, only row windows.
-		switch {
-		case core.DecodeWindowBytes(f, core.MaxSegments) > core.DefaultMemDecodeBudget:
-			err = fmt.Errorf("over decode budget")
-		case int64(f.CoefficientCount())*2 > core.DefaultMemEncodeBudget:
-			err = fmt.Errorf("over encode budget")
-		default:
-			s, err = jpeg.DecodeScan(f)
-		}
+		spans, starts, err = planChunks(ctx, f, len(data), size, opt.SegmentsPerChunk)
+	}
+	var enc *core.ScanEncode
+	if err == nil {
+		enc, err = codec.EncodeScanCtx(ctx, f, starts, model.DefaultFlags(), core.DefaultMemEncodeBudget, false)
 	}
 	if err != nil {
-		// Not a (supported) JPEG: raw chunks.
-		return emitRawChunks(data, size, codec, emit)
-	}
-
-	flags := model.DefaultFlags()
-	if opt.Flags != nil {
-		flags = *opt.Flags
-	}
-
-	scanStart := int64(len(f.Header))
-	scanEnd := scanStart + int64(len(f.ScanData))
-	total := f.TotalMCUs()
-	// absPos(m) = absolute file offset of MCU m's first bit's byte.
-	absPos := func(m int) int64 {
-		if m >= total {
-			return scanEnd
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
-		return scanStart + s.Positions[m].ByteOff
-	}
-	// rowStartMCU(k) = first row-aligned MCU whose position is >= offset.
-	rowStartAtOrAfter := func(off int64) int {
-		lo, hi := 0, f.MCUsHigh
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if absPos(mid*f.MCUsWide) >= off {
-				hi = mid
-			} else {
-				lo = mid + 1
+		// Not a (supported) JPEG, or a corrupt scan: raw chunks.
+		for _, c := range RawChunks(data, size, codec) {
+			if err := emit(c); err != nil {
+				return err
 			}
 		}
-		return lo * f.MCUsWide
+		return nil
 	}
+	defer enc.Release()
 
-	for k := 0; k < nChunks; k++ {
+	for k, sp := range spans {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		o0 := int64(k) * int64(size)
-		o1 := o0 + int64(size)
-		if o1 > int64(len(data)) {
-			o1 = int64(len(data))
+		var chunkBytes []byte
+		if sp.mStart == sp.mEnd {
+			chunkBytes, err = rawContainer(data[sp.o0:sp.o1], codec)
+		} else {
+			chunkBytes, err = codec.MarshalContainer(leptonContainer(data, f, enc, sp, k, opt.DisableSeekIndex))
 		}
-		chunkBytes, err := compressOne(ctx, data, f, s, flags, opt, k, o0, o1,
-			scanStart, scanEnd, total, absPos, rowStartAtOrAfter)
 		if err != nil {
 			return err
 		}
 		if opt.VerifyRoundtrip {
-			if err := codec.VerifyCtx(ctx, chunkBytes, data[o0:o1], 0); err != nil {
+			if err := codec.VerifyCtx(ctx, chunkBytes, data[sp.o0:sp.o1], 0); err != nil {
 				if jerr, ok := err.(*jpeg.Error); ok {
 					jerr.Detail = fmt.Sprintf("chunk %d: %s", k, jerr.Detail)
 				}
@@ -280,131 +247,185 @@ func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk 
 	return nil
 }
 
-func compressOne(ctx context.Context, data []byte, f *jpeg.File, s *jpeg.Scan, flags model.Flags,
-	opt Options, k int, o0, o1, scanStart, scanEnd int64, total int,
-	absPos func(int) int64, rowStartAtOrAfter func(int64) int) ([]byte, error) {
+// span is one chunk's plan: its input bytes [o0, o1), the MCUs it owns
+// [mStart, mEnd) (none: it is stored raw), and its thread segments
+// [seg0, seg1) within the file's one encode.
+type span struct {
+	o0, o1       int64
+	mStart, mEnd int
+	seg0, seg1   int
+	// prependTo is the file offset of its first owned MCU's byte.
+	prependTo int64
+}
 
-	// Chunks entirely outside the scan hold verbatim data.
-	if o1 <= scanStart || o0 >= scanEnd {
-		return rawContainer(data[o0:o1], opt.Codec)
+// planChunks assigns every chunk of an n-byte file its MCU rows and thread
+// segments before any segment is encoded. Chunk ownership is rounded to MCU-row starts:
+// a chunk owns the rows that start at or after its first byte and before
+// its end, and a chunk in which no row starts is stored raw. The row byte
+// positions this needs come from one scan pass that keeps no coefficients,
+// taken only when a chunk boundary falls inside the scan. The returned
+// starts are every chunk's segment starts, concatenated.
+func planChunks(ctx context.Context, f *jpeg.File, n, size, segsPerChunk int) ([]span, []int, error) {
+	scanStart := int64(len(f.Header))
+	scanEnd := scanStart + int64(len(f.ScanData))
+	total, w := f.TotalMCUs(), f.MCUsWide
+	var rowPos []jpeg.MCUPos
+	if firstInside := (scanStart/int64(size) + 1) * int64(size); firstInside < scanEnd {
+		var err error
+		if rowPos, err = scanRowPositions(ctx, f); err != nil {
+			return nil, nil, err
+		}
 	}
-	mStart := rowStartAtOrAfter(o0)
-	mEnd := rowStartAtOrAfter(o1)
-	if mEnd > total {
-		mEnd = total
-	}
-	if o1 >= scanEnd {
-		mEnd = total
-	}
-	if mStart >= mEnd {
-		// No MCU row starts inside this chunk; store it verbatim.
-		return rawContainer(data[o0:o1], opt.Codec)
+	// absRow(r) is the file offset of MCU row r's first byte.
+	absRow := func(r int) int64 { return scanStart + rowPos[r].ByteOff }
+	// rowStartAtOrAfter returns the first row-aligned MCU that starts at
+	// or after off (total if none). Offsets outside the scan need no
+	// positions: row 0 starts at the scan's first byte, and every row
+	// starts before its end.
+	rowStartAtOrAfter := func(off int64) int {
+		switch {
+		case off <= scanStart:
+			return 0
+		case off >= scanEnd:
+			return total
+		}
+		return sort.Search(f.MCUsHigh, func(r int) bool { return absRow(r) >= off }) * w
 	}
 
-	prependFrom := o0
+	spans := make([]span, max(1, (n+size-1)/size))
+	var starts []int
+	for k := range spans {
+		sp := &spans[k]
+		sp.o0 = int64(k) * int64(size)
+		sp.o1 = min(sp.o0+int64(size), int64(n))
+		// Chunks entirely outside the scan hold verbatim data.
+		if sp.o1 <= scanStart || sp.o0 >= scanEnd {
+			continue
+		}
+		mStart, mEnd := rowStartAtOrAfter(sp.o0), rowStartAtOrAfter(sp.o1)
+		if sp.o1 >= scanEnd {
+			mEnd = total
+		}
+		if mStart >= mEnd {
+			// No MCU row starts inside this chunk; store it verbatim.
+			continue
+		}
+		nSeg := segsPerChunk
+		if nSeg == 0 {
+			nSeg = core.SegmentCountFor(int(sp.o1 - sp.o0))
+		}
+		sp.mStart, sp.mEnd, sp.seg0 = mStart, mEnd, len(starts)
+		starts = append(starts, core.SegmentStarts(f, nSeg, mStart/w, mEnd/w)...)
+		sp.seg1 = len(starts)
+		sp.prependTo = scanStart
+		if mStart > 0 {
+			sp.prependTo = min(absRow(mStart/w), sp.o1)
+		}
+	}
+	return spans, starts, nil
+}
+
+// leptonContainer builds chunk k's container from its slice of the file's
+// encode.
+func leptonContainer(data []byte, f *jpeg.File, enc *core.ScanEncode, sp span, k int, noIndex bool) *core.Container {
+	prependFrom := sp.o0
 	if k == 0 {
-		prependFrom = scanStart // the header is emitted structurally
+		prependFrom = int64(len(f.Header)) // the header is emitted structurally
 	}
-	prependTo := absPos(mStart)
-	if prependTo > o1 {
-		prependTo = o1
-	}
-
 	c := &core.Container{
 		Mode:       core.ModeLepton,
-		OutputSize: uint32(o1 - o0),
+		OutputSize: uint32(sp.o1 - sp.o0),
 		JPEGHeader: f.Header,
-		PadBit:     s.PadBit,
+		PadBit:     enc.Scan.PadBit,
 		EmitHeader: k == 0,
-		RSTCount:   uint32(s.RSTCount),
-		MCUStart:   uint32(mStart),
-		MCUEnd:     uint32(mEnd),
-		ModelFlags: flagsByteOf(flags),
-		Prepend:    data[prependFrom:prependTo],
+		RSTCount:   uint32(enc.Scan.RSTCount),
+		MCUStart:   uint32(sp.mStart),
+		MCUEnd:     uint32(sp.mEnd),
+		ModelFlags: enc.ModelFlags,
+		Prepend:    data[prependFrom:sp.prependTo],
+		Segments:   enc.Segments[sp.seg0:sp.seg1],
+		Streams:    enc.Streams[sp.seg0:sp.seg1],
 	}
-	if mEnd == total {
+	if sp.mEnd == f.TotalMCUs() {
 		// This chunk reaches the end of the scan: it owns the tail garbage
 		// and whatever part of the trailer falls inside it (the output-size
 		// clip cuts the rest; later chunks carry the remainder verbatim).
 		c.EmitTail = true
-		c.Tail = s.Tail
-		trailerWant := o1 - scanEnd
-		if trailerWant < 0 {
-			trailerWant = 0
-		}
-		if trailerWant > int64(len(f.Trailer)) {
-			trailerWant = int64(len(f.Trailer))
-		}
-		c.Trailer = f.Trailer[:trailerWant]
+		c.Tail = enc.Scan.Tail
+		scanEnd := int64(len(f.Header) + len(f.ScanData))
+		c.Trailer = f.Trailer[:min(max(sp.o1-scanEnd, 0), int64(len(f.Trailer)))]
 	}
+	if !noIndex && core.SeekIndexable(f) {
+		// The chunk covers MCU rows [mStart/W, mEnd/W); its seek index is
+		// that slice of the encode's row table. With it, a range read
+		// inside this chunk decodes only the overlapping thread segments
+		// instead of the whole chunk.
+		c.SeekIndex = enc.RowPos[sp.mStart/f.MCUsWide : sp.mEnd/f.MCUsWide]
+	}
+	return c
+}
 
-	nSeg := opt.SegmentsPerChunk
-	if nSeg == 0 {
-		nSeg = core.SegmentCountFor(int(o1 - o0))
+// positionSink is a jpeg.RowSink that keeps no coefficients: every block
+// row of a component is decoded into the same scratch buffer, which nothing
+// reads (the scan decoder only writes coefficients, so the buffer need not
+// be zeroed either). EmitRow stops the pass once ctx is done.
+type positionSink struct {
+	ctx  context.Context
+	bufs [][]int16
+}
+
+func (s *positionSink) GetRowBuf(ci int) []int16 { return s.bufs[ci] }
+
+func (s *positionSink) EmitRow(ci, row int, coeff []int16) error { return s.ctx.Err() }
+
+// scanRowPositions returns the handover state at every MCU-row start of
+// f's scan, decoding it once with one row of scratch per component.
+func scanRowPositions(ctx context.Context, f *jpeg.File) ([]jpeg.MCUPos, error) {
+	sink := &positionSink{ctx: ctx}
+	for _, c := range f.Components {
+		sink.bufs = append(sink.bufs, make([]int16, c.BlocksWide*64))
 	}
-	segs, streams, _, release, err := opt.Codec.EncodeSegmentsCtx(ctx, f, s, mStart, mEnd, nSeg, flags, false)
-	if err != nil {
-		release()
+	posAt := make([]int, f.MCUsHigh)
+	for r := range posAt {
+		posAt[r] = r * f.MCUsWide
+	}
+	pos := make([]jpeg.MCUPos, len(posAt))
+	if _, err := jpeg.DecodeScanStream(f, sink, posAt, pos); err != nil {
 		return nil, err
 	}
-	c.Segments = segs
-	c.Streams = streams
-	if !opt.DisableSeekIndex && core.SeekIndexable(f) {
-		// The chunk covers MCU rows [mStart/W, ceil(mEnd/W)); the scan
-		// decode above recorded a position at every MCU, so the row table
-		// is a stride over it. With it, a range read inside this chunk
-		// decodes only the overlapping thread segments instead of the
-		// whole chunk.
-		w := f.MCUsWide
-		r0, rEnd := mStart/w, (mEnd+w-1)/w
-		idx := make([]jpeg.MCUPos, rEnd-r0)
-		for i := range idx {
-			idx[i] = s.Positions[(r0+i)*w]
-		}
-		c.SeekIndex = idx
-	}
-	b, err := opt.Codec.MarshalContainer(c)
-	release()
-	return b, err
+	return pos, nil
 }
 
-func flagsByteOf(flags model.Flags) uint8 {
-	var v uint8
-	if flags.EdgePrediction {
-		v |= 1
+// RawChunks stores data as raw (deflate) chunks of size bytes (0 means
+// DefaultChunkSize): the path for inputs Lepton does not compress, and the
+// fallback of callers whose Lepton chunks fail admission.
+func RawChunks(data []byte, size int, codec *core.Codec) [][]byte {
+	if size <= 0 {
+		size = DefaultChunkSize
 	}
-	if flags.DCGradient {
-		v |= 2
-	}
-	return v
-}
-
-func emitRawChunks(data []byte, size int, codec *core.Codec, emit func([]byte) error) error {
-	n := (len(data) + size - 1) / size
-	if n == 0 {
-		n = 1
-	}
-	for k := 0; k < n; k++ {
+	out := make([][]byte, max(1, (len(data)+size-1)/size))
+	for k := range out {
 		o0 := k * size
-		o1 := o0 + size
-		if o1 > len(data) {
-			o1 = len(data)
-		}
-		b, err := rawContainer(data[o0:o1], codec)
+		b, err := rawContainer(data[o0:min(o0+size, len(data))], codec)
 		if err != nil {
-			// Marshal of a raw container cannot fail; defensive only.
-			panic(err)
+			panic("chunk: raw container marshal cannot fail: " + err.Error())
 		}
-		if err := emit(b); err != nil {
-			return err
-		}
+		out[k] = b
 	}
-	return nil
+	return out
 }
 
 func rawContainer(payload []byte, codec *core.Codec) ([]byte, error) {
 	c := &core.Container{Mode: core.ModeRaw, Raw: payload, OutputSize: uint32(len(payload))}
 	return codec.MarshalContainer(c)
+}
+
+// chunkSize resolves Options.ChunkSize.
+func chunkSize(opt Options) int {
+	if opt.ChunkSize <= 0 {
+		return DefaultChunkSize
+	}
+	return opt.ChunkSize
 }
 
 // ReassembleCtx decompresses all chunks and concatenates them. Chunks are

@@ -3,10 +3,12 @@ package chunk_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lepton/internal/chunk"
 	"lepton/internal/core"
@@ -373,4 +375,89 @@ func TestRangeReadDecodesAFractionOfTheChunk(t *testing.T) {
 			most, bound, blockRows)
 	}
 	t.Logf("most block rows per 4 KiB read: %d of %d (bound %d)", most, blockRows, bound)
+}
+
+// TestCompressAbortsWithSegmentsWaiting aborts chunked puts whose one
+// encode has 64 thread segments, most of them waiting for a live slot:
+// cancellations at a spread of delays must return DeadlineExceeded or the
+// exact chunks, and a scan corrupted halfway must come back as raw chunks,
+// not an error, both when the row-position pass finds the corruption
+// (several chunks) and when the encode does (one chunk). Every abort must
+// settle the coefficient gauge and leave the codec producing byte-identical
+// chunks.
+func TestCompressAbortsWithSegmentsWaiting(t *testing.T) {
+	data := gen(t, 41, 960, 1536)
+	opt := chunk.Options{ChunkSize: len(data)/2 + 1, SegmentsPerChunk: 32, Codec: core.NewCodec()}
+	want, err := compress(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 {
+		t.Fatalf("%d chunks, want 2", len(want))
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), data...)
+	mid := len(f.Header) + len(f.ScanData)/2
+	for i := mid; i < mid+64; i++ {
+		bad[i] = 0xFF
+	}
+	stats := core.NewStatsSet()
+	opt.Codec = core.NewCodecIn(stats)
+	settled := func(what string) {
+		t.Helper()
+		if inUse := stats.Snapshot()["coeff_window_bytes_in_use"]; inUse != 0 {
+			t.Fatalf("%s: %d coefficient bytes still in use", what, inUse)
+		}
+	}
+	for _, size := range []int{opt.ChunkSize, chunk.DefaultChunkSize} {
+		o := opt
+		o.ChunkSize = size
+		chunks, err := compress(bad, o)
+		if err != nil {
+			t.Fatalf("corrupt scan, %d-byte chunks: %v", size, err)
+		}
+		for i, cb := range chunks {
+			if c, err := core.Unmarshal(cb); err != nil || c.Mode != core.ModeRaw {
+				t.Fatalf("corrupt scan, %d-byte chunks: chunk %d is not raw (%v)", size, i, err)
+			}
+		}
+		if back, err := reassemble(chunks); err != nil || !bytes.Equal(back, bad) {
+			t.Fatalf("corrupt scan, %d-byte chunks: raw chunks do not reassemble (%v)", size, err)
+		}
+		settled("corrupt scan")
+	}
+	for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 60 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		got, err := chunk.CompressCtx(ctx, data, opt)
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline %v: err = %v", d, err)
+		}
+		if err == nil && !equalChunks(got, want) {
+			t.Fatalf("deadline %v: chunks differ", d)
+		}
+		settled("cancelled CompressCtx")
+	}
+	got, err := compress(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalChunks(got, want) {
+		t.Fatal("chunks changed after aborted puts: pools poisoned")
+	}
+}
+
+func equalChunks(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -201,9 +201,9 @@ func (c *Codec) putZlibR(zr io.ReadCloser) {
 }
 
 // MarshalContainer serializes cont, drawing marshal scratch and the zlib
-// header compressor from the codec's pools. Any stream buffers released by
-// an EncodeSegments release callback must not be recycled until this
-// returns; callers therefore marshal first and release after.
+// header compressor from the codec's pools. The stream buffers a
+// ScanEncode's Release recycles must not be recycled until this returns;
+// callers therefore marshal first and release after.
 func (c *Codec) MarshalContainer(cont *Container) ([]byte, error) {
 	return cont.marshal(c)
 }

@@ -117,10 +117,10 @@ func TestCodecPoolPoisoning(t *testing.T) {
 
 // TestEncodeAbortsWithSegmentsWaiting aborts 32-segment encodes while
 // most segments still wait for a live slot: a scan that turns corrupt
-// halfway, and cancellations at a spread of delays on both the streamed
-// whole-file encode and the chunk layer's EncodeSegmentsCtx. Each must
-// return, settle the coefficient gauge, and leave the codec producing
-// byte-identical output.
+// halfway, and cancellations at a spread of delays. Each must return,
+// settle the coefficient gauge, and leave the codec producing
+// byte-identical output. chunk.TestCompressAbortsWithSegmentsWaiting runs
+// the same aborts through the chunk layer.
 func TestEncodeAbortsWithSegmentsWaiting(t *testing.T) {
 	data := genJPEG(t, 41, 960, 1536)
 	opt := EncodeOptions{ForceSegments: 32}
@@ -129,10 +129,6 @@ func TestEncodeAbortsWithSegmentsWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := jpeg.Parse(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := jpeg.DecodeScan(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +158,7 @@ func TestEncodeAbortsWithSegmentsWaiting(t *testing.T) {
 			t.Fatalf("EncodeCtx (deadline %v): err = %v", d, err)
 		}
 		settled("cancelled EncodeCtx")
-		_, _, _, release, err := cd.EncodeSegmentsCtx(ctx, f, scan, 0, f.TotalMCUs(), 32, model.DefaultFlags(), false)
-		release()
 		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("EncodeSegmentsCtx (deadline %v): err = %v", d, err)
-		}
 	}
 	res, err := cd.EncodeCtx(context.Background(), data, opt)
 	if err != nil {
@@ -175,6 +166,38 @@ func TestEncodeAbortsWithSegmentsWaiting(t *testing.T) {
 	}
 	if !bytes.Equal(res.Compressed, want.Compressed) {
 		t.Fatal("codec output changed after aborted conversions: pools poisoned")
+	}
+}
+
+// TestEncodeSegmentsMatchesEncodeScan checks the plane-fed EncodeSegments,
+// which perfbench's model sweep times, against the streamed EncodeScanCtx
+// every container comes from: the same segments must code to the same
+// streams and handovers.
+func TestEncodeSegmentsMatchesEncodeScan(t *testing.T) {
+	data := genJPEG(t, 43, 480, 360)
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := jpeg.DecodeScan(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := NewCodec()
+	segs, streams, _, release := cd.EncodeSegments(f, scan, 0, f.TotalMCUs(), 5, model.DefaultFlags(), false)
+	defer release()
+	enc, err := cd.EncodeScanCtx(context.Background(), f, SegmentStarts(f, 5, 0, f.MCUsHigh), model.DefaultFlags(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Release()
+	if len(segs) != 5 || fmt.Sprint(segs) != fmt.Sprint(enc.Segments) {
+		t.Fatalf("segments differ:\n%v\n%v", segs, enc.Segments)
+	}
+	for i := range streams {
+		if !bytes.Equal(streams[i], enc.Streams[i]) {
+			t.Fatalf("segment %d: streams differ", i)
+		}
 	}
 }
 

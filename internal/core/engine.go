@@ -186,10 +186,10 @@ func (l *launcher) done() { <-l.slots }
 // wait returns once every started unit's goroutine has returned.
 func (l *launcher) wait() { l.wg.Wait() }
 
-// segmentRanges splits the MCU rows [startRow, endRow) into nSeg contiguous
+// SegmentStarts splits the MCU rows [startRow, endRow) into nSeg contiguous
 // ranges, returning the start MCU of each segment. Fewer ranges are returned
 // when there are not enough MCU rows.
-func segmentRanges(f *jpeg.File, nSeg, startRow, endRow int) []int {
+func SegmentStarts(f *jpeg.File, nSeg, startRow, endRow int) []int {
 	rows := endRow - startRow
 	if nSeg > rows {
 		nSeg = rows
@@ -293,8 +293,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	if nSeg == 0 {
 		nSeg = SegmentCountFor(len(data))
 	}
-	total := f.TotalMCUs()
-	starts := segmentRanges(f, nSeg, 0, f.MCUsHigh)
+	starts := SegmentStarts(f, nSeg, 0, f.MCUsHigh)
 	// The decoder will hold one row window per live segment: enforce its
 	// budget at encode time so every stored file is decodable within budget
 	// (§6.2). The bound scales with image width and live segments, never
@@ -316,8 +315,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 		EmitHeader: true,
 		EmitTail:   true,
 		MCUStart:   0,
-		MCUEnd:     uint32(total),
-		ModelFlags: flagsByte(flags.EdgePrediction, flags.DCGradient),
+		MCUEnd:     uint32(f.TotalMCUs()),
 	}
 
 	if opt.CollectStats {
@@ -336,20 +334,20 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	}
 	// The sequential scan decode overlaps the parallel segment encodes, row
 	// by row, under the encode budget's retained-row ceiling.
-	enc, err := c.encodeSegmentsStreamed(ctx, f, starts, total, flags, encBudget, opt.CollectStats)
+	enc, err := c.EncodeScanCtx(ctx, f, starts, flags, encBudget, opt.CollectStats)
 	if err != nil {
 		return nil, err
 	}
-	cont.Segments, cont.Streams = enc.segs, enc.streams
-	cont.Tail, cont.PadBit, cont.RSTCount = enc.info.Tail, enc.info.PadBit, uint32(enc.info.RSTCount)
+	cont.Segments, cont.Streams, cont.ModelFlags = enc.Segments, enc.Streams, enc.ModelFlags
+	cont.Tail, cont.PadBit, cont.RSTCount = enc.Scan.Tail, enc.Scan.PadBit, uint32(enc.Scan.RSTCount)
 	if seekIndexEligible(opt, f) {
-		cont.SeekIndex = enc.rowPos
+		cont.SeekIndex = enc.RowPos
 	}
 	res.Segments = len(cont.Segments)
-	res.ClassBits = enc.stats
+	res.ClassBits = enc.ClassBits
 
 	comp, err := cont.marshal(c)
-	enc.release()
+	enc.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -368,135 +366,106 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 }
 
 // EncodeSegments arithmetic-codes the MCU range [mStart, mEnd) — which must
-// be MCU-row aligned — as nSeg thread segments, at most maxLiveSegments of
-// them in parallel. It returns the segment descriptors (with handover words
-// taken from the scan's recorded positions), the per-segment streams, and
-// per-class bit statistics when collectStats is set. The chunk layer
-// composes this into per-chunk containers; whole files stream through
-// EncodeCtx instead. Segment model codecs and arithmetic encoders come from
-// the codec's pools; each model codec goes back as soon as its segment is
-// flushed. The returned streams alias pooled encoder buffers; the caller
-// must call release once the stream bytes have been copied out (normally by
-// Container marshaling) and must not touch their contents afterwards.
+// be MCU-row aligned — of a scan already decoded into whole coefficient
+// planes, as nSeg thread segments, at most maxLiveSegments of them in
+// parallel. It exists only for perfbench's model sweep (perfbench/sweep.go),
+// which times the model encode apart from the scan decode; every stored
+// container comes from EncodeScanCtx, and the next change to the benchmark
+// deletes this with its caller (ROADMAP item 4). It returns the segment
+// descriptors (handover words taken from the scan's recorded positions),
+// the per-segment streams, and per-class bit statistics when collectStats
+// is set. The streams alias pooled encoder buffers: call release once they
+// have been copied out, and do not touch them afterwards.
 func (c *Codec) EncodeSegments(f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64, func()) {
-	segs, streams, stats, release, _ := c.EncodeSegmentsCtx(context.Background(), f, s, mStart, mEnd, nSeg, flags, collectStats)
-	return segs, streams, stats, release
-}
-
-// EncodeSegmentsCtx is EncodeSegments under a context: every segment
-// goroutine checks ctx at each block row and aborts mid-segment on
-// cancellation. On a non-nil error (ctx.Err()) the segment and stream slices
-// are nil; release must still be called (it is always non-nil) so pooled
-// state is recycled — an aborted encode leaves the codec as reusable as a
-// completed one.
-func (c *Codec) EncodeSegmentsCtx(ctx context.Context, f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64, func(), error) {
-	startRow := mStart / f.MCUsWide
-	endRow := (mEnd + f.MCUsWide - 1) / f.MCUsWide
-	starts := segmentRanges(f, nSeg, startRow, endRow)
+	starts := SegmentStarts(f, nSeg, mStart/f.MCUsWide, (mEnd+f.MCUsWide-1)/f.MCUsWide)
 	planes := planesOf(f, s.Coeff, Version)
-	done := ctx.Done()
-
-	type segOut struct {
-		bytes []byte
-		stats *model.Stats
-	}
-	outs := make([]segOut, len(starts))
+	outs := make([][]byte, len(starts))
+	stats := make([]*model.Stats, len(starts))
 	encs := make([]*arith.Encoder, len(starts))
 	l := newLauncher()
 	for i := range starts {
-		start := starts[i]
 		end := mEnd
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
-		ok := l.start(done, func() {
+		l.start(nil, func() {
 			defer l.done()
-			rs, re := rowRangesFor(f, start, end)
+			rs, re := rowRangesFor(f, starts[i], end)
 			codec := c.getSegCodec(planes, rs, re, flags)
 			defer c.putSegCodec(codec)
-			var st *model.Stats
 			if collectStats {
-				st = &model.Stats{}
-				codec.Stats = st
+				stats[i] = &model.Stats{}
+				codec.Stats = stats[i]
 			}
 			// Pre-size the arithmetic encoder to this segment's share of the
-			// original scan bytes — an upper bound on its output — so the
-			// segment encode never reallocates mid-stream.
-			if t := f.TotalMCUs(); t > 0 {
-				codec.SetSizeHint(len(f.ScanData) * (end - start) / t)
-			}
-			e := c.getEncoder()
-			encs[i] = e
-			if err := codec.EncodeSegmentCtx(e, done); err != nil {
-				// Interrupted: drop the partial stream; the pooled encoder
-				// is Reset on next get, so nothing leaks into later calls.
-				return
-			}
-			outs[i] = segOut{bytes: e.Flush(), stats: st}
+			// original scan bytes, an upper bound on its output.
+			codec.SetSizeHint(len(f.ScanData) * (end - starts[i]) / f.TotalMCUs())
+			encs[i] = c.getEncoder()
+			codec.EncodeSegment(encs[i])
+			outs[i] = encs[i].Flush()
 		})
-		if !ok {
-			break
-		}
 	}
 	l.wait()
-
-	// The streams alias the encoders, so those stay held until release.
-	release := func() {
-		for _, e := range encs {
-			c.putEncoder(e)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, [model.NumClasses]float64{}, release, err
-	}
 	var segs []Segment
-	var streams [][]byte
-	var stats [model.NumClasses]float64
+	var sum [model.NumClasses]float64
 	for i, start := range starts {
 		var h Handover
 		if start > 0 {
 			h = handoverFromPos(s.Positions[start])
 		}
-		segs = append(segs, Segment{
-			StartMCU: uint32(start),
-			Handover: h,
-			ArithLen: uint32(len(outs[i].bytes)),
-		})
-		streams = append(streams, outs[i].bytes)
-		if outs[i].stats != nil {
-			for k, b := range outs[i].stats.Bits {
-				stats[k] += b
+		segs = append(segs, Segment{StartMCU: uint32(start), Handover: h, ArithLen: uint32(len(outs[i]))})
+		if stats[i] != nil {
+			for k, b := range stats[i].Bits {
+				sum[k] += b
 			}
 		}
 	}
-	return segs, streams, stats, release, nil
+	return segs, outs, sum, func() {
+		for _, e := range encs {
+			c.putEncoder(e)
+		}
+	}
 }
 
-// streamedEncode is encodeSegmentsStreamed's output. The streams alias
-// pooled encoder buffers: marshal first, then call release.
-type streamedEncode struct {
-	segs    []Segment
-	streams [][]byte
-	// stats is the per-class bit count summed over segments, filled when
-	// the encode collects statistics (Figure 4).
-	stats   [model.NumClasses]float64
-	info    *jpeg.StreamScanInfo
-	rowPos  []jpeg.MCUPos // every MCU-row start; nil when too tall to index
-	release func()
+// ScanEncode is EncodeScanCtx's output. The streams alias pooled encoder
+// buffers: marshal first, then call Release.
+type ScanEncode struct {
+	// Segments and Streams are the thread segments in MCU order, one
+	// stream per segment.
+	Segments []Segment
+	Streams  [][]byte
+	// ClassBits is the per-class bit count summed over segments, filled
+	// when the encode collects statistics (Figure 4).
+	ClassBits [model.NumClasses]float64
+	// Scan holds the scan-wide facts a container records: pad bit,
+	// restart count and tail garbage.
+	Scan *jpeg.StreamScanInfo
+	// RowPos is the handover state at every MCU-row start: the seek index
+	// (nil when the image has too many rows to index).
+	RowPos []jpeg.MCUPos
+	// ModelFlags is the container encoding of the flags the model ran with.
+	ModelFlags uint8
+	// Release recycles the pooled encoders the streams alias.
+	Release func()
 }
 
-// encodeSegmentsStreamed is the whole-file encode pipeline: the sequential
-// Huffman scan decode runs in the calling goroutine and feeds block rows
-// through bounded per-segment windows into the parallel segment encoders,
-// so scan decode overlaps model encode instead of completing first, and no
-// whole coefficient plane is ever materialized. The segment coders walk
-// MCU rows in the order the scan decode produces them, so each component's
-// rows stream through a few-row window; the total retained bytes are
-// capped by the encode budget (raised to the structural minimum when the
-// budget is smaller — the conversion streams rather than failing).
-// Handover words are recorded at every MCU-row start — the
-// segment handovers are the subset at segment-start rows, and the full
-// table (returned as rowPos when the image is small enough to index) is
+// EncodeScanCtx is the one encode pipeline, behind both EncodeCtx and the
+// chunk layer: it arithmetic-codes f's whole scan as the thread segments
+// that begin at starts (ascending, MCU-row aligned, the first 0; segment i
+// ends where segment i+1 begins, the last at the end of the scan). A chunked
+// file is one such encode over every chunk's segments, each chunk's
+// container taking its slice. The sequential Huffman scan decode runs in
+// the calling goroutine and feeds block rows through bounded per-segment
+// windows into the parallel segment encoders, so scan decode overlaps
+// model encode instead of completing first, and no whole coefficient plane
+// is ever materialized. The segment coders walk MCU rows in the order the
+// scan decode produces them, so each component's rows stream through a
+// few-row window; the total retained bytes are capped by encBudget (raised
+// to the structural minimum when the budget is smaller — the conversion
+// streams rather than failing). Handover words are recorded at every
+// MCU-row start — the segment handovers are the subset at segment-start
+// rows, and the full table (returned as RowPos when the image is small
+// enough to index) is
 // the seek index that makes DecodeRangeToCtx segment-sized instead of
 // file-sized. With collectStats each segment coder tallies its bits per
 // coefficient class.
@@ -513,8 +482,9 @@ type streamedEncode struct {
 // waiting segment has queued never block a row a running segment needs.
 //
 // On error every pooled resource is already recycled.
-func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, starts []int, total int, flags model.Flags, encBudget int64, collectStats bool) (*streamedEncode, error) {
+func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, flags model.Flags, encBudget int64, collectStats bool) (*ScanEncode, error) {
 	nSeg := len(starts)
+	total := f.TotalMCUs()
 	ncomp := len(f.Components)
 	done := ctx.Done()
 
@@ -636,7 +606,7 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 	}
 	// Record a handover at every MCU-row start when the image is small
 	// enough to index; otherwise only at segment starts, as before. Segment
-	// starts are always row-aligned (segmentRanges), so the per-segment
+	// starts are always row-aligned (SegmentStarts), so the per-segment
 	// handovers are a subset of the row table.
 	rows := f.MCUsHigh
 	indexable := rows > 0 && rows <= seekIndexMaxRows
@@ -666,13 +636,13 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 		rc.drainTo(cd)
 	}
 	// The streams alias the encoders, so those stay held until release.
-	out := &streamedEncode{info: info, release: func() {
+	out := &ScanEncode{Scan: info, ModelFlags: flagsByte(flags.EdgePrediction, flags.DCGradient), Release: func() {
 		for _, e := range encs {
 			cd.putEncoder(e)
 		}
 	}}
 	if perr != nil {
-		out.release()
+		out.Release()
 		if sink := jpeg.SinkErr(perr); sink != nil {
 			// The sink refused a row: that is this conversion's context
 			// error, not scan corruption.
@@ -681,7 +651,7 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 		return nil, perr
 	}
 	if err := ctx.Err(); err != nil {
-		out.release()
+		out.Release()
 		return nil, err
 	}
 	for i, start := range starts {
@@ -693,20 +663,20 @@ func (cd *Codec) encodeSegmentsStreamed(ctx context.Context, f *jpeg.File, start
 		if start > 0 {
 			h = handoverFromPos(pos)
 		}
-		out.segs = append(out.segs, Segment{
+		out.Segments = append(out.Segments, Segment{
 			StartMCU: uint32(start),
 			Handover: h,
 			ArithLen: uint32(len(outs[i])),
 		})
-		out.streams = append(out.streams, outs[i])
+		out.Streams = append(out.Streams, outs[i])
 		if st := stats[i]; st != nil {
 			for k, b := range st.Bits {
-				out.stats[k] += b
+				out.ClassBits[k] += b
 			}
 		}
 	}
 	if indexable {
-		out.rowPos = posOut
+		out.RowPos = posOut
 	}
 	return out, nil
 }

@@ -132,106 +132,126 @@ func ParseHeader(data []byte) (*File, error) {
 }
 
 func parse(data []byte, memLimit int64, headerOnly, allowCMYK bool) (*File, error) {
+	f, pos, err := walkHeader(data, false, memLimit, allowCMYK)
+	if err != nil {
+		return nil, err
+	}
+	segEnd, err := f.parseSOS(data, pos)
+	if err != nil {
+		return nil, err
+	}
+	f.Header = data[:segEnd]
+	if headerOnly {
+		return f, nil
+	}
+	// The entropy-coded segment runs until a marker other than RST.
+	scanEnd, err := findScanEnd(data, segEnd)
+	if err != nil {
+		return nil, err
+	}
+	f.ScanData = data[segEnd:scanEnd]
+	f.Trailer = data[scanEnd:]
+	return f, nil
+}
+
+// walkHeader walks the marker segments from SOI to the first SOS, parsing
+// the frame, tables and restart interval into a new File, and returns it
+// with the offset of the SOS segment's length field. progressive selects
+// the frame kind accepted: SOF0/SOF1 for a baseline file, SOF2 for the
+// header of a stored spectral-selection progressive file. The two kinds
+// differ only at the frame marker and in two places kept for stored
+// headers: garbage right after SOI is "not an image" only for a baseline
+// file, and a progressive header skips the other SOFn markers as plain
+// length segments where a baseline file refuses them.
+func walkHeader(data []byte, progressive bool, memLimit int64, allowCMYK bool) (*File, int, error) {
 	if len(data) < 4 || data[0] != 0xFF || data[1] != mSOI {
-		return nil, reject(ReasonNotImage, "missing SOI marker")
+		return nil, 0, reject(ReasonNotImage, "missing SOI marker")
 	}
 	f := &File{}
 	sawSOF := false
-	seenSegment := false
 	pos := 2
 	for {
 		// Skip fill bytes (0xFF may be repeated before a marker).
 		if pos >= len(data) {
-			return nil, reject(ReasonTruncated, "EOF before SOS")
+			return nil, 0, reject(ReasonTruncated, "EOF before SOS")
 		}
 		if data[pos] != 0xFF {
-			if !seenSegment {
+			if pos == 2 && !progressive {
 				// Garbage right after SOI: the file merely starts with the
 				// JPEG magic and has no structure ("Not an image", §6.2).
-				return nil, reject(ReasonNotImage, "no JPEG structure after SOI")
+				return nil, 0, reject(ReasonNotImage, "no JPEG structure after SOI")
 			}
-			return nil, reject(ReasonUnsupported, "garbage byte %#02x at %d", data[pos], pos)
+			return nil, 0, reject(ReasonUnsupported, "garbage byte %#02x at %d", data[pos], pos)
 		}
-		seenSegment = true
 		for pos < len(data) && data[pos] == 0xFF {
 			pos++
 		}
 		if pos >= len(data) {
-			return nil, reject(ReasonTruncated, "EOF in marker")
+			return nil, 0, reject(ReasonTruncated, "EOF in marker")
 		}
 		marker := data[pos]
 		pos++
 		switch {
 		case marker == mSOS:
 			if !sawSOF {
-				return nil, reject(ReasonUnsupported, "SOS before SOF")
+				return nil, 0, reject(ReasonUnsupported, "SOS before SOF")
 			}
-			segEnd, err := f.parseSOS(data, pos)
-			if err != nil {
-				return nil, err
-			}
-			f.Header = data[:segEnd]
-			if headerOnly {
-				return f, nil
-			}
-			// The entropy-coded segment runs until a marker other than RST.
-			scanEnd, err := findScanEnd(data, segEnd)
-			if err != nil {
-				return nil, err
-			}
-			f.ScanData = data[segEnd:scanEnd]
-			f.Trailer = data[scanEnd:]
-			return f, nil
+			return f, pos, nil
 		case marker == mEOI:
-			return nil, reject(ReasonUnsupported, "EOI before SOS (header-only file)")
-		case marker == mSOF2 || marker == mSOFA:
-			return nil, reject(ReasonProgressive, "progressive SOF%#02x", marker)
-		case marker == mSOF3 || marker == mSOF5 || marker == mSOF6 ||
-			marker == mSOF7 || marker == mSOF9 || marker == mSOFB ||
-			marker == mSOFD || marker == mSOFE || marker == mSOFF ||
-			marker == mDAC:
-			return nil, reject(ReasonUnsupported, "SOF/DAC marker %#02x", marker)
-		case marker == mSOF0 || marker == mSOF1:
+			return nil, 0, reject(ReasonUnsupported, "EOI before SOS (header-only file)")
+		case progressive && marker == mSOF2, !progressive && (marker == mSOF0 || marker == mSOF1):
 			n, err := f.parseSOF(data, pos, memLimit, allowCMYK)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sawSOF = true
 			pos += n
+		case marker == mSOF2 || marker == mSOFA:
+			if progressive {
+				return nil, 0, reject(ReasonUnsupported, "arithmetic-coded progressive")
+			}
+			return nil, 0, reject(ReasonProgressive, "progressive SOF%#02x", marker)
+		case marker == mSOF0 || marker == mSOF1:
+			return nil, 0, reject(ReasonUnsupported, "baseline SOF in progressive parser")
+		case marker == mSOF9 || marker == mDAC,
+			!progressive && (marker == mSOF3 || marker == mSOF5 || marker == mSOF6 ||
+				marker == mSOF7 || marker == mSOFB || marker == mSOFD ||
+				marker == mSOFE || marker == mSOFF):
+			return nil, 0, reject(ReasonUnsupported, "SOF/DAC marker %#02x", marker)
 		case marker == mDQT:
 			n, err := f.parseDQT(data, pos)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			pos += n
 		case marker == mDHT:
 			n, err := f.parseDHT(data, pos)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			pos += n
 		case marker == mDRI:
 			if pos+4 > len(data) || u16(data[pos:]) != 4 {
-				return nil, reject(ReasonUnsupported, "bad DRI length")
+				return nil, 0, reject(ReasonUnsupported, "bad DRI length")
 			}
 			f.RestartInterval = u16(data[pos+2:])
 			pos += 4
 		case marker >= mRST0 && marker <= mRST7:
-			return nil, reject(ReasonUnsupported, "restart marker outside scan")
+			return nil, 0, reject(ReasonUnsupported, "restart marker outside scan")
 		case marker == mSOI:
-			return nil, reject(ReasonUnsupported, "nested SOI")
+			return nil, 0, reject(ReasonUnsupported, "nested SOI")
 		case marker == mDNL:
-			return nil, reject(ReasonUnsupported, "DNL marker")
+			return nil, 0, reject(ReasonUnsupported, "DNL marker")
 		case marker == 0x01 || marker == 0x00:
 			// TEM or stuffed zero outside a scan: skip, no payload.
 		default:
 			// Segments with a 16-bit length: APPn, COM, and others.
 			if pos+2 > len(data) {
-				return nil, reject(ReasonTruncated, "EOF in segment length")
+				return nil, 0, reject(ReasonTruncated, "EOF in segment length")
 			}
 			l := u16(data[pos:])
 			if l < 2 || pos+l > len(data) {
-				return nil, reject(ReasonTruncated, "segment overruns file")
+				return nil, 0, reject(ReasonTruncated, "segment overruns file")
 			}
 			pos += l
 		}

@@ -55,84 +55,14 @@ func unpaddedBlocks(f *File, ci int) (w, h int) {
 // the frame structure. Scan parameters come from the container's per-scan
 // records, not from this header; its SOS is only held to the scan rules.
 func ParseProgressiveHeader(data []byte) (*File, error) {
-	if len(data) < 4 || data[0] != 0xFF || data[1] != mSOI {
-		return nil, reject(ReasonNotImage, "missing SOI marker")
+	f, pos, err := walkHeader(data, true, 0, false)
+	if err != nil {
+		return nil, err
 	}
-	f := &File{}
-	sawSOF := false
-	pos := 2
-	for {
-		if pos >= len(data) {
-			return nil, reject(ReasonTruncated, "EOF before SOS")
-		}
-		if data[pos] != 0xFF {
-			return nil, reject(ReasonUnsupported, "garbage byte %#02x at %d", data[pos], pos)
-		}
-		for pos < len(data) && data[pos] == 0xFF {
-			pos++
-		}
-		if pos >= len(data) {
-			return nil, reject(ReasonTruncated, "EOF in marker")
-		}
-		marker := data[pos]
-		pos++
-		switch {
-		case marker == mSOS:
-			if !sawSOF {
-				return nil, reject(ReasonUnsupported, "SOS before SOF")
-			}
-			if err := parseProgSOS(f, data, pos); err != nil {
-				return nil, err
-			}
-			return f, nil
-		case marker == mEOI:
-			return nil, reject(ReasonUnsupported, "EOI before any scan")
-		case marker == mSOF2:
-			n, err := f.parseSOF(data, pos, 0, false)
-			if err != nil {
-				return nil, err
-			}
-			sawSOF = true
-			pos += n
-		case marker == mSOF0 || marker == mSOF1:
-			return nil, reject(ReasonUnsupported, "baseline SOF in progressive parser")
-		case marker == mDQT:
-			n, err := f.parseDQT(data, pos)
-			if err != nil {
-				return nil, err
-			}
-			pos += n
-		case marker == mDHT:
-			n, err := f.parseDHT(data, pos)
-			if err != nil {
-				return nil, err
-			}
-			pos += n
-		case marker == mDRI:
-			if pos+4 > len(data) || u16(data[pos:]) != 4 {
-				return nil, reject(ReasonUnsupported, "bad DRI length")
-			}
-			f.RestartInterval = u16(data[pos+2:])
-			pos += 4
-		case marker == mDAC || marker == mSOF9 || marker == mSOFA:
-			return nil, reject(ReasonUnsupported, "arithmetic-coded progressive")
-		case marker == mSOI, marker == mDNL:
-			return nil, reject(ReasonUnsupported, "marker %#02x", marker)
-		case marker >= mRST0 && marker <= mRST7:
-			return nil, reject(ReasonUnsupported, "restart marker outside scan")
-		case marker == 0x01 || marker == 0x00:
-			// TEM / stuffed zero: no payload.
-		default:
-			if pos+2 > len(data) {
-				return nil, reject(ReasonTruncated, "EOF in segment length")
-			}
-			l := u16(data[pos:])
-			if l < 2 || pos+l > len(data) {
-				return nil, reject(ReasonTruncated, "segment overruns file")
-			}
-			pos += l
-		}
+	if err := parseProgSOS(f, data, pos); err != nil {
+		return nil, err
 	}
+	return f, nil
 }
 
 // parseProgSOS holds the progressive scan header at data[pos:] to the

@@ -388,7 +388,7 @@ func (r *Remote) PutFile(ctx context.Context, data []byte) (FileRef, error) {
 		if ctx.Err() != nil {
 			return FileRef{}, ctx.Err()
 		}
-		comp = rawChunksOf(data, size, r.Codec)
+		comp = chunk.RawChunks(data, size, r.Codec)
 	}
 	ref := FileRef{Size: int64(len(data)), Chunks: make([]Hash, len(comp))}
 	err = forEachChunk(ctx, len(comp), func(ctx context.Context, k int) error {

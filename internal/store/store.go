@@ -293,7 +293,7 @@ func (st *Store) PutFileCtx(ctx context.Context, data []byte) (FileRef, error) {
 		}
 	}
 	if comp == nil {
-		comp = rawChunksOf(data, size, st.Codec)
+		comp = chunk.RawChunks(data, size, st.Codec)
 		var err error
 		if sums, err = st.verifyChunks(ctx, data, size, comp); err != nil {
 			if ctx.Err() != nil {
@@ -369,24 +369,6 @@ func chunkSpan(k, size, n int) (o0, o1 int) {
 
 func isRawMode(cb []byte) bool {
 	return len(cb) >= 4 && cb[3] == core.ModeRaw
-}
-
-func rawChunksOf(data []byte, size int, codec *core.Codec) [][]byte {
-	n := (len(data) + size - 1) / size
-	if n == 0 {
-		n = 1
-	}
-	out := make([][]byte, 0, n)
-	for k := 0; k < n; k++ {
-		o0, o1 := chunkSpan(k, size, len(data))
-		c := &core.Container{Mode: core.ModeRaw, Raw: data[o0:o1], OutputSize: uint32(o1 - o0)}
-		b, err := codec.MarshalContainer(c)
-		if err != nil {
-			panic("store: raw container marshal cannot fail: " + err.Error())
-		}
-		out = append(out, b)
-	}
-	return out
 }
 
 // PutCompressedChunkCtx admits an already-compressed chunk, as uploaded by a

@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"lepton/internal/core"
 	"lepton/internal/imagegen"
+	"lepton/internal/jpeg"
 	"lepton/internal/store"
 )
 
@@ -182,4 +185,69 @@ func TestGetUnknownChunk(t *testing.T) {
 	if _, err := st.GetChunkCtx(context.Background(), store.Hash{1, 2, 3}); err == nil {
 		t.Fatal("expected error for unknown chunk")
 	}
+}
+
+// flatJPEG returns a w×h 4:2:0 baseline JPEG in which every block is flat
+// (DC difference 0, then EOB), built without coefficient planes: with the
+// standard Huffman tables each MCU codes as the same 32 bits, so the scan
+// is one 4-byte pattern repeated.
+func flatJPEG(t *testing.T, w, h int) []byte {
+	t.Helper()
+	small, err := imagegen.EncodeJPEG(imagegen.Synthesize(1, 16, 16), imagegen.Options{Quality: 90, SubsampleChroma: true, PadBit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := jpeg.Parse(small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := append([]byte(nil), f.Header...)
+	sof := bytes.Index(hdr, []byte{0xFF, 0xC0})
+	if sof < 0 {
+		t.Fatal("no SOF0 in the header")
+	}
+	hdr[sof+5], hdr[sof+6] = byte(h>>8), byte(h)
+	hdr[sof+7], hdr[sof+8] = byte(w>>8), byte(w)
+	// Four luma blocks of DC "00" + EOB "1010", two chroma blocks of
+	// DC "00" + EOB "00".
+	mcus := ((w + 15) / 16) * ((h + 15) / 16)
+	scan := bytes.Repeat([]byte{0x28, 0xA2, 0x8A, 0x00}, mcus)
+	return slices.Concat(hdr, scan, []byte{0xFF, 0xD9})
+}
+
+// TestPutFileBeyondPlaneBudgetIsLepton stores a 67 MP JPEG, whose whole
+// coefficient planes (201 MB) exceed the encode budget, through a disk-less
+// Store: a put streams the scan through row windows, so every chunk is a
+// Lepton chunk and the file comes back byte for byte.
+func TestPutFileBeyondPlaneBudgetIsLepton(t *testing.T) {
+	if testing.Short() {
+		t.Skip("67 MP encode and decode")
+	}
+	data := flatJPEG(t, 8192, 8192)
+	f, err := jpeg.Parse(data, core.DefaultMemEncodeBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planes := int64(f.CoefficientCount()) * 2; f.Width*f.Height < 64e6 || planes <= core.DefaultMemEncodeBudget {
+		t.Fatalf("%dx%d with %d plane bytes: want at least 64 MP and planes over %d", f.Width, f.Height, planes, core.DefaultMemEncodeBudget)
+	}
+	st := store.New()
+	// Several chunks, each with a row start, so every one is Lepton.
+	st.ChunkSize = 300 << 10
+	ref, err := st.PutFileCtx(context.Background(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := st.Counters()
+	if c.LeptonChunks == 0 || c.DeflateChunks != 0 {
+		t.Fatalf("%d Lepton and %d deflate chunks, want only Lepton", c.LeptonChunks, c.DeflateChunks)
+	}
+	back, err := st.GetFileCtx(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, data) {
+		t.Fatal("file differs after a round trip")
+	}
+	t.Logf("%d bytes in %d chunks, %d stored", len(data), len(ref.Chunks), c.BytesStored)
 }

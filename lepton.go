@@ -359,7 +359,7 @@ func (o *ChunkOptions) chunkOptions(c *core.Codec) chunk.Options {
 // mid-scan or mid-Huffman-symbol — can later be decompressed on its own
 // with DecompressCtx. Inputs Lepton cannot handle come back as
 // deflate-compressed raw chunks rather than an error. The context is
-// checked between chunks and inside every chunk's segment encode.
+// checked between chunks and inside the file's one streamed encode.
 func (c *Codec) CompressChunksCtx(ctx context.Context, data []byte, opts *ChunkOptions) ([][]byte, error) {
 	return chunk.CompressCtx(ctx, data, opts.chunkOptions(c.core))
 }
@@ -367,9 +367,8 @@ func (c *Codec) CompressChunksCtx(ctx context.Context, data []byte, opts *ChunkO
 // CompressChunksFromCtx chunk-compresses the stream r incrementally,
 // calling emit with each finished chunk in order, so a file need not be
 // held in memory whole: streams within the buffer limit produce output
-// identical to CompressChunksCtx, and larger streams — beyond the
-// encoder's memory admission budget anyway — deflate through in constant
-// space. The context is checked before each chunk is read, compressed, and
+// identical to CompressChunksCtx, and larger streams deflate through in
+// constant space. The context is checked before each chunk is read, compressed, and
 // emitted.
 func (c *Codec) CompressChunksFromCtx(ctx context.Context, r io.Reader, opts *ChunkOptions, emit func(chunk []byte) error) error {
 	return chunk.CompressFromCtx(ctx, r, opts.chunkOptions(c.core), emit)
