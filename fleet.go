@@ -34,14 +34,10 @@ type Fleet struct {
 }
 
 // FleetOptions tunes routing. The zero value (or nil) selects the
-// defaults: 250ms probe rounds, 2s dials, 500ms health probes, hedging
-// off, one attempt per node.
+// defaults: hedging off, 500ms health probes, a clock-seeded rng. Probe
+// rounds (250ms), dials (2s), idle connections per node (4) and attempts
+// per request (one per node) are fixed.
 type FleetOptions struct {
-	// ProbeTimeout bounds one power-of-two probe round; both candidate
-	// probes share it.
-	ProbeTimeout time.Duration
-	// DialTimeout bounds establishing a new connection to a node.
-	DialTimeout time.Duration
 	// HedgeAfter, when positive, launches a second copy of a request on a
 	// different node if the first has not answered within this duration.
 	HedgeAfter time.Duration
@@ -51,17 +47,9 @@ type FleetOptions struct {
 	// causes once no healthy node remains — leave the loop on unless you
 	// drive recovery yourself.
 	HealthInterval time.Duration
-	// MaxIdlePerNode caps pooled idle connections per node.
-	MaxIdlePerNode int
-	// MaxAttempts bounds how many nodes one request may try; 0 means one
-	// attempt per node.
-	MaxAttempts int
 	// Seed fixes the candidate-selection rng for reproducible runs; 0
 	// seeds from the clock.
 	Seed int64
-	// Logf, when set, receives routing diagnostics (evictions,
-	// readmissions, retries).
-	Logf func(format string, args ...any)
 }
 
 // DialFleet builds a router over addrs ("tcp:<host:port>" or
@@ -71,14 +59,9 @@ func DialFleet(addrs []string, opts *FleetOptions) (*Fleet, error) {
 	var so *server.FleetOptions
 	if opts != nil {
 		so = &server.FleetOptions{
-			ProbeTimeout:   opts.ProbeTimeout,
-			DialTimeout:    opts.DialTimeout,
 			HedgeAfter:     opts.HedgeAfter,
 			HealthInterval: opts.HealthInterval,
-			MaxIdlePerNode: opts.MaxIdlePerNode,
-			MaxAttempts:    opts.MaxAttempts,
 			Seed:           opts.Seed,
-			Logf:           opts.Logf,
 		}
 	}
 	f, err := server.NewFleet(addrs, so)
@@ -98,17 +81,6 @@ func (fl *Fleet) Compress(ctx context.Context, data []byte) ([]byte, error) {
 // Decompress routes one container reconstruction through the fleet.
 func (fl *Fleet) Decompress(ctx context.Context, comp []byte) ([]byte, error) {
 	return fl.f.Decompress(ctx, comp)
-}
-
-// GetRange asks the fleet for bytes [off, off+n) of the reconstruction of
-// the chunk stored under h, clamped at the chunk's size, without placement
-// knowledge: nodes are picked by load, hedged like any routed request, and
-// a node that does not hold the chunk is excluded and the read retried
-// elsewhere. The serving node decodes only the segments the range touches
-// when the chunk carries a seek index. Callers that know placement should
-// prefer FleetStore.GetRange, which tries the replicas directly.
-func (fl *Fleet) GetRange(ctx context.Context, h ChunkHash, off, n int64) ([]byte, error) {
-	return fl.f.GetRangeAny(ctx, h, off, n)
 }
 
 // Nodes returns every configured node address, up or down.
@@ -201,11 +173,6 @@ func (st *FleetStore) GetFile(ctx context.Context, ref FileRef) ([]byte, error) 
 // content address.
 func (st *FleetStore) Put(ctx context.Context, compressed []byte) (ChunkHash, error) {
 	return st.r.Put(ctx, compressed)
-}
-
-// Get fetches and decompresses one chunk.
-func (st *FleetStore) Get(ctx context.Context, h ChunkHash) ([]byte, error) {
-	return st.r.Get(ctx, h)
 }
 
 // GetCompressed fetches one chunk's stored compressed bytes without

@@ -33,7 +33,6 @@ func startFleetNodes(t *testing.T, n int) []string {
 func TestPublicFleetRoundtripAndStore(t *testing.T) {
 	addrs := startFleetNodes(t, 3)
 	fleet, err := lepton.DialFleet(addrs, &lepton.FleetOptions{
-		ProbeTimeout:   500 * time.Millisecond,
 		HealthInterval: 50 * time.Millisecond,
 		Seed:           7,
 	})

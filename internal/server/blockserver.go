@@ -602,31 +602,37 @@ func (b *Blockserver) serveDecompress(ctx context.Context, sc *srvConn, payload 
 }
 
 // decompressLocal runs on a shard worker with the shard's private codec.
-//
 // The container header records the exact output size, so the response can
 // be framed up front and the reconstruction streamed into the connection
-// segment by segment (§3.4) instead of being buffered whole. Output goes
-// through the connection's vectored frame writer, which batches the frame
-// header and the decoder's segments into a handful of writev calls; the
-// queued slices alias codec-pooled buffers, which is safe precisely
-// because the codec is shard-private — nothing can recycle those pools
-// until this worker finishes this job, and the final flush happens before
-// it does. As long as nothing has hit the wire yet, any failure — all of
-// pre-stream validation, and mid-stream aborts whose output is still
-// queued — can still be answered in-band on an intact connection; after
-// the first flush, the header has promised size bytes and a shortfall can
-// only be signaled by tearing the connection down.
+// segment by segment (§3.4) instead of being buffered whole.
 func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *srvConn, payload []byte) bool {
-	conn := sc.conn
 	b.stats.Add("decompresses", 1)
 	size, err := core.ContainerOutputSize(payload)
 	if err != nil {
 		b.stats.Add("errors", 1)
-		return WriteResponse(conn, StatusError, []byte(err.Error())) == nil
+		return WriteResponse(sc.conn, StatusError, []byte(err.Error())) == nil
 	}
+	return b.streamResponse(ctx, sc, size, "decompress", func(w io.Writer) error {
+		return cd.DecodeToCtx(ctx, w, payload, 0)
+	})
+}
+
+// streamResponse frames a size-byte OK response and streams decode's output
+// into it. Output goes through the connection's vectored frame writer,
+// which batches the frame header and the decoder's segments into a handful
+// of writev calls; the queued slices alias codec-pooled buffers, which is
+// safe precisely because the codec is shard-private — nothing can recycle
+// those pools until this worker finishes this job, and the final flush
+// happens before it does. As long as nothing has hit the wire yet, any
+// failure — mid-stream aborts whose output is still queued included — can
+// still be answered in-band on an intact connection; after the first
+// flush, the header has promised size bytes and a shortfall can only be
+// signaled by tearing the connection down. what names the op in the log.
+func (b *Blockserver) streamResponse(ctx context.Context, sc *srvConn, size uint32, what string, decode func(io.Writer) error) bool {
+	conn := sc.conn
 	w := &sc.fw
 	w.reset(conn, size, b.stats)
-	if err := cd.DecodeToCtx(ctx, w, payload, 0); err != nil {
+	if err := decode(w); err != nil {
 		if !w.wrote {
 			w.discard()
 			return b.respondErr(conn, err)
@@ -637,11 +643,12 @@ func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *s
 			b.stats.Add("errors", 1)
 		}
 		w.discard()
-		b.logf("decompress stream failed: %v", err)
+		b.logf("%s stream failed: %v", what, err)
 		return false
 	}
 	if !w.wrote && w.pending == 0 {
-		// Zero-length output (empty raw chunk): frame it now.
+		// Zero-length body (an empty raw chunk, or a range at or past the
+		// end): frame it now.
 		return WriteResponseHeader(conn, StatusOK, size) == nil
 	}
 	if err := w.Flush(); err != nil {
@@ -787,10 +794,8 @@ func (b *Blockserver) getRawLocal(ctx context.Context, conn net.Conn, h store.Ha
 // getRangeLocal runs OpGetRange on a shard worker: decode only the chunk
 // rows overlapping [off, off+n) and stream exactly those bytes. The range
 // decoder reports the response length up front (RangeLength clamps against
-// the container's recorded output size), so the response rides the same
-// vectored frame writer as a full decompress — header framed lazily,
-// failures before the first flush still answered in-band, a shortfall after
-// it signaled by connection teardown.
+// the container's recorded output size), so the response streams like a
+// full decompress.
 func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srvConn, h store.Hash, off, n int64) bool {
 	conn := sc.conn
 	b.stats.Add("get_ranges", 1)
@@ -811,37 +816,16 @@ func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srv
 		return WriteResponse(conn, StatusError,
 			[]byte(fmt.Sprintf("range of %d bytes exceeds the %d-byte response limit", rlen, maxPayload))) == nil
 	}
-	w := &sc.fw
-	w.reset(conn, uint32(rlen), b.stats)
-	if _, err := cd.DecodeRangeToCtx(ctx, w, cb, off, n, 0); err != nil {
-		if !w.wrote {
-			w.discard()
-			return b.respondErr(conn, err)
-		}
-		if ctx.Err() != nil {
-			b.stats.Add("cancelled", 1)
-		} else {
-			b.stats.Add("errors", 1)
-		}
-		w.discard()
-		b.logf("get-range stream failed: %v", err)
-		return false
-	}
-	if !w.wrote && w.pending == 0 {
-		// Empty range (off at or past the end): frame the zero-length body.
-		return WriteResponseHeader(conn, StatusOK, uint32(rlen)) == nil
-	}
-	if err := w.Flush(); err != nil {
-		b.stats.Add("errors", 1)
-		return false
-	}
-	return true
+	return b.streamResponse(ctx, sc, uint32(rlen), "get-range", func(w io.Writer) error {
+		_, err := cd.DecodeRangeToCtx(ctx, w, cb, off, n, 0)
+		return err
+	})
 }
 
 // vecFrameWriter batches a streamed decompress response — frame header
 // plus decoder output segments — into vectored writes (net.Buffers, one
 // writev per flush on TCP and Unix sockets) instead of a write syscall per
-// segment. Queued slices are only aliases; see decompressLocal for why
+// segment. Queued slices are only aliases; see streamResponse for why
 // they stay valid until the flush. A small decode's entire response ships
 // in a single writev.
 //

@@ -653,14 +653,11 @@ func (f *Fleet) tryHedged(ctx context.Context, primary *fleetNode, op byte, payl
 				return r.resp, nil
 			}
 			var re *RemoteError
-			if errors.As(r.err, &re) && !re.Transient && !re.NotFound {
+			if errors.As(r.err, &re) && !re.Transient {
 				// Deterministic in-band rejection: the other copy would be
 				// rejected identically, so don't wait for it (or let it
 				// burn a worker slot to completion). A transient decline
-				// (StatusRetry) falls through: another node may serve it —
-				// as does NotFound, which is deterministic only for the
-				// answering node (a store read's chunk may well live on the
-				// other copy's node).
+				// (StatusRetry) falls through: another node may serve it.
 				pcancel()
 				cancelAll()
 				return nil, r.err
@@ -909,55 +906,6 @@ func (f *Fleet) GetRange(ctx context.Context, addr string, h store.Hash, off, n 
 		return nil, err
 	}
 	return resp, nil
-}
-
-// GetRangeAny routes a chunk range read through the fleet without placement
-// knowledge: nodes are picked by loaded-probe power-of-two choices, hedged
-// like any routed request, and — unlike Do — a node answering
-// StatusNotFound is excluded and the read retried elsewhere, because a miss
-// is deterministic only for the node that answered it. When every attempted
-// node missed, the last miss is returned (a *RemoteError with NotFound
-// set).
-func (f *Fleet) GetRangeAny(ctx context.Context, h store.Hash, off, n int64) ([]byte, error) {
-	if f.closed.Load() {
-		return nil, errors.New("server: fleet is closed")
-	}
-	req, err := encodeGetRange(h, off, n)
-	if err != nil {
-		return nil, err
-	}
-	f.stats.Add("requests", 1)
-	exclude := make(map[*fleetNode]bool)
-	var lastErr error
-	for attempt := 0; attempt < f.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		node, err := f.pick(ctx, exclude)
-		if err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		if attempt > 0 {
-			f.stats.Add("retries", 1)
-		}
-		resp, err := f.tryHedged(ctx, node, OpGetRange, req, exclude)
-		if err == nil {
-			return resp, nil
-		}
-		var re *RemoteError
-		if errors.As(err, &re) && !re.Transient && !re.NotFound {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, ctxOr(ctx, err)
-		}
-		lastErr = err
-		exclude[node] = true
-	}
-	return nil, lastErr
 }
 
 // ListChunks pages through one node's stored chunk hashes via OpListChunks

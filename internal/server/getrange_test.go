@@ -130,9 +130,8 @@ func TestGetRangeFallbackContainer(t *testing.T) {
 }
 
 // TestFleetGetRange places a chunk on one node of a two-node fleet and
-// checks both read paths: the node-addressed GetRange (miss surfaces as
-// store.ErrRemoteMiss, hit serves the slice) and the routed GetRangeAny,
-// which must retry a NotFound on the other node instead of giving up.
+// checks the node-addressed GetRange: the holding node serves the slice,
+// the other reports a miss as store.ErrRemoteMiss.
 func TestFleetGetRange(t *testing.T) {
 	nodes := startTestFleet(t, 2)
 	f := newTestFleet(t, nodes, nil)
@@ -141,43 +140,12 @@ func TestFleetGetRange(t *testing.T) {
 	raw := gen(t, 62, 200, 150)
 	h := putTestChunk(t, nodes[0].addr, raw)
 
-	// Node-addressed: the holding node serves, the other reports a miss.
 	got, err := f.GetRange(ctx, nodes[0].addr, h, 5, 100)
 	if err != nil || !bytes.Equal(got, raw[5:105]) {
 		t.Fatalf("node-addressed GetRange: %v", err)
 	}
 	if _, err := f.GetRange(ctx, nodes[1].addr, h, 5, 100); !errors.Is(err, store.ErrRemoteMiss) {
 		t.Fatalf("miss: got %v, want ErrRemoteMiss", err)
-	}
-
-	// Routed: whichever node load-routing picks first, a miss there must be
-	// retried on the other node. Sweep several offsets so both orderings
-	// occur across the rng stream.
-	for i := int64(0); i < 8; i++ {
-		off := i * 997
-		got, err := f.GetRangeAny(ctx, h, off, 64)
-		if err != nil {
-			t.Fatalf("GetRangeAny(off=%d): %v", off, err)
-		}
-		a, z := off, off+64
-		if a > int64(len(raw)) {
-			a = int64(len(raw))
-		}
-		if z > int64(len(raw)) {
-			z = int64(len(raw))
-		}
-		if !bytes.Equal(got, raw[a:z]) {
-			t.Fatalf("GetRangeAny(off=%d) mismatch", off)
-		}
-	}
-
-	// A chunk no node holds: the routed read reports the miss after trying
-	// everywhere.
-	var missing [32]byte
-	_, err = f.GetRangeAny(ctx, missing, 0, 16)
-	var re *server.RemoteError
-	if !errors.As(err, &re) || !re.NotFound {
-		t.Fatalf("routed miss: got %v, want RemoteError with NotFound", err)
 	}
 }
 

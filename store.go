@@ -126,31 +126,6 @@ func (st *Store) GetFile(ctx context.Context, ref FileRef) ([]byte, error) {
 	return st.s.GetFileCtx(ctx, ref)
 }
 
-// Put admits one already-compressed chunk, as uploaded by a client running
-// the codec locally (the paper's §7 client-side deployment). The chunk must
-// prove decodable before admission.
-func (st *Store) Put(ctx context.Context, compressed []byte) (ChunkHash, error) {
-	return st.s.PutCompressedChunkCtx(ctx, compressed)
-}
-
-// Get decompresses one stored chunk.
-func (st *Store) Get(ctx context.Context, h ChunkHash) ([]byte, error) {
-	return st.s.GetChunkCtx(ctx, h)
-}
-
-// GetCompressed returns a chunk's stored (compressed) bytes without
-// decoding them — what a client-side-codec download moves over the wire.
-func (st *Store) GetCompressed(h ChunkHash) ([]byte, bool) {
-	return st.s.GetCompressedChunk(h)
-}
-
-// GetRange decodes only bytes [off, off+n) of one stored chunk's
-// reconstruction, clamped at the chunk's size — for seek-indexed containers
-// only the arithmetic segments the range touches are decoded.
-func (st *Store) GetRange(ctx context.Context, h ChunkHash, off, n int64) ([]byte, error) {
-	return st.s.GetChunkRangeCtx(ctx, h, off, n)
-}
-
 // GetFileRange reads bytes [off, off+n) of a stored file, clamped at its
 // size, decoding only the chunks (and within each chunk only the segments)
 // the range overlaps. The store's ChunkSize must match the one the file was
@@ -167,9 +142,6 @@ func (st *Store) RecoverFromSafetyNet(h ChunkHash) ([]byte, error) {
 
 // Counters returns a snapshot of operational statistics.
 func (st *Store) Counters() StoreCounters { return st.s.Counters() }
-
-// Len returns the number of stored chunks.
-func (st *Store) Len() int { return st.s.Len() }
 
 // BackendStats returns a disk-backed store's durability counters (segment
 // count, live/garbage bytes, quarantined records, compactions, fsyncs);

@@ -41,43 +41,50 @@ func TestStorePutGetFile(t *testing.T) {
 		t.Fatalf("no savings: stored %d of %d bytes in", c.BytesStored, c.BytesIn)
 	}
 
-	// Chunk-level access: every chunk decodes independently.
-	part, err := st.Get(ctx, ref.Chunks[1])
+	// A range covering exactly the second chunk decodes that chunk alone.
+	part, err := st.GetFileRange(ctx, ref, 64<<10, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := 128 << 10
-	if end > len(data) {
-		end = len(data)
-	}
-	if !bytes.Equal(part, data[64<<10:end]) {
-		t.Fatal("independent chunk decode mismatch")
+	if !bytes.Equal(part, data[64<<10:min(128<<10, len(data))]) {
+		t.Fatal("second-chunk range mismatch")
 	}
 }
 
+// TestStoreClientSidePath covers the §7 client-side codec deployment
+// through the public API: a chunk compressed locally is uploaded as is,
+// comes back with its compressed bytes unchanged and decodes to the
+// original, and a payload that is not a container is refused by the nodes'
+// admission check.
 func TestStoreClientSidePath(t *testing.T) {
-	ctx := context.Background()
-	data, err := imagegen.Generate(22, 256, 192)
+	fleet, err := lepton.DialFleet(startFleetNodes(t, 2), &lepton.FleetOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fleet.Close()
 	codec := lepton.NewCodec()
+	st, err := lepton.NewFleetStore(fleet, &lepton.FleetStoreOptions{Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	data := gen(t, 22, 256, 192)
 	res, err := codec.CompressCtx(ctx, data, &lepton.Options{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := lepton.NewStore(&lepton.StoreOptions{Codec: codec})
 	h, err := st.Put(ctx, res.Compressed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := st.Get(ctx, h)
+	cb, err := st.GetCompressed(ctx, h)
+	if err != nil || !bytes.Equal(cb, res.Compressed) {
+		t.Fatalf("compressed bytes changed in store: %v", err)
+	}
+	back, err := st.GetRange(ctx, h, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("client-side chunk round trip failed: %v", err)
-	}
-	cb, ok := st.GetCompressed(h)
-	if !ok || !bytes.Equal(cb, res.Compressed) {
-		t.Fatal("compressed bytes changed in store")
 	}
 	if _, err := st.Put(ctx, []byte("not a container")); err == nil {
 		t.Fatal("Put accepted garbage")
