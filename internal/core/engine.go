@@ -371,7 +371,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 // parallel. It exists only for perfbench's model sweep (perfbench/sweep.go),
 // which times the model encode apart from the scan decode; every stored
 // container comes from EncodeScanCtx, and the next change to the benchmark
-// deletes this with its caller (ROADMAP item 4). It returns the segment
+// deletes this with its caller (ROADMAP item 2). It returns the segment
 // descriptors (handover words taken from the scan's recorded positions),
 // the per-segment streams, and per-class bit statistics when collectStats
 // is set. The streams alias pooled encoder buffers: call release once they

@@ -143,11 +143,12 @@ func Inverse(src, dst *Block) {
 // samples are bit-identical to dequantizing into a block and running
 // Inverse, so encoder and decoder stay in exact agreement (paper §5.2).
 //
-// The AVX2 kernel in dct_amd64.s computes the same samples densely (the
-// sparse skips here only ever drop exact-zero contributions, and the +half
-// biased shift maps a zero sum to zero, so dense and sparse evaluation are
-// bit-identical); the dispatch wrapper routes dense blocks to it and keeps
-// near-empty blocks here, where skipping wins.
+// The AVX2 kernel in dct_amd64.s computes the same samples densely in
+// 16-bit lanes (the sparse skips here only ever drop exact-zero
+// contributions, and the +half biased shift maps a zero sum to zero, so
+// dense and sparse evaluation are bit-identical). It refuses blocks whose
+// dequantized AC coefficients exceed its int16 range; those, and every
+// block on builds without the kernel, run here.
 func inverseBorderGo(coef []int16, q *[64]uint16, dst *Block) {
 	const half = 1 << (BasisScaleBits - 1)
 	var acc [64]int64

@@ -5,251 +5,161 @@
 
 // AVX2 kernels for the per-block hot path. Bit-identity with the scalar
 // code in dct.go is load-bearing (paper §5.2: encoder and decoder must
-// agree exactly), so the arithmetic here mirrors it operation for
-// operation:
+// agree exactly).
+
+// dcMask clears word 0 (the DC coefficient) of the first coefficient load.
+DATA dcMask<>+0(SB)/8, $0xFFFFFFFFFFFF0000
+DATA dcMask<>+8(SB)/8, $0xFFFFFFFFFFFFFFFF
+DATA dcMask<>+16(SB)/8, $0xFFFFFFFFFFFFFFFF
+DATA dcMask<>+24(SB)/8, $0xFFFFFFFFFFFFFFFF
+GLOBL dcMask<>(SB), RODATA|NOPTR, $32
+
+// pairWords turns each 128-bit lane holding words a0..a3 b0..b3 into
+// a0 b0 a1 b1 a2 b2 a3 b3.
+DATA pairWords<>+0(SB)/8, $0x0B0A030209080100
+DATA pairWords<>+8(SB)/8, $0x0F0E07060D0C0504
+DATA pairWords<>+16(SB)/8, $0x0B0A030209080100
+DATA pairWords<>+24(SB)/8, $0x0F0E07060D0C0504
+GLOBL pairWords<>(SB), RODATA|NOPTR, $32
+
+// DEQUANT dequantizes the 16 coefficients of rows 2k and 2k+1 in place
+// (coefficient register c, quantizer row pair at off(DX)): y = sign(c) *
+// |c|*q as int16, ORing into Y14 every bit that shows |c|*q > guard.
+// VPABSW maps -32768 to the unsigned 32768, so the unsigned high/low
+// product halves are exact for every int16.
+#define DEQUANT(c, off) \
+	VPABSW c, Y4; \
+	VPMULHUW off(DX), Y4, Y5; \
+	VPMULLW off(DX), Y4, Y4; \
+	VPSUBUSW Y15, Y4, Y6; \
+	VPOR Y5, Y14, Y14; \
+	VPOR Y6, Y14, Y14; \
+	VPSIGNW c, Y4, c; \
+	VPERMQ $0xD8, c, c; \
+	VPSHUFB Y12, c, c
+
+// COLSUM sets dst to the column-pass sums of intermediate row y (byte
+// offset yo = 4y into basisPairs), rounded: (Σ_v Basis[v][y]·D[v][u] +
+// 4096) >> 13 for u = 0..7 in dword lanes.
+#define COLSUM(yo, dst, t) \
+	VPBROADCASTD yo(BX), dst; \
+	VPMADDWD dst, Y0, dst; \
+	VPBROADCASTD (32+yo)(BX), t; \
+	VPMADDWD t, Y1, t; \
+	VPADDD t, dst, dst; \
+	VPBROADCASTD (64+yo)(BX), t; \
+	VPMADDWD t, Y2, t; \
+	VPADDD t, dst, dst; \
+	VPBROADCASTD (96+yo)(BX), t; \
+	VPMADDWD t, Y3, t; \
+	VPADDD t, dst, dst; \
+	VPADDD Y13, dst, dst; \
+	VPSRAD $13, dst, dst
+
+// COLPAIR computes intermediate rows y and y+1 and stores them packed to
+// int16 at tmp row y (16 bytes per row).
+#define COLPAIR(y) \
+	COLSUM(4*y, Y8, Y9); \
+	COLSUM(4*y+4, Y10, Y11); \
+	VPACKSSDW Y10, Y8, Y8; \
+	VPERMQ $0xD8, Y8, Y8; \
+	VMOVDQU Y8, (16*y)(R8)
+
+// ROWSUM sets Y8 to output row y's samples, rounded: (Σ_u Basis[u][x] ·
+// tmp[y][u] + 4096) >> 13 for x = 0..7 in dword lanes.
+#define ROWSUM(y) \
+	VPBROADCASTD (16*y)(R8), Y8; \
+	VPMADDWD Y4, Y8, Y8; \
+	VPBROADCASTD (16*y+4)(R8), Y9; \
+	VPMADDWD Y5, Y9, Y9; \
+	VPADDD Y9, Y8, Y8; \
+	VPBROADCASTD (16*y+8)(R8), Y9; \
+	VPMADDWD Y6, Y9, Y9; \
+	VPADDD Y9, Y8, Y8; \
+	VPBROADCASTD (16*y+12)(R8), Y9; \
+	VPMADDWD Y7, Y9, Y9; \
+	VPADDD Y9, Y8, Y8; \
+	VPADDD Y13, Y8, Y8; \
+	VPSRAD $13, Y8, Y8
+
+#define FULLROW(y) \
+	ROWSUM(y); \
+	VMOVDQU Y8, (32*y)(DI)
+
+// EDGEROW stores only x = 0, 1, 6, 7 of an interior row.
+#define EDGEROW(y) \
+	ROWSUM(y); \
+	VMOVQ X8, (32*y)(DI); \
+	VEXTRACTI128 $1, Y8, X9; \
+	VPEXTRQ $1, X9, (32*y+24)(DI)
+
+// func inverseBorderI16(coef *int16, q *[64]uint16, dst *Block) bool
 //
-//   - products and sums are evaluated in 64-bit lanes (a dequantized
-//     coefficient reaches +/-2^31 and a basis-weighted sum 2^46, so 32-bit
-//     accumulation would wrap differently than the Go code's int64);
-//   - the biased rounding shift int32((acc + 4096) >> 13) needs only bits
-//     13..44 of the 64-bit sum, so a *logical* 64-bit shift followed by a
-//     low-dword extract reproduces the arithmetic-shift-then-truncate
-//     exactly (AVX2 has no 64-bit arithmetic shift, but none is needed);
-//   - the scalar code's sparse skips only ever drop exact-zero
-//     contributions, and (0 + 4096) >> 13 == 0, so evaluating densely
-//     yields bit-identical samples.
-
-// lowIdx gathers the low dwords of four 64-bit lanes into the low xmm half.
-DATA lowIdx<>+0(SB)/4, $0
-DATA lowIdx<>+4(SB)/4, $2
-DATA lowIdx<>+8(SB)/4, $4
-DATA lowIdx<>+12(SB)/4, $6
-DATA lowIdx<>+16(SB)/4, $0
-DATA lowIdx<>+20(SB)/4, $0
-DATA lowIdx<>+24(SB)/4, $0
-DATA lowIdx<>+28(SB)/4, $0
-GLOBL lowIdx<>(SB), RODATA|NOPTR, $32
-
-// hiIdx gathers the low dwords of 64-bit lanes 2 and 3 (samples x=6,7).
-DATA hiIdx<>+0(SB)/4, $4
-DATA hiIdx<>+4(SB)/4, $6
-DATA hiIdx<>+8(SB)/4, $0
-DATA hiIdx<>+12(SB)/4, $0
-DATA hiIdx<>+16(SB)/4, $0
-DATA hiIdx<>+20(SB)/4, $0
-DATA hiIdx<>+24(SB)/4, $0
-DATA hiIdx<>+28(SB)/4, $0
-GLOBL hiIdx<>(SB), RODATA|NOPTR, $32
-
-// halfQ is the rounding bias 1<<(BasisScaleBits-1) in each int64 lane.
-DATA halfQ<>+0(SB)/8, $4096
-DATA halfQ<>+8(SB)/8, $4096
-DATA halfQ<>+16(SB)/8, $4096
-DATA halfQ<>+24(SB)/8, $4096
-GLOBL halfQ<>(SB), RODATA|NOPTR, $32
-
-// dcMask clears the DC lane (u=0) of the v=0 coefficient row.
-DATA dcMask<>+0(SB)/4, $0x00000000
-DATA dcMask<>+4(SB)/4, $0xFFFFFFFF
-DATA dcMask<>+8(SB)/4, $0xFFFFFFFF
-DATA dcMask<>+12(SB)/4, $0xFFFFFFFF
-GLOBL dcMask<>(SB), RODATA|NOPTR, $16
-
-// packIdx reorders the doubly-interleaved VPACKSSDW+VPACKSSWB byte groups
-// of nonzeroMask32AVX2 back into source order.
-DATA packIdx<>+0(SB)/4, $0
-DATA packIdx<>+4(SB)/4, $4
-DATA packIdx<>+8(SB)/4, $1
-DATA packIdx<>+12(SB)/4, $5
-DATA packIdx<>+16(SB)/4, $2
-DATA packIdx<>+20(SB)/4, $6
-DATA packIdx<>+24(SB)/4, $3
-DATA packIdx<>+28(SB)/4, $7
-GLOBL packIdx<>(SB), RODATA|NOPTR, $32
-
-// func inverseBorderAVX2(coef *int16, q *[64]uint16, dst *Block)
+// inverseBorderGo in 16-bit lanes. Every AC |coef·q| must be at most
+// 12403: then a column sum is at most 21641·12403 < 2^31 (21641 is the
+// largest Σ_v |Basis[v][y]|), its rounded intermediate fits int16, and
+// every row sum fits int32, so int16 products with int32 sums reproduce
+// the scalar int64 arithmetic exactly. Otherwise the kernel returns false
+// before it writes dst.
 //
-// Column pass: acc[y][u] = sum_v Basis[v][y] * (coef[v][u]*q[v][u]) with
-// the DC term masked out, evaluated four columns (one u half) at a time in
-// eight int64 accumulator vectors; all-zero coefficient rows are skipped
-// (they contribute exactly zero). tmp[y][u] = low32((acc+4096)>>13) is
-// spilled to the frame. Row pass: for each y, a[x] = sum_u Basis[u][x] *
-// tmp[y][u] over the nonzero tmp entries, again in int64 lanes, and the
-// rounded samples are stored to the border cells only — full rows for y in
-// {0,1,6,7}, x in {0,1,6,7} for interior rows — exactly the cells the
-// scalar path writes.
-TEXT ·inverseBorderAVX2(SB), $768-24
+// Column pass: the dequantized rows are word-interleaved in pairs (v, v+1)
+// so one VPMADDWD against a broadcast (Basis[v][y], Basis[v+1][y]) pair
+// sums two rows for all eight columns. The rounded intermediates are packed
+// to int16 rows in the frame. Row pass: the same instruction sums two
+// columns at once, a broadcast (tmp[y][u], tmp[y][u+1]) pair against
+// (Basis[u][x], Basis[u+1][x]) for x = 0..7 — the eight consecutive
+// basisPairs entries of pair u/2.
+TEXT ·inverseBorderI16(SB), $128-25
 	NO_LOCAL_POINTERS
-	MOVQ dst+16(FP), DI
-	MOVQ $0, R13              // u half: 0 = columns 0..3, 1 = columns 4..7
-
-halfloop:
 	MOVQ coef+0(FP), SI
 	MOVQ q+8(FP), DX
-	LEAQ (SI)(R13*8), SI      // + half offset (4 int16 = 8 bytes)
-	LEAQ (DX)(R13*8), DX
-	MOVQ $·Basis(SB), BX
-	VPXOR Y0, Y0, Y0          // acc[0][uhalf] .. acc[7][uhalf]
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	MOVQ $0, R8               // v
+	MOVQ dst+16(FP), DI
+	MOVL $12403, AX
+	VMOVD AX, X15
+	VPBROADCASTW X15, Y15
+	VMOVDQU pairWords<>(SB), Y12
+	VPXOR Y14, Y14, Y14
+	VMOVDQU 0(SI), Y0         // rows 0, 1
+	VPAND dcMask<>(SB), Y0, Y0
+	VMOVDQU 32(SI), Y1        // rows 2, 3
+	VMOVDQU 64(SI), Y2        // rows 4, 5
+	VMOVDQU 96(SI), Y3        // rows 6, 7
+	DEQUANT(Y0, 0)
+	DEQUANT(Y1, 32)
+	DEQUANT(Y2, 64)
+	DEQUANT(Y3, 96)
+	VPTEST Y14, Y14
+	JNE refuse
 
-colv:
-	VPMOVSXWD (SI), X9        // 4 coefficients, sign-extended
-	VPMOVZXWD (DX), X10       // 4 quantizer steps, zero-extended
-	VPMULLD X10, X9, X9       // dequantized: fits int32 (32767*65535 < 2^31)
-	TESTQ R8, R8
-	JNE nodc
-	TESTQ R13, R13
-	JNE nodc
-	VPAND dcMask<>(SB), X9, X9 // AC only: DC lane contributes nothing
-nodc:
-	VPTEST X9, X9
-	JEQ colskip               // all-zero row: contributes exactly zero
-	VPMOVSXDQ X9, Y9          // int64 lanes, value in the even dwords
-	VPBROADCASTD 0(BX), Y10   // Basis[v][0]
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y0, Y0
-	VPBROADCASTD 4(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y1, Y1
-	VPBROADCASTD 8(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y2, Y2
-	VPBROADCASTD 12(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y3, Y3
-	VPBROADCASTD 16(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y4, Y4
-	VPBROADCASTD 20(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y5, Y5
-	VPBROADCASTD 24(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y6, Y6
-	VPBROADCASTD 28(BX), Y10
-	VPMULDQ Y10, Y9, Y10
-	VPADDQ Y10, Y7, Y7
-colskip:
-	ADDQ $16, SI              // next coefficient row
-	ADDQ $16, DX
-	ADDQ $32, BX              // next basis row
-	INCQ R8
-	CMPQ R8, $8
-	JLT colv
+	MOVL $4096, AX
+	VMOVD AX, X13
+	VPBROADCASTD X13, Y13
+	MOVQ $·basisPairs(SB), BX
+	LEAQ tmp-128(SP), R8
+	COLPAIR(0)
+	COLPAIR(2)
+	COLPAIR(4)
+	COLPAIR(6)
 
-	// tmp[y][uhalf] = low32((acc + 4096) >> 13)
-	LEAQ tmp-768(SP), R11
-	MOVQ R13, R14
-	SHLQ $4, R14
-	ADDQ R14, R11             // &tmp[0*8 + uhalf*4]
-	VMOVDQU lowIdx<>(SB), Y14
-	VPADDQ halfQ<>(SB), Y0, Y0
-	VPSRLQ $13, Y0, Y0
-	VPERMD Y0, Y14, Y0
-	VMOVDQU X0, 0(R11)
-	VPADDQ halfQ<>(SB), Y1, Y1
-	VPSRLQ $13, Y1, Y1
-	VPERMD Y1, Y14, Y1
-	VMOVDQU X1, 32(R11)
-	VPADDQ halfQ<>(SB), Y2, Y2
-	VPSRLQ $13, Y2, Y2
-	VPERMD Y2, Y14, Y2
-	VMOVDQU X2, 64(R11)
-	VPADDQ halfQ<>(SB), Y3, Y3
-	VPSRLQ $13, Y3, Y3
-	VPERMD Y3, Y14, Y3
-	VMOVDQU X3, 96(R11)
-	VPADDQ halfQ<>(SB), Y4, Y4
-	VPSRLQ $13, Y4, Y4
-	VPERMD Y4, Y14, Y4
-	VMOVDQU X4, 128(R11)
-	VPADDQ halfQ<>(SB), Y5, Y5
-	VPSRLQ $13, Y5, Y5
-	VPERMD Y5, Y14, Y5
-	VMOVDQU X5, 160(R11)
-	VPADDQ halfQ<>(SB), Y6, Y6
-	VPSRLQ $13, Y6, Y6
-	VPERMD Y6, Y14, Y6
-	VMOVDQU X6, 192(R11)
-	VPADDQ halfQ<>(SB), Y7, Y7
-	VPSRLQ $13, Y7, Y7
-	VPERMD Y7, Y14, Y7
-	VMOVDQU X7, 224(R11)
-	INCQ R13
-	CMPQ R13, $2
-	JLT halfloop
-
-	// Spread each Basis row into int64 lanes once; the row pass reuses
-	// them as direct VPMULDQ memory operands.
-	MOVQ $·Basis(SB), BX
-	LEAQ bspread-512(SP), R11
-	MOVQ $8, R9
-bsp:
-	VPMOVSXDQ 0(BX), Y9       // Basis[u][0..3]
-	VMOVDQU Y9, 0(R11)
-	VPMOVSXDQ 16(BX), Y9      // Basis[u][4..7]
-	VMOVDQU Y9, 32(R11)
-	ADDQ $32, BX
-	ADDQ $64, R11
-	DECQ R9
-	JNE bsp
-
-	// Row pass.
-	VMOVDQU lowIdx<>(SB), Y14
-	VMOVDQU hiIdx<>(SB), Y15
-	VMOVDQU halfQ<>(SB), Y13
-	LEAQ tmp-768(SP), R11
-	MOVQ $0, R10              // y
-rowy:
-	VPXOR Y0, Y0, Y0          // a[0..3]
-	VPXOR Y1, Y1, Y1          // a[4..7]
-	LEAQ bspread-512(SP), R15
-	MOVQ $0, R8               // u
-rowu:
-	MOVL (R11)(R8*4), AX
-	TESTL AX, AX
-	JEQ rowskip               // zero intermediate: contributes exactly zero
-	VPBROADCASTD (R11)(R8*4), Y9
-	VPMULDQ 0(R15), Y9, Y10
-	VPADDQ Y10, Y0, Y0
-	VPMULDQ 32(R15), Y9, Y10
-	VPADDQ Y10, Y1, Y1
-rowskip:
-	ADDQ $64, R15
-	INCQ R8
-	CMPQ R8, $8
-	JLT rowu
-	VPADDQ Y13, Y0, Y0
-	VPSRLQ $13, Y0, Y0
-	VPADDQ Y13, Y1, Y1
-	VPSRLQ $13, Y1, Y1
-	LEAQ -2(R10), AX
-	CMPQ AX, $4
-	JCS interior              // y in 2..5: only x = 0,1,6,7 are read
-	VPERMD Y0, Y14, Y0
-	VMOVDQU X0, 0(DI)
-	VPERMD Y1, Y14, Y1
-	VMOVDQU X1, 16(DI)
-	JMP rownext
-interior:
-	VPERMD Y0, Y14, Y0
-	VMOVQ X0, 0(DI)           // x = 0, 1
-	VPERMD Y1, Y15, Y1
-	VMOVQ X1, 24(DI)          // x = 6, 7
-rownext:
-	ADDQ $32, R11
-	ADDQ $32, DI
-	INCQ R10
-	CMPQ R10, $8
-	JLT rowy
+	VMOVDQU 0(BX), Y4
+	VMOVDQU 32(BX), Y5
+	VMOVDQU 64(BX), Y6
+	VMOVDQU 96(BX), Y7
+	FULLROW(0)
+	FULLROW(1)
+	EDGEROW(2)
+	EDGEROW(3)
+	EDGEROW(4)
+	EDGEROW(5)
+	FULLROW(6)
+	FULLROW(7)
 	VZEROUPPER
+	MOVB $1, ret+24(FP)
+	RET
+
+refuse:
+	VZEROUPPER
+	MOVB $0, ret+24(FP)
 	RET
 
 // func nonzeroMask64AVX2(coef *int16) uint64
@@ -273,47 +183,6 @@ TEXT ·nonzeroMask64AVX2(SB), NOSPLIT, $0-16
 	VPCMPEQW Y2, Y1, Y1
 	VPACKSSWB Y1, Y0, Y0
 	VPERMQ $0xD8, Y0, Y0
-	VPMOVMSKB Y0, CX
-	SHLQ $32, CX
-	ORQ CX, AX
-	NOTQ AX
-	MOVQ AX, ret+8(FP)
-	VZEROUPPER
-	RET
-
-// func nonzeroMask32AVX2(b *Block) uint64
-//
-// Same mask over 64 int32 samples: compare dwords, pack twice (dword ->
-// word -> byte), undo the double interleave with VPERMD, movemask, invert.
-TEXT ·nonzeroMask32AVX2(SB), NOSPLIT, $0-16
-	MOVQ b+0(FP), SI
-	VPXOR Y2, Y2, Y2
-	VMOVDQU packIdx<>(SB), Y5
-	VMOVDQU 0(SI), Y0         // dwords 0..7
-	VMOVDQU 32(SI), Y1        // dwords 8..15
-	VMOVDQU 64(SI), Y3        // dwords 16..23
-	VMOVDQU 96(SI), Y4        // dwords 24..31
-	VPCMPEQD Y2, Y0, Y0
-	VPCMPEQD Y2, Y1, Y1
-	VPCMPEQD Y2, Y3, Y3
-	VPCMPEQD Y2, Y4, Y4
-	VPACKSSDW Y1, Y0, Y0
-	VPACKSSDW Y4, Y3, Y3
-	VPACKSSWB Y3, Y0, Y0
-	VPERMD Y0, Y5, Y0
-	VPMOVMSKB Y0, AX          // bit per dword, set where zero
-	VMOVDQU 128(SI), Y0       // dwords 32..39
-	VMOVDQU 160(SI), Y1       // dwords 40..47
-	VMOVDQU 192(SI), Y3       // dwords 48..55
-	VMOVDQU 224(SI), Y4       // dwords 56..63
-	VPCMPEQD Y2, Y0, Y0
-	VPCMPEQD Y2, Y1, Y1
-	VPCMPEQD Y2, Y3, Y3
-	VPCMPEQD Y2, Y4, Y4
-	VPACKSSDW Y1, Y0, Y0
-	VPACKSSDW Y4, Y3, Y3
-	VPACKSSWB Y3, Y0, Y0
-	VPERMD Y0, Y5, Y0
 	VPMOVMSKB Y0, CX
 	SHLQ $32, CX
 	ORQ CX, AX

@@ -12,6 +12,3 @@ func InverseBorder(coef []int16, q *[64]uint16, dst *Block) {
 // NonzeroMask returns the raster-order occupancy mask of 64 coefficients:
 // bit i set iff coef[i] != 0 (bit 0 = DC).
 func NonzeroMask(coef []int16) uint64 { return nonzeroMaskGo(coef) }
-
-// NonzeroMask32 is NonzeroMask over an int32 sample/coefficient block.
-func NonzeroMask32(b *Block) uint64 { return nonzeroMask32Go(b) }

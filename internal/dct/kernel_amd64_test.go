@@ -7,31 +7,52 @@ import (
 	"testing"
 )
 
-// TestInverseBorderAVX2Direct bypasses the sparsity dispatch and runs the
-// assembly kernel on every density, including the near-empty blocks the
-// wrapper would route to the scalar path — the kernel must be bit-identical
-// everywhere, not just where dispatch happens to send work today.
+func init() {
+	if useAVX2 {
+		borderKernel = func(coef []int16, q *[64]uint16, dst *Block) bool {
+			return inverseBorderI16(&coef[0], q, dst)
+		}
+	}
+}
+
+// TestInverseBorderAVX2Direct runs the int16 kernel itself, not the
+// dispatch, on 100k random blocks spanning its guard and on every
+// single-coefficient block at the guard and one past it: it must accept
+// exactly the blocks inside, equal inverseBorderGo on them, and leave dst
+// untouched on the rest.
 func TestInverseBorderAVX2Direct(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this host")
 	}
 	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 5000; iter++ {
-		coef := randCoef(rng, iter%65)
-		q := randQuant(rng)
-		var got, want Block
-		inverseBorderAVX2(&coef[0], q, &got)
-		inverseBorderGo(coef, q, &want)
-		if got != want {
-			t.Fatalf("iter %d: asm kernel diverges\ncoef=%v\nq=%v\ngot=%v\nwant=%v", iter, coef, q, got, want)
+	for iter := 0; iter < 100000; iter++ {
+		coef, q := randGuardBlock(rng)
+		checkKernel(t, coef, q)
+	}
+	var ones [64]uint16
+	for i := range ones {
+		ones[i] = 1
+	}
+	for pos := 1; pos < 64; pos++ {
+		for _, v := range []int16{borderGuard, -borderGuard, borderGuard + 1, -borderGuard - 1} {
+			coef := make([]int16, 64)
+			coef[pos] = v
+			checkKernel(t, coef, &ones)
+			var got, want Block
+			InverseBorder(coef, &ones, &got)
+			inverseBorderGo(coef, &ones, &want)
+			if got != want {
+				t.Fatalf("pos %d value %d: InverseBorder diverges from portable path", pos, v)
+			}
 		}
 	}
 }
 
 // TestInverseBorderAVX2Extremes pins the overflow corners: saturated
 // coefficients against saturated quantizers drive column sums past 2^45
-// and the int32 intermediate conversion into wraparound; the kernel's
-// 64-bit lanes and low-dword extracts must wrap exactly like the Go code.
+// and the int32 intermediate conversion into wraparound. The int16 kernel
+// must refuse them, and the dispatched InverseBorder must still match the
+// scalar int64 arithmetic exactly.
 func TestInverseBorderAVX2Extremes(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this host")
@@ -40,64 +61,23 @@ func TestInverseBorderAVX2Extremes(t *testing.T) {
 	for i := range q {
 		q[i] = 65535
 	}
-	cases := [][]int16{
-		func() []int16 {
-			c := make([]int16, 64)
-			for i := range c {
-				c[i] = 32767
-			}
-			return c
-		}(),
-		func() []int16 {
-			c := make([]int16, 64)
-			for i := range c {
-				c[i] = -32768
-			}
-			return c
-		}(),
-		func() []int16 {
-			c := make([]int16, 64)
-			for i := range c {
-				if i%2 == 0 {
-					c[i] = 32767
-				} else {
-					c[i] = -32768
-				}
-			}
-			return c
-		}(),
-	}
-	for i, coef := range cases {
+	for i, fill := range []func(int) int16{
+		func(int) int16 { return 32767 },
+		func(int) int16 { return -32768 },
+		func(i int) int16 { return int16(32767 + i%2) }, // alternates 32767, -32768
+	} {
+		coef := make([]int16, 64)
+		for j := range coef {
+			coef[j] = fill(j)
+		}
 		var got, want Block
-		inverseBorderAVX2(&coef[0], &q, &got)
+		if inverseBorderI16(&coef[0], &q, &got) {
+			t.Fatalf("extreme case %d: kernel accepted an out-of-guard block", i)
+		}
+		InverseBorder(coef, &q, &got)
 		inverseBorderGo(coef, &q, &want)
 		if got != want {
-			t.Fatalf("extreme case %d: asm kernel diverges\ngot=%v\nwant=%v", i, got, want)
+			t.Fatalf("extreme case %d: InverseBorder diverges\ngot=%v\nwant=%v", i, got, want)
 		}
-	}
-}
-
-func BenchmarkInverseBorderGo(b *testing.B) {
-	benchInverseBorder(b, func(coef []int16, q *[64]uint16, dst *Block) { inverseBorderGo(coef, q, dst) })
-}
-
-func BenchmarkInverseBorderAVX2(b *testing.B) {
-	if !useAVX2 {
-		b.Skip("no AVX2 on this host")
-	}
-	benchInverseBorder(b, func(coef []int16, q *[64]uint16, dst *Block) { inverseBorderAVX2(&coef[0], q, dst) })
-}
-
-func benchInverseBorder(b *testing.B, fn func([]int16, *[64]uint16, *Block)) {
-	rng := rand.New(rand.NewSource(6))
-	q := ScaleQuant(&StdLuminanceQuant, 75)
-	for _, n := range []int{1, 2, 4, 8, 16, 32} {
-		coef := randCoef(rng, n)
-		b.Run(string(rune('0'+n/10))+string(rune('0'+n%10))+"nz", func(b *testing.B) {
-			var dst Block
-			for i := 0; i < b.N; i++ {
-				fn(coef, &q, &dst)
-			}
-		})
 	}
 }

@@ -23,17 +23,6 @@ func nonzeroMaskGo(coef []int16) uint64 {
 	return m
 }
 
-// nonzeroMask32Go is the portable NonzeroMask32 over an int32 block.
-func nonzeroMask32Go(b *Block) uint64 {
-	var m uint64
-	for i := 0; i < 64; i++ {
-		if b[i] != 0 {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
 // zigzagMaskTab[i][b] is the zigzag-order image of raster-mask byte i
 // holding bits b: OR over set bits j of 1 << Unzigzag[i*8+j]. Eight lookups
 // permute a full 64-bit mask. 16 KiB, built once at init.

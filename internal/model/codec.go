@@ -88,6 +88,9 @@ type Codec struct {
 	flags Flags
 	comps []ComponentPlane
 	bins  []*chanBins
+	// pred holds each component's predictor tables, built from its
+	// quantization table when the codec is (re)targeted.
+	pred []predTables
 
 	rowStart, rowEnd []int
 
@@ -140,6 +143,7 @@ func NewCodec(comps []ComponentPlane, rowStart, rowEnd []int, flags Flags) *Code
 		c.bins = append(c.bins, &chanBins{})
 	}
 	c.st = make([]segState, len(comps))
+	c.buildPred()
 	return c
 }
 
@@ -165,6 +169,16 @@ func (c *Codec) Reset(comps []ComponentPlane, rowStart, rowEnd []int, flags Flag
 	c.sizeHint = 0
 	c.OnRow = nil
 	c.Stats = nil
+	c.buildPred()
+}
+
+func (c *Codec) buildPred() {
+	for len(c.pred) < len(c.comps) {
+		c.pred = append(c.pred, predTables{})
+	}
+	for i := range c.comps {
+		c.pred[i].build(c.comps[i].Quant)
+	}
 }
 
 // SetSizeHint records an output pre-size hint in bytes, typically the
@@ -330,6 +344,7 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow []int16
 	cp := &c.comps[ci]
 	ch := c.bins[ci]
 	q := cp.Quant
+	pt := &c.pred[ci]
 	cur := curRow[col*64 : col*64+64]
 	aboveRow := st.above
 
@@ -406,9 +421,9 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow []int16
 			var pred int32
 			if c.flags.EdgePrediction {
 				if orient == 0 && st.hasAbove {
-					pred = lakhaniRow(above, cur, q, i)
+					pred = lakhaniRow(above, cur, pt, i)
 				} else if orient == 1 && col > 0 {
-					pred = lakhaniCol(left, cur, q, i)
+					pred = lakhaniCol(left, cur, pt, i)
 				}
 			} else {
 				pred = avg77(above, left, aboveLeft, uint8(pos))
@@ -442,7 +457,7 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow []int16
 		// One inverse transform serves both the DC predictor and the edge
 		// cache update below.
 		acOnlyPixels(cur, q, &px)
-		pred, conf = dcPrediction(&px, q, abEd, lfEd, st.prevDC)
+		pred, conf = dcPrediction(&px, pt, abEd, lfEd, st.prevDC)
 	} else {
 		pred = st.prevDC
 		conf = confBuckets - 1

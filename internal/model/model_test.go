@@ -377,8 +377,10 @@ func TestLakhaniPerfectGradient(t *testing.T) {
 		l16[i] = int16(left[i])
 		c16[i] = int16(cur[i])
 	}
+	var pt predTables
+	pt.build(&q)
 	for v := 1; v < 8; v++ {
-		pred := lakhaniCol(l16, c16, &q, v)
+		pred := lakhaniCol(l16, c16, &pt, v)
 		actual := int32(c16[v*8])
 		diff := pred - actual
 		if diff < -2 || diff > 2 {
@@ -416,7 +418,9 @@ func TestDCPredictionSmoothGradient(t *testing.T) {
 	computeEdges(left, &q, &lfEd)
 	var px dct.Block
 	acOnlyPixels(cur, &q, &px)
-	pred, conf := dcPrediction(&px, &q, &abEd, &lfEd, 0)
+	var pt predTables
+	pt.build(&q)
+	pred, conf := dcPrediction(&px, &pt, &abEd, &lfEd, 0)
 	actual := int32(cur[0])
 	diff := pred - actual
 	if diff < -4 || diff > 4 {
@@ -426,17 +430,10 @@ func TestDCPredictionSmoothGradient(t *testing.T) {
 		t.Fatalf("smooth gradient should be high confidence, got bucket %d", conf)
 	}
 	// No neighbors: falls back to prevDC.
-	pred, _ = dcPrediction(&px, &q, nil, nil, 123)
+	pred, _ = dcPrediction(&px, &pt, nil, nil, 123)
 	if pred != 123 {
 		t.Fatalf("fallback pred = %d", pred)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestCodecDoesNotAliasCallerPlanes guards the NewCodec copy semantics:
