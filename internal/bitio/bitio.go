@@ -3,12 +3,13 @@
 // byte equal to 0xFF), restart-marker alignment, and the partial-byte state
 // needed to seed a writer from a Lepton "Huffman handover word".
 //
-// Reading and writing are batched on the hot path: PeekBits serves up to 24
+// Reading and writing are batched on the hot path. PeekBits serves up to 24
 // bits from a single word load whenever the lookahead window contains no
-// 0xFF byte (so no stuffing or marker logic applies), SkipBits consumes a
-// peeked span with one add, and WriteBits emits whole bytes instead of
-// looping per bit. The bit-by-bit paths remain the single source of truth
-// for every 0xFF-adjacent case.
+// 0xFF byte (so no stuffing or marker logic applies), and SkipBits consumes
+// a peeked span with one add; the bit-by-bit read path remains the single
+// source of truth for every 0xFF-adjacent case. Writer gathers bits in a
+// 64-bit accumulator and appends them four bytes at a time when none of the
+// four is 0xFF, stuffing byte by byte otherwise.
 package bitio
 
 import (
@@ -25,15 +26,16 @@ var ErrMarker = errors.New("bitio: marker encountered in entropy stream")
 var ErrTruncated = errors.New("bitio: truncated entropy stream")
 
 // Writer writes bits MSB-first, inserting a 0x00 stuffing byte after every
-// emitted 0xFF data byte when stuffing is enabled. The zero value is a Writer
-// that appends to an internal buffer with stuffing enabled.
+// emitted 0xFF data byte when stuffing is enabled. Bits gather in a 64-bit
+// accumulator and leave it 32 at a time; whole bytes still pending are
+// flushed by every method that reads or aligns the output, so callers see
+// the same bytes and partial-byte state as a byte-at-a-time writer. The zero
+// value is a Writer with stuffing disabled.
 type Writer struct {
-	buf     []byte
-	cur     uint8 // partially filled byte
-	nbits   uint8 // number of bits already in cur (0..7)
-	stuff   bool
-	limit   int  // maximum output length in bytes; 0 means unlimited
-	clipped bool // output exceeded limit and was discarded
+	buf   []byte
+	acc   uint64 // pending bits, MSB-aligned: the top nacc bits
+	nacc  uint8  // pending bit count, below 32 between calls
+	stuff bool
 }
 
 // NewWriter returns a Writer with JPEG byte stuffing enabled.
@@ -46,9 +48,7 @@ func NewRawWriter() *Writer { return &Writer{} }
 // and the stuffing mode.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur, w.nbits = 0, 0
-	w.limit = 0
-	w.clipped = false
+	w.acc, w.nacc = 0, 0
 }
 
 // Seed initializes the writer's partial-byte state from a Huffman handover
@@ -56,95 +56,76 @@ func (w *Writer) Reset() {
 // been decided by the previous segment. Seed must be called before any bits
 // are written.
 func (w *Writer) Seed(partial uint8, nbits uint8) {
-	w.cur = partial & (^uint8(0) << (8 - nbits) & 0xFF)
-	if nbits == 0 {
-		w.cur = 0
-	}
-	w.nbits = nbits
+	w.acc = uint64(partial>>(8-nbits)) << (64 - nbits)
+	w.nacc = nbits
 }
 
-// SetLimit caps the number of whole bytes the writer will retain. Bytes past
-// the limit are counted but discarded; Clipped reports whether that happened.
-// A JPEG chunk writer uses this to stop at a 4-MiB boundary while the final
-// block's bits spill into the next chunk.
-func (w *Writer) SetLimit(n int) { w.limit = n }
+// WriteBits writes the low n bits of v, most significant first. n must be
+// at most 32 and may be 0. Once 32 bits are pending they go out as one
+// 4-byte append, or byte by byte when one of them is a stuffed 0xFF.
+func (w *Writer) WriteBits(v uint32, n uint8) {
+	w.acc |= uint64(v) << (64 - n) >> w.nacc
+	w.nacc += n
+	if w.nacc >= 32 {
+		w.put32()
+	}
+}
 
-// Clipped reports whether any output bytes were discarded due to SetLimit.
-func (w *Writer) Clipped() bool { return w.clipped }
-
-func (w *Writer) emit(b byte) {
-	if w.limit > 0 && len(w.buf) >= w.limit {
-		w.clipped = true
+// put32 emits the oldest 32 of the pending bits.
+func (w *Writer) put32() {
+	x := uint32(w.acc >> 32)
+	w.acc <<= 32
+	w.nacc -= 32
+	// (^x - 0x01..) & x & 0x80.. is nonzero iff some byte of ^x is zero,
+	// that is, iff some byte of x is 0xFF.
+	if w.stuff && (^x-0x01010101)&x&0x80808080 != 0 {
+		for s := 24; s >= 0; s -= 8 {
+			w.emit(byte(x >> s))
+		}
 		return
 	}
+	w.buf = append(w.buf, byte(x>>24), byte(x>>16), byte(x>>8), byte(x))
+}
+
+func (w *Writer) emit(b byte) {
 	w.buf = append(w.buf, b)
 	if w.stuff && b == 0xFF {
-		if w.limit > 0 && len(w.buf) >= w.limit {
-			w.clipped = true
-			return
-		}
 		w.buf = append(w.buf, 0x00)
 	}
 }
 
-// WriteBit writes a single bit.
-func (w *Writer) WriteBit(bit uint8) {
-	w.cur |= (bit & 1) << (7 - w.nbits)
-	w.nbits++
-	if w.nbits == 8 {
-		w.emit(w.cur)
-		w.cur, w.nbits = 0, 0
+// flush emits the whole bytes still pending, leaving fewer than 8 bits.
+func (w *Writer) flush() {
+	for w.nacc >= 8 {
+		w.emit(byte(w.acc >> 56))
+		w.acc <<= 8
+		w.nacc -= 8
 	}
 }
 
-// WriteBits writes the low n bits of v, most significant first. n may be 0.
-// Bits are gathered into whole bytes before emission, so an n-bit write
-// costs at most ⌈(n+7)/8⌉ emit calls instead of n single-bit steps.
-func (w *Writer) WriteBits(v uint32, n uint8) {
-	if n == 0 {
-		return
-	}
-	if n < 32 {
-		v &= 1<<n - 1
-	}
-	for {
-		free := 8 - w.nbits
-		if n < free {
-			w.cur |= uint8(v << (free - n))
-			w.nbits += n
-			return
-		}
-		w.emit(w.cur | uint8(v>>(n-free)))
-		w.cur, w.nbits = 0, 0
-		n -= free
-		if n == 0 {
-			return
-		}
-	}
-}
+// BitLen returns the number of bits written so far: the output bytes,
+// stuffing included, times eight plus the bits still pending. It does not
+// flush, and it counts exactly the data bits only on an unstuffed writer.
+func (w *Writer) BitLen() int64 { return int64(len(w.buf))*8 + int64(w.nacc) }
 
 // AlignPad pads the current byte to a boundary using the given pad bit
 // (0 or 1), as a JPEG encoder does before a restart marker or EOI.
 func (w *Writer) AlignPad(padBit uint8) {
-	for w.nbits != 0 {
-		w.WriteBit(padBit)
+	w.flush()
+	if w.nacc != 0 {
+		w.acc |= uint64(padBit&1) * uint64(0xFF>>w.nacc) << 56
+		w.nacc = 8
+		w.flush()
 	}
 }
 
 // WriteMarker emits a two-byte marker (0xFF, code) without stuffing. The
 // writer must be byte-aligned.
 func (w *Writer) WriteMarker(code byte) {
-	if w.nbits != 0 {
+	if !w.Aligned() {
 		panic("bitio: WriteMarker on unaligned writer")
 	}
-	if w.limit > 0 && len(w.buf)+2 > w.limit {
-		// Emit what fits.
-		if len(w.buf) < w.limit {
-			w.buf = append(w.buf, 0xFF)
-		}
-		w.clipped = true
-		return
-	}
+	w.flush()
 	w.buf = append(w.buf, 0xFF, code)
 }
 
@@ -152,32 +133,35 @@ func (w *Writer) WriteMarker(code byte) {
 // byte-aligned; used to reproduce arbitrary prepend/append data recorded in
 // a Lepton container.
 func (w *Writer) AppendRaw(b []byte) {
-	if w.nbits != 0 {
+	if !w.Aligned() {
 		panic("bitio: AppendRaw on unaligned writer")
 	}
-	if w.limit > 0 && len(w.buf)+len(b) > w.limit {
-		// Keep exactly the bytes that fit, as the per-byte loop did.
-		if n := w.limit - len(w.buf); n > 0 {
-			w.buf = append(w.buf, b[:n]...)
-		}
-		w.clipped = true
-		return
-	}
+	w.flush()
 	w.buf = append(w.buf, b...)
 }
 
 // Bytes returns the completed output bytes. The partial byte, if any, is not
 // included; use Partial to retrieve it.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte {
+	w.flush()
+	return w.buf
+}
 
 // Len returns the number of completed output bytes.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int {
+	w.flush()
+	return len(w.buf)
+}
 
-// Partial returns the current partial byte and the number of bits in it.
-func (w *Writer) Partial() (partial uint8, nbits uint8) { return w.cur, w.nbits }
+// Partial returns the current partial byte, MSB-aligned, and the number of
+// bits in it.
+func (w *Writer) Partial() (partial uint8, nbits uint8) {
+	w.flush()
+	return uint8(w.acc >> 56), w.nacc
+}
 
 // Aligned reports whether the writer is at a byte boundary.
-func (w *Writer) Aligned() bool { return w.nbits == 0 }
+func (w *Writer) Aligned() bool { return w.nacc&7 == 0 }
 
 // Reader reads bits MSB-first from a JPEG entropy stream, transparently
 // removing 0x00 stuffing bytes after 0xFF. When it encounters a marker it

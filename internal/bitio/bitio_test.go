@@ -150,20 +150,6 @@ func TestAlignSkipPad(t *testing.T) {
 	}
 }
 
-func TestSetLimitClipping(t *testing.T) {
-	w := NewWriter()
-	w.SetLimit(2)
-	for i := 0; i < 5; i++ {
-		w.WriteBits(uint32(i), 8)
-	}
-	if w.Len() != 2 {
-		t.Fatalf("len = %d", w.Len())
-	}
-	if !w.Clipped() {
-		t.Fatal("expected clipped")
-	}
-}
-
 func TestQuickWriteReadInverse(t *testing.T) {
 	f := func(words []uint16, seed int64) bool {
 		if len(words) == 0 {
@@ -219,34 +205,6 @@ func TestReaderPosTracking(t *testing.T) {
 	}
 	if pb := r.PartialByte(); pb != raw[2]&0xE0 {
 		t.Fatalf("partial byte = %#x", pb)
-	}
-}
-
-// TestWriteBitsMatchesBitLoop drives batched WriteBits and a per-bit
-// reference writer with identical random sequences (including unmasked high
-// garbage in v) and requires byte-identical output in both stuffing modes.
-func TestWriteBitsMatchesBitLoop(t *testing.T) {
-	for _, stuff := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(21))
-		var batched, reference *Writer
-		if stuff {
-			batched, reference = NewWriter(), NewWriter()
-		} else {
-			batched, reference = NewRawWriter(), NewRawWriter()
-		}
-		for i := 0; i < 20000; i++ {
-			v := rng.Uint32()
-			n := uint8(rng.Intn(25))
-			batched.WriteBits(v, n)
-			for j := int(n) - 1; j >= 0; j-- {
-				reference.WriteBit(uint8(v>>uint(j)) & 1)
-			}
-		}
-		batched.AlignPad(1)
-		reference.AlignPad(1)
-		if !bytes.Equal(batched.Bytes(), reference.Bytes()) {
-			t.Fatalf("stuff=%v: batched WriteBits diverged from bit-by-bit reference", stuff)
-		}
 	}
 }
 

@@ -50,33 +50,16 @@ func TestIndexFF(t *testing.T) {
 	}
 }
 
-// TestAppendRawLimit pins the SetLimit clipping semantics of the bulk
-// AppendRaw: exactly the bytes that fit are kept, and Clipped flips only
-// when something was dropped.
-func TestAppendRawLimit(t *testing.T) {
-	w := NewRawWriter()
-	w.SetLimit(4)
-	w.AppendRaw([]byte{1, 2})
-	if w.Clipped() {
-		t.Fatal("clipped before limit reached")
-	}
-	w.AppendRaw([]byte{3, 4})
-	if w.Clipped() {
-		t.Fatal("exact fill must not clip")
-	}
-	w.AppendRaw([]byte{5})
-	if !w.Clipped() {
-		t.Fatal("overflow must clip")
-	}
-	if got := w.Bytes(); !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Fatalf("bytes = %v", got)
-	}
-
-	w2 := NewRawWriter()
-	w2.SetLimit(3)
-	w2.AppendRaw([]byte{1, 2, 3, 4, 5})
-	if !w2.Clipped() || !bytes.Equal(w2.Bytes(), []byte{1, 2, 3}) {
-		t.Fatalf("partial keep: clipped=%v bytes=%v", w2.Clipped(), w2.Bytes())
+// TestAppendRaw checks that AppendRaw copies bytes verbatim, 0xFF
+// included, in both stuffing modes, after whole bytes written as bits.
+func TestAppendRaw(t *testing.T) {
+	for _, w := range []*Writer{NewWriter(), NewRawWriter()} {
+		w.WriteBits(0x12, 8)
+		w.AppendRaw([]byte{0xFF, 0xD9, 3})
+		w.AppendRaw(nil)
+		if got := w.Bytes(); !bytes.Equal(got, []byte{0x12, 0xFF, 0xD9, 3}) {
+			t.Fatalf("stuff=%v: bytes = % x", w.stuff, got)
+		}
 	}
 }
 

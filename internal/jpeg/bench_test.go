@@ -1,6 +1,7 @@
 package jpeg_test
 
 import (
+	"bytes"
 	"testing"
 
 	"lepton/internal/imagegen"
@@ -54,5 +55,81 @@ func BenchmarkEncodeScan(b *testing.B) {
 		if _, err := jpeg.EncodeScan(s); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStreamScanEncoder times the scan re-encode every decompress
+// runs: one StreamScanEncoder over the whole scan, fed each component's
+// block rows in MCU-row order through ConsumeGroup, then Finish, with
+// pooled queue buffers. The bytes are checked against the original scan
+// once before timing.
+func BenchmarkStreamScanEncoder(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts imagegen.Options
+	}{
+		{"color420", imagegen.Options{Quality: 88, SubsampleChroma: true, PadBit: 1}},
+		{"gray", imagegen.Options{Quality: 88, Grayscale: true, PadBit: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			data, err := imagegen.EncodeJPEG(imagegen.Synthesize(7, 1600, 1200), bc.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := jpeg.Parse(data, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := jpeg.DecodeScan(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			groups := make([][][][]int16, f.MCUsHigh) // [mcuRow][ci] -> block rows
+			for mr := range groups {
+				for ci := range f.Components {
+					c := &f.Components[ci]
+					v := c.V
+					if len(f.Components) == 1 {
+						v = 1
+					}
+					w := c.BlocksWide * 64
+					var rows [][]int16
+					for k := 0; k < v; k++ {
+						br := mr*v + k
+						rows = append(rows, s.Coeff[ci][br*w:(br+1)*w])
+					}
+					groups[mr] = append(groups[mr], rows)
+				}
+			}
+			var bufs jpeg.StreamEncBuffers
+			encode := func() []byte {
+				se, err := jpeg.NewStreamScanEncoder(f, s.PadBit, s.RSTCount, 0, f.TotalMCUs(), jpeg.MCUPos{}, &bufs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for mr, g := range groups {
+					for ci, rows := range g {
+						if err := se.ConsumeGroup(ci, mr, rows); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				out, err := se.Finish(s.Tail, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				se.ReleaseBuffers(&bufs)
+				return out
+			}
+			if !bytes.Equal(encode(), f.ScanData) {
+				b.Fatal("re-encoded scan differs from the original")
+			}
+			b.SetBytes(int64(len(f.ScanData)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encode()
+			}
+		})
 	}
 }

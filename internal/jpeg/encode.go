@@ -65,12 +65,6 @@ func (e *ScanEncoder) Seed(pos MCUPos) {
 	e.rstDone = int(pos.RSTSeen)
 }
 
-// SetLimit bounds the output length in bytes (chunk spill clipping).
-func (e *ScanEncoder) SetLimit(n int) { e.w.SetLimit(n) }
-
-// Writer exposes the underlying bit writer (for inspection in tests).
-func (e *ScanEncoder) Writer() *bitio.Writer { return e.w }
-
 // EncodeMCURange encodes MCUs [start, end) of the scan, including any
 // restart marker that belongs *between* MCUs of the range or immediately
 // after its last MCU (the position of MCU `end` is recorded after that
@@ -146,15 +140,16 @@ func (e *ScanEncoder) encodeMCU(s *Scan, mcu int) error {
 
 // category returns the JPEG magnitude category (bit length) of v.
 func category(v int32) uint8 {
-	if v < 0 {
-		v = -v
-	}
-	var s uint8
-	for v != 0 {
-		v >>= 1
-		s++
-	}
-	return s
+	m := v >> 31
+	return uint8(bits.Len32(uint32((v ^ m) - m)))
+}
+
+// valueBits returns v's category s and the s bits that code v: v itself
+// when positive, v-1 when negative. It has no branch, since a
+// coefficient's sign does not predict.
+func valueBits(v int32) (uint8, uint32) {
+	s := category(v)
+	return s, uint32(v+v>>31) & (1<<s - 1)
 }
 
 func (e *ScanEncoder) encodeBlock(comp int, blk []int16) error {
@@ -169,18 +164,14 @@ func (e *ScanEncoder) encodeBlock(comp int, blk []int16) error {
 func encodeBlockTo(w *bitio.Writer, dcTab, acTab *huffman.Encoder, prevDC *int16, blk []int16) error {
 	diff := int32(blk[0]) - int32(*prevDC)
 	*prevDC = blk[0]
-	sCat := category(diff)
+	sCat, vb := valueBits(diff)
 	// Codeword and value bits go out in one batched write: the category code
 	// is at most 16 bits and the value at most 11, so both fit one word.
 	dcCode := dcTab.Lookup(sCat)
 	if dcCode.Len == 0 {
 		return fmt.Errorf("DC: huffman: symbol %#02x has no code", sCat)
 	}
-	v := diff
-	if v < 0 {
-		v += int32(1<<sCat) - 1
-	}
-	w.WriteBits(uint32(dcCode.Bits)<<sCat|uint32(v), dcCode.Len+sCat)
+	w.WriteBits(uint32(dcCode.Bits)<<sCat|vb, dcCode.Len+sCat)
 
 	// Occupancy-driven AC loop: a vectorized scan finds the nonzero
 	// coefficients, the zigzag bit permute orders them, and the loop visits
@@ -202,7 +193,7 @@ func encodeBlockTo(w *bitio.Writer, dcTab, acTab *huffman.Encoder, prevDC *int16
 			run -= 16
 		}
 		v := int32(blk[zigzagTable[k]])
-		size := category(v)
+		size, vb := valueBits(v)
 		if size > 10 {
 			return reject(ReasonACRange, "AC magnitude %d", v)
 		}
@@ -211,11 +202,8 @@ func encodeBlockTo(w *bitio.Writer, dcTab, acTab *huffman.Encoder, prevDC *int16
 		if acCode.Len == 0 {
 			return fmt.Errorf("AC: huffman: symbol %#02x has no code", sym)
 		}
-		if v < 0 {
-			v += int32(1<<size) - 1
-		}
 		// Run/size code plus value bits in one batched write (<= 26 bits).
-		w.WriteBits(uint32(acCode.Bits)<<size|uint32(v), acCode.Len+size)
+		w.WriteBits(uint32(acCode.Bits)<<size|vb, acCode.Len+size)
 	}
 	if prev != 63 {
 		if err := acTab.Encode(w, 0x00); err != nil { // EOB

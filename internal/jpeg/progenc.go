@@ -39,17 +39,11 @@ func encodeProgDC(f *File, scan *ProgScan, coeff [][]int16) ([]byte, error) {
 			dc := coeff[bl.comp][bl.off]
 			diff := int32(dc) - int32(prevDC[bl.comp])
 			prevDC[bl.comp] = dc
-			s := category(diff)
+			s, vb := valueBits(diff)
 			if err := enc[bl.comp].Encode(w, s); err != nil {
 				return nil, fmt.Errorf("progressive DC: %w", err)
 			}
-			if s > 0 {
-				v := diff
-				if v < 0 {
-					v += int32(1<<s) - 1
-				}
-				w.WriteBits(uint32(v), s)
-			}
+			w.WriteBits(vb, s)
 		}
 	}
 	w.AlignPad(scan.PadBit)
@@ -138,17 +132,14 @@ func encodeProgAC(f *File, scan *ProgScan, plane []int16, ci int) ([]byte, error
 				}
 				run -= 16
 			}
-			size := category(v)
+			size, vb := valueBits(v)
 			if size > 10 {
 				return nil, reject(ReasonACRange, "AC magnitude %d", v)
 			}
 			if err := enc.Encode(w, byte(run<<4)|size); err != nil {
 				return nil, fmt.Errorf("AC: %w", err)
 			}
-			if v < 0 {
-				v += int32(1<<size) - 1
-			}
-			w.WriteBits(uint32(v), size)
+			w.WriteBits(vb, size)
 			run = 0
 		}
 		if last < scan.Se {

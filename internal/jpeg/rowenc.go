@@ -1,6 +1,8 @@
 package jpeg
 
 import (
+	"encoding/binary"
+
 	"lepton/internal/bitio"
 	"lepton/internal/huffman"
 )
@@ -27,40 +29,29 @@ import (
 // and what is retained per segment is compressed-domain bits, roughly the
 // size of the output itself.
 
-// bitLen returns the total number of bits written to w (whole bytes plus
-// the partial byte). Only meaningful for unstuffed writers.
-func bitLen(w *bitio.Writer) int64 {
-	_, n := w.Partial()
-	return int64(w.Len())*8 + int64(n)
-}
-
-// copyBits appends n bits read from src starting at bit position *pos to
-// dst, advancing *pos. src must be an unstuffed writer that is no longer
-// written to.
-func copyBits(dst *bitio.Writer, src *bitio.Writer, pos *int64, n uint32) {
-	buf := src.Bytes()
-	partial, pn := src.Partial()
+// copyBits appends the n bits of src starting at bit position *pos to dst,
+// advancing *pos, 32 bits per write. src is a sealed queue (see seal), so
+// the 8-byte load at any in-range position stays inside it.
+func copyBits(dst *bitio.Writer, src []byte, pos *int64, n uint32) {
 	p := *pos
 	for n > 0 {
-		byteIdx := int(p >> 3)
-		bitOff := uint8(p & 7)
-		var cur byte
-		if byteIdx < len(buf) {
-			cur = buf[byteIdx]
-		} else {
-			cur = partial // already MSB-aligned; only the top pn bits are valid
-			_ = pn
-		}
-		take := uint32(8 - bitOff)
-		if take > n {
-			take = n
-		}
-		bits := (cur >> (8 - bitOff - uint8(take))) & (1<<take - 1)
-		dst.WriteBits(uint32(bits), uint8(take))
+		take := min(n, 32)
+		word := binary.BigEndian.Uint64(src[p>>3:]) << (p & 7)
+		dst.WriteBits(uint32(word>>(64-take)), uint8(take))
 		p += int64(take)
 		n -= take
 	}
 	*pos = p
+}
+
+// seal pads w's partial byte with zeros and appends eight zero bytes, then
+// returns its bytes: every bit written before the call can then be read by
+// copyBits with one 8-byte load. w must not be written to afterwards.
+func seal(w *bitio.Writer) []byte {
+	var zero [8]byte
+	w.AlignPad(0)
+	w.AppendRaw(zero[:])
+	return w.Bytes()
 }
 
 // compQueue is one component's pending scan bits.
@@ -71,7 +62,6 @@ type compQueue struct {
 	acTab   *huffman.Encoder
 	prevDC  int16
 	rstDone int
-	rpos    int64 // stitch read cursor
 }
 
 // StreamEncBuffers is reusable backing storage for a StreamScanEncoder's
@@ -181,7 +171,7 @@ func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error 
 		if m > se.start {
 			q.restartCheck(m, se.enc.ri, se.enc.rstLimit)
 		}
-		before := bitLen(q.w)
+		before := q.w.BitLen()
 		for v := 0; v < c.V; v++ {
 			for h := 0; h < c.H; h++ {
 				bc := mcuCol*c.H + h
@@ -190,7 +180,7 @@ func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error 
 				}
 			}
 		}
-		q.mcuBits = append(q.mcuBits, uint32(bitLen(q.w)-before))
+		q.mcuBits = append(q.mcuBits, uint32(q.w.BitLen()-before))
 	}
 	return nil
 }
@@ -203,6 +193,11 @@ func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error 
 // verbatim tail appended. The returned bytes alias the encoder's buffer.
 func (se *StreamScanEncoder) Finish(tail []byte, atScanEnd bool) ([]byte, error) {
 	if se.queues != nil {
+		var srcs [MaxComponents][]byte
+		var pos [MaxComponents]int64 // stitch read cursors
+		for ci := range se.queues {
+			srcs[ci] = seal(se.queues[ci].w)
+		}
 		idx := 0
 		for m := se.start; m < se.end; m++ {
 			if m > se.start {
@@ -211,8 +206,7 @@ func (se *StreamScanEncoder) Finish(tail []byte, atScanEnd bool) ([]byte, error)
 				}
 			}
 			for ci := range se.queues {
-				q := &se.queues[ci]
-				copyBits(se.enc.w, q.w, &q.rpos, q.mcuBits[idx])
+				copyBits(se.enc.w, srcs[ci], &pos[ci], se.queues[ci].mcuBits[idx])
 			}
 			idx++
 		}
