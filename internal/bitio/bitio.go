@@ -51,6 +51,14 @@ func (w *Writer) Reset() {
 	w.acc, w.nacc = 0, 0
 }
 
+// Grow makes room for n more output bytes, so a caller that knows its
+// output size allocates the buffer once instead of growing it by append.
+func (w *Writer) Grow(n int) {
+	if n > cap(w.buf)-len(w.buf) {
+		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
+	}
+}
+
 // Seed initializes the writer's partial-byte state from a Huffman handover
 // word: the first nbits bits of partial (counted from the MSB) have already
 // been decided by the previous segment. Seed must be called before any bits

@@ -182,9 +182,10 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 // encode of its whole scan (core.Codec.EncodeScanCtx, the path whole-file
 // compression takes too), cut into thread segments so that no segment
 // crosses a chunk's MCU rows; each chunk's container then takes its slice
-// of the segments and streams. Only the row windows of that encode are
-// held, never whole coefficient planes, so the encode budget bounds a put
-// the way it bounds a whole-file compress, whatever the image's height.
+// of the segments and streams. Only the rows that encode's run-ahead rule
+// lets it queue are held, never whole coefficient planes, so a put's
+// memory is bounded the way a whole-file compress's is, whatever the
+// image's height.
 func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk []byte) error) error {
 	size := chunkSize(opt)
 	codec := opt.Codec

@@ -16,17 +16,19 @@ import (
 
 // Codec is a reusable encode/decode pipeline. It owns sync.Pools for the
 // dominant per-conversion allocations — model statistic-bin tables (~1 MiB
-// per thread segment), streamed coefficient rows, per-segment arithmetic
-// coders and rolling-cache scratch, and the zlib header compressors — so a
-// long-lived codec serving many conversions reuses memory instead of
-// re-allocating it on every call. That is the shape of the paper's deployment: blockservers
-// run for months and per-request memory is the binding constraint (§6.2).
+// per thread segment), streamed coefficient rows and decode ring slabs,
+// per-segment arithmetic coders and rolling-cache scratch, and the zlib
+// header compressors — so a long-lived codec serving many conversions
+// reuses memory instead of re-allocating it on every call. That is the
+// shape of the paper's deployment: blockservers run for months and
+// per-request memory is the binding constraint (§6.2).
 //
 // A Codec is safe for concurrent use.
 type Codec struct {
 	segCodecs  sync.Pool // *model.Codec: bin tables + segment scratch
 	encoders   sync.Pool // *arith.Encoder: arithmetic-coder output buffers
-	rows       sync.Pool // *rowSlab: streaming window/feed row buffers
+	rows       sync.Pool // *rowSlab: encode feed rows, one block row each
+	slabs      sync.Pool // *rowSlab: decode ring windows, one unit's each
 	streamBufs sync.Pool // *jpeg.StreamEncBuffers: decode-side scan bit queues
 	zlibWs     sync.Pool // *zlib.Writer: container header compressor
 	zlibRs     sync.Pool // io.ReadCloser (+zlib.Resetter): header decompressor
@@ -73,7 +75,10 @@ func NewCodecIn(stats *metrics.Set) *Codec {
 	return &Codec{stats: stats, window: stats.Gauge(coeffWindow)}
 }
 
-// rowSlab is one pooled block-row buffer.
+// rowSlab is one pooled coefficient buffer: a block row in Codec.rows, a
+// decode unit's ring window in Codec.slabs. The two shapes never share a
+// pool: a row request would pin a whole slab, and a slab request that
+// popped a row would drop it and allocate anyway.
 type rowSlab struct{ buf []int16 }
 
 // --- pool accessors -------------------------------------------------------
@@ -110,10 +115,10 @@ func (c *Codec) putEncoder(e *arith.Encoder) {
 	}
 }
 
-// getRowBuf returns an uncleared block-row buffer of n coefficients from
-// the pool (callers zero it as needed).
-func (c *Codec) getRowBuf(n int) []int16 {
-	if v := c.rows.Get(); v != nil {
+// getCoeffs returns an uncleared buffer of n coefficients from p (callers
+// zero it as needed).
+func getCoeffs(p *sync.Pool, n int) []int16 {
+	if v := p.Get(); v != nil {
 		slab := v.(*rowSlab)
 		if cap(slab.buf) >= n {
 			return slab.buf[:n]
@@ -122,11 +127,19 @@ func (c *Codec) getRowBuf(n int) []int16 {
 	return make([]int16, n)
 }
 
-func (c *Codec) putRowBuf(buf []int16) {
+func putCoeffs(p *sync.Pool, buf []int16) {
 	if buf != nil {
-		c.rows.Put(&rowSlab{buf: buf})
+		p.Put(&rowSlab{buf: buf})
 	}
 }
+
+// getRowBuf and putRowBuf pool the encode's one-row feed buffers.
+func (c *Codec) getRowBuf(n int) []int16 { return getCoeffs(&c.rows, n) }
+func (c *Codec) putRowBuf(buf []int16)   { putCoeffs(&c.rows, buf) }
+
+// getSlab and putSlab pool the decode units' ring windows.
+func (c *Codec) getSlab(n int) []int16 { return getCoeffs(&c.slabs, n) }
+func (c *Codec) putSlab(buf []int16)   { putCoeffs(&c.slabs, buf) }
 
 // getStreamBufs returns pooled bit-queue storage for a segment's streaming
 // scan re-encoder.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"lepton/internal/arith"
@@ -20,8 +21,9 @@ import (
 // MemDecodeBudget is a real streaming ceiling — it bounds the row windows
 // (which scale with image width × live segments), not the pixel count, and
 // a tall over-"plane-budget" image streams through instead of being
-// rejected. MemEncodeBudget additionally caps the rows the encode producer
-// may keep in flight ahead of the segment coders (the bounded ring). Only
+// rejected. MemEncodeBudget is the hard ceiling on the rows the encode
+// producer may keep in flight ahead of the segment coders; the run-ahead
+// rule in EncodeScanCtx keeps an encode far below it. Only
 // files whose windows cannot fit are rejected before allocating, with the
 // memory exit code the §6.2 table exercises.
 //
@@ -455,20 +457,32 @@ type ScanEncode struct {
 // ends where segment i+1 begins, the last at the end of the scan). A chunked
 // file is one such encode over every chunk's segments, each chunk's
 // container taking its slice. The sequential Huffman scan decode runs in
-// the calling goroutine and feeds block rows through bounded per-segment
-// windows into the parallel segment encoders, so scan decode overlaps
-// model encode instead of completing first, and no whole coefficient plane
-// is ever materialized. The segment coders walk MCU rows in the order the
-// scan decode produces them, so each component's rows stream through a
-// few-row window; the total retained bytes are capped by encBudget (raised
-// to the structural minimum when the budget is smaller — the conversion
-// streams rather than failing). Handover words are recorded at every
-// MCU-row start — the segment handovers are the subset at segment-start
-// rows, and the full table (returned as RowPos when the image is small
-// enough to index) is
+// the calling goroutine and feeds block rows through per-segment feeds into
+// the parallel segment encoders, so scan decode overlaps model encode
+// instead of completing first, and no whole coefficient plane is ever
+// materialized. Handover words are recorded at every MCU-row start — the
+// segment handovers are the subset at segment-start rows, and the full
+// table (returned as RowPos when the image is small enough to index) is
 // the seek index that makes DecodeRangeToCtx segment-sized instead of
 // file-sized. With collectStats each segment coder tallies its bits per
 // coefficient class.
+//
+// Memory. The scan decode is several times faster than a segment coder, so
+// the rows it may queue ahead of the coders are what the encode holds. The
+// feeds of the segments it has not passed share one room (encodeRoom:
+// 4 MiB, at least a few row windows). The producer passes segment k —
+// fills its feed regardless of the room — only to reach segment k+1 while
+// fewer of the segments before k are unfinished than c =
+// min(GOMAXPROCS, maxLiveSegments): those have all their rows, and k+1
+// can start on the CPU they leave over. So the encode holds the room plus
+// the rows of at most c passed segments, and a one-segment encode holds
+// one room. (Counting k too, so that k+1 starts only on a CPU idle
+// outright, cost two callers on two CPUs a quarter of their p95 compress
+// latency: k's coder waits on the producer whenever the room runs dry.)
+// encBudget stays the hard ceiling on the total (raised to
+// encodeMinGateBytes when smaller — the conversion streams rather than
+// failing). A producer out of room sleeps until the coders have worked
+// their feeds down to half of it, so rows change hands in batches.
 //
 // At most maxLiveSegments segment coders run at once: segment i takes its
 // model codec and starts only once a slot frees, after segments started
@@ -481,6 +495,18 @@ type ScanEncode struct {
 // finishes, freeing slots in index order until k starts. So the rows a
 // waiting segment has queued never block a row a running segment needs.
 //
+// Nor can the room deadlock. The producer, at segment k, waits on it only
+// while the segments up to k it has not passed hold more than the resume
+// level, which is at least encodeMinGateBytes. Those before k have all
+// their rows: running, they finish without the producer; waiting for a
+// slot, the argument above starts them. A coder waiting for a row it has
+// not been given holds at most its (V+1)-row window per component plus the
+// MCU row group in flight, which is that floor; so if k's coder is out of
+// rows, the others' recycling alone brings the room to the resume level,
+// and if it has rows, it recycles them itself. Every recycle that reaches
+// the resume level wakes the producer, and so does every finished segment,
+// since it may have freed a CPU.
+//
 // On error every pooled resource is already recycled.
 func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, flags model.Flags, encBudget int64, collectStats bool) (*ScanEncode, error) {
 	nSeg := len(starts)
@@ -488,11 +514,10 @@ func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, 
 	ncomp := len(f.Components)
 	done := ctx.Done()
 
-	limit := encBudget
-	if min := encodeMinGateBytes(f); limit < min {
-		limit = min
-	}
-	gate := newMemGate(limit, cd.window)
+	limit := max(encBudget, encodeMinGateBytes(f))
+	room, resume := encodeRoom(f)
+	cpus := min(runtime.GOMAXPROCS(0), maxLiveSegments)
+	gate := newMemGate(limit, cd.window, nSeg, room, resume, cpus)
 	defer gate.close()
 
 	recs := make([]*rowRecycler, ncomp)
@@ -523,7 +548,7 @@ func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, 
 		fs := make([]*feedRows, ncomp)
 		j.planes = make([]model.ComponentPlane, ncomp)
 		for ci := range fs {
-			fs[ci] = newFeedRows(j.rs[ci], recs[ci], gate, rowB[ci])
+			fs[ci] = newFeedRows(j.rs[ci], recs[ci], gate, i, rowB[ci])
 			comp := &f.Components[ci]
 			j.planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
 				BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: fs[ci],
@@ -553,6 +578,7 @@ func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, 
 		for _, fr := range feeds[i] {
 			fr.drain()
 		}
+		gate.finish(i)
 		if err == nil {
 			outs[i] = e.Flush()
 		}
@@ -602,7 +628,8 @@ func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, 
 
 	router := &encodeRouter{
 		f: f, gate: gate, recs: recs, feeds: feeds,
-		segRowEnd: segRowEnd, segOf: make([]int, ncomp), rowB: rowB, ctx: ctx,
+		segRowEnd: segRowEnd, segOf: make([]int, ncomp), handed: make([]int, ncomp),
+		rowB: rowB, ctx: ctx,
 	}
 	// Record a handover at every MCU-row start when the image is small
 	// enough to index; otherwise only at segment starts, as before. Segment
@@ -864,6 +891,24 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 		cd.stats.Add("range_block_rows", rows)
 	}
 
+	// The units share one set of Huffman encoders, and each sizes its
+	// output from the container's scan bytes.
+	var tabs *jpeg.ScanTables
+	if len(p.units) > 0 {
+		var err error
+		if tabs, err = jpeg.NewScanTables(f); err != nil {
+			return 0, err
+		}
+	}
+	scan := int64(c.OutputSize) - prefixLen(c)
+	if c.EmitTail {
+		scan -= int64(len(c.Trailer))
+	}
+	var arith int64
+	for _, st := range c.Streams {
+		arith += int64(len(st))
+	}
+
 	done := make([]chan segResult, len(p.units))
 	l := newLauncher()
 	started := 0
@@ -874,8 +919,9 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 			return
 		}
 		j := started
+		u := &p.units[j]
 		done[j] = make(chan segResult, 1)
-		l.start(nil, func() { done[j] <- cd.decodeUnit(ctx, f, c, &p.units[j]) })
+		l.start(nil, func() { done[j] <- cd.decodeUnit(ctx, f, c, tabs, u, u.outCap(c, scan, arith)) })
 		started++
 	}
 	for range maxLiveSegments {
@@ -935,20 +981,41 @@ type segResult struct {
 	err   error
 }
 
+// outCap estimates the scan bytes u regenerates, so its re-encoder
+// allocates its output once: the seek index's count when the plan has one,
+// else the unit's share of the container's scan bytes — split between
+// segments by arithmetic stream length, which tracks what a segment's rows
+// cost in Huffman bits, and within a segment by MCU count — plus 1/16
+// slack. It never exceeds 16 bytes per byte of the unit's stream, so
+// neither a crafted output size nor a crafted index can buy an allocation
+// the input does not back.
+func (u *decodeUnit) outCap(c *Container, scan, arith int64) int {
+	st := int64(len(c.Streams[u.seg]))
+	est := u.want
+	if est < 0 {
+		if scan <= 0 || arith <= 0 || u.segEnd <= u.segStart {
+			return 0
+		}
+		est = scan * st / arith * int64(u.encEnd-u.encStart) / int64(u.segEnd-u.segStart)
+		est += est / 16
+	}
+	return int(min(est, 16*st+4096))
+}
+
 // decodeUnit runs one unit's fused pipeline: the arithmetic decode writes
 // block rows into a ring window sized to the model's two-row context (plus
 // the MCU row the scan re-encoder groups), and the OnRow hook hands every
 // completed MCU row group in [u0, u1) straight to the streaming scan
 // encoder, which recycles nothing coefficient-shaped — what it retains per
 // unit is Huffman bits, roughly output-sized.
-func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, u *decodeUnit) segResult {
+func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, tabs *jpeg.ScanTables, u *decodeUnit, outCap int) segResult {
 	rs, re := u.rows(f, c.Version)
 	ncomp := len(f.Components)
 
 	// Carve every component's ring out of one pooled slab.
 	winBytes := DecodeWindowBytes(f, 1)
-	slab := cd.getRowBuf(int(winBytes / 2))
-	defer cd.putRowBuf(slab)
+	slab := cd.getSlab(int(winBytes / 2))
+	defer cd.putSlab(slab)
 	cd.window.Add(winBytes)
 	defer cd.window.Add(-winBytes)
 	rings := make([]*ringRows, ncomp)
@@ -975,11 +1042,7 @@ func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, u *
 	codec := cd.getSegCodec(planes, rs, re, flags)
 	defer cd.putSegCodec(codec)
 	sbufs := cd.getStreamBufs()
-	se, err := jpeg.NewStreamScanEncoder(f, c.PadBit, int(c.RSTCount), u.encStart, u.encEnd, u.seed, sbufs)
-	if err != nil {
-		cd.putStreamBufs(sbufs)
-		return segResult{err: err}
-	}
+	se := jpeg.NewStreamScanEncoder(tabs, c.PadBit, int(c.RSTCount), u.encStart, u.encEnd, u.seed, outCap, sbufs)
 	// Recycle the queue storage on every path, including cancelled or
 	// corrupt units — the bytes Finish returns alias the sequential
 	// writer, never the queues, so release is always safe here.

@@ -12,7 +12,8 @@ import (
 // and encode pipelines (paper §3.4, §5.1): sliding windows of coefficient
 // block rows, the producer/consumer feed that lets the sequential Huffman
 // scan decode overlap the parallel segment encoders, the memory gate that
-// turns MemEncodeBudget into a streaming ceiling, and the coefficient-
+// limits how far that decode runs ahead (a shared room, with
+// MemEncodeBudget as the hard ceiling), and the coefficient-
 // memory accounting that makes the window bound observable in production
 // and testable in CI.
 
@@ -98,11 +99,37 @@ func (r *ringRows) peek(row int) []int16 { return r.bufs[row%len(r.bufs)] }
 
 // --- encode-side memory gate and feeds ------------------------------------
 
-// memGate bounds the coefficient bytes the scan-decode producer may keep
-// in flight (delivered to segment feeds but not yet consumed and
-// recycled). It mirrors its balance into the codec's coefficient-window
-// gauge and settles any remainder at close, so error paths cannot leak the
-// gauge.
+// encodeRoomBytes is the encode's room: the coefficient bytes the feeds of
+// the segments the producer has not passed (see EncodeScanCtx) may hold
+// together, ahead of their coders. A producer out of room resumes only
+// once the coders have worked their feeds down to half of it, so rows
+// change hands in batches of about 2 MiB rather than one at a time. It is
+// counted in bytes, not rows, so a wide image does not buy a larger
+// window. On a 2-vCPU host a 1 MiB room held the photo-codec benchmark's
+// peak RSS about a tenth lower, but cost the large-range benchmark (one
+// caller, 12-40 MP photos, a segment per 128 KiB of JPEG) about 8% of its
+// CPU per MB and of its put throughput: when a segment does not fit the
+// room, its coder keeps stalling on the producer.
+const encodeRoomBytes = 4 << 20
+
+// encodeRoom returns the room and the level a producer waiting on it
+// resumes at. The resume level is at least encodeMinGateBytes: a coder
+// waiting for a row it has not been given holds no more than that, so a
+// producer out of room always waits on coders that have work.
+func encodeRoom(f *jpeg.File) (room, resume int64) {
+	resume = max(encodeRoomBytes/2, encodeMinGateBytes(f))
+	return 2 * resume, resume
+}
+
+// memGate is the encode producer's brake. It bounds the coefficient bytes
+// acquired for segment feeds but not yet consumed and recycled twice over:
+// all of them by the conversion's ceiling, and those of the segments the
+// producer has not passed by the room. The producer passes a segment —
+// fills its feed regardless of the room — only to reach a later segment
+// that can use a CPU (mayPass). The producer is the only goroutine that
+// waits on the gate. It mirrors its balance into the codec's
+// coefficient-window gauge and settles any remainder at close, so error
+// paths cannot leak the gauge.
 type memGate struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -110,39 +137,110 @@ type memGate struct {
 	limit   int64
 	aborted bool
 	window  *metrics.Gauge
+
+	held         []int64 // per segment: bytes acquired and not yet recycled
+	passed, done []bool  // per segment
+	roomed       int64   // bytes held by segments not passed
+	room, resume int64
+	cpus         int  // CPUs the segment coders may use at once
+	waitCeil     bool // the producer waits on the ceiling
+	waitRoom     bool // the producer waits on the room
 }
 
-func newMemGate(limit int64, window *metrics.Gauge) *memGate {
-	g := &memGate{limit: limit, window: window}
+func newMemGate(limit int64, window *metrics.Gauge, nSeg int, room, resume int64, cpus int) *memGate {
+	g := &memGate{limit: limit, window: window, held: make([]int64, nSeg),
+		passed: make([]bool, nSeg), done: make([]bool, nSeg),
+		room: room, resume: resume, cpus: cpus}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// acquire blocks until n bytes fit under the ceiling (or the gate is
-// aborted, returning false). The first acquisition of a conversion always
-// succeeds: the ceiling is pre-raised to encodeMinGateBytes.
-func (g *memGate) acquire(n int64) bool {
+// acquire blocks until n bytes for a row of segment seg fit under the
+// ceiling and, unless seg is passed, in the room (or the gate is aborted,
+// returning false). The first acquisition of a conversion always succeeds:
+// the ceiling is pre-raised to encodeMinGateBytes, the room to twice that.
+func (g *memGate) acquire(seg int, n int64) bool {
 	g.mu.Lock()
-	for !g.aborted && g.inUse+n > g.limit {
-		g.cond.Wait()
-	}
-	ok := !g.aborted
-	if ok {
+	mark := g.room
+	for !g.aborted {
+		if g.inUse+n > g.limit {
+			g.waitCeil = true
+			g.cond.Wait()
+			g.waitCeil = false
+			continue
+		}
+		if !g.passed[seg] && g.roomed+n > mark {
+			if !g.mayPass(seg) {
+				// Out of room: wait until the coders are down to the
+				// resume level.
+				mark = g.resume + n
+				g.waitRoom = true
+				g.cond.Wait()
+				g.waitRoom = false
+				continue
+			}
+			g.passed[seg] = true
+			g.roomed -= g.held[seg]
+		}
 		g.inUse += n
+		g.held[seg] += n
+		if !g.passed[seg] {
+			g.roomed += n
+		}
+		g.mu.Unlock()
+		g.window.Add(n)
+		return true
 	}
 	g.mu.Unlock()
-	if ok {
-		g.window.Add(n)
-	}
-	return ok
+	return false
 }
 
-func (g *memGate) release(n int64) {
+// mayPass reports whether the producer may pass seg: only when a later
+// segment exists and fewer of the segments before seg are unfinished than
+// there are CPUs. Those segments have all their rows, so the coders that
+// never wait on the producer stay fewer than the CPUs, and the next one
+// can start on the CPU left over. seg itself is not counted: its coder
+// waits on the producer whenever the room runs dry, so it does not keep a
+// CPU busy the way a fed coder does. Every passed segment is seg or one of
+// those before it, so at most cpus unfinished segments are ever passed.
+func (g *memGate) mayPass(seg int) bool {
+	if seg+1 >= len(g.done) {
+		return false
+	}
+	busy := 0
+	for _, d := range g.done[:seg] {
+		if !d {
+			busy++
+		}
+	}
+	return busy < g.cpus
+}
+
+func (g *memGate) release(seg int, n int64) {
 	g.mu.Lock()
 	g.inUse -= n
+	g.held[seg] -= n
+	if !g.passed[seg] {
+		g.roomed -= n
+	}
+	wake := g.waitCeil || (g.waitRoom && g.roomed <= g.resume)
 	g.mu.Unlock()
 	g.window.Add(-n)
-	g.cond.Broadcast()
+	if wake {
+		g.cond.Signal()
+	}
+}
+
+// finish records that segment seg's coder is done. That can free a CPU
+// for the next segment, so it wakes a producer waiting on the room.
+func (g *memGate) finish(seg int) {
+	g.mu.Lock()
+	g.done[seg] = true
+	wake := g.waitRoom
+	g.mu.Unlock()
+	if wake {
+		g.cond.Signal()
+	}
 }
 
 func (g *memGate) abort() {
@@ -218,11 +316,12 @@ type feedRows struct {
 
 	free     *rowRecycler
 	gate     *memGate
+	seg      int
 	rowBytes int64
 }
 
-func newFeedRows(firstRow int, free *rowRecycler, gate *memGate, rowBytes int64) *feedRows {
-	fr := &feedRows{base: firstRow, next: firstRow, free: free, gate: gate, rowBytes: rowBytes}
+func newFeedRows(firstRow int, free *rowRecycler, gate *memGate, seg int, rowBytes int64) *feedRows {
+	fr := &feedRows{base: firstRow, next: firstRow, free: free, gate: gate, seg: seg, rowBytes: rowBytes}
 	fr.cond = sync.NewCond(&fr.mu)
 	return fr
 }
@@ -246,7 +345,7 @@ func (fr *feedRows) Row(row int) []int16 {
 		fr.rows = fr.rows[1:]
 		fr.base++
 		fr.free.put(buf)
-		fr.gate.release(fr.rowBytes)
+		fr.gate.release(fr.seg, fr.rowBytes)
 	}
 	for !fr.aborted && fr.next <= row {
 		fr.cond.Wait()
@@ -277,7 +376,7 @@ func (fr *feedRows) drain() {
 	fr.mu.Unlock()
 	for _, buf := range rows {
 		fr.free.put(buf)
-		fr.gate.release(fr.rowBytes)
+		fr.gate.release(fr.seg, fr.rowBytes)
 	}
 }
 
@@ -294,13 +393,27 @@ type encodeRouter struct {
 	// segRowEnd[i] is the first MCU row owned by segment i+1.
 	segRowEnd []int
 	segOf     []int // per component: current segment cursor (rows ascend)
+	handed    []int // per component: block rows handed out so far
 	rowB      []int64
 	ctx       context.Context
 	failed    error
 }
 
+// segFor returns the segment owning component ci's block row.
+func (rt *encodeRouter) segFor(ci, row int) int {
+	mcuRow := row / vEff(rt.f, ci)
+	for rt.segOf[ci]+1 < len(rt.feeds) && mcuRow >= rt.segRowEnd[rt.segOf[ci]] {
+		rt.segOf[ci]++
+	}
+	return rt.segOf[ci]
+}
+
+// GetRowBuf charges the buffer to the segment of the next row it will
+// hold: the scan decoder asks for one buffer per row, in row order.
 func (rt *encodeRouter) GetRowBuf(ci int) []int16 {
-	if !rt.gate.acquire(rt.rowB[ci]) {
+	seg := rt.segFor(ci, rt.handed[ci])
+	rt.handed[ci]++
+	if !rt.gate.acquire(seg, rt.rowB[ci]) {
 		// Aborted: hand back a throwaway buffer and let EmitRow surface
 		// the error — the scan decoder has no error path on Get.
 		if rt.failed == nil {
@@ -317,14 +430,11 @@ func (rt *encodeRouter) EmitRow(ci, row int, coeff []int16) error {
 	if rt.failed != nil {
 		return rt.failed
 	}
+	seg := rt.segFor(ci, row)
 	if err := rt.ctx.Err(); err != nil {
-		rt.gate.release(rt.rowB[ci])
+		rt.gate.release(seg, rt.rowB[ci])
 		return err
 	}
-	mcuRow := row / vEff(rt.f, ci)
-	for rt.segOf[ci]+1 < len(rt.feeds) && mcuRow >= rt.segRowEnd[rt.segOf[ci]] {
-		rt.segOf[ci]++
-	}
-	rt.feeds[rt.segOf[ci]][ci].push(coeff)
+	rt.feeds[seg][ci].push(coeff)
 	return nil
 }

@@ -61,7 +61,9 @@ func BenchmarkEncodeScan(b *testing.B) {
 // BenchmarkStreamScanEncoder times the scan re-encode every decompress
 // runs: one StreamScanEncoder over the whole scan, fed each component's
 // block rows in MCU-row order through ConsumeGroup, then Finish, with
-// pooled queue buffers. The bytes are checked against the original scan
+// pooled queue buffers. Each iteration is one conversion: it builds the
+// Huffman encoders and sizes the output from the scan length, as a decode
+// does from its container. The bytes are checked against the original scan
 // once before timing.
 func BenchmarkStreamScanEncoder(b *testing.B) {
 	for _, bc := range []struct {
@@ -103,10 +105,11 @@ func BenchmarkStreamScanEncoder(b *testing.B) {
 			}
 			var bufs jpeg.StreamEncBuffers
 			encode := func() []byte {
-				se, err := jpeg.NewStreamScanEncoder(f, s.PadBit, s.RSTCount, 0, f.TotalMCUs(), jpeg.MCUPos{}, &bufs)
+				tabs, err := jpeg.NewScanTables(f)
 				if err != nil {
 					b.Fatal(err)
 				}
+				se := jpeg.NewStreamScanEncoder(tabs, s.PadBit, s.RSTCount, 0, f.TotalMCUs(), jpeg.MCUPos{}, len(f.ScanData), &bufs)
 				for mr, g := range groups {
 					for ci, rows := range g {
 						if err := se.ConsumeGroup(ci, mr, rows); err != nil {

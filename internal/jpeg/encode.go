@@ -27,34 +27,62 @@ type ScanEncoder struct {
 	rstDone  int // restart markers emitted (or skipped as before-our-segment)
 }
 
-// NewScanEncoder builds an encoder for f's scan. padBit is the original
-// encoder's pad bit; rstCount the number of restart markers in the original
-// scan.
-func NewScanEncoder(f *File, padBit uint8, rstCount int) (*ScanEncoder, error) {
-	e := &ScanEncoder{
-		f:        f,
-		w:        bitio.NewWriter(),
-		padBit:   padBit,
-		ri:       f.RestartInterval,
-		rstLimit: rstCount,
-	}
+// ScanTables holds the Huffman encoders of one file's scan. They are read
+// only once built, so every encoder of the scan (one per thread segment or
+// decode unit, possibly concurrent) can share one set.
+type ScanTables struct {
+	f     *File
+	dcEnc [4]*huffman.Encoder
+	acEnc [4]*huffman.Encoder
+}
+
+// NewScanTables builds the Huffman encoders for f's tables.
+func NewScanTables(f *File) (*ScanTables, error) {
+	t := &ScanTables{f: f}
 	for i := 0; i < 4; i++ {
 		if f.DC[i] != nil {
 			enc, err := huffman.NewEncoder(f.DC[i])
 			if err != nil {
 				return nil, err
 			}
-			e.dcEnc[i] = enc
+			t.dcEnc[i] = enc
 		}
 		if f.AC[i] != nil {
 			enc, err := huffman.NewEncoder(f.AC[i])
 			if err != nil {
 				return nil, err
 			}
-			e.acEnc[i] = enc
+			t.acEnc[i] = enc
 		}
 	}
-	return e, nil
+	return t, nil
+}
+
+// NewScanEncoder builds an encoder for f's scan. padBit is the original
+// encoder's pad bit; rstCount the number of restart markers in the original
+// scan.
+func NewScanEncoder(f *File, padBit uint8, rstCount int) (*ScanEncoder, error) {
+	t, err := NewScanTables(f)
+	if err != nil {
+		return nil, err
+	}
+	return t.newEncoder(padBit, rstCount, len(f.ScanData)), nil
+}
+
+// newEncoder returns an encoder over t whose output buffer is sized for
+// outCap bytes.
+func (t *ScanTables) newEncoder(padBit uint8, rstCount, outCap int) *ScanEncoder {
+	w := bitio.NewWriter()
+	w.Grow(outCap)
+	return &ScanEncoder{
+		f:        t.f,
+		w:        w,
+		dcEnc:    t.dcEnc,
+		acEnc:    t.acEnc,
+		padBit:   padBit,
+		ri:       t.f.RestartInterval,
+		rstLimit: rstCount,
+	}
 }
 
 // Seed initializes mid-scan state from a handover word. It must be called

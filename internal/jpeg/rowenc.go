@@ -84,18 +84,18 @@ type StreamScanEncoder struct {
 }
 
 // NewStreamScanEncoder builds a streaming encoder for MCUs [start, end) of
-// f's scan, seeded from the range's Huffman handover word. padBit and
-// rstCount are the scan-wide values recorded in the container. bufs, when
-// non-nil, supplies pooled queue storage.
-func NewStreamScanEncoder(f *File, padBit uint8, rstCount int, start, end int, seed MCUPos, bufs *StreamEncBuffers) (*StreamScanEncoder, error) {
-	enc, err := NewScanEncoder(f, padBit, rstCount)
-	if err != nil {
-		return nil, err
-	}
+// the scan t was built for, seeded from the range's Huffman handover word.
+// padBit and rstCount are the scan-wide values recorded in the container.
+// outCap sizes the output buffer once: the range's scan bytes when the
+// caller knows them, an estimate otherwise (too small only costs a regrow).
+// bufs, when non-nil, supplies pooled queue storage.
+func NewStreamScanEncoder(t *ScanTables, padBit uint8, rstCount int, start, end int, seed MCUPos, outCap int, bufs *StreamEncBuffers) *StreamScanEncoder {
+	f := t.f
+	enc := t.newEncoder(padBit, rstCount, outCap)
 	enc.Seed(seed)
 	se := &StreamScanEncoder{f: f, enc: enc, start: start, end: end}
 	if len(f.Components) == 1 {
-		return se, nil
+		return se
 	}
 	se.queues = make([]compQueue, len(f.Components))
 	for ci := range f.Components {
@@ -113,7 +113,7 @@ func NewStreamScanEncoder(f *File, padBit uint8, rstCount int, start, end int, s
 		q.prevDC = seed.PrevDC[ci]
 		q.rstDone = int(seed.RSTSeen)
 	}
-	return se, nil
+	return se
 }
 
 // ReleaseBuffers returns the queue storage to bufs for reuse. Call it only

@@ -163,10 +163,11 @@ func TestStreamScanEncoderMatchesSequential(t *testing.T) {
 					ref.Finish(s.Tail)
 				}
 				// Streaming encoder fed planar rows.
-				se, err := jpeg.NewStreamScanEncoder(f, s.PadBit, s.RSTCount, start, end, seed, nil)
+				tabs, err := jpeg.NewScanTables(f)
 				if err != nil {
 					t.Fatal(err)
 				}
+				se := jpeg.NewStreamScanEncoder(tabs, s.PadBit, s.RSTCount, start, end, seed, 0, nil)
 				feedPlanar(t, se, f, s, start/f.MCUsWide, (end+f.MCUsWide-1)/f.MCUsWide)
 				out, err := se.Finish(s.Tail, atEnd)
 				if err != nil {

@@ -131,9 +131,11 @@ type Options struct {
 	// in bytes; 0 selects the deployed limits (24 MiB / 178 MiB). The
 	// decode budget bounds the per-segment row windows (scaling with
 	// image width and thread count, not pixel count); the encode budget
-	// additionally caps the decoded rows held in flight ahead of the
-	// segment coders. Images whose windows cannot fit are rejected with
-	// ReasonMemDecode; everything else streams.
+	// is the hard ceiling on the decoded rows held in flight ahead of the
+	// segment coders. Below it an encode holds up to 4 MiB of rows plus
+	// the rows of segments queued ahead for other CPUs (at most
+	// min(GOMAXPROCS, 8) of them). Images whose windows cannot fit
+	// are rejected with ReasonMemDecode; everything else streams.
 	MemDecodeBudget int64
 	MemEncodeBudget int64
 	// AllowCMYK enables four-component (CMYK) files, the paper's "extra
