@@ -344,7 +344,9 @@ func BenchmarkOutsourcingSocketOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer bs.Close()
-			cl, err := server.Dial(addr, 5*time.Second)
+			dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			cl, err := server.DialContext(dctx, addr)
+			cancel()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -352,7 +354,10 @@ func BenchmarkOutsourcingSocketOverhead(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Do(server.OpCompress, data, 30*time.Second); err != nil {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				_, err := cl.DoCtx(ctx, server.OpCompress, data)
+				cancel()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -71,10 +71,8 @@ func main() {
 		"optional HTTP address serving /debug/vars with conversion counters,"+
 			" in-flight requests, and peak streamed-coefficient window bytes")
 	withStore := flag.Bool("store", false,
-		"enable the store-backed chunk operations (OpPutChunk*/OpGetChunk*), making"+
-			" this node a member of a distributed fleet store")
-	chunkSize := flag.Int("store-chunk-size", 0,
-		"chunk size in bytes for server-side uploads; 0 = 4 MiB")
+		"enable the store-backed chunk operations (compressed put and get, range"+
+			" reads, chunk listing), making this node a member of a distributed fleet store")
 	shutoff := flag.String("store-shutoff", "",
 		"shutoff-switch path: if this file exists the store bypasses Lepton and"+
 			" deflates instead (§5.7 kill switch; production used /dev/shm)")
@@ -122,7 +120,6 @@ func main() {
 		} else {
 			st = store.New()
 		}
-		st.ChunkSize = *chunkSize
 		st.ShutoffPath = *shutoff
 		b.Store = st
 	}

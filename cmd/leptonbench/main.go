@@ -16,7 +16,9 @@
 //	       -cpuprofile <file>  # write a pprof CPU profile of the run
 //
 // Figures 1 and 2 check every round trip; the command exits 1 if any file
-// fails to decode or, for a file-preserving codec, decodes to other bytes.
+// fails to decode or, for a file-preserving codec, decodes to other bytes,
+// and likewise if the socket-overhead measurement fails to set up or any of
+// its requests fails.
 package main
 
 import (
@@ -92,6 +94,10 @@ func run() int {
 	}
 	if roundTripFailures > 0 {
 		fmt.Fprintf(os.Stderr, "leptonbench: %d files failed their round trip\n", roundTripFailures)
+		return 1
+	}
+	if outsourceFailures > 0 {
+		fmt.Fprintf(os.Stderr, "leptonbench: %d socket-overhead requests or set-ups failed\n", outsourceFailures)
 		return 1
 	}
 	return 0

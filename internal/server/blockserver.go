@@ -96,21 +96,14 @@ type Blockserver struct {
 	// and running conversions alike so load probes and the outsourcing
 	// trigger see the backlog.
 	Shards int
-	// WriteTimeout bounds how long one response may take to reach the
-	// client; 0 means DefaultWriteTimeout. Because conversions hold a
-	// worker-pool slot through their response write, a client that stops
-	// reading would otherwise pin a slot forever — the deadline converts
-	// that into a connection teardown.
-	WriteTimeout time.Duration
 	// RequestTimeout, when positive, bounds each conversion end to end: the
 	// per-request context expires after this much time and the conversion
 	// aborts at its next checkpoint with a StatusError response.
 	RequestTimeout time.Duration
-	// EncodeOptions configures the codec.
-	EncodeOptions core.EncodeOptions
-	// Store, when non-nil, enables the store-backed chunk operations
-	// (OpPutChunk*/OpGetChunk*). Serve replaces its Codec with one that
-	// counts toward this node.
+	// Store, when non-nil, enables the store-backed operations
+	// (OpPutChunkCompressed, OpGetChunkCompressed, OpGetRange,
+	// OpListChunks). Serve replaces its Codec with one that counts toward
+	// this node.
 	Store *store.Store
 	// Logf, when set, receives diagnostics.
 	Logf func(format string, args ...any)
@@ -142,8 +135,11 @@ type Blockserver struct {
 	conns  map[*srvConn]struct{}
 }
 
-// DefaultWriteTimeout is generous against slow networks while still
-// bounding how long a stalled client can hold a worker-pool slot.
+// DefaultWriteTimeout bounds how long one request may take from dispatch
+// until its response has reached the client. Because conversions hold a
+// worker-pool slot through their response write, a client that stops
+// reading would otherwise pin a slot forever; the deadline turns that into
+// a connection teardown. It is generous against slow networks.
 const DefaultWriteTimeout = 2 * time.Minute
 
 // srvConn wraps one accepted connection with the read-ahead state the
@@ -509,13 +505,7 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 	conn := sc.conn
 	// Bound the whole serve+respond; a client that stops reading must not
 	// pin a worker-pool slot past the deadline.
-	wt := b.WriteTimeout
-	if wt == 0 {
-		wt = DefaultWriteTimeout
-	}
-	if wt > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(wt))
-	}
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	switch op {
 	case OpLoad:
 		var resp [4]byte
@@ -529,7 +519,7 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
 			return b.serveDecompress(ctx, sc, payload)
 		})
-	case OpPutChunkRaw, OpPutChunkCompressed, OpGetChunkRaw, OpGetChunkCompressed, OpListChunks, OpGetRange:
+	case OpPutChunkCompressed, OpGetChunkCompressed, OpListChunks, OpGetRange:
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
 			return b.handleStoreOp(ctx, sc, op, payload)
 		})
@@ -575,7 +565,7 @@ func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, mayOutsour
 // compressLocal runs on a shard worker with the shard's private codec.
 func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, conn net.Conn, payload []byte) bool {
 	b.stats.Add("compresses", 1)
-	res, err := cd.EncodeCtx(ctx, payload, withVerify(b.EncodeOptions))
+	res, err := cd.EncodeCtx(ctx, payload, core.EncodeOptions{VerifyRoundtrip: true})
 	if err != nil {
 		if ctx.Err() != nil {
 			return b.respondErr(conn, ctx.Err())
@@ -669,13 +659,6 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 		return b.respondErr(conn, err)
 	}
 	switch op {
-	case OpPutChunkRaw:
-		// Server-side codec: the production deployment's shape.
-		ok, err := b.runOnShard(ctx, sc, jobPutRaw, payload)
-		if err != nil {
-			return fail(err)
-		}
-		return ok
 	case OpPutChunkCompressed:
 		// Client-side codec (§7): "only" verification runs here — but that
 		// is a full decode, so it takes a shard worker like any other
@@ -686,20 +669,9 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 			return fail(err)
 		}
 		return ok
-	case OpGetChunkRaw:
-		h, err := hashOf(payload)
-		if err != nil {
-			return fail(err)
-		}
-		sc.job.hash = h
-		ok, rerr := b.runOnShard(ctx, sc, jobGetRaw, nil)
-		if rerr != nil {
-			return fail(rerr)
-		}
-		return ok
 	case OpGetRange:
 		// A range decode is a (partial) conversion, so it takes a shard
-		// worker like OpGetChunkRaw; the fixed-size request is parsed here
+		// worker like a decompress; the fixed-size request is parsed here
 		// on the connection goroutine.
 		if len(payload) != getRangeReqLen {
 			return fail(fmt.Errorf("get-range request is %d bytes, want %d", len(payload), getRangeReqLen))
@@ -756,39 +728,16 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 	return true
 }
 
-// putRawLocal runs OpPutChunkRaw on a shard worker. The store paths go
-// through the Store's own codec (its budgets and shutoff switch are store
-// configuration); the shard still bounds their concurrency.
-func (b *Blockserver) putRawLocal(ctx context.Context, conn net.Conn, payload []byte) bool {
-	b.stats.Add("compresses", 1)
-	ref, err := b.Store.PutFileCtx(ctx, payload)
-	if err != nil {
-		return b.respondErr(conn, err)
-	}
-	if len(ref.Chunks) != 1 {
-		return b.respondErr(conn, fmt.Errorf("chunk payload produced %d chunks", len(ref.Chunks)))
-	}
-	h := ref.Chunks[0]
-	return WriteResponse(conn, StatusOK, h[:]) == nil
-}
-
-// putCompressedLocal runs OpPutChunkCompressed on a shard worker.
+// putCompressedLocal runs OpPutChunkCompressed on a shard worker. The
+// admission check goes through the Store's own codec (its budgets and
+// shutoff switch are store configuration); the shard still bounds its
+// concurrency.
 func (b *Blockserver) putCompressedLocal(ctx context.Context, conn net.Conn, payload []byte) bool {
 	h, err := b.Store.PutCompressedChunkCtx(ctx, payload)
 	if err != nil {
 		return b.respondErr(conn, err)
 	}
 	return WriteResponse(conn, StatusOK, h[:]) == nil
-}
-
-// getRawLocal runs OpGetChunkRaw on a shard worker.
-func (b *Blockserver) getRawLocal(ctx context.Context, conn net.Conn, h store.Hash) bool {
-	b.stats.Add("decompresses", 1)
-	out, err := b.Store.GetChunkCtx(ctx, h)
-	if err != nil {
-		return b.respondErr(conn, err)
-	}
-	return WriteResponse(conn, StatusOK, out) == nil
 }
 
 // getRangeLocal runs OpGetRange on a shard worker: decode only the chunk
@@ -911,11 +860,6 @@ func hashOf(payload []byte) (store.Hash, error) {
 	}
 	copy(h[:], payload)
 	return h, nil
-}
-
-func withVerify(opt core.EncodeOptions) core.EncodeOptions {
-	opt.VerifyRoundtrip = true
-	return opt
 }
 
 // ListenAndServe starts a blockserver on addr ("unix:<path>" or

@@ -15,10 +15,9 @@ import (
 // latency at peak (§5.5's outsourcing overhead). A Client is
 // safe for concurrent use; requests are serialized on the connection.
 //
-// The conversion methods take a context. Cancelling it mid-exchange tears
-// the connection down (the stream position is unknown, so a retry could
-// read a stale response as its own) and the server, seeing the disconnect,
-// cancels the conversion on its side too.
+// Every exchange is DoCtx (Load wraps the probe). Cancelling its context
+// mid-exchange tears the connection down, and the server, seeing the
+// disconnect, cancels the conversion on its side too.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -42,18 +41,8 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return "server: remote error: " + e.Msg }
 
-// Dial connects to addr ("unix:<path>" or "tcp:<host:port>").
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return DialContext(ctx, addr)
-}
-
-// DialContext connects to addr under a context.
+// DialContext connects to addr ("unix:<path>" or "tcp:<host:port>") under
+// a context.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	network, address, err := splitAddr(addr)
 	if err != nil {
@@ -67,23 +56,13 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	return &Client{conn: conn}, nil
 }
 
-// Do performs one request/response exchange on the persistent connection.
-// A transport-level failure (broken framing, deadline) closes the
-// connection — the stream position is unknown, so a retry could read a
-// stale response as its own; subsequent calls report the client closed.
-// Remote errors reported with StatusError leave the connection usable.
-func (c *Client) Do(op byte, payload []byte, timeout time.Duration) ([]byte, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return c.DoCtx(ctx, op, payload)
-}
-
-// DoCtx performs one exchange under a context: cancellation interrupts the
-// blocked I/O, tears the connection down, and returns ctx.Err().
+// DoCtx performs one request/response exchange on the persistent
+// connection under a context. A transport-level failure (broken framing,
+// an expired deadline, a cancelled ctx) tears the connection down — the
+// stream position is unknown, so a retry could read a stale response as
+// its own — and later calls report the client closed; cancellation
+// returns ctx.Err(). Failures the server reports in-band come back as
+// *RemoteError and leave the connection usable.
 func (c *Client) DoCtx(ctx context.Context, op byte, payload []byte) ([]byte, error) {
 	if err := checkPayloadSize(payload); err != nil {
 		// Refusing client-side beats burning the upload: the server's only
@@ -118,30 +97,6 @@ func (c *Client) DoCtx(ctx context.Context, op byte, payload []byte) ([]byte, er
 		return nil, &RemoteError{Msg: string(resp), Transient: status == StatusRetry, NotFound: status == StatusNotFound}
 	}
 	return resp, nil
-}
-
-// Compress asks the server to compress one whole JPEG payload and returns
-// the Lepton container (or a raw-mode fallback container for unsupported
-// inputs, matching the production service contract).
-func (c *Client) Compress(ctx context.Context, data []byte) ([]byte, error) {
-	return c.DoCtx(ctx, OpCompress, data)
-}
-
-// Decompress asks the server to reconstruct a container's original bytes.
-func (c *Client) Decompress(ctx context.Context, comp []byte) ([]byte, error) {
-	return c.DoCtx(ctx, OpDecompress, comp)
-}
-
-// GetRange asks the server for bytes [off, off+n) of the reconstruction of
-// the chunk stored under h, clamped at the chunk's size. The server decodes
-// only the arithmetic segments the range touches when the chunk carries a
-// seek index; n is capped at what one response frame can carry.
-func (c *Client) GetRange(ctx context.Context, h [32]byte, off, n int64) ([]byte, error) {
-	req, err := encodeGetRange(h, off, n)
-	if err != nil {
-		return nil, err
-	}
-	return c.DoCtx(ctx, OpGetRange, req)
 }
 
 // Load probes the server's in-flight conversion count — the power-of-two

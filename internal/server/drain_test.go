@@ -100,11 +100,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 func TestShutdownClosesIdleConnections(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr)
 	// Prove the connection is live, then leave it idle.
 	if _, err := cl.Load(context.Background()); err != nil {
 		t.Fatal(err)
@@ -194,12 +190,8 @@ func TestRequestTimeoutCancelsConversion(t *testing.T) {
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 	data := bigJPEG(t, 403)
 
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Compress(context.Background(), data); err == nil {
+	cl := dial(t, addr)
+	if _, err := cl.DoCtx(context.Background(), server.OpCompress, data); err == nil {
 		t.Fatal("compress succeeded despite a 5ms request timeout")
 	}
 	if got := b.StatsSnapshot()["cancelled"]; got == 0 {
@@ -218,17 +210,13 @@ func TestClientDoCtxCancelled(t *testing.T) {
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 	data := bigJPEG(t, 404)
 
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := cl.Compress(ctx, data); !errors.Is(err, context.Canceled) {
+	if _, err := cl.DoCtx(ctx, server.OpCompress, data); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled client exchange: err = %v, want context.Canceled", err)
 	}
 	// Mid-exchange cancellation means the stream position is unknown: the

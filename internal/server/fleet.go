@@ -48,31 +48,22 @@ var ErrNoNodes = errors.New("server: fleet has no reachable nodes")
 var ErrNodeDown = errors.New("server: fleet node is down")
 
 // FleetOptions tunes a Fleet. The zero value selects the defaults above,
-// with hedging disabled.
+// with hedging disabled. New connections are bounded by DefaultDialTimeout
+// and each node keeps at most DefaultMaxIdlePerNode idle ones.
 type FleetOptions struct {
 	// ProbeTimeout bounds one power-of-two probe round (both candidates
 	// share it); 0 means DefaultProbeTimeout.
 	ProbeTimeout time.Duration
-	// DialTimeout bounds new connections; 0 means DefaultDialTimeout.
-	DialTimeout time.Duration
 	// HedgeAfter, when positive, launches a second copy of a request on a
 	// different node if the first has not answered within this duration;
 	// the first response wins and the loser is cancelled.
 	HedgeAfter time.Duration
 	// HealthInterval is the eviction/re-admission probe period; 0 means
-	// DefaultHealthInterval, negative disables the loop (tests drive
-	// HealthCheck directly). With the loop disabled, an evicted node is
-	// also re-admitted whenever it answers a probe or serves a request —
-	// which routed traffic only causes once no healthy node remains — so
-	// callers disabling the loop own calling HealthCheck for timely
-	// recovery.
+	// DefaultHealthInterval, negative disables the loop. With the loop
+	// disabled, an evicted node is re-admitted only when it answers a probe
+	// or serves a request: through ProbeNode, or through routed traffic
+	// once no healthy node remains.
 	HealthInterval time.Duration
-	// MaxIdlePerNode caps pooled idle connections per node; 0 means
-	// DefaultMaxIdlePerNode.
-	MaxIdlePerNode int
-	// MaxAttempts bounds how many nodes one request may try (the first
-	// attempt included); 0 means one attempt per node.
-	MaxAttempts int
 	// Seed fixes the candidate-selection rng for reproducible tests; 0
 	// seeds from the clock.
 	Seed int64
@@ -95,9 +86,9 @@ type fleetNode struct {
 
 	// rtt is the probe RTT EWMA: fed by every successful OpLoad probe
 	// (target selection, health loop, ProbeNode), exported through
-	// StatsSnapshot and NodeRTT so the backfill pacer's inputs are
-	// operator-visible. Request exchanges do not feed it — a conversion's
-	// latency measures the payload, not the wire.
+	// StatsSnapshot (node<i>_srtt_us, _rto_us, _rtt_samples). Request
+	// exchanges do not feed it — a conversion's latency measures the
+	// payload, not the wire.
 	rtt RTTEstimator
 	// evictions names the router counter of how many times this node
 	// specifically was evicted (node<i>_evictions).
@@ -141,12 +132,6 @@ func NewFleet(addrs []string, opts *FleetOptions) (*Fleet, error) {
 	if f.opts.ProbeTimeout <= 0 {
 		f.opts.ProbeTimeout = DefaultProbeTimeout
 	}
-	if f.opts.DialTimeout <= 0 {
-		f.opts.DialTimeout = DefaultDialTimeout
-	}
-	if f.opts.MaxIdlePerNode <= 0 {
-		f.opts.MaxIdlePerNode = DefaultMaxIdlePerNode
-	}
 	seed := f.opts.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -166,9 +151,6 @@ func NewFleet(addrs []string, opts *FleetOptions) (*Fleet, error) {
 	}
 	if len(f.nodes) == 0 {
 		return nil, errors.New("server: fleet needs at least one node")
-	}
-	if f.opts.MaxAttempts <= 0 {
-		f.opts.MaxAttempts = len(f.nodes)
 	}
 	interval := f.opts.HealthInterval
 	if interval == 0 {
@@ -228,16 +210,6 @@ func (f *Fleet) StatsSnapshot() map[string]int64 {
 	return snap
 }
 
-// NodeRTT returns the RTT estimate for addr, fed by load probes and served
-// requests — the signal the backfill pacer times its window against.
-func (f *Fleet) NodeRTT(addr string) (RTTStat, bool) {
-	n, ok := f.byAddr[addr]
-	if !ok {
-		return RTTStat{}, false
-	}
-	return n.rtt.Stat(), true
-}
-
 // --- per-node connection pool --------------------------------------------
 
 // getClient pops an idle persistent client or dials a fresh one; fresh
@@ -256,7 +228,7 @@ func (f *Fleet) getClient(ctx context.Context, n *fleetNode, fresh bool) (c *Cli
 		}
 		n.mu.Unlock()
 	}
-	dctx, cancel := context.WithTimeout(ctx, f.opts.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, DefaultDialTimeout)
 	defer cancel()
 	c, err = DialContext(dctx, n.addr)
 	if err != nil {
@@ -269,7 +241,7 @@ func (f *Fleet) getClient(ctx context.Context, n *fleetNode, fresh bool) (c *Cli
 // when the pool is full or the node was evicted meanwhile.
 func (f *Fleet) putClient(n *fleetNode, c *Client) {
 	n.mu.Lock()
-	if !n.down && len(n.idle) < f.opts.MaxIdlePerNode && !f.closed.Load() {
+	if !n.down && len(n.idle) < DefaultMaxIdlePerNode && !f.closed.Load() {
 		n.idle = append(n.idle, c)
 		n.mu.Unlock()
 		return
@@ -681,7 +653,7 @@ func (f *Fleet) tryHedged(ctx context.Context, primary *fleetNode, op byte, payl
 // Do routes one request through the fleet: pick a node by loaded-probe
 // power-of-two choices, hedge if configured, and retry transport failures
 // and node-local declines (StatusRetry: per-request timeouts, drain
-// force-cancels) on different nodes until MaxAttempts is exhausted.
+// force-cancels) on different nodes, one attempt per node at most.
 // Deterministic rejections (StatusError) are returned immediately — the
 // server rejected the payload itself, so another node would too.
 func (f *Fleet) Do(ctx context.Context, op byte, payload []byte) ([]byte, error) {
@@ -694,7 +666,7 @@ func (f *Fleet) Do(ctx context.Context, op byte, payload []byte) ([]byte, error)
 	f.stats.Add("requests", 1)
 	exclude := make(map[*fleetNode]bool)
 	var lastErr error
-	for attempt := 0; attempt < f.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < len(f.nodes); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -782,7 +754,7 @@ func (f *Fleet) healthLoop(interval time.Duration) {
 		case <-f.stopCh:
 			return
 		case <-t.C:
-			f.HealthCheck(context.Background())
+			f.healthCheck(context.Background())
 		}
 	}
 }
@@ -795,11 +767,10 @@ func (f *Fleet) healthLoop(interval time.Duration) {
 // request's dial/transport failure.
 const healthEvictAfter = 2
 
-// HealthCheck probes every node once, concurrently: healthy nodes are
+// healthCheck probes every node once, concurrently: healthy nodes are
 // evicted after healthEvictAfter consecutive failed probes, evicted nodes
-// that answer are re-admitted. The health loop calls it on every tick;
-// tests may call it directly.
-func (f *Fleet) HealthCheck(ctx context.Context) {
+// that answer are re-admitted. The health loop calls it on every tick.
+func (f *Fleet) healthCheck(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, n := range f.nodes {
 		wg.Add(1)

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -12,11 +13,16 @@ import (
 	"lepton/internal/store"
 )
 
-// putTestChunk stores one raw payload as a single chunk via OpPutChunkRaw
-// and returns its content hash.
+// putTestChunk stores one raw payload as a single chunk — compressed by
+// the server's OpCompress (a raw-mode container for a non-JPEG), then
+// uploaded with OpPutChunkCompressed — and returns its content hash.
 func putTestChunk(t *testing.T, addr string, raw []byte) [32]byte {
 	t.Helper()
-	resp, err := oneShot(addr, server.OpPutChunkRaw, raw, 10*time.Second)
+	comp, err := oneShot(addr, server.OpCompress, raw, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := oneShot(addr, server.OpPutChunkCompressed, comp, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,6 +32,17 @@ func putTestChunk(t *testing.T, addr string, raw []byte) [32]byte {
 	}
 	copy(h[:], resp)
 	return h
+}
+
+// rangeReq builds an OpGetRange body: a 32-byte hash, a u64 offset and a
+// u32 length, little-endian. An offset past int64 reads as negative on the
+// server.
+func rangeReq(h [32]byte, off uint64, n uint32) []byte {
+	req := make([]byte, 44)
+	copy(req, h[:])
+	binary.LittleEndian.PutUint64(req[32:], off)
+	binary.LittleEndian.PutUint32(req[40:], n)
+	return req
 }
 
 // TestGetRangeOp exercises OpGetRange end to end against a store-backed
@@ -40,13 +57,11 @@ func TestGetRangeOp(t *testing.T) {
 	raw := gen(t, 61, 320, 240)
 	h := putTestChunk(t, addr, raw)
 
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	cl := dial(t, addr)
+	getRange := func(off, n int64) ([]byte, error) {
+		return do(cl, server.OpGetRange, rangeReq(h, uint64(off), uint32(n)), 5*time.Second)
 	}
-	defer cl.Close()
 
-	ctx := context.Background()
 	size := int64(len(raw))
 	before := core.RangeStats()
 	probes := [][2]int64{
@@ -55,7 +70,7 @@ func TestGetRangeOp(t *testing.T) {
 		{size / 3, 0},
 	}
 	for _, p := range probes {
-		got, err := cl.GetRange(ctx, h, p[0], p[1])
+		got, err := getRange(p[0], p[1])
 		if err != nil {
 			t.Fatalf("GetRange(off=%d n=%d): %v", p[0], p[1], err)
 		}
@@ -85,22 +100,14 @@ func TestGetRangeOp(t *testing.T) {
 		t.Fatalf("snapshot missing range_fast counter: %v", snap)
 	}
 
-	// Unknown chunk: StatusNotFound, surfaced as RemoteError.NotFound.
-	var missing [32]byte
-	_, err = cl.GetRange(ctx, missing, 0, 16)
-	var re *server.RemoteError
-	if !errors.As(err, &re) || !re.NotFound {
-		t.Fatalf("missing chunk: got %v, want RemoteError with NotFound", err)
-	}
-
-	// Malformed request body: deterministic rejection, connection stays up.
-	if _, err := oneShot(addr, server.OpGetRange, h[:], 5*time.Second); err == nil {
-		t.Fatal("expected error for short get-range request")
-	}
-	if _, err := cl.GetRange(ctx, h, -1, 16); err == nil {
-		t.Fatal("expected client-side rejection of negative offset")
-	}
-	if got, err := cl.GetRange(ctx, h, 0, 32); err != nil || !bytes.Equal(got, raw[:32]) {
+	// Malformed requests: deterministic in-band rejections (a short body,
+	// and an offset past int64 that the server reads as negative); the
+	// connection stays up.
+	_, err := do(cl, server.OpGetRange, h[:], 5*time.Second)
+	wantRemote(t, "short get-range request", err, false)
+	_, err = getRange(-1, 16)
+	wantRemote(t, "negative offset", err, false)
+	if got, err := getRange(0, 32); err != nil || !bytes.Equal(got, raw[:32]) {
 		t.Fatalf("connection unusable after rejected requests: %v", err)
 	}
 }
@@ -115,12 +122,7 @@ func TestGetRangeFallbackContainer(t *testing.T) {
 	blob := []byte("definitely not a jpeg, stored verbatim as a raw container ........")
 	h := putTestChunk(t, addr, blob)
 
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	got, err := cl.GetRange(context.Background(), h, 11, 9)
+	got, err := oneShot(addr, server.OpGetRange, rangeReq(h, 11, 9), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,8 @@ func TestGetRangeFallbackContainer(t *testing.T) {
 
 // TestFleetGetRange places a chunk on one node of a two-node fleet and
 // checks the node-addressed GetRange: the holding node serves the slice,
-// the other reports a miss as store.ErrRemoteMiss.
+// the other reports a miss as store.ErrRemoteMiss, and a negative offset
+// never leaves the client.
 func TestFleetGetRange(t *testing.T) {
 	nodes := startTestFleet(t, 2)
 	f := newTestFleet(t, nodes, nil)
@@ -146,6 +149,16 @@ func TestFleetGetRange(t *testing.T) {
 	}
 	if _, err := f.GetRange(ctx, nodes[1].addr, h, 5, 100); !errors.Is(err, store.ErrRemoteMiss) {
 		t.Fatalf("miss: got %v, want ErrRemoteMiss", err)
+	}
+	// A negative bound is refused client-side, before anything is sent.
+	before := nodes[0].snapshot()["errors"]
+	_, err = f.GetRange(ctx, nodes[0].addr, h, -1, 16)
+	var re *server.RemoteError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("negative offset: got %v, want a client-side refusal", err)
+	}
+	if got := nodes[0].snapshot()["errors"]; got != before {
+		t.Fatalf("negative offset reached the node: errors %d -> %d", before, got)
 	}
 }
 

@@ -69,13 +69,9 @@ func fakeLoadPeer(t *testing.T, load uint32) (addr string, jobs *atomic.Int64) {
 // checks each result round-trips.
 func compressN(t *testing.T, addr string, data []byte, n int) {
 	t.Helper()
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr)
 	for i := 0; i < n; i++ {
-		comp, err := cl.Do(server.OpCompress, data, 20*time.Second)
+		comp, err := do(cl, server.OpCompress, data, 20*time.Second)
 		if err != nil {
 			t.Fatalf("compress %d: %v", i, err)
 		}

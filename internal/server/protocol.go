@@ -34,13 +34,10 @@ const (
 	// forwarder handles by compressing locally.
 	OpCompressLocal = byte('c')
 
-	// Store-backed operations (require Blockserver.Store). The pair of
-	// chunk paths implements both deployment modes: server-side codec
-	// (client moves raw bytes) and client-side codec (client moves
-	// compressed bytes — the §7 bandwidth saving).
-	OpPutChunkRaw        = byte('P') // body: raw chunk -> server compresses, returns 32-byte hash
-	OpPutChunkCompressed = byte('U') // body: Lepton chunk -> server verifies+stores, returns hash
-	OpGetChunkRaw        = byte('G') // body: hash -> server decompresses, returns raw bytes
+	// Store-backed operations (require Blockserver.Store). The codec runs
+	// on the client, so chunks cross the wire compressed (the §7 bandwidth
+	// saving); a server converting what it receives (§5.5) is OpCompress.
+	OpPutChunkCompressed = byte('U') // body: Lepton chunk -> server verifies+stores, returns 32-byte hash
 	OpGetChunkCompressed = byte('H') // body: hash -> returns stored compressed bytes
 
 	// OpListChunks is the ranged scan behind warm restart and anti-entropy:

@@ -11,8 +11,9 @@ import (
 	"time"
 )
 
-// RTT estimator defaults. The gains are the classic 1/8 (srtt) and 1/4
-// (rttvar); the RTO is srtt + 4*rttvar clamped into [min, max].
+// RTT estimator bounds. The gains are the classic 1/8 (srtt) and 1/4
+// (rttvar); the RTO is srtt + 4*rttvar clamped into
+// [DefaultRTOMin, DefaultRTOMax].
 const (
 	// DefaultRTOMin keeps the timeout from collapsing below scheduler
 	// jitter on loopback-fast paths.
@@ -31,43 +32,18 @@ type RTTStat struct {
 	Samples int64         // successful round trips observed
 }
 
-// RTTEstimator tracks one peer's round-trip time. Safe for concurrent use.
-// The zero value is usable and uses the default RTO bounds.
+// RTTEstimator tracks one peer's round-trip time. Safe for concurrent use;
+// the zero value is ready.
 type RTTEstimator struct {
-	mu       sync.Mutex
-	srtt     time.Duration
-	rttvar   time.Duration
-	rto      time.Duration
-	samples  int64
-	min, max time.Duration
+	mu      sync.Mutex
+	srtt    time.Duration
+	rttvar  time.Duration
+	rto     time.Duration
+	samples int64
 }
 
-// NewRTTEstimator builds an estimator with explicit RTO clamps; zero picks
-// the defaults.
-func NewRTTEstimator(min, max time.Duration) *RTTEstimator {
-	return &RTTEstimator{min: min, max: max}
-}
-
-func (e *RTTEstimator) bounds() (time.Duration, time.Duration) {
-	min, max := e.min, e.max
-	if min <= 0 {
-		min = DefaultRTOMin
-	}
-	if max <= 0 {
-		max = DefaultRTOMax
-	}
-	return min, max
-}
-
-func (e *RTTEstimator) clampLocked(d time.Duration) time.Duration {
-	min, max := e.bounds()
-	if d < min {
-		return min
-	}
-	if d > max {
-		return max
-	}
-	return d
+func clampRTO(d time.Duration) time.Duration {
+	return min(max(d, DefaultRTOMin), DefaultRTOMax)
 }
 
 // Observe folds one successful round trip into the estimate and resets any
@@ -90,7 +66,7 @@ func (e *RTTEstimator) Observe(sample time.Duration) {
 		e.srtt = (7*e.srtt + sample) / 8
 	}
 	e.samples++
-	e.rto = e.clampLocked(e.srtt + 4*e.rttvar)
+	e.rto = clampRTO(e.srtt + 4*e.rttvar)
 }
 
 // Backoff doubles the timeout (clamped to the max) after a loss or expiry,
@@ -102,16 +78,16 @@ func (e *RTTEstimator) Backoff() {
 	if rto <= 0 {
 		rto = initialRTO
 	}
-	e.rto = e.clampLocked(2 * rto)
+	e.rto = clampRTO(2 * rto)
 }
 
 // RTO returns the current timeout: the Jacobson formula after samples, the
-// conventional 1 second before any (clamped either way).
+// conventional 1 second before any.
 func (e *RTTEstimator) RTO() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.rto <= 0 {
-		return e.clampLocked(initialRTO)
+		return initialRTO
 	}
 	return e.rto
 }
@@ -122,7 +98,7 @@ func (e *RTTEstimator) Stat() RTTStat {
 	defer e.mu.Unlock()
 	rto := e.rto
 	if rto <= 0 {
-		rto = e.clampLocked(initialRTO)
+		rto = initialRTO
 	}
 	return RTTStat{SRTT: e.srtt, RTTVar: e.rttvar, RTO: rto, Samples: e.samples}
 }

@@ -48,23 +48,23 @@ func TestRTTEstimatorJacobson(t *testing.T) {
 }
 
 func TestRTTEstimatorBackoffAndRecovery(t *testing.T) {
-	e := server.NewRTTEstimator(20*time.Millisecond, 2*time.Second)
+	var e server.RTTEstimator
 	e.Observe(50 * time.Millisecond)
 	base := e.RTO()
 	e.Backoff()
 	if got := e.RTO(); got != 2*base {
 		t.Fatalf("one backoff: RTO = %v, want %v", got, 2*base)
 	}
-	// Repeated backoff saturates at the configured max.
-	for i := 0; i < 10; i++ {
+	// Repeated backoff saturates at the clamp ceiling.
+	for i := 0; i < 20; i++ {
 		e.Backoff()
 	}
-	if got := e.RTO(); got != 2*time.Second {
-		t.Fatalf("saturated RTO = %v, want clamp max 2s", got)
+	if got := e.RTO(); got != server.DefaultRTOMax {
+		t.Fatalf("saturated RTO = %v, want clamp max %v", got, server.DefaultRTOMax)
 	}
 	// One fresh sample discards the backoff: the peer answers again.
 	e.Observe(50 * time.Millisecond)
-	if got := e.RTO(); got >= 2*time.Second {
+	if got := e.RTO(); got > base {
 		t.Fatalf("sample did not reset backoff: RTO = %v", got)
 	}
 }
@@ -79,9 +79,8 @@ func TestRTTEstimatorClampFloor(t *testing.T) {
 	}
 }
 
-// TestFleetExportsPacerInputs covers the operator-visibility satellite: the
-// per-node probe RTT estimate, eviction count, and down flag must appear in
-// StatsSnapshot, and NodeRTT must answer for a known address.
+// TestFleetExportsPacerInputs: the per-node probe RTT estimate, eviction
+// count, and down flag must appear in StatsSnapshot.
 func TestFleetExportsPacerInputs(t *testing.T) {
 	nodes := startTestFleet(t, 2)
 	f := newTestFleet(t, nodes, &server.FleetOptions{HealthInterval: -1})
@@ -91,14 +90,6 @@ func TestFleetExportsPacerInputs(t *testing.T) {
 		if _, err := f.ProbeNode(ctx, nd.addr); err != nil {
 			t.Fatalf("probe %s: %v", nd.addr, err)
 		}
-	}
-
-	st, ok := f.NodeRTT(nodes[0].addr)
-	if !ok || st.Samples == 0 {
-		t.Fatalf("NodeRTT after probe: ok=%v stat=%+v", ok, st)
-	}
-	if _, ok := f.NodeRTT("tcp:10.0.0.1:1"); ok {
-		t.Fatal("NodeRTT answered for an unknown address")
 	}
 
 	snap := f.StatsSnapshot()

@@ -3,11 +3,13 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,14 +49,47 @@ func startServer(t *testing.T, addr string, b *server.Blockserver) string {
 	return bound
 }
 
-// oneShot performs one exchange on a fresh connection.
+// dial opens a persistent client, failing the test if it cannot.
+func dial(t testing.TB, addr string) *server.Client {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cl, err := server.DialContext(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// do performs one exchange on cl under a timeout.
+func do(cl *server.Client, op byte, payload []byte, timeout time.Duration) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return cl.DoCtx(ctx, op, payload)
+}
+
+// oneShot performs one exchange on a fresh connection, dial included,
+// under one timeout.
 func oneShot(addr string, op byte, payload []byte, timeout time.Duration) ([]byte, error) {
-	cl, err := server.Dial(addr, timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	cl, err := server.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	return cl.Do(op, payload, timeout)
+	return cl.DoCtx(ctx, op, payload)
+}
+
+// wantRemote checks that err is an in-band *RemoteError of the given kind:
+// notFound for StatusNotFound, otherwise a non-transient StatusError.
+func wantRemote(t *testing.T, what string, err error, notFound bool) {
+	t.Helper()
+	var re *server.RemoteError
+	if !errors.As(err, &re) || re.Transient || re.NotFound != notFound {
+		t.Fatalf("%s: got %v, want a RemoteError with NotFound=%v, not transient", what, err, notFound)
+	}
 }
 
 func TestUnixSocketCompressDecompress(t *testing.T) {
@@ -210,31 +245,18 @@ func TestStoreBackedOps(t *testing.T) {
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 
 	raw := gen(t, 50, 200, 150)
-	// Server-side path.
-	h, err := oneShot(addr, server.OpPutChunkRaw, raw, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h) != 32 {
-		t.Fatalf("hash length %d", len(h))
-	}
-	back, err := oneShot(addr, server.OpGetChunkRaw, h, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, raw) {
-		t.Fatal("server-side store round trip mismatch")
-	}
-	// Client-side path.
 	res, err := encode(raw, core.EncodeOptions{VerifyRoundtrip: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := oneShot(addr, server.OpPutChunkCompressed, res.Compressed, 10*time.Second)
+	h, err := oneShot(addr, server.OpPutChunkCompressed, res.Compressed, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := oneShot(addr, server.OpGetChunkCompressed, h2, 10*time.Second)
+	if want := sha256.Sum256(res.Compressed); !bytes.Equal(h, want[:]) {
+		t.Fatalf("put returned hash %x, want the SHA-256 of the chunk %x", h, want)
+	}
+	cb, err := oneShot(addr, server.OpGetChunkCompressed, h, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +267,20 @@ func TestStoreBackedOps(t *testing.T) {
 	if err != nil || !bytes.Equal(out, raw) {
 		t.Fatal("client-side decode mismatch")
 	}
+	// The range op decodes the stored chunk server-side.
+	back, err := oneShot(addr, server.OpGetRange, rangeReq([32]byte(h), 0, uint32(len(raw))), 10*time.Second)
+	if err != nil || !bytes.Equal(back, raw) {
+		t.Fatalf("whole-chunk range read mismatch (%v)", err)
+	}
 }
 
 func TestStoreOpsWithoutStore(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	if _, err := oneShot(addr, server.OpPutChunkRaw, []byte("x"), 5*time.Second); err == nil {
-		t.Fatal("expected error without a store")
+	_, err := oneShot(addr, server.OpPutChunkCompressed, []byte("x"), 5*time.Second)
+	wantRemote(t, "put without a store", err, false)
+	if !strings.Contains(err.Error(), "no store configured") {
+		t.Fatalf("put without a store: %v", err)
 	}
 }
 
@@ -268,12 +297,48 @@ func TestGetChunkBadHash(t *testing.T) {
 	st := store.New()
 	b := &server.Blockserver{Store: st}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	if _, err := oneShot(addr, server.OpGetChunkRaw, []byte{1, 2}, 5*time.Second); err == nil {
-		t.Fatal("expected error for short hash")
-	}
+	cl := dial(t, addr)
 	var missing [32]byte
-	if _, err := oneShot(addr, server.OpGetChunkRaw, missing[:], 5*time.Second); err == nil {
-		t.Fatal("expected error for unknown hash")
+	for _, c := range []struct {
+		name     string
+		op       byte
+		body     []byte
+		notFound bool
+	}{
+		{"get short hash", server.OpGetChunkCompressed, []byte{1, 2}, false},
+		{"get unknown hash", server.OpGetChunkCompressed, missing[:], true},
+		{"range short body", server.OpGetRange, missing[:], false},
+		{"range unknown hash", server.OpGetRange, rangeReq(missing, 0, 16), true},
+	} {
+		_, err := do(cl, c.op, c.body, 5*time.Second)
+		wantRemote(t, c.name, err, c.notFound)
+	}
+	// In-band refusals leave the connection usable.
+	if _, err := cl.Load(context.Background()); err != nil {
+		t.Fatalf("connection unusable after refusals: %v", err)
+	}
+}
+
+// TestUnknownOpAnswersInBand: an op the server does not know — the retired
+// server-side chunk ops 'P' and 'G', or a byte never defined — gets an
+// in-band StatusError, counts as an error, and leaves the persistent
+// connection serving.
+func TestUnknownOpAnswersInBand(t *testing.T) {
+	b := &server.Blockserver{Store: store.New()}
+	addr := startServer(t, "tcp:127.0.0.1:0", b)
+	cl := dial(t, addr)
+	for i, op := range []byte{'P', 'G', 0xEE} {
+		_, err := do(cl, op, []byte("payload"), 5*time.Second)
+		wantRemote(t, fmt.Sprintf("op %q", op), err, false)
+		if !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("op %q: %v, want \"unknown op\"", op, err)
+		}
+		if got := b.StatsSnapshot()["errors"]; got != int64(i+1) {
+			t.Fatalf("after op %q: errors = %d, want %d", op, got, i+1)
+		}
+	}
+	if _, err := cl.Load(context.Background()); err != nil {
+		t.Fatalf("load after unknown ops: %v", err)
 	}
 }
 
@@ -284,18 +349,14 @@ func TestPersistentConnectionManyRequests(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr)
 
 	// A few distinct files so pooled state is exercised across shapes.
 	var datas [][]byte
 	var comps [][]byte
 	for i := 0; i < 4; i++ {
 		data := gen(t, int64(200+i), 96+16*i, 96)
-		comp, err := cl.Do(server.OpCompress, data, 20*time.Second)
+		comp, err := do(cl, server.OpCompress, data, 20*time.Second)
 		if err != nil {
 			t.Fatalf("compress %d: %v", i, err)
 		}
@@ -306,7 +367,7 @@ func TestPersistentConnectionManyRequests(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		k := i % len(datas)
 		if i%2 == 0 {
-			comp, err := cl.Do(server.OpCompress, datas[k], 20*time.Second)
+			comp, err := do(cl, server.OpCompress, datas[k], 20*time.Second)
 			if err != nil {
 				t.Fatalf("request %d: %v", i, err)
 			}
@@ -314,7 +375,7 @@ func TestPersistentConnectionManyRequests(t *testing.T) {
 				t.Fatalf("request %d: compressed bytes changed across requests", i)
 			}
 		} else {
-			back, err := cl.Do(server.OpDecompress, comps[k], 20*time.Second)
+			back, err := do(cl, server.OpDecompress, comps[k], 20*time.Second)
 			if err != nil {
 				t.Fatalf("request %d: %v", i, err)
 			}
@@ -336,11 +397,7 @@ func TestPersistentConnectionManyRequests(t *testing.T) {
 func TestPersistentConnectionShortLivedContexts(t *testing.T) {
 	b := &server.Blockserver{}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr)
 
 	const rounds = 4000
 	for i := 0; i < rounds; i++ {
@@ -350,7 +407,7 @@ func TestPersistentConnectionShortLivedContexts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d (cancel after return): %v", i, err)
 		}
-		if _, err := cl.Do(server.OpLoad, nil, time.Minute); err != nil {
+		if _, err := do(cl, server.OpLoad, nil, time.Minute); err != nil {
 			t.Fatalf("request %d (timeout context): %v", i, err)
 		}
 	}
@@ -363,22 +420,26 @@ func TestPersistentConnectionMixedOps(t *testing.T) {
 	st.ChunkSize = 64 << 10
 	b := &server.Blockserver{Store: st}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
-	cl, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr)
 
 	data := gen(t, 210, 160, 120)
 	for i := 0; i < 5; i++ {
-		if _, err := cl.Do(server.OpLoad, nil, 5*time.Second); err != nil {
+		if _, err := do(cl, server.OpLoad, nil, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		h, err := cl.Do(server.OpPutChunkRaw, data, 10*time.Second)
+		comp, err := do(cl, server.OpCompress, data, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := cl.Do(server.OpGetChunkRaw, h, 10*time.Second)
+		h, err := do(cl, server.OpPutChunkCompressed, comp, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := do(cl, server.OpGetChunkCompressed, h, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := do(cl, server.OpDecompress, cb, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,10 +449,10 @@ func TestPersistentConnectionMixedOps(t *testing.T) {
 	}
 	// A remote error (garbage decompress payload) must not poison the
 	// connection for later requests.
-	if _, err := cl.Do(server.OpDecompress, []byte("junk"), 5*time.Second); err == nil {
+	if _, err := do(cl, server.OpDecompress, []byte("junk"), 5*time.Second); err == nil {
 		t.Fatal("garbage decompress should fail")
 	}
-	if _, err := cl.Do(server.OpLoad, nil, 5*time.Second); err != nil {
+	if _, err := do(cl, server.OpLoad, nil, 5*time.Second); err != nil {
 		t.Fatalf("connection unusable after remote error: %v", err)
 	}
 }

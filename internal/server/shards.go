@@ -34,9 +34,7 @@ const (
 	jobFunc jobKind = iota // test hook: runs shardJob.fn
 	jobCompress
 	jobDecompress
-	jobPutRaw
 	jobPutCompressed
-	jobGetRaw
 	jobGetRange
 )
 
@@ -61,7 +59,7 @@ type shardJob struct {
 	kind    jobKind
 	ctx     context.Context
 	payload []byte
-	hash    store.Hash // jobGetRaw/jobGetRange: parsed before submit, on the conn goroutine
+	hash    store.Hash // jobGetRange: parsed before submit, on the conn goroutine
 	off, n  int64      // jobGetRange bounds, parsed with the hash
 
 	fn func() bool // jobFunc (tests)
@@ -79,12 +77,8 @@ func (j *shardJob) run(cd *core.Codec) bool {
 		return j.b.compressLocal(j.ctx, cd, j.sc.conn, j.payload)
 	case jobDecompress:
 		return j.b.decompressLocal(j.ctx, cd, j.sc, j.payload)
-	case jobPutRaw:
-		return j.b.putRawLocal(j.ctx, j.sc.conn, j.payload)
 	case jobPutCompressed:
 		return j.b.putCompressedLocal(j.ctx, j.sc.conn, j.payload)
-	case jobGetRaw:
-		return j.b.getRawLocal(j.ctx, j.sc.conn, j.hash)
 	case jobGetRange:
 		return j.b.getRangeLocal(j.ctx, cd, j.sc, j.hash, j.off, j.n)
 	case jobFunc:
