@@ -194,6 +194,13 @@ type Reader struct {
 // NewReader returns a Reader over the entropy-coded segment in data.
 func NewReader(data []byte) *Reader { return &Reader{data: data, ffAt: -1} }
 
+// NewReaderAt returns a Reader over data that resumes at a position an
+// earlier reader of the same data reported through Pos, where it was not
+// stopped at a marker: the handover word's byte and bit offsets.
+func NewReaderAt(data []byte, byteOff int, bitOff uint8) *Reader {
+	return &Reader{data: data, pos: byteOff, bit: bitOff, ffAt: -1}
+}
+
 // Pos returns the raw-stream position of the next unread bit: the byte index
 // (including stuffing bytes) and the bit offset within that byte. This is the
 // position recorded in Huffman handover words.

@@ -23,7 +23,8 @@
 // A file's chunks come from one streamed encode of its whole scan, the
 // same pipeline whole-file compression runs (§5.1: row by row under a
 // fixed memory ceiling), with its thread segments cut at the chunks' MCU
-// rows; no whole coefficient plane is built on a put.
+// rows; no whole coefficient plane is built on a put. The encode's position
+// pass finds where those rows begin, so the plan costs no extra scan pass.
 package chunk
 
 import (
@@ -90,7 +91,7 @@ func (o Options) check() error {
 // path was taken. The error return reports only internal failures and
 // cancellation; unsupported inputs are not errors at this layer.
 // Cancellation is observed between chunks and, per MCU row, inside the
-// row-position pass and the file's one streamed encode.
+// position pass and the file's one streamed encode.
 func CompressCtx(ctx context.Context, data []byte, opt Options) ([][]byte, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
@@ -182,10 +183,9 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 // encode of its whole scan (core.Codec.EncodeScanCtx, the path whole-file
 // compression takes too), cut into thread segments so that no segment
 // crosses a chunk's MCU rows; each chunk's container then takes its slice
-// of the segments and streams. Only the rows that encode's run-ahead rule
-// lets it queue are held, never whole coefficient planes, so a put's
-// memory is bounded the way a whole-file compress's is, whatever the
-// image's height.
+// of the segments and streams. The encode holds a row window per live
+// segment, never whole coefficient planes, so a put's memory is bounded the
+// way a whole-file compress's is, whatever the image's height.
 func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk []byte) error) error {
 	size := chunkSize(opt)
 	codec := opt.Codec
@@ -197,14 +197,18 @@ func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk 
 	if err == nil && core.DecodeWindowBytes(f, core.MaxSegments) > core.DefaultMemDecodeBudget {
 		err = fmt.Errorf("over decode budget")
 	}
+	var pass *core.ScanPass
+	if err == nil {
+		pass, err = core.NewScanPass(f)
+	}
 	var spans []span
 	var starts []int
 	if err == nil {
-		spans, starts, err = planChunks(ctx, f, len(data), size, opt.SegmentsPerChunk)
+		spans, starts, err = planChunks(ctx, f, pass, len(data), size, opt.SegmentsPerChunk)
 	}
 	var enc *core.ScanEncode
 	if err == nil {
-		enc, err = codec.EncodeScanCtx(ctx, f, starts, model.DefaultFlags(), core.DefaultMemEncodeBudget, false)
+		enc, err = codec.EncodeScanCtx(ctx, f, starts, pass, model.DefaultFlags(), false)
 	}
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -260,37 +264,43 @@ type span struct {
 }
 
 // planChunks assigns every chunk of an n-byte file its MCU rows and thread
-// segments before any segment is encoded. Chunk ownership is rounded to MCU-row starts:
-// a chunk owns the rows that start at or after its first byte and before
-// its end, and a chunk in which no row starts is stored raw. The row byte
-// positions this needs come from one scan pass that keeps no coefficients,
-// taken only when a chunk boundary falls inside the scan. The returned
-// starts are every chunk's segment starts, concatenated.
-func planChunks(ctx context.Context, f *jpeg.File, n, size, segsPerChunk int) ([]span, []int, error) {
+// segments before any segment is encoded. Chunk ownership is rounded to
+// MCU-row starts: a chunk owns the rows that start at or after its first
+// byte and before its end, and a chunk in which no row starts is stored
+// raw. The row byte positions this needs come from advancing pass, only as
+// far as the last chunk boundary inside the scan; the encode carries the
+// pass on from there. The returned starts are every chunk's segment starts,
+// concatenated.
+func planChunks(ctx context.Context, f *jpeg.File, pass *core.ScanPass, n, size, segsPerChunk int) ([]span, []int, error) {
 	scanStart := int64(len(f.Header))
 	scanEnd := scanStart + int64(len(f.ScanData))
 	total, w := f.TotalMCUs(), f.MCUsWide
-	var rowPos []jpeg.MCUPos
-	if firstInside := (scanStart/int64(size) + 1) * int64(size); firstInside < scanEnd {
-		var err error
-		if rowPos, err = scanRowPositions(ctx, f); err != nil {
-			return nil, nil, err
-		}
-	}
 	// absRow(r) is the file offset of MCU row r's first byte.
-	absRow := func(r int) int64 { return scanStart + rowPos[r].ByteOff }
+	absRow := func(r int) int64 { return scanStart + pass.Rows()[r].ByteOff }
 	// rowStartAtOrAfter returns the first row-aligned MCU that starts at
 	// or after off (total if none). Offsets outside the scan need no
 	// positions: row 0 starts at the scan's first byte, and every row
-	// starts before its end.
-	rowStartAtOrAfter := func(off int64) int {
+	// starts before its end. Chunk offsets ascend, so the pass only ever
+	// moves forward.
+	rowStartAtOrAfter := func(off int64) (int, error) {
 		switch {
 		case off <= scanStart:
-			return 0
+			return 0, nil
 		case off >= scanEnd:
-			return total
+			return total, nil
 		}
-		return sort.Search(f.MCUsHigh, func(r int) bool { return absRow(r) >= off }) * w
+		for {
+			known := len(pass.Rows())
+			if absRow(known-1) >= off {
+				return sort.Search(known, func(r int) bool { return absRow(r) >= off }) * w, nil
+			}
+			if known >= f.MCUsHigh {
+				return total, nil
+			}
+			if err := pass.Advance(ctx, known); err != nil {
+				return 0, err
+			}
+		}
 	}
 
 	spans := make([]span, max(1, (n+size-1)/size))
@@ -303,7 +313,14 @@ func planChunks(ctx context.Context, f *jpeg.File, n, size, segsPerChunk int) ([
 		if sp.o1 <= scanStart || sp.o0 >= scanEnd {
 			continue
 		}
-		mStart, mEnd := rowStartAtOrAfter(sp.o0), rowStartAtOrAfter(sp.o1)
+		mStart, err := rowStartAtOrAfter(sp.o0)
+		if err != nil {
+			return nil, nil, err
+		}
+		mEnd, err := rowStartAtOrAfter(sp.o1)
+		if err != nil {
+			return nil, nil, err
+		}
 		if sp.o1 >= scanEnd {
 			mEnd = total
 		}
@@ -364,37 +381,6 @@ func leptonContainer(data []byte, f *jpeg.File, enc *core.ScanEncode, sp span, k
 		c.SeekIndex = enc.RowPos[sp.mStart/f.MCUsWide : sp.mEnd/f.MCUsWide]
 	}
 	return c
-}
-
-// positionSink is a jpeg.RowSink that keeps no coefficients: every block
-// row of a component is decoded into the same scratch buffer, which nothing
-// reads (the scan decoder only writes coefficients, so the buffer need not
-// be zeroed either). EmitRow stops the pass once ctx is done.
-type positionSink struct {
-	ctx  context.Context
-	bufs [][]int16
-}
-
-func (s *positionSink) GetRowBuf(ci int) []int16 { return s.bufs[ci] }
-
-func (s *positionSink) EmitRow(ci, row int, coeff []int16) error { return s.ctx.Err() }
-
-// scanRowPositions returns the handover state at every MCU-row start of
-// f's scan, decoding it once with one row of scratch per component.
-func scanRowPositions(ctx context.Context, f *jpeg.File) ([]jpeg.MCUPos, error) {
-	sink := &positionSink{ctx: ctx}
-	for _, c := range f.Components {
-		sink.bufs = append(sink.bufs, make([]int16, c.BlocksWide*64))
-	}
-	posAt := make([]int, f.MCUsHigh)
-	for r := range posAt {
-		posAt[r] = r * f.MCUsWide
-	}
-	pos := make([]jpeg.MCUPos, len(posAt))
-	if _, err := jpeg.DecodeScanStream(f, sink, posAt, pos); err != nil {
-		return nil, err
-	}
-	return pos, nil
 }
 
 // RawChunks stores data as raw (deflate) chunks of size bytes (0 means

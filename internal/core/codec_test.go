@@ -186,7 +186,7 @@ func TestEncodeSegmentsMatchesEncodeScan(t *testing.T) {
 	cd := NewCodec()
 	segs, streams, _, release := cd.EncodeSegments(f, scan, 0, f.TotalMCUs(), 5, model.DefaultFlags(), false)
 	defer release()
-	enc, err := cd.EncodeScanCtx(context.Background(), f, SegmentStarts(f, 5, 0, f.MCUsHigh), model.DefaultFlags(), 0, false)
+	enc, err := cd.EncodeScanCtx(context.Background(), f, SegmentStarts(f, 5, 0, f.MCUsHigh), nil, model.DefaultFlags(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +284,34 @@ func TestCodecAllocReduction(t *testing.T) {
 		oneShot, pooled, 100*(1-pooled/oneShot))
 	if pooled > 0.5*oneShot {
 		t.Fatalf("pooled path allocates %.0f B/op vs one-shot %.0f B/op; want >=50%% reduction", pooled, oneShot)
+	}
+}
+
+// TestMarshalAllocatesOnce checks that a container with a seek index
+// marshals into one allocation once the codec's scratch pools are warm: the
+// output is sized from the section lengths, index included, up front.
+func TestMarshalAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	res, err := encode(genJPEG(t, 3, 1024, 768), EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := NewCodec()
+	c, _, err := unmarshal(res.Compressed, cd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.SeekIndex) == 0 {
+		t.Fatal("container has no seek index")
+	}
+	var out []byte
+	if allocs := testing.AllocsPerRun(10, func() { out, err = c.marshal(cd) }); allocs > 1 {
+		t.Fatalf("marshal made %v allocations, want 1", allocs)
+	}
+	if err != nil || !bytes.Equal(out, res.Compressed) || cap(out) != len(out) {
+		t.Fatalf("marshal: %v; %d bytes (cap %d), want the %d encoded", err, len(out), cap(out), len(res.Compressed))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"lepton/internal/arith"
@@ -15,17 +14,19 @@ import (
 )
 
 // Default memory budgets (paper §5.1, §6.2). Like the deployed system,
-// this implementation streams row by row: per-request coefficient memory
-// is a sliding window of block rows per component per live thread segment
-// (at most maxLiveSegments run at once, however many a file has), so
-// MemDecodeBudget is a real streaming ceiling — it bounds the row windows
-// (which scale with image width × live segments), not the pixel count, and
-// a tall over-"plane-budget" image streams through instead of being
-// rejected. MemEncodeBudget is the hard ceiling on the rows the encode
-// producer may keep in flight ahead of the segment coders; the run-ahead
-// rule in EncodeScanCtx keeps an encode far below it. Only
-// files whose windows cannot fit are rejected before allocating, with the
-// memory exit code the §6.2 table exercises.
+// this implementation streams row by row, in both directions: per-request
+// coefficient memory is a sliding window of block rows per component per
+// live thread segment (at most maxLiveSegments run at once, however many a
+// file has), so MemDecodeBudget is a real streaming ceiling — it bounds the
+// row windows (which scale with image width × live segments), not the pixel
+// count, and a tall over-"plane-budget" image streams through instead of
+// being rejected. An encode holds the same windows as the decode of its
+// output, so the decode budget, checked at encode time, bounds both.
+// MemEncodeBudget bounds what an encode may hold outside those windows: the
+// parser refuses a file whose single row window exceeds it, and the
+// Figure-4 statistics (CollectStats) need the whole coefficient planes to
+// fit in it. Only files whose windows cannot fit are rejected before
+// allocating, with the memory exit code the §6.2 table exercises.
 //
 // Deployment shape (§5.1): production ran one Lepton process per core,
 // each handling one conversion at a time, so every process kept a warm,
@@ -81,8 +82,10 @@ type EncodeOptions struct {
 	// before returning; mismatch is reported as a roundtrip failure. This
 	// mirrors production admission control (§5.7).
 	VerifyRoundtrip bool
-	// MemDecodeBudget / MemEncodeBudget bound coefficient memory; 0 means
-	// the defaults above.
+	// MemDecodeBudget bounds the row windows of the encode and of every
+	// decode of its output; MemEncodeBudget bounds a single row window at
+	// parse time and, with CollectStats, the whole coefficient planes. 0
+	// means the defaults above.
 	MemDecodeBudget int64
 	MemEncodeBudget int64
 	// SingleModel tallies statistic bins across the whole image in one
@@ -334,9 +337,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 		}
 		res.OriginalClassBits = originalClassBits(f, s)
 	}
-	// The sequential scan decode overlaps the parallel segment encodes, row
-	// by row, under the encode budget's retained-row ceiling.
-	enc, err := c.EncodeScanCtx(ctx, f, starts, flags, encBudget, opt.CollectStats)
+	enc, err := c.EncodeScanCtx(ctx, f, starts, nil, flags, opt.CollectStats)
 	if err != nil {
 		return nil, err
 	}
@@ -442,8 +443,8 @@ type ScanEncode struct {
 	// Scan holds the scan-wide facts a container records: pad bit,
 	// restart count and tail garbage.
 	Scan *jpeg.StreamScanInfo
-	// RowPos is the handover state at every MCU-row start: the seek index
-	// (nil when the image has too many rows to index).
+	// RowPos is the handover state at every MCU-row start: the seek index,
+	// for a file SeekIndexable admits.
 	RowPos []jpeg.MCUPos
 	// ModelFlags is the container encoding of the flags the model ran with.
 	ModelFlags uint8
@@ -456,256 +457,146 @@ type ScanEncode struct {
 // that begin at starts (ascending, MCU-row aligned, the first 0; segment i
 // ends where segment i+1 begins, the last at the end of the scan). A chunked
 // file is one such encode over every chunk's segments, each chunk's
-// container taking its slice. The sequential Huffman scan decode runs in
-// the calling goroutine and feeds block rows through per-segment feeds into
-// the parallel segment encoders, so scan decode overlaps model encode
-// instead of completing first, and no whole coefficient plane is ever
-// materialized. Handover words are recorded at every MCU-row start — the
-// segment handovers are the subset at segment-start rows, and the full
-// table (returned as RowPos when the image is small enough to index) is
-// the seek index that makes DecodeRangeToCtx segment-sized instead of
-// file-sized. With collectStats each segment coder tallies its bits per
-// coefficient class.
+// container taking its slice.
 //
-// Memory. The scan decode is several times faster than a segment coder, so
-// the rows it may queue ahead of the coders are what the encode holds. The
-// feeds of the segments it has not passed share one room (encodeRoom:
-// 4 MiB, at least a few row windows). The producer passes segment k —
-// fills its feed regardless of the room — only to reach segment k+1 while
-// fewer of the segments before k are unfinished than c =
-// min(GOMAXPROCS, maxLiveSegments): those have all their rows, and k+1
-// can start on the CPU they leave over. So the encode holds the room plus
-// the rows of at most c passed segments, and a one-segment encode holds
-// one room. (Counting k too, so that k+1 starts only on a CPU idle
-// outright, cost two callers on two CPUs a quarter of their p95 compress
-// latency: k's coder waits on the producer whenever the room runs dry.)
-// encBudget stays the hard ceiling on the total (raised to
-// encodeMinGateBytes when smaller — the conversion streams rather than
-// failing). A producer out of room sleeps until the coders have worked
-// their feeds down to half of it, so rows change hands in batches.
+// It has the decode's shape (§3.4, §5.1). The position pass (pass, or a new
+// one when nil) runs in the calling goroutine and launches segment k as
+// soon as it reaches k's first MCU row. Each segment decodes its own span of
+// the scan, from that row's handover word, into one ring window per
+// component that its model coder pulls rows from. At most maxLiveSegments
+// segments run at once, so an encode holds at most DecodeWindowBytes(f,
+// len(starts)) of coefficients and never a whole plane. The handover word
+// at every MCU-row start comes back as RowPos, the seek index that makes
+// DecodeRangeToCtx segment-sized instead of file-sized; the segment
+// handovers are its entries at the segment starts. With collectStats each
+// segment coder tallies its bits per coefficient class.
 //
-// At most maxLiveSegments segment coders run at once: segment i takes its
-// model codec and starts only once a slot frees, after segments started
-// before it finish. This cannot deadlock. The scan decode delivers rows in
-// MCU order, so while it produces a row of segment k, every segment before
-// k already holds all of its rows and every segment after k holds none. If
-// k is running, the segments before it finish without the producer and k
-// consumes its own rows, so the gate frees exactly as with every segment
-// live. If k is still waiting, every running segment has all its rows and
-// finishes, freeing slots in index order until k starts. So the rows a
-// waiting segment has queued never block a row a running segment needs.
-//
-// Nor can the room deadlock. The producer, at segment k, waits on it only
-// while the segments up to k it has not passed hold more than the resume
-// level, which is at least encodeMinGateBytes. Those before k have all
-// their rows: running, they finish without the producer; waiting for a
-// slot, the argument above starts them. A coder waiting for a row it has
-// not been given holds at most its (V+1)-row window per component plus the
-// MCU row group in flight, which is that floor; so if k's coder is out of
-// rows, the others' recycling alone brings the room to the resume level,
-// and if it has rows, it recycles them itself. Every recycle that reaches
-// the resume level wakes the producer, and so does every finished segment,
-// since it may have freed a CPU.
-//
-// On error every pooled resource is already recycled.
-func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, flags model.Flags, encBudget int64, collectStats bool) (*ScanEncode, error) {
+// Errors come in scan order, whichever goroutine meets one first. The pass
+// decodes everything before the last segment in order, so it meets any
+// fault there first; the last segment decodes exactly as the pass would
+// (jpeg.RowDecoder.Fork), so its fault, final pad bits and tail are the
+// sequential decode's. On error every pooled resource is already recycled.
+func (cd *Codec) EncodeScanCtx(ctx context.Context, f *jpeg.File, starts []int, pass *ScanPass, flags model.Flags, collectStats bool) (*ScanEncode, error) {
+	var err error
+	if pass == nil {
+		if pass, err = NewScanPass(f); err != nil {
+			return nil, err
+		}
+	}
 	nSeg := len(starts)
-	total := f.TotalMCUs()
-	ncomp := len(f.Components)
-	done := ctx.Done()
-
-	limit := max(encBudget, encodeMinGateBytes(f))
-	room, resume := encodeRoom(f)
-	cpus := min(runtime.GOMAXPROCS(0), maxLiveSegments)
-	gate := newMemGate(limit, cd.window, nSeg, room, resume, cpus)
-	defer gate.close()
-
-	recs := make([]*rowRecycler, ncomp)
-	rowB := make([]int64, ncomp)
-	for ci := range recs {
-		rowB[ci] = rowBytes(f, ci)
-		recs[ci] = &rowRecycler{n: f.Components[ci].BlocksWide * 64, cd: cd}
-	}
-
-	feeds := make([][]*feedRows, nSeg)
-	segRowEnd := make([]int, nSeg)
-	// A segJob is what segment i needs to start once the launcher admits it.
-	type segJob struct {
-		planes   []model.ComponentPlane
-		rs, re   []int
-		sizeHint int
-	}
-	jobs := make([]segJob, nSeg)
-	for i := range starts {
-		start := starts[i]
-		end := total
+	rowPos := make([]jpeg.MCUPos, f.MCUsHigh)
+	segs := make([]segEncode, nSeg)
+	l := newLauncher()
+	for i, start := range starts {
+		row := start / f.MCUsWide
+		if err = pass.Advance(ctx, row); err != nil {
+			break
+		}
+		end := f.TotalMCUs()
 		if i+1 < nSeg {
 			end = starts[i+1]
 		}
-		segRowEnd[i] = (end + f.MCUsWide - 1) / f.MCUsWide
-		j := &jobs[i]
-		j.rs, j.re = rowRangesFor(f, start, end)
-		fs := make([]*feedRows, ncomp)
-		j.planes = make([]model.ComponentPlane, ncomp)
-		for ci := range fs {
-			fs[ci] = newFeedRows(j.rs[ci], recs[ci], gate, i, rowB[ci])
-			comp := &f.Components[ci]
-			j.planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
-				BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: fs[ci],
-				TurnRows: vEff(f, ci)}
-		}
-		feeds[i] = fs
-		if total > 0 {
-			j.sizeHint = len(f.ScanData) * (end - start) / total
+		dec := pass.dec.Fork(row, pass.rows[row])
+		if !l.start(ctx.Done(), func() {
+			defer l.done()
+			segs[i] = cd.encodeSegment(ctx, f, dec, start, end, i == nSeg-1, rowPos, flags, collectStats)
+		}) {
+			break
 		}
 	}
-	encs := make([]*arith.Encoder, nSeg)
-	outs := make([][]byte, nSeg)
-	stats := make([]*model.Stats, nSeg)
-	segment := func(i int) {
-		j := &jobs[i]
-		codec := cd.getSegCodec(j.planes, j.rs, j.re, flags)
-		if collectStats {
-			stats[i] = &model.Stats{}
-			codec.Stats = stats[i]
-		}
-		codec.SetSizeHint(j.sizeHint)
-		e := cd.getEncoder()
-		encs[i] = e
-		err := codec.EncodeSegmentCtx(e, done)
-		// Recycle whatever the windows still hold (the model keeps its
-		// last two rows; an interrupt leaves more) so the gate frees up.
-		for _, fr := range feeds[i] {
-			fr.drain()
-		}
-		gate.finish(i)
-		if err == nil {
-			outs[i] = e.Flush()
-		}
-		cd.putSegCodec(codec)
-	}
-
-	// Wake blocked producers and consumers, and stop starting segments,
-	// when the context fires or the scan decode fails; the per-row
-	// checkpoints alone cannot rouse a goroutine parked on the gate or an
-	// empty feed.
-	aborted := make(chan struct{})
-	var abortOnce sync.Once
-	abortAll := func() {
-		abortOnce.Do(func() {
-			close(aborted)
-			gate.abort()
-			for _, fs := range feeds {
-				for _, fr := range fs {
-					fr.abort()
-				}
-			}
-		})
-	}
-	stop := make(chan struct{})
-	if done != nil {
-		go func() {
-			select {
-			case <-done:
-				abortAll()
-			case <-stop:
-			}
-		}()
-	}
-	l := newLauncher()
-	launched := make(chan struct{})
-	go func() {
-		defer close(launched)
-		for i := range starts {
-			if !l.start(aborted, func() {
-				defer l.done()
-				segment(i)
-			}) {
-				return
-			}
-		}
-	}()
-
-	router := &encodeRouter{
-		f: f, gate: gate, recs: recs, feeds: feeds,
-		segRowEnd: segRowEnd, segOf: make([]int, ncomp), handed: make([]int, ncomp),
-		rowB: rowB, ctx: ctx,
-	}
-	// Record a handover at every MCU-row start when the image is small
-	// enough to index; otherwise only at segment starts, as before. Segment
-	// starts are always row-aligned (SegmentStarts), so the per-segment
-	// handovers are a subset of the row table.
-	rows := f.MCUsHigh
-	indexable := rows > 0 && rows <= seekIndexMaxRows
-	posAt := starts
-	if indexable {
-		posAt = make([]int, rows)
-		for r := range posAt {
-			posAt[r] = r * f.MCUsWide
-		}
-	}
-	posOut := make([]jpeg.MCUPos, len(posAt))
-	info, perr := jpeg.DecodeScanStream(f, router, posAt, posOut)
-	if perr != nil {
-		abortAll()
-	}
-	<-launched
 	l.wait()
-	close(stop)
-	// Segments never started (an aborted conversion) still hold the rows
-	// queued for them.
-	for _, fs := range feeds {
-		for _, fr := range fs {
-			fr.drain()
-		}
-	}
-	for _, rc := range recs {
-		rc.drainTo(cd)
-	}
 	// The streams alias the encoders, so those stay held until release.
-	out := &ScanEncode{Scan: info, ModelFlags: flagsByte(flags.EdgePrediction, flags.DCGradient), Release: func() {
-		for _, e := range encs {
-			cd.putEncoder(e)
+	out := &ScanEncode{RowPos: rowPos, ModelFlags: flagsByte(flags.EdgePrediction, flags.DCGradient), Release: func() {
+		for _, s := range segs {
+			cd.putEncoder(s.enc)
 		}
 	}}
-	if perr != nil {
-		out.Release()
-		if sink := jpeg.SinkErr(perr); sink != nil {
-			// The sink refused a row: that is this conversion's context
-			// error, not scan corruption.
-			perr = sink
-		}
-		return nil, perr
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
+	for i := 0; err == nil && i < nSeg; i++ {
+		err = segs[i].err
+	}
+	if err != nil {
 		out.Release()
 		return nil, err
 	}
 	for i, start := range starts {
-		pos := posOut[i]
-		if indexable {
-			pos = posOut[start/f.MCUsWide]
-		}
 		var h Handover
 		if start > 0 {
-			h = handoverFromPos(pos)
+			h = handoverFromPos(rowPos[start/f.MCUsWide])
 		}
 		out.Segments = append(out.Segments, Segment{
 			StartMCU: uint32(start),
 			Handover: h,
-			ArithLen: uint32(len(outs[i])),
+			ArithLen: uint32(len(segs[i].out)),
 		})
-		out.Streams = append(out.Streams, outs[i])
-		if st := stats[i]; st != nil {
+		out.Streams = append(out.Streams, segs[i].out)
+		if st := segs[i].stats; st != nil {
 			for k, b := range st.Bits {
 				out.ClassBits[k] += b
 			}
 		}
 	}
-	if indexable {
-		out.RowPos = posOut
-	}
+	out.Scan = segs[nSeg-1].info
 	return out, nil
+}
+
+// segEncode is one encode segment's outcome: its arithmetic stream (which
+// aliases the pooled encoder), its class statistics when collected, and for
+// the last segment the scan-wide facts.
+type segEncode struct {
+	enc   *arith.Encoder
+	out   []byte
+	stats *model.Stats
+	info  *jpeg.StreamScanInfo
+	err   error
+}
+
+// encodeSegment codes the thread segment of MCUs [start, end): dec, forked
+// at its first row, decodes the scan into the segment's ring window as the
+// model pulls rows (segRows), recording every MCU-row start's handover word
+// in rowPos. The last segment then finishes the scan.
+func (cd *Codec) encodeSegment(ctx context.Context, f *jpeg.File, dec *jpeg.RowDecoder, start, end int, last bool, rowPos []jpeg.MCUPos, flags model.Flags, collectStats bool) (r segEncode) {
+	rings, release := cd.getWindow(f)
+	defer release()
+	src := &segRows{dec: dec, rings: rings, group: make([][][]int16, len(rings)), pos: rowPos}
+	planes := make([]model.ComponentPlane, len(rings))
+	for ci := range planes {
+		comp := &f.Components[ci]
+		v := vEff(f, ci)
+		src.group[ci] = make([][]int16, v)
+		planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide, BlocksHigh: comp.BlocksHigh,
+			Quant: &f.Quant[comp.TQ], Rows: pullRows{s: src, ci: ci, v: v}, TurnRows: v}
+	}
+	rs, re := rowRangesFor(f, start, end)
+	codec := cd.getSegCodec(planes, rs, re, flags)
+	defer cd.putSegCodec(codec)
+	if collectStats {
+		r.stats = &model.Stats{}
+		codec.Stats = r.stats
+	}
+	// Pre-size the arithmetic encoder to this segment's share of the
+	// original scan bytes, an upper bound on its output.
+	if total := f.TotalMCUs(); total > 0 {
+		codec.SetSizeHint(len(f.ScanData) * (end - start) / total)
+	}
+	r.enc = cd.getEncoder()
+	err := codec.EncodeSegmentCtx(r.enc, ctx.Done())
+	switch {
+	case src.err != nil:
+		r.err = src.err
+	case err != nil:
+		if r.err = ctx.Err(); r.err == nil {
+			r.err = err
+		}
+	case last:
+		r.info, r.err = dec.Finish()
+	}
+	if r.err == nil {
+		r.out = r.enc.Flush()
+	}
+	return r
 }
 
 // DecodeCtx reconstructs the original bytes from a Lepton container into
@@ -1010,26 +901,11 @@ func (u *decodeUnit) outCap(c *Container, scan, arith int64) int {
 // unit is Huffman bits, roughly output-sized.
 func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, tabs *jpeg.ScanTables, u *decodeUnit, outCap int) segResult {
 	rs, re := u.rows(f, c.Version)
-	ncomp := len(f.Components)
-
-	// Carve every component's ring out of one pooled slab.
-	winBytes := DecodeWindowBytes(f, 1)
-	slab := cd.getSlab(int(winBytes / 2))
-	defer cd.putSlab(slab)
-	cd.window.Add(winBytes)
-	defer cd.window.Add(-winBytes)
-	rings := make([]*ringRows, ncomp)
-	planes := make([]model.ComponentPlane, ncomp)
-	off := 0
-	for ci := 0; ci < ncomp; ci++ {
+	rings, release := cd.getWindow(f)
+	defer release()
+	planes := make([]model.ComponentPlane, len(rings))
+	for ci := range planes {
 		comp := &f.Components[ci]
-		n := comp.BlocksWide * 64
-		bufs := make([][]int16, windowRowsFor(vEff(f, ci)))
-		for k := range bufs {
-			bufs[k] = slab[off : off+n : off+n]
-			off += n
-		}
-		rings[ci] = newRingRows(bufs)
 		planes[ci] = model.ComponentPlane{BlocksWide: comp.BlocksWide,
 			BlocksHigh: comp.BlocksHigh, Quant: &f.Quant[comp.TQ], Rows: rings[ci],
 			TurnRows: turnRows(f, ci, c.Version)}

@@ -254,29 +254,31 @@ func (c *Container) marshal(p *Codec) ([]byte, error) {
 	}
 	p.putZlibW(zw)
 
-	streamLen := 0
+	// Every section's length is known now, so the output is allocated once.
+	n := 28 + z.Len()
 	for _, s := range c.Streams {
-		streamLen += len(s)
+		n += len(s)
 	}
-	out := bytes.NewBuffer(make([]byte, 0, 28+z.Len()+streamLen))
-	out.WriteByte(Magic0)
-	out.WriteByte(Magic1)
-	out.WriteByte(c.version())
-	out.WriteByte(c.Mode)
-	putU32(out, uint32(len(c.Segments)))
-	out.Write(BuildRevision[:])
-	putU32(out, c.OutputSize)
-	putU32(out, uint32(z.Len()))
-	out.Write(z.Bytes())
+	index := len(c.SeekIndex) > 0 && c.Mode == ModeLepton
+	if index {
+		n += seekIndexSize(len(c.SeekIndex))
+	}
+	out := make([]byte, 0, n)
+	out = append(out, Magic0, Magic1, c.version(), c.Mode)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.Segments)))
+	out = append(out, BuildRevision[:]...)
+	out = binary.LittleEndian.AppendUint32(out, c.OutputSize)
+	out = binary.LittleEndian.AppendUint32(out, uint32(z.Len()))
+	out = append(out, z.Bytes()...)
 	for _, s := range c.Streams {
-		out.Write(s)
+		out = append(out, s...)
 	}
-	if len(c.SeekIndex) > 0 && c.Mode == ModeLepton {
+	if index {
 		// Trailing section: invisible to the stream-length-driven reader,
 		// so index-less decoders (and old binaries) are unaffected.
-		appendSeekIndex(out, c.SeekIndex)
+		out = appendSeekIndex(out, c.SeekIndex)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // version returns the version byte the container is written with.

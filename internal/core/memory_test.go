@@ -190,12 +190,11 @@ func TestWideImageFitsAtThirtyTwoSegments(t *testing.T) {
 	}
 }
 
-// TestEncodePeakCoeffBytesUnderGate asserts the encode producer/consumer
-// pipeline runs at its structural floor: with the encode budget set to
-// encodeMinGateBytes — a few block rows per component, independent of image
-// height and segment count — the encode completes byte-identically to the
-// default budget and never retains more coefficient bytes than the floor.
-func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
+// TestEncodePeakCoeffBytesUnderWindowBound is the decode test's twin for
+// the encode: each segment decodes its own span of the scan into one row
+// window, so the encode's peak coefficient memory is within the same
+// row-window bound, far below the whole planes.
+func TestEncodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-megapixel conversion")
 	}
@@ -204,56 +203,49 @@ func TestEncodePeakCoeffBytesUnderGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := encodeMinGateBytes(f)
-	want, err := encode(data, EncodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cd := NewCodec()
-	got, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{MemEncodeBudget: floor})
+	res, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Compressed, want.Compressed) {
-		t.Fatal("floor-budget encode differs from default-budget encode")
-	}
+	bound := DecodeWindowBytes(f, res.Segments)
+	planeBytes := int64(f.CoefficientCount()) * 2
 	inUse, peak := coeffMem(cd)
 	if inUse != 0 {
 		t.Fatalf("coefficient accounting leaked: %d bytes still in use", inUse)
 	}
-	if peak > floor {
-		t.Fatalf("encode peak coefficient bytes %d exceed gate floor %d", peak, floor)
+	if peak > bound || peak*5 > planeBytes {
+		t.Fatalf("encode peak coefficient bytes %d: want <= window bound %d and <= planes/5 (%d)", peak, bound, planeBytes/5)
 	}
-	t.Logf("encode peak coefficient bytes: %d (floor %d, %d segments, whole planes %d)",
-		peak, floor, got.Segments, int64(f.CoefficientCount())*2)
+	t.Logf("encode peak coefficient bytes: %d (bound %d, %d segments, whole planes %d)",
+		peak, bound, res.Segments, planeBytes)
 }
 
-// TestTightEncodeGateStillStreams forces the encode budget below the
-// structural minimum: the gate must raise itself to the deadlock-free floor
-// and complete (byte-identically), not hang or reject.
+// TestTightEncodeGateStillStreams sets the encode budget far below anything
+// a scan's rows could need: the budget bounds only the parser's row-window
+// floor, so the encode must complete byte-identically, not hang or reject.
 func TestTightEncodeGateStillStreams(t *testing.T) {
 	data := genJPEG(t, 77, 512, 384)
 	want, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small enough that the gate must sit below the structural minimum,
-	// large enough to pass the parser's row-window floor.
+	// Large enough to pass the parser's row-window floor.
 	got, err := encode(data, EncodeOptions{MemEncodeBudget: 64 << 10, MemDecodeBudget: DefaultMemDecodeBudget})
 	if err != nil {
-		t.Fatalf("tight encode gate rejected instead of streaming: %v", err)
+		t.Fatalf("tight encode budget rejected the file: %v", err)
 	}
 	if !bytes.Equal(got.Compressed, want.Compressed) {
-		t.Fatal("tight-gate output differs from default output")
+		t.Fatal("tight-budget output differs from default output")
 	}
 }
 
-// The TestEncodeWindow tests pin the encode's run-ahead rule (see
-// EncodeScanCtx) at the default budget; CI also runs them under -race at
+// The TestEncodeWindow tests pin the encode's memory bound: one row window
+// per live segment, at most eight at once. CI also runs them under -race at
 // one, two and eight CPUs.
 
 // windowJPEG is a 4:2:0 photo tall enough that its coefficient planes
-// (14 MB) are more than three times the encode's room.
+// (14 MB) are about twenty times eight of its row windows.
 func windowJPEG(t testing.TB) ([]byte, *jpeg.File) {
 	t.Helper()
 	if testing.Short() {
@@ -267,48 +259,23 @@ func windowJPEG(t testing.TB) ([]byte, *jpeg.File) {
 	return data, f
 }
 
-// floorEncode is the reference output: the same encode with the gate at
-// its structural floor.
-func floorEncode(t *testing.T, data []byte, f *jpeg.File, segs int) []byte {
+// serialEncode is the reference output: the same encode on one CPU, where
+// segments run one after another.
+func serialEncode(t *testing.T, data []byte, segs int) []byte {
 	t.Helper()
-	res, err := encode(data, EncodeOptions{ForceSegments: segs, MemEncodeBudget: encodeMinGateBytes(f)})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res, err := encode(data, EncodeOptions{ForceSegments: segs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Compressed
 }
 
-// TestEncodeWindowOneSegment: a one-segment encode has no later segment to
-// run ahead for, so its feed never holds more than the room — a few row
-// windows, not the planes — and the output is the floor-budget encode's.
-func TestEncodeWindowOneSegment(t *testing.T) {
-	data, f := windowJPEG(t)
-	cd := NewCodec()
-	res, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{ForceSegments: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Compressed, floorEncode(t, data, f, 1)) {
-		t.Fatal("default-budget encode differs from floor-budget encode")
-	}
-	room, _ := encodeRoom(f)
-	planes := int64(f.CoefficientCount()) * 2
-	inUse, peak := coeffMem(cd)
-	if inUse != 0 {
-		t.Fatalf("coefficient accounting leaked: %d bytes still in use", inUse)
-	}
-	if peak > room || peak*3 > planes {
-		t.Fatalf("one-segment encode peak %d bytes: want <= room %d and <= planes/3 (%d)", peak, room, planes/3)
-	}
-	t.Logf("peak %d bytes, room %d, planes %d", peak, room, planes)
-}
-
-// TestEncodeWindowRunAhead: with many segments the producer passes (fills
-// past the room) at most min(GOMAXPROCS, 8) unfinished segments at once,
-// so the peak is at most the room plus that many of the largest segment.
-func TestEncodeWindowRunAhead(t *testing.T) {
-	const segs = 16
-	data, f := windowJPEG(t)
+// checkEncodeWindow encodes data as segs segments on a fresh codec and
+// checks the output against the one-CPU encode and the peak coefficient
+// bytes against one row window per live segment.
+func checkEncodeWindow(t *testing.T, data []byte, f *jpeg.File, segs int) {
+	t.Helper()
 	cd := NewCodec()
 	res, err := cd.EncodeCtx(context.Background(), data, EncodeOptions{ForceSegments: segs})
 	if err != nil {
@@ -317,42 +284,40 @@ func TestEncodeWindowRunAhead(t *testing.T) {
 	if res.Segments != segs {
 		t.Fatalf("%d segments, want %d", res.Segments, segs)
 	}
-	if !bytes.Equal(res.Compressed, floorEncode(t, data, f, segs)) {
-		t.Fatal("default-budget encode differs from floor-budget encode")
+	if !bytes.Equal(res.Compressed, serialEncode(t, data, segs)) {
+		t.Fatalf("encode at %d CPUs differs from the one-CPU encode", runtime.GOMAXPROCS(0))
 	}
-	starts := SegmentStarts(f, segs, 0, f.MCUsHigh)
-	var largest int64
-	for i, start := range starts {
-		end := f.TotalMCUs()
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		rs, re := rowRangesFor(f, start, end)
-		var b int64
-		for ci := range rs {
-			b += int64(re[ci]-rs[ci]) * rowBytes(f, ci)
-		}
-		largest = max(largest, b)
-	}
-	room, _ := encodeRoom(f)
-	cpus := min(runtime.GOMAXPROCS(0), maxLiveSegments)
-	bound := room + int64(cpus)*largest
+	bound := DecodeWindowBytes(f, min(segs, maxLiveSegments))
 	inUse, peak := coeffMem(cd)
 	if inUse != 0 {
 		t.Fatalf("coefficient accounting leaked: %d bytes still in use", inUse)
 	}
 	if peak > bound {
-		t.Fatalf("%d-segment encode at %d CPUs: peak %d bytes > room %d + %d x largest segment %d",
-			segs, cpus, peak, room, cpus, largest)
+		t.Fatalf("%d-segment encode at %d CPUs: peak %d bytes > %d row windows (%d bytes)",
+			segs, runtime.GOMAXPROCS(0), peak, min(segs, maxLiveSegments), bound)
 	}
-	t.Logf("%d CPUs: peak %d bytes, bound %d, planes %d", cpus, peak, bound, int64(f.CoefficientCount())*2)
+	t.Logf("%d segments, %d CPUs: peak %d bytes, bound %d, planes %d",
+		segs, runtime.GOMAXPROCS(0), peak, bound, int64(f.CoefficientCount())*2)
 }
 
-// TestEncodeWindowCancel cancels an encode while its feeds hold rows: it
-// must return ctx.Err() promptly, with every gate byte given back, and
-// leave the codec reusable.
-func TestEncodeWindowCancel(t *testing.T) {
+// TestEncodeWindowOneSegment: a one-segment encode holds one row window.
+func TestEncodeWindowOneSegment(t *testing.T) {
 	data, f := windowJPEG(t)
+	checkEncodeWindow(t, data, f, 1)
+}
+
+// TestEncodeWindowSixteenSegments: sixteen segments hold at most eight row
+// windows, however many CPUs run them.
+func TestEncodeWindowSixteenSegments(t *testing.T) {
+	data, f := windowJPEG(t)
+	checkEncodeWindow(t, data, f, 16)
+}
+
+// TestEncodeWindowCancel cancels an encode while its segments hold rows: it
+// must return ctx.Err() promptly, with every window given back, and leave
+// the codec reusable.
+func TestEncodeWindowCancel(t *testing.T) {
+	data, _ := windowJPEG(t)
 	cd := NewCodec()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -383,16 +348,15 @@ func TestEncodeWindowCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Compressed, floorEncode(t, data, f, 8)) {
+	if !bytes.Equal(res.Compressed, serialEncode(t, data, 8)) {
 		t.Fatal("encode after a cancelled one differs from the reference")
 	}
 }
 
 // TestRowPoolsKeepShapes decodes, then encodes, then decodes on one codec.
-// The encode's feed rows and the decode's ring slabs live in separate
-// pools: every buffer left in the row pool is one block row of the image
-// (never a slab an encode row pinned), and every buffer in the slab pool is
-// a whole window (never a row a slab request would drop).
+// Encode segments and decode units take their ring windows from one slab
+// pool, so every buffer left in it is a whole window of the image, and the
+// encode gave its windows back.
 func TestRowPoolsKeepShapes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // pooled buffers stay put
 	data, f := windowJPEG(t)
@@ -401,6 +365,7 @@ func TestRowPoolsKeepShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cd := NewCodec()
+	slabLen := int(DecodeWindowBytes(f, 1) / 2)
 	for _, step := range []string{"decode", "encode", "decode"} {
 		var err error
 		if step == "decode" {
@@ -411,26 +376,21 @@ func TestRowPoolsKeepShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-	}
-	rowLen := map[int]bool{}
-	for ci := range f.Components {
-		rowLen[f.Components[ci].BlocksWide*64] = true
-	}
-	slabLen := int(DecodeWindowBytes(f, 1) / 2)
-	rows := 0
-	for v := cd.rows.Get(); v != nil; v = cd.rows.Get() {
-		if n := cap(v.(*rowSlab).buf); !rowLen[n] {
-			t.Fatalf("row pool holds a %d-coefficient buffer; rows are %v, a slab is %d", n, rowLen, slabLen)
+		slabs := 0
+		var held []any
+		for v := cd.slabs.Get(); v != nil; v = cd.slabs.Get() {
+			if n := cap(v.(*rowSlab).buf); n != slabLen {
+				t.Fatalf("after %s: slab pool holds a %d-coefficient buffer, want %d", step, n, slabLen)
+			}
+			held = append(held, v)
+			slabs++
 		}
-		rows++
-	}
-	for v := cd.slabs.Get(); v != nil; v = cd.slabs.Get() {
-		if n := cap(v.(*rowSlab).buf); n != slabLen {
-			t.Fatalf("slab pool holds a %d-coefficient buffer, want %d", n, slabLen)
+		if slabs == 0 && !raceEnabled {
+			t.Fatalf("after %s: no window went back to the slab pool", step)
 		}
-	}
-	if rows == 0 && !raceEnabled {
-		t.Fatal("encode returned no rows to the row pool")
+		for _, v := range held {
+			cd.slabs.Put(v)
+		}
 	}
 }
 
@@ -464,9 +424,9 @@ func BenchmarkDecodeMemory(b *testing.B) {
 }
 
 // BenchmarkEncodeMemory is BenchmarkDecodeMemory's twin for the encoder:
-// per-encode allocations at the default budget (run with -benchmem: B/op is
-// the Figure-3 series for the streamed encode) plus the peak coefficient
-// bytes the feeds held, as a custom metric. Each iteration encodes with a
+// per-encode allocations (run with -benchmem: B/op is the Figure-3 series
+// for the streamed encode) plus the peak coefficient bytes the segments'
+// row windows held, as a custom metric. Each iteration encodes with a
 // fresh codec, so B/op includes filling its pools.
 func BenchmarkEncodeMemory(b *testing.B) {
 	img := imagegen.Synthesize(5, 2048, 1536)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 
@@ -58,27 +57,25 @@ const (
 	seekIndexMinSize = 2 + 1 + 4 + 4
 )
 
-// appendSeekIndex serializes idx onto out. Row byte offsets are stored as
-// u32: OutputSize is itself a u32, so every representable scan offset
-// fits.
-func appendSeekIndex(out *bytes.Buffer, idx []jpeg.MCUPos) {
-	start := out.Len()
-	out.WriteByte(seekIndexMagic0)
-	out.WriteByte(seekIndexMagic1)
-	out.WriteByte(seekIndexVersion)
-	putU32(out, uint32(len(idx)))
-	var rec [seekIndexRowSize]byte
+// seekIndexSize is the section's length for n rows.
+func seekIndexSize(n int) int { return seekIndexMinSize + n*seekIndexRowSize }
+
+// appendSeekIndex appends idx's section to out. Row byte offsets are
+// stored as u32: OutputSize is itself a u32, so every representable scan
+// offset fits.
+func appendSeekIndex(out []byte, idx []jpeg.MCUPos) []byte {
+	start := len(out)
+	out = append(out, seekIndexMagic0, seekIndexMagic1, seekIndexVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(idx)))
 	for _, p := range idx {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(p.ByteOff))
-		rec[4] = p.BitOff
-		rec[5] = p.Partial
-		binary.LittleEndian.PutUint32(rec[6:], uint32(p.RSTSeen))
-		for j, dc := range p.PrevDC {
-			binary.LittleEndian.PutUint16(rec[10+2*j:], uint16(dc))
+		out = binary.LittleEndian.AppendUint32(out, uint32(p.ByteOff))
+		out = append(out, p.BitOff, p.Partial)
+		out = binary.LittleEndian.AppendUint32(out, uint32(p.RSTSeen))
+		for _, dc := range p.PrevDC {
+			out = binary.LittleEndian.AppendUint16(out, uint16(dc))
 		}
-		out.Write(rec[:])
 	}
-	putU32(out, crc32.ChecksumIEEE(out.Bytes()[start:]))
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
 }
 
 // parseSeekIndex decodes a trailing index section. Any deviation — wrong
@@ -95,7 +92,7 @@ func parseSeekIndex(data []byte) []jpeg.MCUPos {
 	if nRows == 0 || nRows > seekIndexMaxRows {
 		return nil
 	}
-	want := seekIndexMinSize + int(nRows)*seekIndexRowSize
+	want := seekIndexSize(int(nRows))
 	if len(data) != want {
 		return nil
 	}

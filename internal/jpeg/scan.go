@@ -67,25 +67,26 @@ type scanDecoder struct {
 	padSeen bool
 }
 
-func newScanDecoder(f *File) (*scanDecoder, error) {
-	d := &scanDecoder{f: f, r: bitio.NewReader(f.ScanData)}
+// loadTables builds the Huffman decoders of d.f's tables.
+func (d *scanDecoder) loadTables() error {
+	f := d.f
 	for i := 0; i < 4; i++ {
 		if f.DC[i] != nil {
 			dec, err := huffman.NewDecoder(f.DC[i])
 			if err != nil {
-				return nil, reject(ReasonUnsupported, "DC table %d: %v", i, err)
+				return reject(ReasonUnsupported, "DC table %d: %v", i, err)
 			}
 			d.dcDec[i] = dec
 		}
 		if f.AC[i] != nil {
 			dec, err := huffman.NewDecoder(f.AC[i])
 			if err != nil {
-				return nil, reject(ReasonUnsupported, "AC table %d: %v", i, err)
+				return reject(ReasonUnsupported, "AC table %d: %v", i, err)
 			}
 			d.acDec[i] = dec
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // fastCode decodes one Huffman symbol and its trailing raw value bits from a

@@ -315,8 +315,7 @@ func (c *Codec) run(em *emitter, done <-chan struct{}) error {
 				curRow := cp.Rows.Row(row)
 				if curRow == nil {
 					// A streaming window aborts the segment by refusing
-					// the row (producer failed or the conversion was
-					// cancelled).
+					// the row (the scan decode feeding it failed).
 					return ErrInterrupted
 				}
 				for col := 0; col < cp.BlocksWide; col++ {

@@ -397,9 +397,8 @@ func (st *Store) PutCompressedChunkCtx(ctx context.Context, cb []byte) (Hash, er
 	return sum, nil
 }
 
-// GetChunkCtx decompresses one stored chunk; the decode aborts mid-segment
-// on cancellation.
-func (st *Store) GetChunkCtx(ctx context.Context, h Hash) ([]byte, error) {
+// toDecode returns chunk h's stored bytes for a decode, and counts it.
+func (st *Store) toDecode(h Hash) ([]byte, error) {
 	cb, ok, err := st.backend.Get(h)
 	if err != nil {
 		return nil, fmt.Errorf("store: chunk %x: %w", h[:8], err)
@@ -408,6 +407,16 @@ func (st *Store) GetChunkCtx(ctx context.Context, h Hash) ([]byte, error) {
 		return nil, fmt.Errorf("store: unknown chunk %x", h[:8])
 	}
 	st.stats.Add("decodes", 1)
+	return cb, nil
+}
+
+// GetChunkCtx decompresses one stored chunk; the decode aborts mid-segment
+// on cancellation.
+func (st *Store) GetChunkCtx(ctx context.Context, h Hash) ([]byte, error) {
+	cb, err := st.toDecode(h)
+	if err != nil {
+		return nil, err
+	}
 	return st.Codec.DecodeCtx(ctx, cb, 0)
 }
 
@@ -423,34 +432,33 @@ func (st *Store) GetCompressedChunk(h Hash) ([]byte, bool) {
 }
 
 // GetFileCtx reassembles a file from its reference, checking the context
-// chunk by chunk.
+// chunk by chunk. Each chunk decodes straight onto the end of the file's
+// buffer, sized once from ref.Size.
 func (st *Store) GetFileCtx(ctx context.Context, ref FileRef) ([]byte, error) {
-	out := make([]byte, 0, ref.Size)
+	out := bytes.NewBuffer(make([]byte, 0, ref.Size))
 	for _, h := range ref.Chunks {
-		b, err := st.GetChunkCtx(ctx, h)
+		cb, err := st.toDecode(h)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, b...)
+		if err := st.Codec.DecodeToCtx(ctx, out, cb, 0); err != nil {
+			return nil, err
+		}
 	}
-	if int64(len(out)) != ref.Size {
-		return nil, fmt.Errorf("store: reassembled %d bytes, want %d", len(out), ref.Size)
+	if int64(out.Len()) != ref.Size {
+		return nil, fmt.Errorf("store: reassembled %d bytes, want %d", out.Len(), ref.Size)
 	}
-	return out, nil
+	return out.Bytes(), nil
 }
 
 // GetChunkRangeCtx decodes only bytes [off, off+n) of one stored chunk's
 // reconstruction, clamped at the chunk's size — for an indexed container,
 // only the arithmetic segments the range touches.
 func (st *Store) GetChunkRangeCtx(ctx context.Context, h Hash, off, n int64) ([]byte, error) {
-	cb, ok, err := st.backend.Get(h)
+	cb, err := st.toDecode(h)
 	if err != nil {
-		return nil, fmt.Errorf("store: chunk %x: %w", h[:8], err)
+		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("store: unknown chunk %x", h[:8])
-	}
-	st.stats.Add("decodes", 1)
 	return st.Codec.DecodeRangeCtx(ctx, cb, off, n, 0)
 }
 

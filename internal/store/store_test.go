@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -48,6 +49,47 @@ func TestPutGetFile(t *testing.T) {
 	}
 	if c.BytesStored >= c.BytesIn {
 		t.Fatalf("no storage savings: %d >= %d", c.BytesStored, c.BytesIn)
+	}
+}
+
+// TestGetFileDecodesIntoOneBuffer checks that GetFileCtx decodes every
+// chunk straight into the file's buffer: a read allocates that buffer and
+// the decodes' own scratch, about 2.3 bytes per file byte. Decoding each
+// chunk into a buffer of its own and copying it in adds at least another
+// file's worth.
+func TestGetFileDecodesIntoOneBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers, so decodes allocate more")
+	}
+	st := store.New()
+	st.ChunkSize = 64 << 10
+	data := gen(t, 1, 2048, 1536)
+	ref, err := st.PutFileCtx(context.Background(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		back, err := st.GetFileCtx(context.Background(), ref)
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("file mismatch: %v", err)
+		}
+	}
+	// One CPU runs the chunk's segments one at a time, so the warm pools
+	// hold all the scratch the reads need.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	get()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(data))
+	t.Logf("%d chunks: %.2f bytes allocated per file byte", len(ref.Chunks), perByte)
+	if perByte > 3 {
+		t.Fatalf("a %d-byte read allocated %.2f bytes per file byte, want at most 3", len(data), perByte)
 	}
 }
 

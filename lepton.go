@@ -127,14 +127,14 @@ type Options struct {
 	// predictors (§4.3 ablations).
 	DisableEdgePrediction bool
 	DisableDCGradient     bool
-	// MemDecodeBudget / MemEncodeBudget bound streamed coefficient memory
-	// in bytes; 0 selects the deployed limits (24 MiB / 178 MiB). The
-	// decode budget bounds the per-segment row windows (scaling with
-	// image width and thread count, not pixel count); the encode budget
-	// is the hard ceiling on the decoded rows held in flight ahead of the
-	// segment coders. Below it an encode holds up to 4 MiB of rows plus
-	// the rows of segments queued ahead for other CPUs (at most
-	// min(GOMAXPROCS, 8) of them). Images whose windows cannot fit
+	// MemDecodeBudget / MemEncodeBudget bound coefficient memory in
+	// bytes; 0 selects the deployed limits (24 MiB / 178 MiB). The decode
+	// budget bounds the per-segment row windows (scaling with image width
+	// and thread count, not pixel count), which an encode holds too: each
+	// of its thread segments decodes its own span of the scan into one
+	// window, at most eight at once. The encode budget bounds one row
+	// window at parse time and, with CollectStats, the whole coefficient
+	// planes the Figure 4 statistics need. Images whose windows cannot fit
 	// are rejected with ReasonMemDecode; everything else streams.
 	MemDecodeBudget int64
 	MemEncodeBudget int64
