@@ -200,7 +200,7 @@ func (s *stubNode) start(ln net.Listener) {
 func (s *stubNode) serve(conn net.Conn) {
 	defer conn.Close()
 	for {
-		op, payload, err := server.ReadRequest(conn)
+		op, payload, err := server.ReadRequest(conn, nil)
 		if err != nil {
 			return
 		}

@@ -372,13 +372,16 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 // be MCU-row aligned — of a scan already decoded into whole coefficient
 // planes, as nSeg thread segments, at most maxLiveSegments of them in
 // parallel. It exists only for perfbench's model sweep (perfbench/sweep.go),
-// which times the model encode apart from the scan decode; every stored
-// container comes from EncodeScanCtx, and the next change to the benchmark
-// deletes this with its caller (ROADMAP item 2). It returns the segment
-// descriptors (handover words taken from the scan's recorded positions),
-// the per-segment streams, and per-class bit statistics when collectStats
-// is set. The streams alias pooled encoder buffers: call release once they
-// have been copied out, and do not touch them afterwards.
+// which times the model encode apart from the scan decode. It is the last
+// plane-fed coder: the sweep's scan re-encode (jpeg.EncodeScan) runs the
+// StreamScanEncoder that every decode runs, but its model encode times this
+// path, while every stored container comes from EncodeScanCtx. The next
+// change to the benchmark deletes this with its caller (ROADMAP item 2). It
+// returns the segment descriptors (handover words taken from the scan's
+// recorded positions), the per-segment streams, and per-class bit
+// statistics when collectStats is set. The streams alias pooled encoder
+// buffers: call release once they have been copied out, and do not touch
+// them afterwards.
 func (c *Codec) EncodeSegments(f *jpeg.File, s *jpeg.Scan, mStart, mEnd, nSeg int, flags model.Flags, collectStats bool) ([]Segment, [][]byte, [model.NumClasses]float64, func()) {
 	starts := SegmentStarts(f, nSeg, mStart/f.MCUsWide, (mEnd+f.MCUsWide-1)/f.MCUsWide)
 	planes := planesOf(f, s.Coeff, Version)
@@ -920,7 +923,7 @@ func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, tab
 	sbufs := cd.getStreamBufs()
 	se := jpeg.NewStreamScanEncoder(tabs, c.PadBit, int(c.RSTCount), u.encStart, u.encEnd, u.seed, outCap, sbufs)
 	// Recycle the queue storage on every path, including cancelled or
-	// corrupt units — the bytes Finish returns alias the sequential
+	// corrupt units — the bytes Finish returns alias the encoder's scan
 	// writer, never the queues, so release is always safe here.
 	defer func() {
 		se.ReleaseBuffers(sbufs)
@@ -959,11 +962,7 @@ func (cd *Codec) decodeUnit(ctx context.Context, f *jpeg.File, c *Container, tab
 	// Only the true end of the scan gets padding and the verbatim tail; a
 	// chunk ending mid-scan leaves its final partial byte to the next
 	// chunk's prepend data.
-	b, err := se.Finish(c.Tail, u.encEnd == f.TotalMCUs())
-	if err != nil {
-		return segResult{err: fmt.Errorf("core: segment encode: %w", err)}
-	}
-	return segResult{bytes: b}
+	return segResult{bytes: se.Finish(c.Tail, u.encEnd == f.TotalMCUs())}
 }
 
 // originalClassBits attributes the original scan's Huffman bits to

@@ -150,27 +150,23 @@ func corruptInputs(t testing.TB) []scanInput {
 	return out
 }
 
-// discardSink is a jpeg.RowSink that keeps nothing: every block row of a
-// component is decoded into the same scratch row.
-type discardSink struct{ bufs [][]int16 }
-
-func (s *discardSink) GetRowBuf(ci int) []int16 { return s.bufs[ci] }
-
-func (s *discardSink) EmitRow(ci, row int, coeff []int16) error { return nil }
-
 // sequentialScan is the reference: one decode of the whole scan from its
-// start, with the handover word at every MCU-row start.
+// start, keeping no rows, with the handover word at every MCU-row start.
+// It drives a jpeg.RowDecoder itself rather than jpeg.DecodeScan, whose
+// whole planes the oversize input could not allocate (24 GB).
 func sequentialScan(f *jpeg.File) ([]jpeg.MCUPos, *jpeg.StreamScanInfo, error) {
-	sink := &discardSink{}
-	for _, c := range f.Components {
-		sink.bufs = append(sink.bufs, make([]int16, c.BlocksWide*64))
+	d, err := jpeg.NewRowDecoder(f)
+	if err != nil {
+		return nil, nil, err
 	}
-	posAt := make([]int, f.MCUsHigh)
-	for r := range posAt {
-		posAt[r] = r * f.MCUsWide
+	rows := make([]jpeg.MCUPos, f.MCUsHigh)
+	for r := range rows {
+		rows[r] = d.Pos()
+		if err := d.Decode(nil, nil); err != nil {
+			return nil, nil, err
+		}
 	}
-	rows := make([]jpeg.MCUPos, len(posAt))
-	info, err := jpeg.DecodeScanStream(f, sink, posAt, rows)
+	info, err := d.Finish()
 	return rows, info, err
 }
 

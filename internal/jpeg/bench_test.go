@@ -42,19 +42,57 @@ func BenchmarkDecodeScan(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeScan(b *testing.B) {
-	data := benchFile(b)
-	f, _ := jpeg.Parse(data, 0)
+// scanBenchCases are the layouts of the scan re-encode benchmarks, each a
+// 1600×1200 synthetic photo.
+var scanBenchCases = []struct {
+	name string
+	opts imagegen.Options
+}{
+	{"color420", imagegen.Options{Quality: 88, SubsampleChroma: true, PadBit: 1}},
+	{"gray", imagegen.Options{Quality: 88, Grayscale: true, PadBit: 1}},
+}
+
+// benchScan parses and decodes one scanBenchCases layout.
+func benchScan(b *testing.B, opts imagegen.Options) (*jpeg.File, *jpeg.Scan) {
+	b.Helper()
+	data, err := imagegen.EncodeJPEG(imagegen.Synthesize(7, 1600, 1200), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	s, err := jpeg.DecodeScan(f)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(f.ScanData)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := jpeg.EncodeScan(s); err != nil {
-			b.Fatal(err)
-		}
+	return f, s
+}
+
+// BenchmarkEncodeScan times the whole-scan re-encode from coefficient
+// planes that the Figure 1–3 comparators and the image generator run. The
+// bytes are checked against the original scan once before timing.
+func BenchmarkEncodeScan(b *testing.B) {
+	for _, bc := range scanBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			f, s := benchScan(b, bc.opts)
+			out, err := jpeg.EncodeScan(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !bytes.Equal(out, f.ScanData) {
+				b.Fatal("re-encoded scan differs from the original")
+			}
+			b.SetBytes(int64(len(f.ScanData)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := jpeg.EncodeScan(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -66,26 +104,9 @@ func BenchmarkEncodeScan(b *testing.B) {
 // does from its container. The bytes are checked against the original scan
 // once before timing.
 func BenchmarkStreamScanEncoder(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts imagegen.Options
-	}{
-		{"color420", imagegen.Options{Quality: 88, SubsampleChroma: true, PadBit: 1}},
-		{"gray", imagegen.Options{Quality: 88, Grayscale: true, PadBit: 1}},
-	} {
+	for _, bc := range scanBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
-			data, err := imagegen.EncodeJPEG(imagegen.Synthesize(7, 1600, 1200), bc.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f, err := jpeg.Parse(data, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := jpeg.DecodeScan(f)
-			if err != nil {
-				b.Fatal(err)
-			}
+			f, s := benchScan(b, bc.opts)
 			groups := make([][][][]int16, f.MCUsHigh) // [mcuRow][ci] -> block rows
 			for mr := range groups {
 				for ci := range f.Components {
@@ -117,10 +138,7 @@ func BenchmarkStreamScanEncoder(b *testing.B) {
 						}
 					}
 				}
-				out, err := se.Finish(s.Tail, true)
-				if err != nil {
-					b.Fatal(err)
-				}
+				out := se.Finish(s.Tail, true)
 				se.ReleaseBuffers(&bufs)
 				return out
 			}

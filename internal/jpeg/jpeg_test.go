@@ -2,6 +2,7 @@ package jpeg_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lepton/internal/imagegen"
@@ -150,92 +151,51 @@ func TestTrailerSecondImage(t *testing.T) {
 	}
 }
 
+// TestHandoverMidScanEncode re-encodes the suffix of the scan from several
+// MCU-row starts, seeded from the recorded handover word: the output must
+// be the original scan from the byte holding the start's first bit on.
 func TestHandoverMidScanEncode(t *testing.T) {
-	// Re-encode only the suffix of the scan starting at an arbitrary MCU,
-	// seeded from the recorded handover state; output must match the
-	// corresponding suffix bytes of the original scan.
-	img := imagegen.Synthesize(8, 200, 152)
-	data, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 85, SubsampleChroma: true, RestartInterval: 5, PadBit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := jpeg.Parse(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := jpeg.DecodeScan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := f.TotalMCUs()
-	for _, startMCU := range []int{1, 2, total / 3, total / 2, total - 1} {
-		pos := s.Positions[startMCU]
-		e, err := jpeg.NewScanEncoder(f, s.PadBit, s.RSTCount)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Seed(pos)
-		if err := e.EncodeMCURange(s, startMCU, total); err != nil {
-			t.Fatal(err)
-		}
-		e.Finish(s.Tail)
-		got := e.Bytes()
-		want := f.ScanData[pos.ByteOff:]
-		// The first byte of got includes handover bits; compare whole bytes.
-		if !bytes.Equal(got, want) {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
+	for _, tc := range streamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, s := decodeCase(t, 8, 200, 152, tc.opts)
+			h := f.MCUsHigh
+			for _, row := range []int{1, h / 3, h / 2, h - 1} {
+				got := encodeRows(t, f, s, row, h, false)
+				want := f.ScanData[s.Positions[row*f.MCUsWide].ByteOff:]
+				if !bytes.Equal(got, want) {
+					i := 0
+					for i < len(got) && i < len(want) && got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("start row %d: suffix differs at byte %d (lens %d vs %d)", row, i, len(got), len(want))
+				}
 			}
-			t.Fatalf("startMCU %d: suffix differs at byte %d (lens %d vs %d)",
-				startMCU, i, len(got), len(want))
-		}
+		})
 	}
 }
 
+// TestHandoverSplitEncode encodes the scan in k independent pieces cut at
+// MCU rows and checks that they concatenate to the original scan — the
+// basis of multithreaded decode. A piece whose end falls mid-byte leaves
+// that byte unemitted, and the next piece, seeded with its partial bits,
+// emits it in full.
 func TestHandoverSplitEncode(t *testing.T) {
-	// Encode the scan in k independent pieces and verify concatenation
-	// equals the original — the basis of multithreaded decode.
-	img := imagegen.Synthesize(9, 168, 168)
-	data, err := imagegen.EncodeJPEG(img, imagegen.Options{Quality: 77, SubsampleChroma: true, PadBit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := jpeg.Parse(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := jpeg.DecodeScan(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := f.TotalMCUs()
-	for _, k := range []int{2, 3, 4, 7} {
-		var out []byte
-		for seg := 0; seg < k; seg++ {
-			start := seg * total / k
-			end := (seg + 1) * total / k
-			e, err := jpeg.NewScanEncoder(f, s.PadBit, s.RSTCount)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range streamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, s := decodeCase(t, 9, 168, 168, tc.opts)
+			h := f.MCUsHigh
+			for _, k := range []int{2, 3, 4, 7} {
+				var out []byte
+				for seg := 0; seg < k; seg++ {
+					if start, end := seg*h/k, (seg+1)*h/k; start < end {
+						out = append(out, encodeRows(t, f, s, start, end, false)...)
+					}
+				}
+				if !bytes.Equal(out, f.ScanData) {
+					t.Fatalf("k=%d: concatenated pieces differ from original scan", k)
+				}
 			}
-			if start > 0 {
-				e.Seed(s.Positions[start])
-			}
-			if err := e.EncodeMCURange(s, start, end); err != nil {
-				t.Fatal(err)
-			}
-			if seg == k-1 {
-				e.Finish(s.Tail)
-			}
-			// Concatenation is exact: a segment whose boundary falls
-			// mid-byte leaves that byte unemitted (partial), and the next
-			// segment, seeded with the partial bits, emits it in full.
-			out = append(out, e.Bytes()...)
-		}
-		if !bytes.Equal(out, f.ScanData) {
-			t.Fatalf("k=%d: concatenated segments differ from original scan", k)
-		}
+		})
 	}
 }
 
@@ -326,5 +286,59 @@ func TestRSTCount(t *testing.T) {
 	// 128x128 4:2:0 -> 8x8=64 MCUs, interval 3 -> 21 markers.
 	if s.RSTCount != 21 {
 		t.Fatalf("RSTCount = %d, want 21", s.RSTCount)
+	}
+}
+
+// TestMissingRestartMarkersRoundTrip writes scans that stop carrying
+// restart markers partway, as a file whose tail was zero-filled past its
+// last marker does (§A.3): the decoder stops expecting markers at the first
+// missing one and resets no DC predictor after it. The scan must decode to
+// the same coefficients with the shorter marker count, re-encode whole to
+// its own bytes, and re-encode in pieces cut at MCU rows, before and after
+// the last marker, to the same bytes.
+func TestMissingRestartMarkersRoundTrip(t *testing.T) {
+	for _, tc := range streamCases {
+		if tc.opts.RestartInterval == 0 {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			f, s := decodeCase(t, 14, 168, 120, tc.opts)
+			for _, keep := range []int{0, 1, s.RSTCount / 2} {
+				cut := *s
+				cut.RSTCount = keep
+				scan, err := jpeg.EncodeScan(&cut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data := append(append(append([]byte(nil), f.Header...), scan...), f.Trailer...)
+				g, err := jpeg.Parse(data, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2, err := jpeg.DecodeScan(g)
+				if err != nil {
+					t.Fatalf("keep %d markers: %v", keep, err)
+				}
+				if s2.RSTCount != keep {
+					t.Fatalf("keep %d markers: decoded %d", keep, s2.RSTCount)
+				}
+				for ci := range s.Coeff {
+					if !slices.Equal(s.Coeff[ci], s2.Coeff[ci]) {
+						t.Fatalf("keep %d markers: component %d coefficients differ", keep, ci)
+					}
+				}
+				if again, err := jpeg.EncodeScan(s2); err != nil || !bytes.Equal(again, g.ScanData) {
+					t.Fatalf("keep %d markers: re-encode differs from the scan (%v)", keep, err)
+				}
+				h := g.MCUsHigh
+				var out []byte
+				for _, r := range [][2]int{{0, 1}, {1, h / 2}, {h / 2, h}} {
+					out = append(out, encodeRows(t, g, s2, r[0], r[1], true)...)
+				}
+				if !bytes.Equal(out, g.ScanData) {
+					t.Fatalf("keep %d markers: pieces differ from the scan", keep)
+				}
+			}
+		})
 	}
 }

@@ -7,27 +7,29 @@ import (
 	"lepton/internal/huffman"
 )
 
-// This file is the consumer half of the row-window streaming pipeline: a
-// scan re-encoder fed one component's MCU row group at a time, in the order
-// the arithmetic model decodes (MCU-row order: every component of MCU row
-// r, then row r+1; or, for planar containers, all of component 0's rows,
-// then component 1's, ...), that still produces the MCU-interleaved scan
-// bytes of the original JPEG.
+// This file is the scan re-encoder: StreamScanEncoder regenerates the
+// Huffman-coded bytes of an MCU range of the original scan, or of the whole
+// scan, from block rows fed one component's MCU row group at a time. It is
+// the only encoder of baseline scan bytes: decodes and range reads run it
+// over their decode units, seeded from each unit's handover word (paper
+// §3.4), and EncodeScan runs it over a whole scan's planes. Rows come in
+// the order the arithmetic model decodes them (MCU-row order: every
+// component of MCU row r, then row r+1; or, for planar containers, all of
+// component 0's rows, then component 1's, ...), and the output is still the
+// MCU-interleaved scan of the original JPEG.
 //
 // For a single-component scan the orders coincide and rows are
 // Huffman-coded straight into the output. For an interleaved scan they do
 // not: the bits of component 0's row group sit byte- and bit-interleaved
-// with the later components' bits, block by block. Each component therefore Huffman-codes its
-// rows into a private *unstuffed* bit queue as they arrive — running its
-// own DC-prediction chain and restart resets, which depend only on that
-// component — and records its bit length per MCU. Finish then stitches the
-// queues: it walks the MCU range once, copying each component's span for
-// that MCU into the real (stuffed, seeded, padded) scan writer and
-// emitting restart markers between MCUs, exactly where the sequential
-// encoder would. The bit sequence is identical to EncodeMCURange over full
-// planes; only the buffering differs — coefficients die with their row,
-// and what is retained per segment is compressed-domain bits, roughly the
-// size of the output itself.
+// with the later components' bits, block by block. Each component therefore
+// Huffman-codes its rows into a private *unstuffed* bit queue as they
+// arrive — running its own DC-prediction chain and restart resets, which
+// depend only on that component — and records its bit length per MCU.
+// Finish then stitches the queues: it walks the MCU range once, copying
+// each component's span for that MCU into the real (stuffed, seeded,
+// padded) scan writer and emitting restart markers between MCUs.
+// Coefficients die with their row; what is retained per range is
+// compressed-domain bits, roughly the size of the output itself.
 
 // copyBits appends the n bits of src starting at bit position *pos to dst,
 // advancing *pos, 32 bits per write. src is a sealed queue (see seal), so
@@ -74,12 +76,18 @@ type StreamEncBuffers struct {
 
 // StreamScanEncoder re-creates the entropy-coded bytes of an MCU range
 // from block rows delivered one component's MCU row group at a time (see
-// the file comment). Create one per thread segment, feed it with ConsumeGroup, and
-// call Finish once every component's rows have been consumed.
+// the file comment). The range starts and ends on MCU-row boundaries.
+// Create one per range, feed it with ConsumeGroup, and call Finish once
+// every component's rows have been consumed.
 type StreamScanEncoder struct {
 	f          *File
-	enc        *ScanEncoder
+	t          *ScanTables
+	w          *bitio.Writer // the range's scan bytes: stuffed, seeded, padded
 	start, end int
+	padBit     uint8
+	rstLimit   int         // restart markers present in the original scan
+	rstDone    int         // restart markers written, or before the range
+	prevDC     int16       // a single-component scan's DC predictor
 	queues     []compQueue // nil for single-component scans
 }
 
@@ -91,9 +99,11 @@ type StreamScanEncoder struct {
 // bufs, when non-nil, supplies pooled queue storage.
 func NewStreamScanEncoder(t *ScanTables, padBit uint8, rstCount int, start, end int, seed MCUPos, outCap int, bufs *StreamEncBuffers) *StreamScanEncoder {
 	f := t.f
-	enc := t.newEncoder(padBit, rstCount, outCap)
-	enc.Seed(seed)
-	se := &StreamScanEncoder{f: f, enc: enc, start: start, end: end}
+	w := bitio.NewWriter()
+	w.Grow(outCap)
+	w.Seed(seed.Partial, seed.BitOff)
+	se := &StreamScanEncoder{f: f, t: t, w: w, start: start, end: end, padBit: padBit,
+		rstLimit: rstCount, rstDone: int(seed.RSTSeen), prevDC: seed.PrevDC[0]}
 	if len(f.Components) == 1 {
 		return se
 	}
@@ -108,8 +118,8 @@ func NewStreamScanEncoder(t *ScanTables, padBit uint8, rstCount int, start, end 
 		} else {
 			q.w = bitio.NewRawWriter()
 		}
-		q.dcTab = enc.dcEnc[c.TD]
-		q.acTab = enc.acEnc[c.TA]
+		q.dcTab = t.dcEnc[c.TD]
+		q.acTab = t.acEnc[c.TA]
 		q.prevDC = seed.PrevDC[ci]
 		q.rstDone = int(seed.RSTSeen)
 	}
@@ -118,7 +128,7 @@ func NewStreamScanEncoder(t *ScanTables, padBit uint8, rstCount int, start, end 
 
 // ReleaseBuffers returns the queue storage to bufs for reuse. Call it only
 // once the encoder (and any slice returned by Finish — which aliases the
-// sequential writer, not the queues) is no longer needed.
+// scan writer, not the queues) is no longer needed.
 func (se *StreamScanEncoder) ReleaseBuffers(bufs *StreamEncBuffers) {
 	if bufs == nil {
 		return
@@ -129,16 +139,23 @@ func (se *StreamScanEncoder) ReleaseBuffers(bufs *StreamEncBuffers) {
 	}
 }
 
-// restartCheck mirrors ScanEncoder.maybeRestart for a private DC chain: at
-// the boundary before MCU m the sequential encoder would emit a restart
-// marker and reset every component's predictor. Only the reset matters
-// here; the marker itself is emitted during stitching.
-func (q *compQueue) restartCheck(m, ri, rstLimit int) {
-	if ri == 0 || m%ri != 0 || q.rstDone >= rstLimit {
-		return
+// restartDue reports whether the original scan, with restart interval ri
+// and rstLimit markers, has a marker before MCU m once done markers have
+// gone before.
+func restartDue(ri, m, done, rstLimit int) bool {
+	return ri != 0 && m%ri == 0 && done < rstLimit
+}
+
+// maybeRestart writes the restart marker due before MCU m, if one is, and
+// reports whether it did.
+func (se *StreamScanEncoder) maybeRestart(m int) bool {
+	if !restartDue(se.f.RestartInterval, m, se.rstDone, se.rstLimit) {
+		return false
 	}
-	q.rstDone++
-	q.prevDC = 0
+	se.w.AlignPad(se.padBit)
+	se.w.WriteMarker(mRST0 + byte(se.rstDone%8))
+	se.rstDone++
+	return true
 }
 
 // ConsumeGroup appends component ci's share of MCU row mcuRow. rows holds
@@ -150,15 +167,14 @@ func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error 
 	if se.queues == nil {
 		// One component: row order is MCU order, so encode straight into
 		// the seeded, stuffed output writer, restarts included.
+		c := &f.Components[0]
+		dcTab, acTab := se.t.dcEnc[c.TD], se.t.acEnc[c.TA]
 		row := rows[0]
 		for col := 0; col < f.MCUsWide; col++ {
-			m := mcuRow*f.MCUsWide + col
-			if m > se.start {
-				if err := se.enc.maybeRestart(m); err != nil {
-					return err
-				}
+			if m := mcuRow*f.MCUsWide + col; m > se.start && se.maybeRestart(m) {
+				se.prevDC = 0
 			}
-			if err := se.enc.encodeBlock(0, row[col*64:col*64+64]); err != nil {
+			if err := encodeBlockTo(se.w, dcTab, acTab, &se.prevDC, row[col*64:col*64+64]); err != nil {
 				return err
 			}
 		}
@@ -167,9 +183,11 @@ func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error 
 	c := &f.Components[ci]
 	q := &se.queues[ci]
 	for mcuCol := 0; mcuCol < f.MCUsWide; mcuCol++ {
-		m := mcuRow*f.MCUsWide + mcuCol
-		if m > se.start {
-			q.restartCheck(m, se.enc.ri, se.enc.rstLimit)
+		// The stitch writes the marker; the component's own DC chain
+		// resets here.
+		if m := mcuRow*f.MCUsWide + mcuCol; m > se.start && restartDue(f.RestartInterval, m, q.rstDone, se.rstLimit) {
+			q.rstDone++
+			q.prevDC = 0
 		}
 		before := q.w.BitLen()
 		for v := 0; v < c.V; v++ {
@@ -187,37 +205,34 @@ func (se *StreamScanEncoder) ConsumeGroup(ci, mcuRow int, rows [][]int16) error 
 
 // Finish completes the range: for interleaved scans it stitches the
 // per-component queues into the output in MCU order, inserting restart
-// markers (with padding) exactly where the sequential encoder would. When
-// the range ends mid-scan, a restart marker belonging to the boundary is
-// appended; when atScanEnd is set, the final byte is padded and the
+// markers (with padding) between MCUs where the original scan has them.
+// When the range ends mid-scan, a restart marker belonging to the boundary
+// is appended; when atScanEnd is set, the final byte is padded and the
 // verbatim tail appended. The returned bytes alias the encoder's buffer.
-func (se *StreamScanEncoder) Finish(tail []byte, atScanEnd bool) ([]byte, error) {
+func (se *StreamScanEncoder) Finish(tail []byte, atScanEnd bool) []byte {
 	if se.queues != nil {
 		var srcs [MaxComponents][]byte
 		var pos [MaxComponents]int64 // stitch read cursors
 		for ci := range se.queues {
 			srcs[ci] = seal(se.queues[ci].w)
 		}
-		idx := 0
-		for m := se.start; m < se.end; m++ {
+		for idx, m := 0, se.start; m < se.end; idx, m = idx+1, m+1 {
 			if m > se.start {
-				if err := se.enc.maybeRestart(m); err != nil {
-					return nil, err
-				}
+				se.maybeRestart(m)
 			}
 			for ci := range se.queues {
-				copyBits(se.enc.w, srcs[ci], &pos[ci], se.queues[ci].mcuBits[idx])
+				copyBits(se.w, srcs[ci], &pos[ci], se.queues[ci].mcuBits[idx])
 			}
-			idx++
 		}
 	}
 	if se.end < se.f.TotalMCUs() {
-		if err := se.enc.maybeRestart(se.end); err != nil {
-			return nil, err
-		}
+		se.maybeRestart(se.end)
 	}
 	if atScanEnd {
-		se.enc.Finish(tail)
+		if !se.w.Aligned() {
+			se.w.AlignPad(se.padBit)
+		}
+		se.w.AppendRaw(tail)
 	}
-	return se.enc.Bytes(), nil
+	return se.w.Bytes()
 }

@@ -246,42 +246,38 @@ func (d *scanDecoder) tryRestart(expect byte) (bool, error) {
 	return true, nil
 }
 
-// slabSink adapts whole coefficient planes to the streaming decoder's
-// RowSink: row buffers are handed out as consecutive slices of the planes
-// (rows arrive strictly in order per component) and EmitRow has nothing
-// left to do.
-type slabSink struct {
-	planes  [][]int16
-	rowLen  []int
-	nextRow []int
-}
-
-func (s *slabSink) GetRowBuf(ci int) []int16 {
-	r := s.nextRow[ci]
-	s.nextRow[ci] = r + 1
-	w := s.rowLen[ci]
-	return s.planes[ci][r*w : (r+1)*w : (r+1)*w]
-}
-
-func (s *slabSink) EmitRow(ci, row int, coeff []int16) error { return nil }
-
 // DecodeScan entropy-decodes the scan of a parsed file into whole
-// coefficient planes, recording per-MCU handover state. It is
-// DecodeScanStream over slab-backed rows with every position recorded —
-// the whole-plane and streaming paths share one MCU walk.
+// coefficient planes, recording every MCU's handover word. It is a loop
+// over RowDecoder, whose block rows are slices of the planes, so the
+// whole-plane and streaming decodes share one MCU walk.
 func DecodeScan(f *File) (*Scan, error) {
+	d, err := NewRowDecoder(f)
+	if err != nil {
+		return nil, err
+	}
 	s := &Scan{File: f, Positions: make([]MCUPos, f.TotalMCUs())}
 	coeff := make([]int16, f.CoefficientCount())
-	sink := &slabSink{nextRow: make([]int, len(f.Components))}
-	off := 0
-	for _, c := range f.Components {
+	group := make([][][]int16, len(f.Components))
+	for ci, c := range f.Components {
 		n := c.BlocksWide * c.BlocksHigh * 64
-		s.Coeff = append(s.Coeff, coeff[off:off+n:off+n])
-		sink.rowLen = append(sink.rowLen, c.BlocksWide*64)
-		off += n
+		s.Coeff = append(s.Coeff, coeff[:n:n])
+		coeff = coeff[n:]
+		group[ci] = make([][]int16, d.vOf[ci])
 	}
-	sink.planes = s.Coeff
-	info, err := DecodeScanStream(f, sink, nil, s.Positions)
+	w := f.MCUsWide
+	for row := 0; row < f.MCUsHigh; row++ {
+		for ci, g := range group {
+			rowLen := f.Components[ci].BlocksWide * 64
+			for v := range g {
+				br := row*len(g) + v
+				g[v] = s.Coeff[ci][br*rowLen : (br+1)*rowLen : (br+1)*rowLen]
+			}
+		}
+		if err := d.Decode(group, s.Positions[row*w:(row+1)*w]); err != nil {
+			return nil, err
+		}
+	}
+	info, err := d.Finish()
 	if err != nil {
 		return nil, err
 	}

@@ -8,32 +8,6 @@ import (
 	"lepton/internal/jpeg"
 )
 
-// collectSink gathers streamed rows back into whole planes so the stream
-// decoder can be compared against the buffered one.
-type collectSink struct {
-	f      *jpeg.File
-	planes [][]int16
-}
-
-func newCollectSink(f *jpeg.File) *collectSink {
-	s := &collectSink{f: f}
-	for i := range f.Components {
-		c := &f.Components[i]
-		s.planes = append(s.planes, make([]int16, c.BlocksWide*c.BlocksHigh*64))
-	}
-	return s
-}
-
-func (s *collectSink) GetRowBuf(ci int) []int16 {
-	return make([]int16, s.f.Components[ci].BlocksWide*64)
-}
-
-func (s *collectSink) EmitRow(ci, row int, coeff []int16) error {
-	w := s.f.Components[ci].BlocksWide * 64
-	copy(s.planes[ci][row*w:(row+1)*w], coeff)
-	return nil
-}
-
 var streamCases = []struct {
 	name string
 	opts imagegen.Options
@@ -45,137 +19,101 @@ var streamCases = []struct {
 	{"color444-rst", imagegen.Options{Quality: 75, RestartInterval: 7, PadBit: 0}},
 }
 
-// TestDecodeScanStreamMatchesBuffered checks the streaming scan decoder
-// produces exactly the coefficients, positions, and scan metadata of the
-// buffered decoder.
-func TestDecodeScanStreamMatchesBuffered(t *testing.T) {
-	for _, tc := range streamCases {
-		t.Run(tc.name, func(t *testing.T) {
-			img := imagegen.Synthesize(11, 168, 120)
-			data, err := imagegen.EncodeJPEG(img, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := jpeg.Parse(data, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := jpeg.DecodeScan(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink := newCollectSink(f)
-			posAt := []int{0, f.MCUsWide * (f.MCUsHigh / 2), f.MCUsWide * (f.MCUsHigh - 1)}
-			posOut := make([]jpeg.MCUPos, len(posAt))
-			info, err := jpeg.DecodeScanStream(f, sink, posAt, posOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ci := range want.Coeff {
-				if !int16Equal(want.Coeff[ci], sink.planes[ci]) {
-					t.Fatalf("component %d coefficients differ", ci)
-				}
-			}
-			for i, m := range posAt {
-				if posOut[i] != want.Positions[m] {
-					t.Fatalf("position at MCU %d: %+v != %+v", m, posOut[i], want.Positions[m])
-				}
-			}
-			if info.PadBit != want.PadBit || info.PadSeen != want.PadSeen ||
-				info.RSTCount != want.RSTCount || !bytes.Equal(info.Tail, want.Tail) {
-				t.Fatalf("scan info %+v differs from buffered scan", info)
-			}
-		})
-	}
-}
-
-// feedPlanar drives a StreamScanEncoder from whole planes in the planar
-// order the arithmetic model produces rows: every block row of component
-// 0's range, then component 1's, and so on.
-func feedPlanar(t *testing.T, se *jpeg.StreamScanEncoder, f *jpeg.File, s *jpeg.Scan, startRow, endRow int) {
+// decodeCase builds a w×h synthetic image in the given layout and decodes
+// its scan.
+func decodeCase(t *testing.T, seed int64, w, h int, opts imagegen.Options) (*jpeg.File, *jpeg.Scan) {
 	t.Helper()
-	for ci := range f.Components {
-		c := &f.Components[ci]
-		v := c.V
-		if len(f.Components) == 1 {
-			v = 1
+	data, err := imagegen.EncodeJPEG(imagegen.Synthesize(seed, w, h), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := jpeg.Parse(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := jpeg.DecodeScan(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, s
+}
+
+// rowGroup returns component ci's block rows of MCU row mr, as a decode
+// unit hands them to ConsumeGroup.
+func rowGroup(f *jpeg.File, s *jpeg.Scan, ci, mr int) [][]int16 {
+	v := f.Components[ci].V
+	if len(f.Components) == 1 {
+		v = 1
+	}
+	w := f.Components[ci].BlocksWide * 64
+	var rows [][]int16
+	for br := mr * v; br < (mr+1)*v; br++ {
+		rows = append(rows, s.Coeff[ci][br*w:(br+1)*w])
+	}
+	return rows
+}
+
+// encodeRows re-encodes MCU rows [startRow, endRow) of s with one
+// StreamScanEncoder seeded from the handover word at startRow. It feeds
+// the rows in MCU-row order, or, when planar is set, in the order the
+// planar model produces them: every row of component 0, then component
+// 1's, and so on.
+func encodeRows(t *testing.T, f *jpeg.File, s *jpeg.Scan, startRow, endRow int, planar bool) []byte {
+	t.Helper()
+	tabs, err := jpeg.NewScanTables(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := startRow*f.MCUsWide, endRow*f.MCUsWide
+	se := jpeg.NewStreamScanEncoder(tabs, s.PadBit, s.RSTCount, start, end, s.Positions[start], 0, nil)
+	consume := func(ci, mr int) {
+		if err := se.ConsumeGroup(ci, mr, rowGroup(f, s, ci, mr)); err != nil {
+			t.Fatalf("ConsumeGroup(ci=%d, mcuRow=%d): %v", ci, mr, err)
 		}
-		w := c.BlocksWide * 64
-		for mr := startRow; mr < endRow; mr++ {
-			rows := make([][]int16, 0, v)
-			for k := 0; k < v; k++ {
-				br := mr*v + k
-				rows = append(rows, s.Coeff[ci][br*w:(br+1)*w])
+	}
+	if planar {
+		for ci := range f.Components {
+			for mr := startRow; mr < endRow; mr++ {
+				consume(ci, mr)
 			}
-			if err := se.ConsumeGroup(ci, mr, rows); err != nil {
-				t.Fatalf("ConsumeGroup(ci=%d, mcuRow=%d): %v", ci, mr, err)
+		}
+	} else {
+		for mr := startRow; mr < endRow; mr++ {
+			for ci := range f.Components {
+				consume(ci, mr)
 			}
 		}
 	}
+	return se.Finish(s.Tail, end == f.TotalMCUs())
 }
 
-// TestStreamScanEncoderMatchesSequential re-encodes segment ranges through
-// the planar row-fed encoder and checks the output is byte-identical to the
-// sequential whole-plane encoder (and hence to the original scan bytes).
+// scanSpan returns the original scan bytes that MCU rows [startRow, endRow)
+// regenerate: from the byte holding the range's first bit up to the byte
+// holding the next range's first bit, or to the end of the scan. A restart
+// marker between the ranges belongs to the first.
+func scanSpan(f *jpeg.File, s *jpeg.Scan, startRow, endRow int) []byte {
+	from := s.Positions[startRow*f.MCUsWide].ByteOff
+	if endRow == f.MCUsHigh {
+		return f.ScanData[from:]
+	}
+	return f.ScanData[from:s.Positions[endRow*f.MCUsWide].ByteOff]
+}
+
+// TestStreamScanEncoderMatchesSequential re-encodes two segments split at
+// an MCU-row boundary, like the engine's, through the planar row feed: each
+// must regenerate exactly its span of the original scan bytes, and the two
+// must concatenate to the whole scan.
 func TestStreamScanEncoderMatchesSequential(t *testing.T) {
 	for _, tc := range streamCases {
 		t.Run(tc.name, func(t *testing.T) {
-			img := imagegen.Synthesize(23, 168, 120)
-			data, err := imagegen.EncodeJPEG(img, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := jpeg.Parse(data, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := jpeg.DecodeScan(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Two segments split at an MCU-row boundary, like the engine.
-			splitRow := f.MCUsHigh / 2
-			ranges := [][2]int{
-				{0, splitRow * f.MCUsWide},
-				{splitRow * f.MCUsWide, f.TotalMCUs()},
-			}
+			f, s := decodeCase(t, 23, 168, 120, tc.opts)
+			split := []int{0, f.MCUsHigh / 2, f.MCUsHigh}
 			var got []byte
-			for i, r := range ranges {
-				start, end := r[0], r[1]
-				if start >= end {
-					continue
-				}
-				var seed jpeg.MCUPos
-				if start > 0 {
-					seed = s.Positions[start]
-				}
-				// Sequential reference for this range.
-				ref, err := jpeg.NewScanEncoder(f, s.PadBit, s.RSTCount)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.Seed(seed)
-				if err := ref.EncodeMCURange(s, start, end); err != nil {
-					t.Fatal(err)
-				}
-				atEnd := end == f.TotalMCUs()
-				if atEnd {
-					ref.Finish(s.Tail)
-				}
-				// Streaming encoder fed planar rows.
-				tabs, err := jpeg.NewScanTables(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				se := jpeg.NewStreamScanEncoder(tabs, s.PadBit, s.RSTCount, start, end, seed, 0, nil)
-				feedPlanar(t, se, f, s, start/f.MCUsWide, (end+f.MCUsWide-1)/f.MCUsWide)
-				out, err := se.Finish(s.Tail, atEnd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(out, ref.Bytes()) {
-					t.Fatalf("segment %d [%d,%d): streamed bytes differ from sequential (%d vs %d bytes)",
-						i, start, end, len(out), len(ref.Bytes()))
+			for i := 0; i+1 < len(split); i++ {
+				out := encodeRows(t, f, s, split[i], split[i+1], true)
+				if want := scanSpan(f, s, split[i], split[i+1]); !bytes.Equal(out, want) {
+					t.Fatalf("segment %d, rows [%d,%d): streamed bytes differ from the original span (%d vs %d bytes)",
+						i, split[i], split[i+1], len(out), len(want))
 				}
 				got = append(got, out...)
 			}
@@ -184,16 +122,4 @@ func TestStreamScanEncoderMatchesSequential(t *testing.T) {
 			}
 		})
 	}
-}
-
-func int16Equal(a, b []int16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

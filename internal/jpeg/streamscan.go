@@ -11,22 +11,8 @@ import (
 // memory ceiling). RowDecoder entropy-decodes the scan one MCU row at a
 // time, pulled by its caller, from the scan's start or from any MCU row's
 // Huffman handover word (§3.4), so a thread segment can decode its own span
-// of the scan. DecodeScanStream and DecodeScan are loops over it: every scan
-// decode shares one MCU walk.
-
-// RowSink receives decoded coefficient block rows from DecodeScanStream.
-// Implementations route rows to the consumers that use them and own the
-// buffer lifecycle.
-type RowSink interface {
-	// GetRowBuf returns a zeroed buffer of Components[ci].BlocksWide*64
-	// coefficients for one block row of component ci. The decoder writes
-	// only nonzero coefficients, so the buffer must come back zeroed.
-	GetRowBuf(ci int) []int16
-	// EmitRow hands over the completed block row `row` (absolute index)
-	// of component ci. Ownership of coeff transfers to the sink; a non-nil
-	// error aborts the scan decode and is returned as is.
-	EmitRow(ci, row int, coeff []int16) error
-}
+// of the scan. It is the only scan-decode loop: DecodeScan, the encode's
+// position pass and every thread segment drive it.
 
 // StreamScanInfo is the scan-wide metadata a decode reports once the whole
 // scan has been decoded — the fields of Scan that are not coefficients or
@@ -184,55 +170,4 @@ func (d *RowDecoder) Finish() (*StreamScanInfo, error) {
 	}
 	info.Tail = append([]byte(nil), d.d.r.Remaining()...)
 	return info, nil
-}
-
-// DecodeScanStream entropy-decodes f's scan in MCU order, emitting each
-// block row to sink as soon as its MCU row is decoded. posAt lists
-// ascending MCU indices whose handover words should be recorded into
-// posOut, which must have the same length; both may be nil, and a nil posAt
-// with posOut covering every MCU records them all.
-func DecodeScanStream(f *File, sink RowSink, posAt []int, posOut []MCUPos) (*StreamScanInfo, error) {
-	d, err := NewRowDecoder(f)
-	if err != nil {
-		return nil, err
-	}
-	w := f.MCUsWide
-	group := make([][][]int16, len(f.Components))
-	for ci := range group {
-		group[ci] = make([][]int16, d.vOf[ci])
-	}
-	recordAll := posAt == nil && len(posOut) == f.TotalMCUs()
-	var rowPos []MCUPos
-	if len(posAt) > 0 {
-		rowPos = make([]MCUPos, w)
-	}
-	pi := 0
-	for row := 0; row < f.MCUsHigh; row++ {
-		for ci := range group {
-			for v := range group[ci] {
-				group[ci][v] = sink.GetRowBuf(ci)
-			}
-		}
-		var pos []MCUPos
-		switch {
-		case recordAll:
-			pos = posOut[row*w : (row+1)*w]
-		case pi < len(posAt) && posAt[pi] < (row+1)*w:
-			pos = rowPos
-		}
-		if err := d.Decode(group, pos); err != nil {
-			return nil, err
-		}
-		for ; pi < len(posAt) && posAt[pi] < (row+1)*w; pi++ {
-			posOut[pi] = rowPos[posAt[pi]-row*w]
-		}
-		for ci := range group {
-			for v := range group[ci] {
-				if err := sink.EmitRow(ci, row*d.vOf[ci]+v, group[ci][v]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return d.Finish()
 }

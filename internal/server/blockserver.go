@@ -161,36 +161,15 @@ type srvConn struct {
 	// job is the reusable dispatch record (one request in flight per
 	// connection), so steady-state shard dispatch allocates nothing.
 	job shardJob
-	// rbuf is the connection's reusable request-payload buffer: readRequest
-	// decodes every request in place instead of allocating per request. The
-	// payload handed to a job aliases it and dies at the response.
+	// rbuf is the connection's reusable request-payload buffer: ReadRequest
+	// reads every request into it instead of allocating per request. The
+	// payload handed to a job aliases it and is valid only until the next
+	// request is read: every consumer either finishes with it before the
+	// response completes (the codec paths) or copies it (the store puts).
 	rbuf []byte
 	// fw is the reusable vectored frame writer for streamed decompress
 	// responses. Only the worker running this connection's job touches it.
 	fw vecFrameWriter
-}
-
-// readRequest reads one framed request into the connection's reusable
-// buffer. The returned payload aliases sc.rbuf and is only valid until the
-// next readRequest: every consumer either finishes with it before the
-// response completes (the codec paths) or copies it (the store puts).
-func (sc *srvConn) readRequest() (op byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(sc, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[1:]))
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("server: request of %d bytes exceeds limit", n)
-	}
-	if cap(sc.rbuf) < n {
-		sc.rbuf = make([]byte, n)
-	}
-	payload = sc.rbuf[:n]
-	if _, err := io.ReadFull(sc, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
 }
 
 // Read hands back watchdog read-ahead first, then the connection; a clean
@@ -401,7 +380,7 @@ func (b *Blockserver) handle(conn net.Conn) {
 		if b.draining.Load() {
 			return
 		}
-		op, payload, err := sc.readRequest()
+		op, payload, err := ReadRequest(sc, sc.rbuf)
 		if err != nil {
 			// EOF here is the normal end of a persistent connection.
 			if !errors.Is(err, io.EOF) && !b.draining.Load() {
@@ -409,6 +388,7 @@ func (b *Blockserver) handle(conn net.Conn) {
 			}
 			return
 		}
+		sc.rbuf = payload
 		if !b.beginServing(sc) {
 			return
 		}

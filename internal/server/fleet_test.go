@@ -439,7 +439,7 @@ func startStubServer(t *testing.T, load uint32, delay time.Duration) (string, *s
 func (s *stubServer) serve(conn net.Conn) {
 	defer conn.Close()
 	for {
-		op, payload, err := server.ReadRequest(conn)
+		op, payload, err := server.ReadRequest(conn, nil)
 		if err != nil {
 			return
 		}

@@ -44,7 +44,7 @@ func fakeLoadPeer(t *testing.T, load uint32) (addr string, jobs *atomic.Int64) {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					op, _, err := server.ReadRequest(conn)
+					op, _, err := server.ReadRequest(conn, nil)
 					if err != nil {
 						return
 					}

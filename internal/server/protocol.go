@@ -135,19 +135,24 @@ func WriteFrame(conn net.Conn, op byte, payload []byte) error {
 	return err
 }
 
-// ReadRequest reads one request from a connection (any io.Reader over the
-// framed stream).
-func ReadRequest(conn io.Reader) (op byte, payload []byte, err error) {
+// ReadRequest reads one framed request from r. The payload goes into buf
+// when it fits buf's capacity, so a caller that passes back each returned
+// payload reads every request into one buffer; a nil buf allocates one per
+// request. The payload is valid until buf is reused.
+func ReadRequest(r io.Reader, buf []byte) (op byte, payload []byte, err error) {
 	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("server: request of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
 	return hdr[0], payload, nil
