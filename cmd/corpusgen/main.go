@@ -5,9 +5,9 @@
 // With -fuzz-seeds it instead regenerates the checked-in seed corpora for
 // the fuzz targets (FuzzDecode and FuzzDecompressRange in internal/core,
 // FuzzStorePut in internal/store, FuzzSegmentReplay in
-// internal/diskstore): valid inputs plus corrupted and truncated variants,
-// written in Go's corpus-file format under each package's testdata/fuzz/
-// directory.
+// internal/diskstore, FuzzReadRequest in internal/server): valid inputs
+// plus corrupted and truncated variants, written in Go's corpus-file
+// format under each package's testdata/fuzz/ directory.
 //
 // With -manifest N it instead emits a deterministic backfill manifest:
 // N entries with stable IDs and zipf-mixed sizes in the text format
@@ -24,12 +24,14 @@ package main
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"lepton/internal/backfill"
 	"lepton/internal/core"
@@ -194,13 +196,14 @@ func writeFuzzSeeds(root string) {
 	// FuzzDecompressRange: the same container grammar paired with range
 	// bounds — start-of-file, interior, tail-crossing, and clamped-past-EOF
 	// reads over intact, bit-flipped, and truncated containers.
-	var rangeSeeds []rangeSeed
+	var rangeSeeds [][]string
 	for i, s := range decodeSeeds {
 		bounds := [...][2]int64{{0, 1024}, {int64(211*i + 7), 257}, {4096, 1}, {0, 1 << 30}}
 		b := bounds[i%len(bounds)]
-		rangeSeeds = append(rangeSeeds, rangeSeed{data: s, off: b[0], n: b[1]})
+		rangeSeeds = append(rangeSeeds, []string{bytesArg(s),
+			"int64(" + strconv.FormatInt(b[0], 10) + ")", "int64(" + strconv.FormatInt(b[1], 10) + ")"})
 	}
-	writeRangeCorpus(filepath.Join(root, "internal", "core", "testdata", "fuzz", "FuzzDecompressRange"), rangeSeeds)
+	writeArgCorpus(filepath.Join(root, "internal", "core", "testdata", "fuzz", "FuzzDecompressRange"), rangeSeeds)
 
 	// FuzzStorePut: chunk containers through store admission.
 	sy2 := imagegen.Synthesize(5, 112, 80)
@@ -237,6 +240,33 @@ func writeFuzzSeeds(root string) {
 	}
 	segSeeds = withVariants(segSeeds, 7, 2)
 	writeCorpus(filepath.Join(root, "internal", "diskstore", "testdata", "fuzz", "FuzzSegmentReplay"), segSeeds)
+
+	// FuzzReadRequest: request frames (op, u32 little-endian length,
+	// payload) read with a reuse buffer of the given capacity — complete,
+	// empty, truncated in the header and in the payload, followed by the
+	// next frame, and declaring more than the 8 MiB limit.
+	frame := func(op byte, n uint32, payload string) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte{op}, n), payload...)
+	}
+	reqSeeds := []struct {
+		frame    []byte
+		reuseCap int
+	}{
+		{frame('C', 5, "hello"), 0},
+		{frame('D', 5, "hello"), 16},
+		{frame('L', 0, ""), 8},
+		{frame('c', 3, "abcC\x02\x00\x00\x00xy"), 3},
+		{frame('D', 10, "abcd"), 64},
+		{[]byte{'C', 1, 0}, 0},
+		{frame('C', 8<<20, ""), 0},
+		{frame('C', 8<<20+1, "x"), 4},
+		{frame('D', 0xFFFFFFFF, ""), 0},
+	}
+	var reqArgs [][]string
+	for _, s := range reqSeeds {
+		reqArgs = append(reqArgs, []string{bytesArg(s.frame), "uint16(" + strconv.Itoa(s.reuseCap) + ")"})
+	}
+	writeArgCorpus(filepath.Join(root, "internal", "server", "testdata", "fuzz", "FuzzReadRequest"), reqArgs)
 }
 
 // put stores payload under its content hash and returns the hash.
@@ -281,47 +311,32 @@ func rawContainer(payload string, size uint32) []byte {
 	return b
 }
 
-// writeCorpus writes seeds in Go's corpus-file format ("go test fuzz v1"
-// plus one quoted []byte per fuzz argument), replacing the directory so a
+// bytesArg formats one []byte argument of a corpus file.
+func bytesArg(b []byte) string { return "[]byte(" + strconv.Quote(string(b)) + ")" }
+
+// writeCorpus writes one corpus file per seed for a fuzz target whose only
+// argument is a []byte.
+func writeCorpus(dir string, seeds [][]byte) {
+	args := make([][]string, len(seeds))
+	for i, s := range seeds {
+		args[i] = []string{bytesArg(s)}
+	}
+	writeArgCorpus(dir, args)
+}
+
+// writeArgCorpus writes seeds in Go's corpus-file format ("go test fuzz
+// v1" plus one line per fuzz argument), replacing the directory so a
 // reshaped generation cannot leave stale seed files behind for CI to keep
 // replaying.
-// rangeSeed is one FuzzDecompressRange corpus entry: a container plus the
-// requested byte range.
-type rangeSeed struct {
-	data   []byte
-	off, n int64
-}
-
-// writeRangeCorpus writes multi-argument corpus files for the
-// ([]byte, int64, int64) fuzz signature of FuzzDecompressRange.
-func writeRangeCorpus(dir string, seeds []rangeSeed) {
+func writeArgCorpus(dir string, seeds [][]string) {
 	if err := os.RemoveAll(dir); err != nil {
 		fatal(err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
-	for i, s := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s.data)) + ")\n" +
-			"int64(" + strconv.FormatInt(s.off, 10) + ")\n" +
-			"int64(" + strconv.FormatInt(s.n, 10) + ")\n"
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("wrote %d fuzz seeds to %s\n", len(seeds), dir)
-}
-
-func writeCorpus(dir string, seeds [][]byte) {
-	if err := os.RemoveAll(dir); err != nil {
-		fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
-	}
-	for i, s := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
+	for i, args := range seeds {
+		body := "go test fuzz v1\n" + strings.Join(args, "\n") + "\n"
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			fatal(err)

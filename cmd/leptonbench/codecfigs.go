@@ -35,8 +35,8 @@ func oneShotEncode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
 	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
 }
 
-func oneShotDecode(comp []byte, memBudget int64) ([]byte, error) {
-	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+func oneShotDecode(comp []byte) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), comp)
 }
 
 // measureCodec compresses and decompresses every file of corpus with c.
@@ -306,7 +306,7 @@ func figureSpeed(opt options, encode bool) {
 			} else {
 				t0 := time.Now()
 				for i := 0; i < reps; i++ {
-					_, _ = oneShotDecode(res.Compressed, 0)
+					_, _ = oneShotDecode(res.Compressed)
 				}
 				secs = time.Since(t0).Seconds() / float64(reps)
 			}

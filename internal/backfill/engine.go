@@ -474,7 +474,7 @@ func (e *Engine) process(ctx context.Context, addr string, p *Pacer, it item) {
 	}
 
 	if e.cfg.Verify {
-		if derr := e.codec.VerifyCtx(ctx, comp, data, 0); derr != nil {
+		if derr := e.codec.VerifyCtx(ctx, comp, data); derr != nil {
 			if ctx.Err() != nil {
 				p.Cancel()
 				e.requeue(it)

@@ -149,7 +149,7 @@ func (Lepton) Compress(data []byte) ([]byte, error) {
 }
 
 func (Lepton) Decompress(comp []byte) ([]byte, error) {
-	return core.NewCodec().DecodeCtx(context.TODO(), comp, 0)
+	return core.NewCodec().DecodeCtx(context.TODO(), comp)
 }
 
 // Lepton1Way is the single-threaded maximum-compression configuration of
@@ -164,7 +164,7 @@ func (Lepton1Way) Compress(data []byte) ([]byte, error) {
 }
 
 func (Lepton1Way) Decompress(comp []byte) ([]byte, error) {
-	return core.NewCodec().DecodeCtx(context.TODO(), comp, 0)
+	return core.NewCodec().DecodeCtx(context.TODO(), comp)
 }
 
 // PackJPGStyle models the 2007 PackJPG algorithm inside this engine: single
@@ -187,7 +187,7 @@ func (PackJPGStyle) Compress(data []byte) ([]byte, error) {
 func (PackJPGStyle) Decompress(comp []byte) ([]byte, error) {
 	// Whole-buffer decode; no streaming.
 	var buf bytes.Buffer
-	if err := core.NewCodec().DecodeToCtx(context.TODO(), &buf, comp, 0); err != nil {
+	if err := core.NewCodec().DecodeToCtx(context.TODO(), &buf, comp); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -211,5 +211,5 @@ func (LeptonPooled) Compress(data []byte) ([]byte, error) {
 }
 
 func (LeptonPooled) Decompress(comp []byte) ([]byte, error) {
-	return pooledCodec.DecodeCtx(context.TODO(), comp, 0)
+	return pooledCodec.DecodeCtx(context.TODO(), comp)
 }

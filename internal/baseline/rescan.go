@@ -24,9 +24,9 @@ func guardPlanes(f *jpeg.File) error {
 		c := &f.Components[i]
 		total += int64(c.BlocksWide) * int64(c.BlocksHigh) * 64 * 2
 	}
-	if total > core.DefaultMemEncodeBudget {
+	if total > core.MemEncodeBudget {
 		return &jpeg.Error{Reason: jpeg.ReasonMemDecode,
-			Detail: fmt.Sprintf("coefficient planes need %d bytes > %d budget", total, int64(core.DefaultMemEncodeBudget))}
+			Detail: fmt.Sprintf("coefficient planes need %d bytes > %d budget", total, int64(core.MemEncodeBudget))}
 	}
 	return nil
 }
@@ -46,7 +46,7 @@ func (Rescan) Name() string         { return "jpegrescan-style" }
 func (Rescan) FilePreserving() bool { return false }
 
 func (Rescan) Compress(data []byte) ([]byte, error) {
-	f, err := jpeg.Parse(data, core.DefaultMemEncodeBudget)
+	f, err := jpeg.Parse(data, core.MemEncodeBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -57,36 +57,29 @@ func (Rescan) Compress(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Tally symbol frequencies per table.
+	// Tally symbol frequencies per table, in the scan's own coding order.
 	var dcFreq, acFreq [4][256]int64
-	for ci := range f.Components {
+	s.WalkBlocks(func(ci int, diff int32, blk []int16) {
 		c := &f.Components[ci]
-		blocks := c.BlocksWide * c.BlocksHigh
-		var prevDC int16
-		for b := 0; b < blocks; b++ {
-			blk := s.Coeff[ci][b*64 : b*64+64]
-			diff := int32(blk[0]) - int32(prevDC)
-			prevDC = blk[0]
-			dcFreq[c.TD][category(diff)]++
-			run := 0
-			for k := 1; k < 64; k++ {
-				v := int32(blk[dct.Zigzag[k]])
-				if v == 0 {
-					run++
-					continue
-				}
-				for run >= 16 {
-					acFreq[c.TA][0xF0]++
-					run -= 16
-				}
-				acFreq[c.TA][byte(run<<4)|category(v)]++
-				run = 0
+		dcFreq[c.TD][category(diff)]++
+		run := 0
+		for k := 1; k < 64; k++ {
+			v := int32(blk[dct.Zigzag[k]])
+			if v == 0 {
+				run++
+				continue
 			}
-			if run > 0 {
-				acFreq[c.TA][0x00]++
+			for run >= 16 {
+				acFreq[c.TA][0xF0]++
+				run -= 16
 			}
+			acFreq[c.TA][byte(run<<4)|category(v)]++
+			run = 0
 		}
-	}
+		if run > 0 {
+			acFreq[c.TA][0x00]++
+		}
+	})
 	// Build optimal tables for every table id in use.
 	opt := *f // shallow copy; swap table pointers
 	for i := 0; i < 4; i++ {
@@ -122,7 +115,7 @@ func (Rescan) Compress(data []byte) ([]byte, error) {
 // Decompress parses and re-emits the optimized JPEG (the file itself is the
 // deliverable; this measures the serving-side decode cost).
 func (Rescan) Decompress(comp []byte) ([]byte, error) {
-	f, err := jpeg.Parse(comp, core.DefaultMemEncodeBudget)
+	f, err := jpeg.Parse(comp, core.MemEncodeBudget)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func (SpecArith) FilePreserving() bool { return true }
 var specMagic = []byte{0x5A, 0x41} // "ZA"
 
 func (SpecArith) Compress(data []byte) ([]byte, error) {
-	f, err := jpeg.Parse(data, core.DefaultMemEncodeBudget)
+	f, err := jpeg.Parse(data, core.MemEncodeBudget)
 	if err != nil {
 		return nil, err
 	}

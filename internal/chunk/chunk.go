@@ -64,17 +64,12 @@ type Options struct {
 	Codec *core.Codec
 	// BufferLimit bounds how much of a stream CompressFromCtx holds in memory
 	// while deciding whether the input is a compressible JPEG; 0 means the
-	// deployed encode budget (core.DefaultMemEncodeBudget). Streams larger
-	// than the limit are chunk-compressed incrementally in raw (deflate)
-	// mode with O(ChunkSize) memory — the same treatment production gave
+	// deployed encode budget (core.MemEncodeBudget). Streams larger than
+	// the limit are chunk-compressed incrementally in raw (deflate) mode
+	// with O(ChunkSize) memory — the same treatment production gave
 	// files over the memory budget (§6.2). JPEGs within the limit are
 	// encoded with the deployed model flags; this layer has no ablations.
 	BufferLimit int64
-	// DisableSeekIndex omits the per-MCU-row seek index from each chunk
-	// container, which is otherwise byte-identical to the indexed one.
-	// Range reads of index-less chunks fall back to decoding the whole
-	// chunk.
-	DisableSeekIndex bool
 }
 
 // check refuses a forced segment count the decoder would refuse.
@@ -122,7 +117,7 @@ func CompressFromCtx(ctx context.Context, r io.Reader, opt Options, emit func(ch
 	size := chunkSize(opt)
 	limit := opt.BufferLimit
 	if limit <= 0 {
-		limit = core.DefaultMemEncodeBudget
+		limit = core.MemEncodeBudget
 	}
 	// The buffering phase can read up to the whole encode budget from a
 	// slow source, so it must observe cancellation too — per read, via the
@@ -189,12 +184,12 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk []byte) error) error {
 	size := chunkSize(opt)
 	codec := opt.Codec
-	f, err := jpeg.Parse(data, core.DefaultMemEncodeBudget)
+	f, err := jpeg.Parse(data, core.MemEncodeBudget)
 	// Every stored chunk must be decodable within the streaming decode
 	// ceiling: whatever a chunk's segment count, a decode holds the row
 	// windows of at most eight live segments, which is what
 	// DecodeWindowBytes counts for MaxSegments.
-	if err == nil && core.DecodeWindowBytes(f, core.MaxSegments) > core.DefaultMemDecodeBudget {
+	if err == nil && core.DecodeWindowBytes(f, core.MaxSegments) > core.MemDecodeBudget {
 		err = fmt.Errorf("over decode budget")
 	}
 	var pass *core.ScanPass
@@ -232,13 +227,13 @@ func compressAll(ctx context.Context, data []byte, opt Options, emit func(chunk 
 		if sp.mStart == sp.mEnd {
 			chunkBytes, err = rawContainer(data[sp.o0:sp.o1], codec)
 		} else {
-			chunkBytes, err = codec.MarshalContainer(leptonContainer(data, f, enc, sp, k, opt.DisableSeekIndex))
+			chunkBytes, err = codec.MarshalContainer(leptonContainer(data, f, enc, sp, k))
 		}
 		if err != nil {
 			return err
 		}
 		if opt.VerifyRoundtrip {
-			if err := codec.VerifyCtx(ctx, chunkBytes, data[sp.o0:sp.o1], 0); err != nil {
+			if err := codec.VerifyCtx(ctx, chunkBytes, data[sp.o0:sp.o1]); err != nil {
 				if jerr, ok := err.(*jpeg.Error); ok {
 					jerr.Detail = fmt.Sprintf("chunk %d: %s", k, jerr.Detail)
 				}
@@ -345,7 +340,7 @@ func planChunks(ctx context.Context, f *jpeg.File, pass *core.ScanPass, n, size,
 
 // leptonContainer builds chunk k's container from its slice of the file's
 // encode.
-func leptonContainer(data []byte, f *jpeg.File, enc *core.ScanEncode, sp span, k int, noIndex bool) *core.Container {
+func leptonContainer(data []byte, f *jpeg.File, enc *core.ScanEncode, sp span, k int) *core.Container {
 	prependFrom := sp.o0
 	if k == 0 {
 		prependFrom = int64(len(f.Header)) // the header is emitted structurally
@@ -373,7 +368,7 @@ func leptonContainer(data []byte, f *jpeg.File, enc *core.ScanEncode, sp span, k
 		scanEnd := int64(len(f.Header) + len(f.ScanData))
 		c.Trailer = f.Trailer[:min(max(sp.o1-scanEnd, 0), int64(len(f.Trailer)))]
 	}
-	if !noIndex && core.SeekIndexable(f) {
+	if core.SeekIndexable(f) {
 		// The chunk covers MCU rows [mStart/W, mEnd/W); its seek index is
 		// that slice of the encode's row table. With it, a range read
 		// inside this chunk decodes only the overlapping thread segments
@@ -421,7 +416,7 @@ func chunkSize(opt Options) int {
 func ReassembleCtx(ctx context.Context, codec *core.Codec, chunks [][]byte) ([]byte, error) {
 	var out []byte
 	for i, ch := range chunks {
-		b, err := codec.DecodeCtx(ctx, ch, 0)
+		b, err := codec.DecodeCtx(ctx, ch)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

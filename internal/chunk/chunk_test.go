@@ -31,7 +31,7 @@ func reassemble(chunks [][]byte) ([]byte, error) {
 }
 
 func decompress(cb []byte) ([]byte, error) {
-	return core.NewCodec().DecodeCtx(context.Background(), cb, 0)
+	return core.NewCodec().DecodeCtx(context.Background(), cb)
 }
 
 func gen(t testing.TB, seed int64, w, h int) []byte {
@@ -361,7 +361,7 @@ func TestRangeReadDecodesAFractionOfTheChunk(t *testing.T) {
 	for j := 0; j < 16; j++ {
 		off := int64(len(data)) * int64(2*j+1) / 32
 		before := stats.Snapshot()["range_block_rows"]
-		got, err := codec.DecodeRangeCtx(context.Background(), chunks[0], off, 4096, 0)
+		got, err := codec.DecodeRangeCtx(context.Background(), chunks[0], off, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func TestCMYKRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
-		back, err := decode(res.Compressed, 0)
+		back, err := decode(res.Compressed)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", tc.seed, err)
 		}
@@ -68,7 +68,7 @@ func TestCMYKMultiSegment(t *testing.T) {
 	if res.Segments != 4 {
 		t.Fatalf("segments = %d", res.Segments)
 	}
-	back, err := decode(res.Compressed, 0)
+	back, err := decode(res.Compressed)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("multi-segment CMYK round trip failed: %v", err)
 	}

@@ -32,16 +32,16 @@ func encode(data []byte, opt EncodeOptions) (*Result, error) {
 	return NewCodec().EncodeCtx(context.Background(), data, opt)
 }
 
-func decode(comp []byte, memBudget int64) ([]byte, error) {
-	return NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+func decode(comp []byte) ([]byte, error) {
+	return NewCodec().DecodeCtx(context.Background(), comp)
 }
 
-func decodeTo(w io.Writer, comp []byte, memBudget int64) error {
-	return NewCodec().DecodeToCtx(context.Background(), w, comp, memBudget)
+func decodeTo(w io.Writer, comp []byte) error {
+	return NewCodec().DecodeToCtx(context.Background(), w, comp)
 }
 
-func decodeRange(comp []byte, off, n, memBudget int64) ([]byte, error) {
-	return NewCodec().DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
+func decodeRange(comp []byte, off, n int64) ([]byte, error) {
+	return NewCodec().DecodeRangeCtx(context.Background(), comp, off, n)
 }
 
 // TestCodecReuseByteIdentical drives one codec through many files and checks
@@ -65,7 +65,7 @@ func TestCodecReuseByteIdentical(t *testing.T) {
 			if !bytes.Equal(oneShot.Compressed, pooled.Compressed) {
 				t.Fatalf("round %d seed %d: pooled output differs from one-shot", round, seed)
 			}
-			back, err := codec.DecodeCtx(context.Background(), pooled.Compressed, 0)
+			back, err := codec.DecodeCtx(context.Background(), pooled.Compressed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestCodecPoolPoisoning(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shape %dx%d: %v", s.w, s.h, err)
 			}
-			back, err := codec.DecodeCtx(context.Background(), res.Compressed, 0)
+			back, err := codec.DecodeCtx(context.Background(), res.Compressed)
 			if err != nil || !bytes.Equal(back, data) {
 				t.Fatalf("shape %dx%d: decode mismatch (%v)", s.w, s.h, err)
 			}
@@ -218,7 +218,7 @@ func TestCodecConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: %w", g, err)
 					return
 				}
-				back, err := codec.DecodeCtx(context.Background(), res.Compressed, 0)
+				back, err := codec.DecodeCtx(context.Background(), res.Compressed)
 				if err != nil || !bytes.Equal(back, data) {
 					errs <- fmt.Errorf("worker %d: round trip mismatch (%v)", g, err)
 					return
@@ -328,25 +328,22 @@ func TestCodecStatsPerInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noIndex, err := a.EncodeCtx(ctx, data, EncodeOptions{ForceSegments: 3, DisableSeekIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noIndex := CutSeekIndex(indexed.Compressed)
 	calls := []struct {
 		name  string
 		run   func() error
 		moved string
 	}{
 		{"fast range", func() error {
-			_, err := a.DecodeRangeCtx(ctx, indexed.Compressed, 700, 4000, 0)
+			_, err := a.DecodeRangeCtx(ctx, indexed.Compressed, 700, 4000)
 			return err
 		}, "range_fast"},
 		{"fallback range", func() error {
-			_, err := a.DecodeRangeCtx(ctx, noIndex.Compressed, 700, 4000, 0)
+			_, err := a.DecodeRangeCtx(ctx, noIndex, 700, 4000)
 			return err
 		}, "range_fallback_no_index"},
 		{"full decode", func() error {
-			_, err := a.DecodeCtx(ctx, indexed.Compressed, 0)
+			_, err := a.DecodeCtx(ctx, indexed.Compressed)
 			return err
 		}, ""},
 	}
@@ -430,7 +427,7 @@ func TestPooledResultsNotAliased(t *testing.T) {
 		if !bytes.Equal(h.comp, h.snapshot) {
 			t.Fatalf("result %d was mutated by a later pooled conversion (aliased pool memory escaped)", i)
 		}
-		back, err := codec.DecodeCtx(context.Background(), h.comp, 0)
+		back, err := codec.DecodeCtx(context.Background(), h.comp)
 		if err != nil {
 			t.Fatalf("result %d: %v", i, err)
 		}

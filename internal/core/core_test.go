@@ -29,16 +29,16 @@ func encode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
 	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
 }
 
-func decode(comp []byte, memBudget int64) ([]byte, error) {
-	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+func decode(comp []byte) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), comp)
 }
 
-func decodeTo(w io.Writer, comp []byte, memBudget int64) error {
-	return core.NewCodec().DecodeToCtx(context.Background(), w, comp, memBudget)
+func decodeTo(w io.Writer, comp []byte) error {
+	return core.NewCodec().DecodeToCtx(context.Background(), w, comp)
 }
 
-func decodeRange(comp []byte, off, n, memBudget int64) ([]byte, error) {
-	return core.NewCodec().DecodeRangeCtx(context.Background(), comp, off, n, memBudget)
+func decodeRange(comp []byte, off, n int64) ([]byte, error) {
+	return core.NewCodec().DecodeRangeCtx(context.Background(), comp, off, n)
 }
 
 func roundTrip(t *testing.T, data []byte, opt core.EncodeOptions) *core.Result {
@@ -47,7 +47,7 @@ func roundTrip(t *testing.T, data []byte, opt core.EncodeOptions) *core.Result {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	back, err := decode(res.Compressed, 0)
+	back, err := decode(res.Compressed)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -167,6 +167,54 @@ func TestStatsBreakdown(t *testing.T) {
 	}
 }
 
+// TestOriginalClassBitsCountTheScan: Figure 4's original-bits column sums
+// to the scan's Huffman-coded bits — its bytes less byte stuffing and
+// restart markers, less at most seven pad bits per restart interval — in
+// every scan layout, with and without restart markers. A tally that
+// chained DC differences in another order than the scan codes them would
+// count other DC categories.
+func TestOriginalClassBitsCountTheScan(t *testing.T) {
+	img := imagegen.Synthesize(23, 120, 88)
+	layouts := []imagegen.Options{{Quality: 85, Grayscale: true}, {Quality: 80, SubsampleChroma: true}, {Quality: 75}}
+	for _, o := range layouts {
+		for _, ri := range []int{0, 5} {
+			o.RestartInterval, o.PadBit = ri, 1
+			data, err := imagegen.EncodeJPEG(img, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := encode(data, core.EncodeOptions{CollectStats: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := jpeg.Parse(data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bits, markers int64
+			for i, sd := 0, f.ScanData; i < len(sd); i++ {
+				if sd[i] == 0xFF && i+1 < len(sd) {
+					if sd[i+1] != 0 {
+						markers++
+						i++
+						continue
+					}
+					i++ // stuffed zero
+				}
+				bits += 8
+			}
+			var counted int64
+			for _, b := range res.OriginalClassBits {
+				counted += b
+			}
+			if counted > bits || counted < bits-7*(markers+1) {
+				t.Errorf("%+v: classes count %d bits, scan codes %d less up to %d pad bits",
+					o, counted, bits, 7*(markers+1))
+			}
+		}
+	}
+}
+
 func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	data := mustGen(t, 8, 128, 128)
 	res, err := encode(data, core.EncodeOptions{})
@@ -179,32 +227,28 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 		if i < len(comp) {
 			bad := append([]byte(nil), comp...)
 			bad[i] ^= 0xFF
-			_, _ = decode(bad, 0)
+			_, _ = decode(bad)
 		}
 	}
 	// The Appendix A.1 interleaved body (mode 'I') is not a mode this
 	// package reads.
 	interleaved := append([]byte(nil), comp...)
 	interleaved[3] = 'I'
-	if _, err := decode(interleaved, 0); !errors.Is(err, core.ErrBadContainer) || !strings.Contains(err.Error(), "unknown mode") {
+	if _, err := decode(interleaved); !errors.Is(err, core.ErrBadContainer) || !strings.Contains(err.Error(), "unknown mode") {
 		t.Fatalf("mode 'I' container: err %v, want the unknown-mode rejection", err)
 	}
 	// Truncations. The container ends with an optional seek-index section
 	// that readers must tolerate losing (it is advisory: a damaged index
 	// falls back to full decode), so the must-fail region is everything up
-	// to the end of the arithmetic streams — the index-less encoding's
+	// to the end of the arithmetic streams — the index-less container's
 	// exact length.
-	noIdx, err := encode(data, core.EncodeOptions{DisableSeekIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamEnd := len(noIdx.Compressed)
+	streamEnd := len(core.CutSeekIndex(comp))
 	if streamEnd >= len(comp) {
 		t.Fatalf("expected a trailing seek index: %d >= %d", streamEnd, len(comp))
 	}
 	for _, n := range []int{0, 1, 4, 27, 40, streamEnd / 2, streamEnd - 1} {
 		if n <= len(comp) {
-			_, err := decode(comp[:n], 0)
+			_, err := decode(comp[:n])
 			if err == nil && n < streamEnd {
 				t.Fatalf("truncation to %d bytes decoded successfully", n)
 			}
@@ -213,7 +257,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	// Truncating within the trailing index must still decode — to the
 	// right bytes — with the mangled index discarded.
 	for _, n := range []int{streamEnd, len(comp) - 1} {
-		out, err := decode(comp[:n], 0)
+		out, err := decode(comp[:n])
 		if err != nil {
 			t.Fatalf("truncation into seek index (%d bytes): %v", n, err)
 		}
@@ -225,7 +269,7 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	for i := 60; i < len(comp); i += 97 {
 		bad := append([]byte(nil), comp...)
 		bad[i] ^= 0x10
-		out, err := decode(bad, 0)
+		out, err := decode(bad)
 		if err == nil && bytes.Equal(out, data) && i > 80 {
 			// Flipping arithmetic-stream bits that still decode identically
 			// would indicate the bits are ignored.
@@ -234,27 +278,41 @@ func TestDecodeRejectsCorruptContainer(t *testing.T) {
 	}
 }
 
+// TestDecodeMemBudget: a container whose stored header is as wide as the
+// format allows, with enough thread segments that their row windows
+// exceed the decode budget, is refused before anything is decoded, by the
+// full decode and by a range read alike.
 func TestDecodeMemBudget(t *testing.T) {
-	data := mustGen(t, 9, 512, 384)
-	res, err := encode(data, core.EncodeOptions{})
+	f, err := jpeg.Parse(imagegen.OversizeStub(1), core.MemEncodeBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decode(res.Compressed, 1024); err == nil {
-		t.Fatal("expected decode budget rejection")
+	c := &core.Container{Mode: core.ModeLepton, OutputSize: 1 << 30, JPEGHeader: f.Header,
+		MCUEnd: uint32(8 * f.MCUsWide)}
+	for i := 0; i < 8; i++ {
+		c.Segments = append(c.Segments, core.Segment{StartMCU: uint32(i * f.MCUsWide)})
+		c.Streams = append(c.Streams, nil)
 	}
-	r := jpeg.ReasonOf(func() error {
-		_, err := decode(res.Compressed, 1024)
-		return err
-	}())
-	if r != jpeg.ReasonMemDecode {
-		t.Fatalf("reason = %v", r)
+	if w := core.DecodeWindowBytes(f, len(c.Segments)); w <= core.MemDecodeBudget {
+		t.Fatalf("row windows %d bytes fit the %d budget", w, core.MemDecodeBudget)
+	}
+	comp, err := c.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(comp); jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
+		t.Fatalf("decode: reason = %v (%v), want MemDecode", jpeg.ReasonOf(err), err)
+	}
+	if _, err := decodeRange(comp, 0, 10); jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
+		t.Fatalf("range decode: reason = %v (%v), want MemDecode", jpeg.ReasonOf(err), err)
 	}
 }
 
+// TestEncodeMemBudget: a file whose decode row windows cannot fit the
+// decode budget is refused at encode time, so nothing stored is
+// undecodable.
 func TestEncodeMemBudget(t *testing.T) {
-	data := mustGen(t, 10, 512, 384)
-	_, err := encode(data, core.EncodeOptions{MemDecodeBudget: 1024})
+	_, err := encode(imagegen.OversizeStub(10), core.EncodeOptions{})
 	if jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
 		t.Fatalf("reason = %v, want MemDecode", jpeg.ReasonOf(err))
 	}
@@ -270,7 +328,7 @@ func TestRawMode(t *testing.T) {
 	if !core.IsLepton(comp) {
 		t.Fatal("raw container missing magic")
 	}
-	back, err := decode(comp, 0)
+	back, err := decode(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +433,12 @@ func TestSingleVsMultiThreadIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := decode(res.Compressed, 0)
+	a, err := decode(res.Compressed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := decodeTo(&buf, res.Compressed, 0); err != nil {
+	if err := decodeTo(&buf, res.Compressed); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, buf.Bytes()) || !bytes.Equal(a, data) {
@@ -445,7 +503,7 @@ func TestDecodeToStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &writeRecorder{}
-	if err := decodeTo(rec, res.Compressed, 0); err != nil {
+	if err := decodeTo(rec, res.Compressed); err != nil {
 		t.Fatal(err)
 	}
 	// Multiple writes (header + per-segment + trailer), concatenating to

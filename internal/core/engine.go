@@ -13,8 +13,9 @@ import (
 	"lepton/internal/model"
 )
 
-// Default memory budgets (paper §5.1, §6.2). Like the deployed system,
-// this implementation streams row by row, in both directions: per-request
+// Memory budgets (paper §5.1, §6.2): the deployed limits, fixed like
+// every other production setting. Like the deployed system, this
+// implementation streams row by row, in both directions: per-request
 // coefficient memory is a sliding window of block rows per component per
 // live thread segment (at most maxLiveSegments run at once, however many a
 // file has), so MemDecodeBudget is a real streaming ceiling — it bounds the
@@ -48,21 +49,21 @@ import (
 // word (scan byte/bit position, partial byte, restart count, DC
 // predictors) needed to resume emission mid-file; the encoder persists
 // that table as a CRC-guarded trailing section (seekindex.go) that legacy
-// readers skip and DisableSeekIndex omits entirely. DecodeRangeToCtx
-// (rangedec.go) binary-searches it to map a byte range to an MCU-row
-// interval, arith-decodes only the thread segments containing those rows
-// (each seeded from its recorded handover state), and re-emits exactly
-// the requested scan bytes. Segments are coded in MCU-row order, so a 1 KB
-// read decodes one segment only up to the last MCU row it needs. A full
-// decode is the same run over the whole file: every decode is a plan of
-// units (MCU-row spans of one thread segment) that one unit decoder
-// regenerates and one stitcher writes out. Containers the planner
+// readers skip; every SeekIndexable file's container carries it.
+// DecodeRangeToCtx (rangedec.go) binary-searches it to map a byte range to
+// an MCU-row interval, arith-decodes only the thread segments containing
+// those rows (each seeded from its recorded handover state), and re-emits
+// exactly the requested scan bytes. Segments are coded in MCU-row order,
+// so a 1 KB read decodes one segment only up to the last MCU row it needs.
+// A full decode is the same run over the whole file: every decode is a
+// plan of units (MCU-row spans of one thread segment) that one unit
+// decoder regenerates and one stitcher writes out. Containers the planner
 // distrusts — legacy index-less, corrupt index, CMYK — take a counted
 // fallback to whole-segment units; progressive containers (decode-only)
 // take a full decode and a slice. Both are always correct, only slower.
 const (
-	DefaultMemDecodeBudget = 24 << 20
-	DefaultMemEncodeBudget = 178 << 20
+	MemDecodeBudget = 24 << 20
+	MemEncodeBudget = 178 << 20
 )
 
 // EncodeOptions tunes the encoder.
@@ -82,23 +83,12 @@ type EncodeOptions struct {
 	// before returning; mismatch is reported as a roundtrip failure. This
 	// mirrors production admission control (§5.7).
 	VerifyRoundtrip bool
-	// MemDecodeBudget bounds the row windows of the encode and of every
-	// decode of its output; MemEncodeBudget bounds a single row window at
-	// parse time and, with CollectStats, the whole coefficient planes. 0
-	// means the defaults above.
-	MemDecodeBudget int64
-	MemEncodeBudget int64
 	// SingleModel tallies statistic bins across the whole image in one
 	// segment regardless of size — the "Lepton 1-way" configuration of §4.
 	SingleModel bool
 	// AllowCMYK enables four-component files ("an extra model for the 4th
 	// color channel", §6.2), which production kept off.
 	AllowCMYK bool
-	// DisableSeekIndex omits the trailing per-MCU-row seek index (see
-	// seekindex.go); the container is otherwise byte-identical to the
-	// indexed one. Index-less files stay fully decodable; range reads on
-	// them fall back to full decode.
-	DisableSeekIndex bool
 }
 
 // Result is the encoder's output plus accounting.
@@ -219,10 +209,6 @@ func SeekIndexable(f *jpeg.File) bool {
 	return len(f.Components) < 4 && f.MCUsHigh > 0 && f.MCUsHigh <= seekIndexMaxRows
 }
 
-func seekIndexEligible(opt EncodeOptions, f *jpeg.File) bool {
-	return !opt.DisableSeekIndex && SeekIndexable(f)
-}
-
 // planesOf adapts a decoded scan to the model's whole-plane view, in the
 // traversal order of the given container version.
 func planesOf(f *jpeg.File, coeff [][]int16, version byte) []model.ComponentPlane {
@@ -272,18 +258,10 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	if opt.ForceSegments < 0 || opt.ForceSegments > MaxSegments {
 		return nil, fmt.Errorf("core: ForceSegments %d outside 0..%d", opt.ForceSegments, MaxSegments)
 	}
-	encBudget := opt.MemEncodeBudget
-	if encBudget == 0 {
-		encBudget = DefaultMemEncodeBudget
-	}
-	decBudget := opt.MemDecodeBudget
-	if decBudget == 0 {
-		decBudget = DefaultMemDecodeBudget
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f, err := jpeg.ParseOpt(data, encBudget, opt.AllowCMYK)
+	f, err := jpeg.ParseOpt(data, MemEncodeBudget, opt.AllowCMYK)
 	if err != nil {
 		return nil, err
 	}
@@ -303,9 +281,9 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	// budget at encode time so every stored file is decodable within budget
 	// (§6.2). The bound scales with image width and live segments, never
 	// with height — a tall image streams through, it is not rejected.
-	if w := DecodeWindowBytes(f, len(starts)); w > decBudget {
+	if w := DecodeWindowBytes(f, len(starts)); w > MemDecodeBudget {
 		return nil, &jpeg.Error{Reason: jpeg.ReasonMemDecode,
-			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", w, decBudget)}
+			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", w, MemDecodeBudget)}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -327,9 +305,9 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 		// The Figure-4 statistics attribute the *original* scan's Huffman
 		// bits per class, which needs the whole coefficient planes: their
 		// bytes must fit the encode budget up front.
-		if pb := int64(f.CoefficientCount()) * 2; pb > encBudget {
+		if pb := int64(f.CoefficientCount()) * 2; pb > MemEncodeBudget {
 			return nil, &jpeg.Error{Reason: jpeg.ReasonMemEncode,
-				Detail: fmt.Sprintf("stats pipeline needs %d coefficient bytes > %d budget", pb, encBudget)}
+				Detail: fmt.Sprintf("stats pipeline needs %d coefficient bytes > %d budget", pb, MemEncodeBudget)}
 		}
 		s, err := jpeg.DecodeScan(f)
 		if err != nil {
@@ -343,7 +321,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	}
 	cont.Segments, cont.Streams, cont.ModelFlags = enc.Segments, enc.Streams, enc.ModelFlags
 	cont.Tail, cont.PadBit, cont.RSTCount = enc.Scan.Tail, enc.Scan.PadBit, uint32(enc.Scan.RSTCount)
-	if seekIndexEligible(opt, f) {
+	if SeekIndexable(f) {
 		cont.SeekIndex = enc.RowPos
 	}
 	res.Segments = len(cont.Segments)
@@ -361,7 +339,7 @@ func (c *Codec) EncodeCtx(ctx context.Context, data []byte, opt EncodeOptions) (
 	}
 
 	if opt.VerifyRoundtrip {
-		if err := c.VerifyCtx(ctx, comp, data, decBudget); err != nil {
+		if err := c.VerifyCtx(ctx, comp, data); err != nil {
 			return nil, err
 		}
 	}
@@ -603,11 +581,10 @@ func (cd *Codec) encodeSegment(ctx context.Context, f *jpeg.File, dec *jpeg.RowD
 }
 
 // DecodeCtx reconstructs the original bytes from a Lepton container into
-// one buffer; memBudget bounds coefficient memory (0 = default). See
-// DecodeToCtx.
-func (c *Codec) DecodeCtx(ctx context.Context, comp []byte, memBudget int64) ([]byte, error) {
+// one buffer. See DecodeToCtx.
+func (c *Codec) DecodeCtx(ctx context.Context, comp []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := c.DecodeToCtx(ctx, &buf, comp, memBudget); err != nil {
+	if err := c.DecodeToCtx(ctx, &buf, comp); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -622,10 +599,7 @@ func (c *Codec) DecodeCtx(ctx context.Context, comp []byte, memBudget int64) ([]
 // between emitted segments, so an abandoned decompression frees its worker
 // promptly. A cancelled decode may already have written part of the output
 // to w; the error is ctx.Err().
-func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memBudget int64) error {
-	if memBudget == 0 {
-		memBudget = DefaultMemDecodeBudget
-	}
+func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -643,13 +617,13 @@ func (cd *Codec) DecodeToCtx(ctx context.Context, w io.Writer, comp []byte, memB
 		_, err = w.Write(raw)
 		return err
 	case ModeProgressive:
-		return decodeProgressiveContainer(ctx, w, c, memBudget)
+		return decodeProgressiveContainer(ctx, w, c)
 	}
 	f, err := jpeg.ParseHeader(c.JPEGHeader)
 	if err != nil {
 		return fmt.Errorf("core: stored header: %w", err)
 	}
-	_, err = cd.runPlan(ctx, w, f, c, segmentPlan(f, c), 0, int64(c.OutputSize), memBudget)
+	_, err = cd.runPlan(ctx, w, f, c, segmentPlan(f, c), 0, int64(c.OutputSize))
 	return err
 }
 
@@ -748,7 +722,7 @@ func (u *decodeUnit) rows(f *jpeg.File, version byte) (rs, re []int) {
 // j+maxLiveSegments starts only once unit j's bytes are written, so at most
 // maxLiveSegments row windows are held at once. It returns the bytes
 // written.
-func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Container, p decodePlan, off, end, memBudget int64) (int64, error) {
+func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Container, p decodePlan, off, end int64) (int64, error) {
 	total := f.TotalMCUs()
 	if c.MCUEnd > uint32(total) || c.MCUStart > c.MCUEnd {
 		return 0, badContainer("MCU range %d..%d of %d", c.MCUStart, c.MCUEnd, total)
@@ -769,9 +743,9 @@ func (cd *Codec) runPlan(ctx context.Context, dst io.Writer, f *jpeg.File, c *Co
 	// Each live unit holds one (V+1)-row coefficient window per component —
 	// that is what the §5.1 ceiling bounds. Tall over-"budget" images
 	// stream through; only absurd widths are rejected.
-	if wb := DecodeWindowBytes(f, len(p.units)); wb > memBudget {
+	if wb := DecodeWindowBytes(f, len(p.units)); wb > MemDecodeBudget {
 		return 0, &jpeg.Error{Reason: jpeg.ReasonMemDecode,
-			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", wb, memBudget)}
+			Detail: fmt.Sprintf("decode row windows need %d bytes > %d budget", wb, MemDecodeBudget)}
 	}
 	if p.indexed {
 		cd.stats.Add("range_segments_decoded", int64(len(p.units)))
@@ -974,39 +948,32 @@ func originalClassBits(f *jpeg.File, s *jpeg.Scan) [model.NumClasses]int64 {
 	if enc == nil {
 		return out
 	}
-	for ci := range f.Components {
-		c := &f.Components[ci]
-		blocks := c.BlocksWide * c.BlocksHigh
-		var prevDC int16
-		for b := 0; b < blocks; b++ {
-			blk := s.Coeff[ci][b*64 : b*64+64]
-			out[model.ClassDC] += enc.dcBits(ci, int32(blk[0])-int32(prevDC))
-			prevDC = blk[0]
-			run := 0
-			pendingZRL := int64(0)
-			for k := 1; k < 64; k++ {
-				pos := zigzagPos(k)
-				v := int32(blk[pos])
-				if v == 0 {
-					run++
-					continue
-				}
-				for run >= 16 {
-					pendingZRL += enc.acSymBits(ci, 0xF0)
-					run -= 16
-				}
-				cls := model.Class77
-				if pos < 8 || pos%8 == 0 {
-					cls = model.ClassEdge
-				}
-				out[cls] += pendingZRL + enc.acBits(ci, run, v)
-				pendingZRL = 0
-				run = 0
+	s.WalkBlocks(func(ci int, diff int32, blk []int16) {
+		out[model.ClassDC] += enc.dcBits(ci, diff)
+		run := 0
+		pendingZRL := int64(0)
+		for k := 1; k < 64; k++ {
+			pos := zigzagPos(k)
+			v := int32(blk[pos])
+			if v == 0 {
+				run++
+				continue
 			}
-			if run > 0 {
-				out[model.Class77] += enc.acSymBits(ci, 0x00)
+			for run >= 16 {
+				pendingZRL += enc.acSymBits(ci, 0xF0)
+				run -= 16
 			}
+			cls := model.Class77
+			if pos < 8 || pos%8 == 0 {
+				cls = model.ClassEdge
+			}
+			out[cls] += pendingZRL + enc.acBits(ci, run, v)
+			pendingZRL = 0
+			run = 0
 		}
-	}
+		if run > 0 {
+			out[model.Class77] += enc.acSymBits(ci, 0x00)
+		}
+	})
 	return out
 }

@@ -125,9 +125,9 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cd := NewCodec()
 		ctx := context.Background()
-		got, err := cd.DecodeCtx(ctx, data, 0)
+		got, err := cd.DecodeCtx(ctx, data)
 		var buf bytes.Buffer
-		err2 := cd.DecodeToCtx(ctx, &buf, data, 0)
+		err2 := cd.DecodeToCtx(ctx, &buf, data)
 		if (err == nil) != (err2 == nil) {
 			// DecodeTo may have written a partial prefix before failing;
 			// both paths must still agree on success vs failure.
@@ -139,13 +139,13 @@ func FuzzDecode(f *testing.F) {
 		// A failed decode verifies against nothing, not even the prefix it
 		// wrote; a successful one verifies against its output and against
 		// no one-byte change of it.
-		if verr := cd.VerifyCtx(ctx, data, buf.Bytes(), 0); (verr == nil) != (err == nil) {
+		if verr := cd.VerifyCtx(ctx, data, buf.Bytes()); (verr == nil) != (err == nil) {
 			t.Fatalf("Decode err=%v but VerifyCtx err=%v", err, verr)
 		}
 		if err == nil && len(got) > 0 {
 			bad := append([]byte(nil), got...)
 			bad[len(bad)/2] ^= 1
-			if cd.VerifyCtx(ctx, data, bad, 0) == nil {
+			if cd.VerifyCtx(ctx, data, bad) == nil {
 				t.Fatal("VerifyCtx accepted a changed byte")
 			}
 		}
@@ -182,8 +182,8 @@ func FuzzDecompressRange(f *testing.F) {
 	f.Add(bound, off, int64(1))
 	f.Fuzz(func(t *testing.T, data []byte, off, n int64) {
 		cd := NewCodec()
-		full, ferr := cd.DecodeCtx(context.Background(), data, 0)
-		got, rerr := cd.DecodeRangeCtx(context.Background(), data, off, n, 0)
+		full, ferr := cd.DecodeCtx(context.Background(), data)
+		got, rerr := cd.DecodeRangeCtx(context.Background(), data, off, n)
 		if ferr == nil && off >= 0 && n >= 0 {
 			if rerr != nil {
 				t.Fatalf("full decode ok but decodeRange(off=%d n=%d): %v", off, n, rerr)
@@ -219,7 +219,7 @@ func FuzzDecodeToWriterErrors(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, failAt int) {
 		w := &failingWriter{failAt: failAt}
-		_ = decodeTo(w, data, 0)
+		_ = decodeTo(w, data)
 	})
 }
 
@@ -341,7 +341,7 @@ func TestNonCanonicalHuffmanRefused(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := NewCodec().EncodeCtx(context.Background(), tc.data, EncodeOptions{})
 			if err == nil {
-				back, derr := decode(res.Compressed, 0)
+				back, derr := decode(res.Compressed)
 				t.Fatalf("compressed; decodes back to the input: %v (decode err %v)", bytes.Equal(back, tc.data), derr)
 			}
 			if jpeg.ReasonOf(err) != tc.reason {
@@ -372,7 +372,7 @@ func FuzzCompress(f *testing.F) {
 			}
 			return
 		}
-		back, err := cd.DecodeCtx(ctx, res.Compressed, 0)
+		back, err := cd.DecodeCtx(ctx, res.Compressed)
 		if err != nil {
 			t.Fatalf("compressed container does not decode: %v", err)
 		}

@@ -46,15 +46,15 @@ func TestOverBudgetImageStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planeBytes := int64(f.CoefficientCount()) * 2; planeBytes <= DefaultMemDecodeBudget {
+	if planeBytes := int64(f.CoefficientCount()) * 2; planeBytes <= MemDecodeBudget {
 		t.Fatalf("test image too small to exercise the old wall: planes %d <= budget %d",
-			planeBytes, DefaultMemDecodeBudget)
+			planeBytes, MemDecodeBudget)
 	}
 	res, err := encode(data, EncodeOptions{})
 	if err != nil {
 		t.Fatalf("over-plane-budget image no longer encodes: %v", err)
 	}
-	back, err := decode(res.Compressed, 0)
+	back, err := decode(res.Compressed)
 	if err != nil {
 		t.Fatalf("over-plane-budget image no longer decodes: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestDecodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 	}
 	bound := liveWindowBound(f, res.Segments)
 	cd := NewCodec()
-	if _, err := cd.DecodeCtx(context.Background(), res.Compressed, 0); err != nil {
+	if _, err := cd.DecodeCtx(context.Background(), res.Compressed); err != nil {
 		t.Fatal(err)
 	}
 	inUse, peak := coeffMem(cd)
@@ -131,14 +131,14 @@ func TestDecodeHoldsAtMostEightWindows(t *testing.T) {
 		run  func(cd *Codec) error
 	}{
 		{"DecodeCtx", func(cd *Codec) error {
-			back, err := cd.DecodeCtx(context.Background(), res.Compressed, 0)
+			back, err := cd.DecodeCtx(context.Background(), res.Compressed)
 			if err == nil && !bytes.Equal(back, data) {
 				t.Error("DecodeCtx: round trip differs from input")
 			}
 			return err
 		}},
 		{"VerifyCtx", func(cd *Codec) error {
-			return cd.VerifyCtx(context.Background(), res.Compressed, data, 0)
+			return cd.VerifyCtx(context.Background(), res.Compressed, data)
 		}},
 	}
 	for _, r := range runs {
@@ -171,8 +171,8 @@ func TestWideImageFitsAtThirtyTwoSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := DecodeWindowBytes(f, 1)
-	if one*32 <= DefaultMemDecodeBudget || one*8 > DefaultMemDecodeBudget {
-		t.Fatalf("window %d bytes: 32 windows must exceed and 8 fit the %d budget", one, DefaultMemDecodeBudget)
+	if one*32 <= MemDecodeBudget || one*8 > MemDecodeBudget {
+		t.Fatalf("window %d bytes: 32 windows must exceed and 8 fit the %d budget", one, MemDecodeBudget)
 	}
 	res, err := encode(data, EncodeOptions{ForceSegments: 32})
 	if err != nil {
@@ -182,7 +182,7 @@ func TestWideImageFitsAtThirtyTwoSegments(t *testing.T) {
 		t.Fatalf("%d segments, want 32", res.Segments)
 	}
 	cd := NewCodec()
-	if err := cd.VerifyCtx(context.Background(), res.Compressed, data, 0); err != nil {
+	if err := cd.VerifyCtx(context.Background(), res.Compressed, data); err != nil {
 		t.Fatalf("32-segment round trip: %v", err)
 	}
 	if _, peak := coeffMem(cd); peak > one*8 {
@@ -219,25 +219,6 @@ func TestEncodePeakCoeffBytesUnderWindowBound(t *testing.T) {
 	}
 	t.Logf("encode peak coefficient bytes: %d (bound %d, %d segments, whole planes %d)",
 		peak, bound, res.Segments, planeBytes)
-}
-
-// TestTightEncodeGateStillStreams sets the encode budget far below anything
-// a scan's rows could need: the budget bounds only the parser's row-window
-// floor, so the encode must complete byte-identically, not hang or reject.
-func TestTightEncodeGateStillStreams(t *testing.T) {
-	data := genJPEG(t, 77, 512, 384)
-	want, err := encode(data, EncodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Large enough to pass the parser's row-window floor.
-	got, err := encode(data, EncodeOptions{MemEncodeBudget: 64 << 10, MemDecodeBudget: DefaultMemDecodeBudget})
-	if err != nil {
-		t.Fatalf("tight encode budget rejected the file: %v", err)
-	}
-	if !bytes.Equal(got.Compressed, want.Compressed) {
-		t.Fatal("tight-budget output differs from default output")
-	}
 }
 
 // The TestEncodeWindow tests pin the encode's memory bound: one row window
@@ -369,7 +350,7 @@ func TestRowPoolsKeepShapes(t *testing.T) {
 	for _, step := range []string{"decode", "encode", "decode"} {
 		var err error
 		if step == "decode" {
-			_, err = cd.DecodeCtx(context.Background(), res.Compressed, 0)
+			_, err = cd.DecodeCtx(context.Background(), res.Compressed)
 		} else {
 			_, err = cd.EncodeCtx(context.Background(), data, EncodeOptions{})
 		}
@@ -414,7 +395,7 @@ func BenchmarkDecodeMemory(b *testing.B) {
 	var peak int64
 	for i := 0; i < b.N; i++ {
 		cd := NewCodec()
-		if _, err := cd.DecodeCtx(context.Background(), res.Compressed, 0); err != nil {
+		if _, err := cd.DecodeCtx(context.Background(), res.Compressed); err != nil {
 			b.Fatal(err)
 		}
 		_, p := coeffMem(cd)

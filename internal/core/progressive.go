@@ -20,7 +20,7 @@ import (
 
 // decodeProgressiveContainer reconstructs a progressive file from its
 // container.
-func decodeProgressiveContainer(ctx context.Context, w io.Writer, c *Container, memBudget int64) error {
+func decodeProgressiveContainer(ctx context.Context, w io.Writer, c *Container) error {
 	f, err := jpeg.ParseProgressiveHeader(c.JPEGHeader)
 	if err != nil {
 		return fmt.Errorf("core: stored progressive header: %w", err)
@@ -47,7 +47,7 @@ func decodeProgressiveContainer(ctx context.Context, w io.Writer, c *Container, 
 	if err := p.CheckScans(); err != nil {
 		return badContainer("progressive scan records: %v", err)
 	}
-	if int64(f.CoefficientCount())*2 > memBudget {
+	if int64(f.CoefficientCount())*2 > MemDecodeBudget {
 		return &jpeg.Error{Reason: jpeg.ReasonMemDecode,
 			Detail: fmt.Sprintf("%d coefficient bytes exceed budget", f.CoefficientCount()*2)}
 	}

@@ -60,11 +60,11 @@ func TestProgressiveCraftedScansRejected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cd := NewCodec()
 			ctx := context.Background()
-			if _, err := cd.DecodeCtx(ctx, tc.comp, 0); !errors.Is(err, ErrBadContainer) {
+			if _, err := cd.DecodeCtx(ctx, tc.comp); !errors.Is(err, ErrBadContainer) {
 				t.Fatalf("DecodeCtx: err = %v, want ErrBadContainer", err)
 			}
 			var buf bytes.Buffer
-			if _, err := cd.DecodeRangeToCtx(ctx, &buf, tc.comp, 100, 1000, 0); !errors.Is(err, ErrBadContainer) {
+			if _, err := cd.DecodeRangeToCtx(ctx, &buf, tc.comp, 100, 1000); !errors.Is(err, ErrBadContainer) {
 				t.Fatalf("DecodeRangeToCtx: err = %v, want ErrBadContainer", err)
 			}
 		})
@@ -79,10 +79,10 @@ func TestProgressiveContainerCorruption(t *testing.T) {
 	for i := 30; i < len(comp); i += 37 {
 		bad := append([]byte(nil), comp...)
 		bad[i] ^= 0x80
-		_, _ = decode(bad, 0)
+		_, _ = decode(bad)
 	}
 	for _, n := range []int{10, 50, len(comp) / 2} {
-		if _, err := decode(comp[:n], 0); err == nil {
+		if _, err := decode(comp[:n]); err == nil {
 			t.Fatalf("truncated progressive container at %d decoded", n)
 		}
 	}
@@ -110,21 +110,21 @@ func TestProgressiveContainerRoundTrip(t *testing.T) {
 	cd := NewCodec()
 	ctx := context.Background()
 	for round := 0; round < 2; round++ {
-		got, err := cd.DecodeCtx(ctx, comp, 0)
+		got, err := cd.DecodeCtx(ctx, comp)
 		if err != nil || !bytes.Equal(got, src) {
 			t.Fatalf("round %d: DecodeCtx does not reproduce the source (err %v)", round, err)
 		}
 		var buf bytes.Buffer
-		if err := cd.DecodeToCtx(ctx, &buf, comp, 0); err != nil || !bytes.Equal(buf.Bytes(), src) {
+		if err := cd.DecodeToCtx(ctx, &buf, comp); err != nil || !bytes.Equal(buf.Bytes(), src) {
 			t.Fatalf("round %d: DecodeToCtx does not reproduce the source (err %v)", round, err)
 		}
 	}
-	if err := cd.VerifyCtx(ctx, comp, src, 0); err != nil {
+	if err := cd.VerifyCtx(ctx, comp, src); err != nil {
 		t.Fatalf("VerifyCtx: %v", err)
 	}
 	bad := append([]byte(nil), src...)
 	bad[len(bad)/2] ^= 1
-	if cd.VerifyCtx(ctx, comp, bad, 0) == nil {
+	if cd.VerifyCtx(ctx, comp, bad) == nil {
 		t.Fatal("VerifyCtx accepted a changed byte")
 	}
 }
@@ -140,11 +140,38 @@ func TestProgressiveRejectedByDefault(t *testing.T) {
 	}
 }
 
-// TestProgressiveMemBudget: a progressive container is decoded whole, so a
-// budget below its coefficient planes refuses it up front.
+// TestProgressiveMemBudget: a progressive container is decoded whole, so
+// one whose stored frame has coefficient planes over the decode budget is
+// refused up front, by the full decode and by a range read alike. The
+// golden container's SOF2 is patched to 4096×4096.
 func TestProgressiveMemBudget(t *testing.T) {
 	comp, _ := progressiveGolden(t)
-	if _, err := decode(comp, 1024); jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
-		t.Fatalf("reason = %v, want MemDecode", jpeg.ReasonOf(err))
+	c, err := Unmarshal(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := append([]byte(nil), c.JPEGHeader...)
+	sof := bytes.Index(hdr, []byte{0xFF, 0xC2})
+	if sof < 0 {
+		t.Fatal("no SOF2 in the stored header")
+	}
+	copy(hdr[sof+5:], []byte{0x10, 0x00, 0x10, 0x00}) // height, width
+	c.JPEGHeader = hdr
+	f, err := jpeg.ParseProgressiveHeader(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pb := int64(f.CoefficientCount()) * 2; pb <= MemDecodeBudget {
+		t.Fatalf("patched planes %d bytes fit the %d budget", pb, MemDecodeBudget)
+	}
+	big, err := c.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(big); jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
+		t.Fatalf("decode: reason = %v (%v), want MemDecode", jpeg.ReasonOf(err), err)
+	}
+	if _, err := decodeRange(big, 0, 10); jpeg.ReasonOf(err) != jpeg.ReasonMemDecode {
+		t.Fatalf("range decode: reason = %v (%v), want MemDecode", jpeg.ReasonOf(err), err)
 	}
 }

@@ -42,7 +42,7 @@ func rangeSweep(t *testing.T, comp, full []byte, seed int64) int {
 		probes = append(probes, probe{off, n})
 	}
 	for _, p := range probes {
-		got, err := decodeRange(comp, p.off, p.n, 0)
+		got, err := decodeRange(comp, p.off, p.n)
 		if err != nil {
 			t.Fatalf("DecodeRange(off=%d n=%d): %v", p.off, p.n, err)
 		}
@@ -114,7 +114,7 @@ func TestDecodeRangeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			full, err := decode(res.Compressed, 0)
+			full, err := decode(res.Compressed)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -158,7 +158,7 @@ func TestDecodeRangeFallbacks(t *testing.T) {
 		comp    []byte
 		counter string
 	}{
-		{"no-index", enc(mustGen(t, 9, 320, 240), core.EncodeOptions{ForceSegments: 3, DisableSeekIndex: true}),
+		{"no-index", core.CutSeekIndex(enc(mustGen(t, 9, 320, 240), core.EncodeOptions{ForceSegments: 3})),
 			"range_fallback_no_index"},
 		{"progressive", progressive, "range_fallback_unsupported"},
 		{"cmyk", enc(cmyk, core.EncodeOptions{AllowCMYK: true}), "range_fallback_unsupported"},
@@ -167,11 +167,11 @@ func TestDecodeRangeFallbacks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			before := core.RangeStats()
-			full, err := decode(tc.comp, 0)
+			full, err := decode(tc.comp)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			if err := core.NewCodec().VerifyCtx(ctx, tc.comp, full, 0); err != nil {
+			if err := core.NewCodec().VerifyCtx(ctx, tc.comp, full); err != nil {
 				t.Fatalf("VerifyCtx: %v", err)
 			}
 			// Full decodes share the range path's pipeline but are not
@@ -200,15 +200,11 @@ func TestDecodeRangeCorruptIndexFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := encode(data, core.EncodeOptions{ForceSegments: 3, DisableSeekIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamEnd := len(bare.Compressed)
+	streamEnd := len(core.CutSeekIndex(res.Compressed))
 	if streamEnd >= len(res.Compressed) {
 		t.Fatalf("no index section present (%d vs %d bytes)", streamEnd, len(res.Compressed))
 	}
-	full, err := decode(res.Compressed, 0)
+	full, err := decode(res.Compressed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +214,7 @@ func TestDecodeRangeCorruptIndexFallsBack(t *testing.T) {
 	corrupt[streamEnd+(len(corrupt)-streamEnd)/2] ^= 0x5A
 	truncated := append([]byte(nil), res.Compressed[:streamEnd+(len(res.Compressed)-streamEnd)/2]...)
 	for _, comp := range [][]byte{corrupt, truncated} {
-		got, err := decodeRange(comp, int64(len(full))/2, 512, 0)
+		got, err := decodeRange(comp, int64(len(full))/2, 512)
 		if err != nil {
 			t.Fatalf("DecodeRange on damaged index: %v", err)
 		}
@@ -237,7 +233,7 @@ func TestDecodeRangeRawContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeRange(comp, 17, 100, 0)
+	got, err := decodeRange(comp, 17, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +248,16 @@ func TestDecodeRangeInvalidArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeRange(res.Compressed, -1, 10, 0); !errors.Is(err, core.ErrInvalidRange) {
+	if _, err := decodeRange(res.Compressed, -1, 10); !errors.Is(err, core.ErrInvalidRange) {
 		t.Fatalf("negative offset: got %v", err)
 	}
-	if _, err := decodeRange(res.Compressed, 0, -10, 0); !errors.Is(err, core.ErrInvalidRange) {
+	if _, err := decodeRange(res.Compressed, 0, -10); !errors.Is(err, core.ErrInvalidRange) {
 		t.Fatalf("negative length: got %v", err)
 	}
 	if _, err := core.RangeLength(res.Compressed, -1, 1); !errors.Is(err, core.ErrInvalidRange) {
 		t.Fatalf("RangeLength negative offset: got %v", err)
 	}
-	if _, err := decodeRange([]byte("not a container"), 0, 10, 0); err == nil {
+	if _, err := decodeRange([]byte("not a container"), 0, 10); err == nil {
 		t.Fatal("garbage container: expected error")
 	}
 }

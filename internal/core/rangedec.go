@@ -73,9 +73,9 @@ func clampRange(off, n, size int64) int64 {
 // DecodeRangeCtx decodes exactly the byte range [off, off+n) of the
 // original file, clamped to its size, into one buffer; see
 // DecodeRangeToCtx.
-func (cd *Codec) DecodeRangeCtx(ctx context.Context, comp []byte, off, n int64, memBudget int64) ([]byte, error) {
+func (cd *Codec) DecodeRangeCtx(ctx context.Context, comp []byte, off, n int64) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := cd.DecodeRangeToCtx(ctx, &buf, comp, off, n, memBudget); err != nil {
+	if _, err := cd.DecodeRangeToCtx(ctx, &buf, comp, off, n); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -90,13 +90,10 @@ func (cd *Codec) DecodeRangeCtx(ctx context.Context, comp []byte, off, n int64, 
 // seek index and four-component files decode every segment whole;
 // progressive scans are served by a full decode that skips everything
 // outside the range.
-func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byte, off, n int64, memBudget int64) (int64, error) {
+func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byte, off, n int64) (int64, error) {
 	cd.stats.Add("range_requests", 1)
 	if off < 0 || n < 0 {
 		return 0, ErrInvalidRange
-	}
-	if memBudget == 0 {
-		memBudget = DefaultMemDecodeBudget
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -131,7 +128,7 @@ func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byt
 		return int64(m), err
 	case ModeProgressive:
 		cd.stats.Add("range_fallback_unsupported", 1)
-		return decodeRangeFallback(ctx, dst, c, off, end, memBudget)
+		return decodeRangeFallback(ctx, dst, c, off, end)
 	}
 
 	f, err := jpeg.ParseHeader(c.JPEGHeader)
@@ -148,7 +145,7 @@ func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byt
 	} else {
 		p = pl.units(f, c, off, end)
 	}
-	written, err := cd.runPlan(ctx, dst, f, c, p, off, end, memBudget)
+	written, err := cd.runPlan(ctx, dst, f, c, p, off, end)
 	if err == nil && p.indexed {
 		cd.stats.Add("range_fast", 1)
 	}
@@ -157,9 +154,9 @@ func (cd *Codec) DecodeRangeToCtx(ctx context.Context, dst io.Writer, comp []byt
 
 // decodeRangeFallback serves [off, end) of a progressive container through
 // its full decode, discarding bytes outside the window.
-func decodeRangeFallback(ctx context.Context, dst io.Writer, c *Container, off, end, memBudget int64) (int64, error) {
+func decodeRangeFallback(ctx context.Context, dst io.Writer, c *Container, off, end int64) (int64, error) {
 	sw := &sliceWriter{dst: dst, off: off, end: end}
-	if err := decodeProgressiveContainer(ctx, sw, c, memBudget); err != nil {
+	if err := decodeProgressiveContainer(ctx, sw, c); err != nil {
 		return sw.written, err
 	}
 	if sw.written != end-off {

@@ -53,7 +53,7 @@ func segmentStartRead(t *testing.T, comp []byte, seg int) (off int64, f *jpeg.Fi
 func rangeBlockRows(t *testing.T, comp, data []byte, off int64) int64 {
 	t.Helper()
 	cd := NewCodec()
-	got, err := cd.DecodeRangeCtx(context.Background(), comp, off, 1, 0)
+	got, err := cd.DecodeRangeCtx(context.Background(), comp, off, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPlanarRangeDecodesEarlierComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := decode(v1, 0)
+	data, err := decode(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestUnmarshalVersions(t *testing.T) {
 		if _, err := Unmarshal(data); !errors.Is(err, ErrBadContainer) {
 			t.Fatalf("version %#02x: err %v, want ErrBadContainer", v, err)
 		}
-		if _, err := decode(data, 0); !errors.Is(err, ErrBadContainer) {
+		if _, err := decode(data); !errors.Is(err, ErrBadContainer) {
 			t.Fatalf("version %#02x decode: err %v, want ErrBadContainer", v, err)
 		}
 	}
@@ -220,13 +220,13 @@ func cpuBoundContainer(tb testing.TB) (comp []byte, off int64) {
 // starts, instead of arith-decoding millions of blocks.
 func TestRangeRejectsBlocksBeyondOutputSize(t *testing.T) {
 	comp, off := cpuBoundContainer(t)
-	if _, err := decode(comp, 0); !errors.Is(err, ErrBadContainer) || !strings.Contains(err.Error(), "cannot fit") {
+	if _, err := decode(comp); !errors.Is(err, ErrBadContainer) || !strings.Contains(err.Error(), "cannot fit") {
 		t.Fatalf("full decode: err %v, want the blocks-vs-output-size rejection", err)
 	}
 	cd := NewCodec()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_, err := cd.DecodeRangeCtx(ctx, comp, off, 1, 0)
+	_, err := cd.DecodeRangeCtx(ctx, comp, off, 1)
 	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("range read ran until the deadline instead of rejecting the container")
 	}

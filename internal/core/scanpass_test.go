@@ -194,7 +194,7 @@ func TestSegmentedEncodeMatchesSequentialScan(t *testing.T) {
 	refusedPad := 0
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
-			f, perr := jpeg.ParseOpt(in.data, DefaultMemEncodeBudget, false)
+			f, perr := jpeg.ParseOpt(in.data, MemEncodeBudget, false)
 			var rows []jpeg.MCUPos
 			var info *jpeg.StreamScanInfo
 			var serr error
@@ -213,7 +213,7 @@ func TestSegmentedEncodeMatchesSequentialScan(t *testing.T) {
 					want := perr
 					if perr == nil {
 						starts := SegmentStarts(f, n, 0, f.MCUsHigh)
-						if DecodeWindowBytes(f, len(starts)) > DefaultMemDecodeBudget {
+						if DecodeWindowBytes(f, len(starts)) > MemDecodeBudget {
 							var je *jpeg.Error
 							if !errors.As(err, &je) || je.Reason != jpeg.ReasonMemDecode {
 								t.Fatalf("%d segments: %v, want a memory refusal", n, err)
@@ -231,7 +231,7 @@ func TestSegmentedEncodeMatchesSequentialScan(t *testing.T) {
 					if err != nil || rep > 0 {
 						continue
 					}
-					back, err := decode(res.Compressed, 0)
+					back, err := decode(res.Compressed)
 					if err != nil || !bytes.Equal(back, in.data) {
 						t.Fatalf("%d segments: round trip failed: %v", n, err)
 					}

@@ -78,6 +78,18 @@ func appendSeekIndex(out []byte, idx []jpeg.MCUPos) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
 }
 
+// CutSeekIndex returns comp without its trailing seek-index section: the
+// index-less container that legacy encoders wrote for the same input,
+// which must still decode and serve every range through the fallback. A
+// container without a valid index comes back unchanged.
+func CutSeekIndex(comp []byte) []byte {
+	c, err := Unmarshal(comp)
+	if err != nil || c.SeekIndex == nil {
+		return comp
+	}
+	return comp[:len(comp)-seekIndexSize(len(c.SeekIndex))]
+}
+
 // parseSeekIndex decodes a trailing index section. Any deviation — wrong
 // magic or version, size mismatch, CRC failure, non-monotonic offsets —
 // returns nil: the container stays fully decodable either way, so a bad

@@ -19,13 +19,12 @@ var errVerifyMismatch = errors.New("core: decode differs from expected bytes")
 // byte, or output running past the end of want, stops the decode and
 // cancels its segment goroutines. A mismatch, output shorter or longer
 // than want, or a decode error comes back as a *jpeg.Error with
-// ReasonRoundtrip; cancellation of ctx comes back as ctx.Err(). memBudget
-// is the decode's memory budget as for DecodeCtx (0 = default).
-func (cd *Codec) VerifyCtx(ctx context.Context, comp, want []byte, memBudget int64) error {
+// ReasonRoundtrip; cancellation of ctx comes back as ctx.Err().
+func (cd *Codec) VerifyCtx(ctx context.Context, comp, want []byte) error {
 	vctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	cw := compareWriter{want: want, stop: cancel}
-	err := cd.DecodeToCtx(vctx, &cw, comp, memBudget)
+	err := cd.DecodeToCtx(vctx, &cw, comp)
 	if err == nil && cw.pos == len(want) {
 		return nil
 	}

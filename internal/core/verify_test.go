@@ -49,7 +49,7 @@ func TestVerifyCtx(t *testing.T) {
 	codec := NewCodec()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := codec.VerifyCtx(tc.ctx, tc.comp, tc.want, 0)
+			err := codec.VerifyCtx(tc.ctx, tc.comp, tc.want)
 			if tc.detail == "" {
 				if err != nil {
 					t.Fatalf("VerifyCtx = %v, want nil", err)
@@ -69,14 +69,14 @@ func TestVerifyCtx(t *testing.T) {
 	// Cancellation is the caller's signal, not a codec verdict: it must
 	// come back as ctx.Err() even when the bytes would also differ.
 	for _, want := range [][]byte{data, flip(data, 0)} {
-		err := codec.VerifyCtx(cancelled, comp, want, 0)
+		err := codec.VerifyCtx(cancelled, comp, want)
 		if !errors.Is(err, context.Canceled) || jpeg.ReasonOf(err) == jpeg.ReasonRoundtrip {
 			t.Fatalf("cancelled VerifyCtx = %v, want context.Canceled", err)
 		}
 	}
 
 	// A fresh codec, with empty pools, verifies the same.
-	if err := NewCodec().VerifyCtx(context.Background(), comp, data, 0); err != nil {
+	if err := NewCodec().VerifyCtx(context.Background(), comp, data); err != nil {
 		t.Fatalf("fresh codec VerifyCtx = %v", err)
 	}
 }
@@ -96,12 +96,12 @@ func TestVerifyCtxDoesNotBufferOutput(t *testing.T) {
 	codec := NewCodec()
 	ctx := context.Background()
 	decode := allocBytesPerRun(5, func() {
-		if _, err := codec.DecodeCtx(ctx, comp.Compressed, 0); err != nil {
+		if _, err := codec.DecodeCtx(ctx, comp.Compressed); err != nil {
 			t.Fatal(err)
 		}
 	})
 	verify := allocBytesPerRun(5, func() {
-		if err := codec.VerifyCtx(ctx, comp.Compressed, data, 0); err != nil {
+		if err := codec.VerifyCtx(ctx, comp.Compressed, data); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -342,3 +342,59 @@ func TestMissingRestartMarkersRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestWalkBlocksFollowsScanOrder: WalkBlocks visits as many blocks as the
+// scan codes, MCU by MCU, and chains each component's DC the way the scan
+// decoder did, so at a component's first block of every MCU the predictor
+// it implies is the one the decoder recorded in that MCU's handover word —
+// restart resets included, also once markers stop partway through the
+// scan.
+func TestWalkBlocksFollowsScanOrder(t *testing.T) {
+	check := func(t *testing.T, s *jpeg.Scan) {
+		t.Helper()
+		f := s.File
+		last := [jpeg.MaxComponents]int{-1, -1, -1, -1}
+		n := 0
+		s.WalkBlocks(func(ci int, diff int32, blk []int16) {
+			m := n / f.BlocksPerMCU()
+			n++
+			if last[ci] == m {
+				return
+			}
+			last[ci] = m
+			if pred := int32(blk[0]) - diff; pred != int32(s.Positions[m].PrevDC[ci]) {
+				t.Fatalf("RSTCount %d, MCU %d, component %d: predictor %d, decoder had %d",
+					s.RSTCount, m, ci, pred, s.Positions[m].PrevDC[ci])
+			}
+		})
+		if want := f.TotalMCUs() * f.BlocksPerMCU(); n != want {
+			t.Fatalf("visited %d blocks, want %d", n, want)
+		}
+	}
+	for _, tc := range streamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, s := decodeCase(t, 31, 168, 120, tc.opts)
+			check(t, s)
+			if s.RSTCount == 0 {
+				return
+			}
+			// The same scan written with half its markers, decoded again so
+			// the handover words are the decoder's for that scan.
+			cut := *s
+			cut.RSTCount /= 2
+			scan, err := jpeg.EncodeScan(&cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := jpeg.Parse(append(append(append([]byte(nil), f.Header...), scan...), f.Trailer...), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := jpeg.DecodeScan(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, s2)
+		})
+	}
+}

@@ -288,6 +288,37 @@ func DecodeScan(f *File) (*Scan, error) {
 	return s, nil
 }
 
+// WalkBlocks calls fn for every block of s in the order the scan codes
+// them — MCU by MCU, and within an MCU each component's blocks in turn —
+// with the DC difference the scan codes for the block: against the same
+// component's previous block, from zero after each restart marker. It is
+// the one walk for tallies of the scan's symbols.
+func (s *Scan) WalkBlocks(fn func(ci int, dcDiff int32, blk []int16)) {
+	f := s.File
+	var prevDC [MaxComponents]int16
+	rstDone := 0
+	for m := 0; m < f.TotalMCUs(); m++ {
+		if m > 0 && restartDue(f.RestartInterval, m, rstDone, s.RSTCount) {
+			rstDone++
+			prevDC = [MaxComponents]int16{}
+		}
+		mr, mc := m/f.MCUsWide, m%f.MCUsWide
+		for ci := range f.Components {
+			h, v := f.Components[ci].H, f.Components[ci].V
+			if len(f.Components) == 1 {
+				h, v = 1, 1
+			}
+			for y := 0; y < v; y++ {
+				for x := 0; x < h; x++ {
+					blk := s.BlockAt(ci, mr*v+y, mc*h+x)
+					fn(ci, int32(blk[0])-int32(prevDC[ci]), blk)
+					prevDC[ci] = blk[0]
+				}
+			}
+		}
+	}
+}
+
 // BlockAt returns the coefficient slice for block (row, col) of component c.
 func (s *Scan) BlockAt(c, row, col int) []int16 {
 	bw := s.File.Components[c].BlocksWide

@@ -583,7 +583,7 @@ func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *s
 		return WriteResponse(sc.conn, StatusError, []byte(err.Error())) == nil
 	}
 	return b.streamResponse(ctx, sc, size, "decompress", func(w io.Writer) error {
-		return cd.DecodeToCtx(ctx, w, payload, 0)
+		return cd.DecodeToCtx(ctx, w, payload)
 	})
 }
 
@@ -746,7 +746,7 @@ func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srv
 			[]byte(fmt.Sprintf("range of %d bytes exceeds the %d-byte response limit", rlen, maxPayload))) == nil
 	}
 	return b.streamResponse(ctx, sc, uint32(rlen), "get-range", func(w io.Writer) error {
-		_, err := cd.DecodeRangeToCtx(ctx, w, cb, off, n, 0)
+		_, err := cd.DecodeRangeToCtx(ctx, w, cb, off, n)
 		return err
 	})
 }

@@ -77,7 +77,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight request failed during drain: %v", r.err)
 	}
-	back, err := decode(r.comp, 0)
+	back, err := decode(r.comp)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("drained response undecodable: %v", err)
 	}

@@ -75,7 +75,7 @@ func compressN(t *testing.T, addr string, data []byte, n int) {
 		if err != nil {
 			t.Fatalf("compress %d: %v", i, err)
 		}
-		if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+		if back, err := decode(comp); err != nil || !bytes.Equal(back, data) {
 			t.Fatalf("compress %d: round trip mismatch (%v)", i, err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestOutsourcedCompressNotReoutsourced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+	if back, err := decode(comp); err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("outsourced round trip mismatch (%v)", err)
 	}
 	if got := a.StatsSnapshot()["outsourced"]; got != 1 {

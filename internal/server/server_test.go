@@ -35,8 +35,8 @@ func encode(data []byte, opt core.EncodeOptions) (*core.Result, error) {
 	return core.NewCodec().EncodeCtx(context.Background(), data, opt)
 }
 
-func decode(comp []byte, memBudget int64) ([]byte, error) {
-	return core.NewCodec().DecodeCtx(context.Background(), comp, memBudget)
+func decode(comp []byte) ([]byte, error) {
+	return core.NewCodec().DecodeCtx(context.Background(), comp)
 }
 
 func startServer(t *testing.T, addr string, b *server.Blockserver) string {
@@ -135,7 +135,7 @@ func TestTCPCompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decode(comp, 0)
+	back, err := decode(comp)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatal("TCP compress result undecodable")
 	}
@@ -149,7 +149,7 @@ func TestUnsupportedInputGetsRawContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decode(comp, 0)
+	back, err := decode(comp)
 	if err != nil || !bytes.Equal(back, payload) {
 		t.Fatal("raw fallback mismatch")
 	}
@@ -191,7 +191,7 @@ func TestHalfCloseOneShotRequest(t *testing.T) {
 	if err != nil || status != server.StatusOK {
 		t.Fatalf("status %d, err %v", status, err)
 	}
-	if back, err := decode(comp, 0); err != nil || !bytes.Equal(back, data) {
+	if back, err := decode(comp); err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("round trip mismatch (%v)", err)
 	}
 	if _, _, err := server.ReadResponse(conn); !errors.Is(err, io.EOF) {
@@ -263,7 +263,7 @@ func TestStoreBackedOps(t *testing.T) {
 	if !bytes.Equal(cb, res.Compressed) {
 		t.Fatal("compressed chunk changed in store")
 	}
-	out, err := decode(cb, 0)
+	out, err := decode(cb)
 	if err != nil || !bytes.Equal(out, raw) {
 		t.Fatal("client-side decode mismatch")
 	}
@@ -475,7 +475,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 				errs <- fmt.Errorf("compress %d: %w", i, err)
 				return
 			}
-			back, err := decode(comp, 0)
+			back, err := decode(comp)
 			if err != nil || !bytes.Equal(back, data) {
 				errs <- fmt.Errorf("round trip %d failed (%v)", i, err)
 			}

@@ -91,7 +91,7 @@ func FuzzStorePut(f *testing.F) {
 		if err != nil {
 			t.Fatalf("admitted chunk failed to decode on read: %v", err)
 		}
-		direct, err := fuzzCodec.DecodeCtx(t.Context(), data, 0)
+		direct, err := fuzzCodec.DecodeCtx(t.Context(), data)
 		if err != nil {
 			t.Fatalf("chunk admitted but direct decode fails: %v", err)
 		}

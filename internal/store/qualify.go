@@ -75,7 +75,7 @@ func Qualify(corpus [][]byte) *QualReport {
 			q.ByReason[jpeg.ReasonOf(err)]++
 			continue
 		}
-		again, err := codec.DecodeCtx(ctx, res.Compressed, 0)
+		again, err := codec.DecodeCtx(ctx, res.Compressed)
 		if err != nil || !bytes.Equal(again, data) {
 			q.CrossCheckFailures++
 			q.ByReason[jpeg.ReasonRoundtrip]++

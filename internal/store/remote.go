@@ -208,7 +208,7 @@ func (r *Remote) Get(ctx context.Context, h Hash) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Codec.DecodeCtx(ctx, cb, 0)
+	return r.Codec.DecodeCtx(ctx, cb)
 }
 
 // GetRange fetches bytes [off, off+n) of one chunk's reconstruction,
@@ -247,7 +247,7 @@ func (r *Remote) GetRange(ctx context.Context, h Hash, off, n int64) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return r.Codec.DecodeRangeCtx(ctx, cb, off, n, 0)
+	return r.Codec.DecodeRangeCtx(ctx, cb, off, n)
 }
 
 // GetFileRange reads bytes [off, off+n) of a stored file, clamped at its

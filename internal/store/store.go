@@ -344,7 +344,7 @@ func (st *Store) verifyChunks(ctx context.Context, data []byte, size int, comp [
 	verify := st.verify
 	if verify == nil {
 		verify = func(ctx context.Context, comp, want []byte) error {
-			return st.Codec.VerifyCtx(ctx, comp, want, 0)
+			return st.Codec.VerifyCtx(ctx, comp, want)
 		}
 	}
 	sums := make([]Hash, len(comp))
@@ -382,7 +382,7 @@ func (st *Store) PutCompressedChunkCtx(ctx context.Context, cb []byte) (Hash, er
 	if !core.IsLepton(cb) {
 		return Hash{}, errors.New("store: not a Lepton container")
 	}
-	if err := st.Codec.DecodeToCtx(ctx, io.Discard, cb, 0); err != nil {
+	if err := st.Codec.DecodeToCtx(ctx, io.Discard, cb); err != nil {
 		if ctx.Err() != nil {
 			return Hash{}, ctx.Err()
 		}
@@ -417,7 +417,7 @@ func (st *Store) GetChunkCtx(ctx context.Context, h Hash) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.Codec.DecodeCtx(ctx, cb, 0)
+	return st.Codec.DecodeCtx(ctx, cb)
 }
 
 // GetCompressedChunk returns the stored (compressed) bytes. A backend
@@ -441,7 +441,7 @@ func (st *Store) GetFileCtx(ctx context.Context, ref FileRef) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := st.Codec.DecodeToCtx(ctx, out, cb, 0); err != nil {
+		if err := st.Codec.DecodeToCtx(ctx, out, cb); err != nil {
 			return nil, err
 		}
 	}
@@ -459,7 +459,7 @@ func (st *Store) GetChunkRangeCtx(ctx context.Context, h Hash, off, n int64) ([]
 	if err != nil {
 		return nil, err
 	}
-	return st.Codec.DecodeRangeCtx(ctx, cb, off, n, 0)
+	return st.Codec.DecodeRangeCtx(ctx, cb, off, n)
 }
 
 // GetFileRangeCtx reads bytes [off, off+n) of a stored file, clamped at

@@ -266,12 +266,12 @@ func TestPutFileBeyondPlaneBudgetIsLepton(t *testing.T) {
 		t.Skip("67 MP encode and decode")
 	}
 	data := flatJPEG(t, 8192, 8192)
-	f, err := jpeg.Parse(data, core.DefaultMemEncodeBudget)
+	f, err := jpeg.Parse(data, core.MemEncodeBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planes := int64(f.CoefficientCount()) * 2; f.Width*f.Height < 64e6 || planes <= core.DefaultMemEncodeBudget {
-		t.Fatalf("%dx%d with %d plane bytes: want at least 64 MP and planes over %d", f.Width, f.Height, planes, core.DefaultMemEncodeBudget)
+	if planes := int64(f.CoefficientCount()) * 2; f.Width*f.Height < 64e6 || planes <= core.MemEncodeBudget {
+		t.Fatalf("%dx%d with %d plane bytes: want at least 64 MP and planes over %d", f.Width, f.Height, planes, core.MemEncodeBudget)
 	}
 	st := store.New()
 	// Several chunks, each with a row start, so every one is Lepton.

@@ -20,7 +20,7 @@ func countingVerify(st *Store, calls map[Hash]int, fail func(comp []byte) bool) 
 		if fail != nil && fail(comp) {
 			return errors.New("forced round-trip failure")
 		}
-		return st.Codec.VerifyCtx(ctx, comp, want, 0)
+		return st.Codec.VerifyCtx(ctx, comp, want)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestPutFileVerifyCancelled(t *testing.T) {
 	defer cancel()
 	st.verify = func(vctx context.Context, comp, want []byte) error {
 		cancel()
-		return st.Codec.VerifyCtx(vctx, comp, want, 0)
+		return st.Codec.VerifyCtx(vctx, comp, want)
 	}
 	if _, err := st.PutFileCtx(ctx, verifyTestJPEG(t)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PutFileCtx = %v, want context.Canceled", err)

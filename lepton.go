@@ -127,25 +127,9 @@ type Options struct {
 	// predictors (§4.3 ablations).
 	DisableEdgePrediction bool
 	DisableDCGradient     bool
-	// MemDecodeBudget / MemEncodeBudget bound coefficient memory in
-	// bytes; 0 selects the deployed limits (24 MiB / 178 MiB). The decode
-	// budget bounds the per-segment row windows (scaling with image width
-	// and thread count, not pixel count), which an encode holds too: each
-	// of its thread segments decodes its own span of the scan into one
-	// window, at most eight at once. The encode budget bounds one row
-	// window at parse time and, with CollectStats, the whole coefficient
-	// planes the Figure 4 statistics need. Images whose windows cannot fit
-	// are rejected with ReasonMemDecode; everything else streams.
-	MemDecodeBudget int64
-	MemEncodeBudget int64
 	// AllowCMYK enables four-component (CMYK) files, the paper's "extra
 	// model for the 4th color channel", which production kept off (§6.2).
 	AllowCMYK bool
-	// DisableSeekIndex omits the per-MCU-row seek index normally appended
-	// to baseline containers. Without it DecompressRangeCtx falls back to
-	// a full decode; the container is otherwise byte-identical to the
-	// indexed one.
-	DisableSeekIndex bool
 }
 
 func (o *Options) coreOptions() core.EncodeOptions {
@@ -157,15 +141,12 @@ func (o *Options) coreOptions() core.EncodeOptions {
 		DCGradient:     !o.DisableDCGradient,
 	}
 	return core.EncodeOptions{
-		Flags:            &flags,
-		ForceSegments:    o.Threads,
-		SingleModel:      o.SingleModel,
-		VerifyRoundtrip:  o.Verify,
-		CollectStats:     o.CollectStats,
-		MemDecodeBudget:  o.MemDecodeBudget,
-		MemEncodeBudget:  o.MemEncodeBudget,
-		AllowCMYK:        o.AllowCMYK,
-		DisableSeekIndex: o.DisableSeekIndex,
+		Flags:           &flags,
+		ForceSegments:   o.Threads,
+		SingleModel:     o.SingleModel,
+		VerifyRoundtrip: o.Verify,
+		CollectStats:    o.CollectStats,
+		AllowCMYK:       o.AllowCMYK,
 	}
 }
 
@@ -234,7 +215,7 @@ func (c *Codec) DecompressCtx(ctx context.Context, comp []byte) ([]byte, error) 
 	if err := checkMagic(comp); err != nil {
 		return nil, err
 	}
-	return c.core.DecodeCtx(ctx, comp, 0)
+	return c.core.DecodeCtx(ctx, comp)
 }
 
 // DecompressToCtx streams the reconstruction to w with low
@@ -245,14 +226,14 @@ func (c *Codec) DecompressToCtx(ctx context.Context, w io.Writer, comp []byte) e
 	if err := checkMagic(comp); err != nil {
 		return err
 	}
-	return c.core.DecodeToCtx(ctx, w, comp, 0)
+	return c.core.DecodeToCtx(ctx, w, comp)
 }
 
 // DecompressRangeCtx reconstructs exactly the byte range [off, off+n) of
 // the original file — clamped to the file size — without decoding the rest.
-// Baseline containers carry a per-MCU-row seek index (see Options.
-// DisableSeekIndex), so a small read out of a large file costs roughly one
-// thread segment of arithmetic decoding: header and trailer bytes come
+// Every gray or color baseline container this package writes carries a
+// per-MCU-row seek index, so a small read out of a large file costs
+// roughly one thread segment of arithmetic decoding: header and trailer bytes come
 // from the stored verbatim copies, scan bytes from re-encoding only the
 // MCU rows the range overlaps. Progressive and CMYK containers, and legacy
 // containers without an index, are served by a full decode that discards
@@ -262,7 +243,7 @@ func (c *Codec) DecompressRangeCtx(ctx context.Context, comp []byte, off, n int6
 	if err := checkMagic(comp); err != nil {
 		return nil, err
 	}
-	return c.core.DecodeRangeCtx(ctx, comp, off, n, 0)
+	return c.core.DecodeRangeCtx(ctx, comp, off, n)
 }
 
 // VerifyCtx round-trips data through compress and decompress and reports
@@ -339,9 +320,6 @@ type ChunkOptions struct {
 	// in memory; 0 means the deployed encode budget. Larger streams are
 	// chunk-compressed incrementally in raw mode with O(ChunkSize) memory.
 	BufferLimit int64
-	// DisableSeekIndex omits the per-chunk seek index (see
-	// Options.DisableSeekIndex).
-	DisableSeekIndex bool
 }
 
 func (o *ChunkOptions) chunkOptions(c *core.Codec) chunk.Options {
@@ -351,7 +329,6 @@ func (o *ChunkOptions) chunkOptions(c *core.Codec) chunk.Options {
 		co.VerifyRoundtrip = o.Verify
 		co.SegmentsPerChunk = o.Threads
 		co.BufferLimit = o.BufferLimit
-		co.DisableSeekIndex = o.DisableSeekIndex
 	}
 	return co
 }
