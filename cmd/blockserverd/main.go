@@ -61,7 +61,7 @@ func main() {
 		"comma-separated outsourcing targets: peer blockservers (to-self) or a dedicated cluster")
 	threshold := flag.Int("threshold", 3, "outsource when more conversions than this are in flight")
 	shards := flag.Int("shards", 0,
-		"worker shards, each with a private codec pinned to a connection set;"+
+		"workers draining one request queue, each with a private codec;"+
 			" 0 = one per core (GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 0,
 		"per-request deadline; conversions running longer are cancelled (0 = none)")

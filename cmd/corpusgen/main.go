@@ -5,7 +5,8 @@
 // With -fuzz-seeds it instead regenerates the checked-in seed corpora for
 // the fuzz targets (FuzzDecode and FuzzDecompressRange in internal/core,
 // FuzzStorePut in internal/store, FuzzSegmentReplay in
-// internal/diskstore, FuzzReadRequest in internal/server): valid inputs
+// internal/diskstore, FuzzReadRequest and FuzzHandleOp in
+// internal/server): valid inputs
 // plus corrupted and truncated variants, written in Go's corpus-file
 // format under each package's testdata/fuzz/ directory.
 //
@@ -267,6 +268,32 @@ func writeFuzzSeeds(root string) {
 		reqArgs = append(reqArgs, []string{bytesArg(s.frame), "uint16(" + strconv.Itoa(s.reuseCap) + ")"})
 	}
 	writeArgCorpus(filepath.Join(root, "internal", "server", "testdata", "fuzz", "FuzzReadRequest"), reqArgs)
+
+	// FuzzHandleOp: request streams for a node with an in-memory store —
+	// one frame per op, an unknown op, a header over the limit, a
+	// truncated body, and a session that stores a chunk and then reads,
+	// ranges, lists and decompresses it.
+	req := func(op byte, payload []byte) []byte { return frame(op, uint32(len(payload)), string(payload)) }
+	jpg, err := imagegen.EncodeJPEG(imagegen.Synthesize(7, 32, 24), imagegen.Options{Quality: 85, PadBit: 1})
+	if err != nil {
+		fatal(err)
+	}
+	lep := mustEncode(jpg, nil)
+	h := sha256.Sum256(lep)
+	rangeBody := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(append([]byte(nil), h[:]...), 100), 64)
+	listBody := binary.LittleEndian.AppendUint32(make([]byte, 32), 10)
+	var session []byte
+	for _, f := range [][]byte{req('U', lep), req('H', h[:]), req('R', rangeBody), req('S', listBody), req('L', nil), req('D', lep)} {
+		session = append(session, f...)
+	}
+	writeCorpus(filepath.Join(root, "internal", "server", "testdata", "fuzz", "FuzzHandleOp"), [][]byte{
+		req('C', jpg), req('c', jpg), req('D', lep), req('L', nil),
+		req('U', lep), req('H', h[:]), req('S', listBody), req('R', rangeBody),
+		req('Z', []byte("x")),
+		frame('C', 8<<20+1, "x"),
+		frame('D', 100, "short"),
+		session,
+	})
 }
 
 // put stores payload under its content hash and returns the hash.

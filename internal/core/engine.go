@@ -32,12 +32,11 @@ import (
 // Deployment shape (§5.1): production ran one Lepton process per core,
 // each handling one conversion at a time, so every process kept a warm,
 // private working set and never contended on shared allocator state. The
-// in-process analogue is internal/server's sharded worker pool: one
-// worker per GOMAXPROCS core, each owning a private Codec whose pooled
-// buffers are reused across that shard's requests only. Connections hash
-// to a home shard (affinity keeps the buffers cache-warm); idle shards
-// steal queued work so a slow request does not strand its neighbors. The
-// block-level hot paths under this engine (border IDCT, occupancy masks,
+// in-process analogue is internal/server's worker pool: one worker per
+// GOMAXPROCS core, each owning a private Codec whose pooled buffers serve
+// one conversion at a time. The workers drain one FIFO, so jobs start in
+// arrival order and a slow request never strands one queued behind it
+// while another worker is free. The block-level hot paths under this engine (border IDCT, occupancy masks,
 // 0xFF scans) dispatch to AVX2 kernels where the CPU has them — see
 // internal/dct and internal/bitio, portable twins enforced bit-identical
 // by differential fuzzing.

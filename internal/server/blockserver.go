@@ -23,9 +23,10 @@ import (
 // StatsSnapshot returns a point-in-time view of this node's counters —
 // including the range-decode split and the streamed-coefficient memory
 // gauges (current and peak row-window bytes, the §5.1 ceiling as actually
-// observed) of the conversions it ran — plus in-flight and shard-queue
-// state, in a form ready for expvar/JSON export; see cmd/blockserverd's
-// -debug-addr. A restarted node starts from zero.
+// observed) of the conversions it ran — plus in-flight requests and the
+// worker pool's size, queue depth and completed jobs, in a form ready for
+// expvar/JSON export; see cmd/blockserverd's -debug-addr. A restarted node
+// starts from zero.
 func (b *Blockserver) StatsSnapshot() map[string]int64 {
 	snap := b.counters().Snapshot()
 	snap["in_flight"] = int64(b.InFlight())
@@ -49,13 +50,9 @@ func (b *Blockserver) StatsSnapshot() map[string]int64 {
 	b.connMu.Unlock()
 	if p != nil {
 		p.mu.Lock()
-		snap["shards"] = int64(len(p.shards))
-		for i := range p.shards {
-			s := &p.shards[i]
-			snap[fmt.Sprintf("shard%d_depth", i)] = int64(s.depth())
-			snap[fmt.Sprintf("shard%d_done", i)] = s.jobs
-			snap[fmt.Sprintf("shard%d_steals", i)] = s.steals
-		}
+		snap["workers"] = int64(p.workers)
+		snap["queue_depth"] = int64(p.depth())
+		snap["jobs_done"] = p.done
 		p.mu.Unlock()
 	}
 	return snap
@@ -63,18 +60,17 @@ func (b *Blockserver) StatsSnapshot() map[string]int64 {
 
 // Blockserver serves Lepton conversions on a listener. It mirrors the
 // production setup: a 16-core box where a few concurrent Lepton jobs
-// saturate the machine, so conversions run on a fixed set of per-core
-// worker shards (Shards, default GOMAXPROCS) and compressions arriving
-// beyond OutsourceThreshold are forwarded through the Outsource fleet when
-// one is configured (§5.5).
+// saturate the machine, so conversions run on a fixed set of workers
+// (Shards, default one per core) and compressions arriving beyond
+// OutsourceThreshold are forwarded through the Outsource fleet when one is
+// configured (§5.5).
 //
 // Connections are persistent: each serves a request loop until the client
-// closes or a streaming failure forces a teardown. Every connection is
-// pinned to a shard whose worker owns a private core.Codec, so a
-// connection's steady-state conversions reuse model tables, coefficient
-// planes, and scratch buffers that stay resident on one core; idle workers
-// steal from busy shards, so the pinning never strands throughput (see
-// shards.go).
+// closes or a streaming failure forces a teardown. Conversions from every
+// connection queue in one FIFO, in arrival order, and run on the next free
+// worker; each worker owns a private core.Codec whose model tables,
+// coefficient planes, and scratch buffers serve one conversion at a time
+// (see shards.go).
 //
 // Every conversion runs under a context derived from its connection: a
 // peer that disconnects mid-request, or a RequestTimeout that expires,
@@ -90,11 +86,11 @@ type Blockserver struct {
 	// OutsourceThreshold is the concurrent-conversion limit; the paper used
 	// "more than three conversions at a time".
 	OutsourceThreshold int
-	// Shards is the number of worker shards — the bound on conversions
-	// running at once; 0 means one per core (GOMAXPROCS). Requests beyond
-	// the bound queue on their connection's shard; InFlight counts queued
-	// and running conversions alike so load probes and the outsourcing
-	// trigger see the backlog.
+	// Shards is the number of workers — the bound on conversions running
+	// at once; 0 means one per core (GOMAXPROCS). Requests beyond the bound
+	// wait in the workers' one queue; InFlight counts queued and running
+	// conversions alike so load probes and the outsourcing trigger see the
+	// backlog.
 	Shards int
 	// RequestTimeout, when positive, bounds each conversion end to end: the
 	// per-request context expires after this much time and the conversion
@@ -110,7 +106,7 @@ type Blockserver struct {
 
 	// stats is the node's counter set: its request counters plus the
 	// range_* and coeff_window_bytes counters of every codec it runs
-	// (shard codecs and the Store's). get_ranges counts OpGetRange
+	// (worker codecs and the Store's). get_ranges counts OpGetRange
 	// requests, fast path and fallback alike; cancelled counts
 	// conversions aborted mid-flight by a per-request context (peer
 	// disconnect, RequestTimeout, forced drain); writevs counts the
@@ -120,8 +116,7 @@ type Blockserver struct {
 	statsOnce sync.Once
 
 	inFlight atomic.Int32
-	pool     *shardPool
-	connSeq  atomic.Uint32 // round-robin shard affinity for new connections
+	pool     *workerPool
 	wg       sync.WaitGroup
 	closed   atomic.Bool
 	draining atomic.Bool
@@ -155,11 +150,8 @@ type srvConn struct {
 	eof     bool
 	serving atomic.Bool
 
-	// affinity is the connection's preferred worker shard, assigned
-	// round-robin at accept.
-	affinity int
 	// job is the reusable dispatch record (one request in flight per
-	// connection), so steady-state shard dispatch allocates nothing.
+	// connection), so steady-state dispatch allocates nothing.
 	job shardJob
 	// rbuf is the connection's reusable request-payload buffer: ReadRequest
 	// reads every request into it instead of allocating per request. The
@@ -216,7 +208,7 @@ func (b *Blockserver) init() {
 		// Published under connMu so StatsSnapshot can read the pool
 		// concurrently with a lazy init from another goroutine's Serve.
 		b.connMu.Lock()
-		b.pool = newShardPool(n, set)
+		b.pool = newWorkerPool(n, set)
 		b.connMu.Unlock()
 	})
 }
@@ -372,7 +364,6 @@ func (b *Blockserver) logf(format string, args ...any) {
 // mid-stream failure makes the framing unrecoverable, or a drain begins.
 func (b *Blockserver) handle(conn net.Conn) {
 	sc := &srvConn{conn: conn}
-	sc.affinity = int(b.connSeq.Add(1)-1) % len(b.pool.shards)
 	b.track(sc)
 	defer b.untrack(sc)
 	defer conn.Close()
@@ -493,11 +484,11 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 		return WriteResponse(conn, StatusOK, resp[:]) == nil
 	case OpCompress, OpCompressLocal:
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
-			return b.serveCompress(ctx, sc, op == OpCompress, payload)
+			return b.serveCompress(ctx, sc, op, payload)
 		})
 	case OpDecompress:
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
-			return b.serveDecompress(ctx, sc, payload)
+			return b.runOnShard(ctx, sc, op, payload)
 		})
 	case OpPutChunkCompressed, OpGetChunkCompressed, OpListChunks, OpGetRange:
 		return b.withRequestCtx(sc, func(ctx context.Context) bool {
@@ -514,13 +505,13 @@ func (b *Blockserver) serveOne(sc *srvConn, op byte, payload []byte) bool {
 // never forwarded again: it does not count toward the forwarder's
 // in-flight gauge, so two mutually outsourcing servers over threshold
 // would otherwise bounce it between them forever.
-func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, mayOutsource bool, payload []byte) bool {
+func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, op byte, payload []byte) bool {
 	conn := sc.conn
 	// Outsource when oversubscribed (§5.5): a blockserver handling
 	// many cheap requests can be randomly assigned too many Lepton
 	// conversions at once. The remote round trip runs here on the
-	// connection goroutine, never on a shard worker.
-	if mayOutsource && b.Outsource != nil && int(b.inFlight.Load()) >= b.OutsourceThreshold {
+	// connection goroutine, never on a worker.
+	if op == OpCompress && b.Outsource != nil && int(b.inFlight.Load()) >= b.OutsourceThreshold {
 		octx, ocancel := context.WithTimeout(ctx, 30*time.Second)
 		resp, err := b.Outsource.outsource(octx, payload)
 		ocancel()
@@ -535,14 +526,10 @@ func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, mayOutsour
 			b.logf("outsource failed: %v; handling locally", err)
 		}
 	}
-	ok, err := b.runOnShard(ctx, sc, jobCompress, payload)
-	if err != nil {
-		return b.respondErr(conn, err)
-	}
-	return ok
+	return b.runOnShard(ctx, sc, op, payload)
 }
 
-// compressLocal runs on a shard worker with the shard's private codec.
+// compressLocal runs on a worker with the worker's private codec.
 func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, conn net.Conn, payload []byte) bool {
 	b.stats.Add("compresses", 1)
 	res, err := cd.EncodeCtx(ctx, payload, core.EncodeOptions{VerifyRoundtrip: true})
@@ -563,15 +550,7 @@ func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, conn ne
 	return WriteResponse(conn, StatusOK, res.Compressed) == nil
 }
 
-func (b *Blockserver) serveDecompress(ctx context.Context, sc *srvConn, payload []byte) bool {
-	ok, err := b.runOnShard(ctx, sc, jobDecompress, payload)
-	if err != nil {
-		return b.respondErr(sc.conn, err)
-	}
-	return ok
-}
-
-// decompressLocal runs on a shard worker with the shard's private codec.
+// decompressLocal runs on a worker with the worker's private codec.
 // The container header records the exact output size, so the response can
 // be framed up front and the reconstruction streamed into the connection
 // segment by segment (§3.4) instead of being buffered whole.
@@ -591,7 +570,7 @@ func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *s
 // into it. Output goes through the connection's vectored frame writer,
 // which batches the frame header and the decoder's segments into a handful
 // of writev calls; the queued slices alias codec-pooled buffers, which is
-// safe precisely because the codec is shard-private — nothing can recycle
+// safe precisely because the codec is worker-private — nothing can recycle
 // those pools until this worker finishes this job, and the final flush
 // happens before it does. As long as nothing has hit the wire yet, any
 // failure — mid-stream aborts whose output is still queued included — can
@@ -641,17 +620,13 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 	switch op {
 	case OpPutChunkCompressed:
 		// Client-side codec (§7): "only" verification runs here — but that
-		// is a full decode, so it takes a shard worker like any other
+		// is a full decode, so it takes a worker like any other
 		// conversion; otherwise fleet-store puts would bypass the worker
 		// bound and stay invisible to the load probes routing them.
-		ok, err := b.runOnShard(ctx, sc, jobPutCompressed, payload)
-		if err != nil {
-			return fail(err)
-		}
-		return ok
+		return b.runOnShard(ctx, sc, op, payload)
 	case OpGetRange:
-		// A range decode is a (partial) conversion, so it takes a shard
-		// worker like a decompress; the fixed-size request is parsed here
+		// A range decode is a (partial) conversion, so it takes a worker
+		// like a decompress; the fixed-size request is parsed here
 		// on the connection goroutine.
 		if len(payload) != getRangeReqLen {
 			return fail(fmt.Errorf("get-range request is %d bytes, want %d", len(payload), getRangeReqLen))
@@ -667,11 +642,7 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 		sc.job.hash = h
 		sc.job.off = off
 		sc.job.n = int64(binary.LittleEndian.Uint32(payload[40:]))
-		ok, rerr := b.runOnShard(ctx, sc, jobGetRange, nil)
-		if rerr != nil {
-			return fail(rerr)
-		}
-		return ok
+		return b.runOnShard(ctx, sc, op, nil)
 	case OpGetChunkCompressed:
 		h, err := hashOf(payload)
 		if err != nil {
@@ -688,7 +659,7 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 		return WriteResponse(conn, StatusOK, cb) == nil
 	case OpListChunks:
 		// An index walk, not a conversion: served inline like the
-		// compressed-get path, no shard worker.
+		// compressed-get path, no worker.
 		if len(payload) != 36 {
 			return fail(fmt.Errorf("list-chunks request is %d bytes, want 36", len(payload)))
 		}
@@ -708,10 +679,10 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 	return true
 }
 
-// putCompressedLocal runs OpPutChunkCompressed on a shard worker. The
+// putCompressedLocal runs OpPutChunkCompressed on a worker. The
 // admission check goes through the Store's own codec (its budgets and
-// shutoff switch are store configuration); the shard still bounds its
-// concurrency.
+// shutoff switch are store configuration); the worker pool still bounds
+// its concurrency.
 func (b *Blockserver) putCompressedLocal(ctx context.Context, conn net.Conn, payload []byte) bool {
 	h, err := b.Store.PutCompressedChunkCtx(ctx, payload)
 	if err != nil {
@@ -720,7 +691,7 @@ func (b *Blockserver) putCompressedLocal(ctx context.Context, conn net.Conn, pay
 	return WriteResponse(conn, StatusOK, h[:]) == nil
 }
 
-// getRangeLocal runs OpGetRange on a shard worker: decode only the chunk
+// getRangeLocal runs OpGetRange on a worker: decode only the chunk
 // rows overlapping [off, off+n) and stream exactly those bytes. The range
 // decoder reports the response length up front (RangeLength clamps against
 // the container's recorded output size), so the response streams like a

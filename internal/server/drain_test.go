@@ -35,7 +35,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 }
 
 // settledSnapshot polls the stats snapshot until cond holds. The in-flight
-// gauge and the per-shard done counters settle just after the reply is
+// gauge and the jobs_done counter settle just after the reply is
 // written, so a client that has its response may read them one update
 // early.
 func settledSnapshot(t *testing.T, b *server.Blockserver, what string, cond func(map[string]int64) bool) map[string]int64 {

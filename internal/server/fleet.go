@@ -255,6 +255,12 @@ func (f *Fleet) evict(n *fleetNode, why string) {
 	n.mu.Lock()
 	already := n.down
 	n.down = true
+	// Counted before the unlock publishes the state: a reader that sees
+	// the node down also sees its eviction.
+	if !already {
+		f.stats.Add("evictions", 1)
+		f.stats.Add(n.evictions, 1)
+	}
 	idle := n.idle
 	n.idle = nil
 	n.mu.Unlock()
@@ -262,8 +268,6 @@ func (f *Fleet) evict(n *fleetNode, why string) {
 		_ = c.Close()
 	}
 	if !already {
-		f.stats.Add("evictions", 1)
-		f.stats.Add(n.evictions, 1)
 		f.logf("fleet: evicted %s (%s)", n.addr, why)
 	}
 }
@@ -275,9 +279,11 @@ func (f *Fleet) readmit(n *fleetNode) {
 	was := n.down
 	n.down = false
 	n.healthFails = 0
+	if was {
+		f.stats.Add("readmissions", 1) // before the unlock, as in evict
+	}
 	n.mu.Unlock()
 	if was {
-		f.stats.Add("readmissions", 1)
 		f.logf("fleet: readmitted %s", n.addr)
 	}
 }

@@ -137,8 +137,9 @@ func WriteFrame(conn net.Conn, op byte, payload []byte) error {
 
 // ReadRequest reads one framed request from r. The payload goes into buf
 // when it fits buf's capacity, so a caller that passes back each returned
-// payload reads every request into one buffer; a nil buf allocates one per
-// request. The payload is valid until buf is reused.
+// payload reads every request into one buffer; otherwise (a nil buf
+// included) it is read into a new buffer. The payload is valid until buf
+// is reused.
 func ReadRequest(r io.Reader, buf []byte) (op byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -148,14 +149,43 @@ func ReadRequest(r io.Reader, buf []byte) (op byte, payload []byte, err error) {
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("server: request of %d bytes exceeds limit", n)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if payload, err = readBody(r, n, buf); err != nil {
 		return 0, nil, err
 	}
 	return hdr[0], payload, nil
+}
+
+// bodyStep is the first buffer a body that does not fit the reuse buffer
+// is read into.
+const bodyStep = 64 << 10
+
+// readBody reads an n-byte frame body from r, into buf when n fits its
+// capacity. A new buffer starts at bodyStep and doubles as bytes arrive,
+// so a peer that declares a large body and sends less of it pins memory in
+// proportion to what it sent, not to what it declared.
+func readBody(r io.Reader, n int, buf []byte) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = make([]byte, 0, min(n, bodyStep))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(2*cap(buf), n)), buf...)
+		}
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		if err == io.EOF && len(buf) > 0 {
+			// A body cut at a step boundary is as short as one cut
+			// inside a step, not a clean end of the stream.
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+m]
+	}
+	return buf, nil
 }
 
 // WriteResponse sends status+payload as one vectored write (see
@@ -200,12 +230,11 @@ func ReadResponse(conn net.Conn) (status byte, payload []byte, err error) {
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("server: response of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	if payload, err = readBody(conn, n, nil); err != nil {
 		return 0, nil, &StreamBodyError{Err: err}
 	}
 	return hdr[0], payload, nil

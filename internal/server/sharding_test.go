@@ -11,35 +11,8 @@ import (
 	"lepton/internal/server"
 )
 
-// TestConnectionShardAffinity: a connection's serial requests all run on
-// the shard it was pinned to at accept — with every worker idle there is
-// never a reason to steal.
-func TestConnectionShardAffinity(t *testing.T) {
-	b := &server.Blockserver{Shards: 2}
-	addr := startServer(t, "tcp:127.0.0.1:0", b)
-
-	data := gen(t, 7, 128, 96)
-	for i := 0; i < 3; i++ {
-		if _, err := oneShot(addr, server.OpCompress, data, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := settledSnapshot(t, b, "3 jobs done", func(s map[string]int64) bool {
-		return s["shard0_done"]+s["shard1_done"] == 3
-	})
-	// Each Do dials a fresh connection; round-robin affinity alternates
-	// shards 0,1,0, and idle-worker wakeups honor the pinning.
-	if snap["shard0_done"] != 2 || snap["shard1_done"] != 1 {
-		t.Fatalf("shard done counts %d/%d, want 2/1 (snap %v)",
-			snap["shard0_done"], snap["shard1_done"], snap)
-	}
-	if snap["shard0_steals"] != 0 || snap["shard1_steals"] != 0 {
-		t.Fatalf("unexpected steals: %v", snap)
-	}
-}
-
-// TestShardedDrainWithQueue: with one shard and several concurrent
-// requests, the backlog queues on the shard; a graceful Shutdown must let
+// TestShardedDrainWithQueue: with one worker and several concurrent
+// requests, the backlog waits in the queue; a graceful Shutdown must let
 // queued and running conversions alike finish with OK responses.
 func TestShardedDrainWithQueue(t *testing.T) {
 	b := &server.Blockserver{Shards: 1}
@@ -57,7 +30,7 @@ func TestShardedDrainWithQueue(t *testing.T) {
 			results[i], errs[i] = oneShot(addr, server.OpCompress, data, 30*time.Second)
 		}(i)
 	}
-	// Let every request land (three queued behind the single shard), then
+	// Let every request land (three queued behind the single worker), then
 	// drain gracefully while they are all still in flight. The image is
 	// big enough that the first conversion cannot finish before the last
 	// request arrives.
@@ -82,5 +55,5 @@ func TestShardedDrainWithQueue(t *testing.T) {
 			t.Fatalf("request %d returned a non-conversion", i)
 		}
 	}
-	settledSnapshot(t, b, fmt.Sprintf("shard0_done = %d", n), func(s map[string]int64) bool { return s["shard0_done"] == n })
+	settledSnapshot(t, b, fmt.Sprintf("jobs_done = %d", n), func(s map[string]int64) bool { return s["jobs_done"] == n })
 }
